@@ -9,9 +9,8 @@ compression scheme's determinism rests on that.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -45,6 +44,12 @@ def row_to_int(bits: Sequence[int]) -> int:
 
 def int_to_row(value: int, width: int) -> tuple[int, ...]:
     return tuple((value >> (width - 1 - x)) & 1 for x in range(width))
+
+
+def _column_ints(bits: np.ndarray) -> list[int]:
+    """Each column of a 0/1 matrix as an int whose bit i is the entry in row i."""
+    packed = np.packbits(bits.T, axis=1, bitorder="little")
+    return [int.from_bytes(col.tobytes(), "little") for col in packed]
 
 
 @dataclass(frozen=True)
@@ -117,10 +122,11 @@ class ConceptClass:
     def matrix(self) -> np.ndarray:
         """(num_concepts, domain_size) uint8 matrix; read-only."""
         n = self.domain_size
-        arr = np.empty((len(self.rows), n), dtype=np.uint8)
-        for i, r in enumerate(self.rows):
-            for x in range(n):
-                arr[i, x] = (r >> (n - 1 - x)) & 1
+        nbytes = (n + 7) // 8
+        shift = 8 * nbytes - n  # left-align each row so point 0 is a byte's top bit
+        packed = b"".join((r << shift).to_bytes(nbytes, "big") for r in self.rows)
+        arr = np.frombuffer(packed, dtype=np.uint8).reshape(len(self.rows), nbytes)
+        arr = np.unpackbits(arr, axis=1, count=n)
         arr.flags.writeable = False
         return arr
 
@@ -129,12 +135,7 @@ class ConceptClass:
         """For each point x, the bitmask of concepts taking value 1 at x
         (bit c corresponds to concept index c, so the lowest set bit is the
         lowest consistent concept index)."""
-        masks = [0] * self.domain_size
-        for c, r in enumerate(self.rows):
-            for x in range(self.domain_size):
-                if (r >> (self.domain_size - 1 - x)) & 1:
-                    masks[x] |= 1 << c
-        return tuple(masks)
+        return tuple(_column_ints(self.matrix))
 
     def value(self, concept: int, point: int) -> int:
         self._check_point(point)
@@ -267,100 +268,72 @@ def shatters(concept_class: ConceptClass, points: Sequence[int]) -> ShatterWitne
     return ShatterWitness(tuple(pts), tuple(witnesses))
 
 
-def _vc_levelwise_pyint(masks: Sequence[int], m: int, n: int) -> int:
-    """Level-wise exhaustive search with arbitrary-size integer masks."""
-    full = (1 << m) - 1
-    level: list[tuple[tuple[int, ...], tuple[int, ...]]] = [
-        ((x,), (masks[x], masks[x] ^ full)) for x in range(n) if masks[x] not in (0, full)
-    ]
-    if not level:
-        return 0
-    k = 1
-    while True:
-        # 2^(k+1) label patterns need that many distinct concepts
-        if (1 << (k + 1)) > m or k + 1 > n:
-            return k
-        nxt = []
-        for s, cells in level:
-            for x in range(s[-1] + 1, n):
-                one, zero = masks[x], masks[x] ^ full
-                new_cells = []
-                alive = True
-                for cell in cells:
-                    a = cell & one
-                    if not a:
-                        alive = False
-                        break
-                    b = cell & zero
-                    if not b:
-                        alive = False
-                        break
-                    new_cells.append(a)
-                    new_cells.append(b)
-                if alive:
-                    nxt.append((s + (x,), tuple(new_cells)))
-        if not nxt:
-            return k
-        level = nxt
-        k += 1
-
-
-def _vc_levelwise_uint64(matrix: np.ndarray) -> int:
-    """Vectorized level-wise search; requires at most 63 concepts."""
-    m, n = matrix.shape
-    powers = np.left_shift(np.uint64(1), np.arange(m, dtype=np.uint64))
-    ones = (matrix.astype(np.uint64).T * powers).sum(axis=1, dtype=np.uint64)
-    full = np.uint64((1 << m) - 1)
-    pts = np.arange(n, dtype=np.int64)
-    alive = (ones != 0) & (ones != full)
-    sets = pts[alive][:, None]
-    if sets.size == 0:
-        return 0
-    cells = np.stack([ones[alive], ones[alive] ^ full], axis=1)
-    k = 1
-    while True:
-        if (1 << (k + 1)) > m or k + 1 > n:
-            return k
-        next_sets, next_cells = [], []
-        chunk = max(1, 4_000_000 // (1 << (k + 1)))
-        for start in range(0, len(sets), chunk):
-            sets_c = sets[start : start + chunk]
-            cells_c = cells[start : start + chunk]
-            last = sets_c[:, -1]
-            counts = (n - 1 - last).astype(np.int64)
-            total = int(counts.sum())
-            if total == 0:
-                continue
-            set_idx = np.repeat(np.arange(len(sets_c)), counts)
-            offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-            x = np.arange(total) - np.repeat(offsets, counts) + np.repeat(last + 1, counts)
-            one = ones[x][:, None]
-            base = cells_c[set_idx]
-            cand = np.concatenate([base & one, base & (one ^ full)], axis=1)
-            ok = (cand != 0).all(axis=1)
-            if ok.any():
-                next_sets.append(np.concatenate([sets_c[set_idx[ok]], x[ok, None]], axis=1))
-                next_cells.append(cand[ok])
-        if not next_sets:
-            return k
-        sets = np.concatenate(next_sets)
-        cells = np.concatenate(next_cells)
-        k += 1
+def _splitters(masks: Sequence[int], cells: list[int], points: list[int], need: int) -> list[int]:
+    """The points that split every cell into two halves of at least `need`
+    concepts each (cells smallest first, as they fail most often)."""
+    kept = []
+    if need == 1:  # nonempty halves: cheaper than counting, and the common case
+        for y in points:
+            one = masks[y]
+            for cell in cells:
+                half = cell & one
+                if not half or half == cell:
+                    break
+            else:
+                kept.append(y)
+    else:
+        for y in points:
+            one = masks[y]
+            for cell in cells:
+                half = cell & one
+                if half.bit_count() < need or (cell ^ half).bit_count() < need:
+                    break
+            else:
+                kept.append(y)
+    return kept
 
 
 @functools.lru_cache(maxsize=None)
 def vc_dimension(concept_class: ConceptClass) -> int:
-    """Exact VC dimension.
+    """Exact VC dimension, by one depth-first search over point sets.
 
-    Exhaustive over subset sizes in increasing order, stopping at the first
-    size with no shattered set.  Within a level only extensions of shattered
-    sets are candidates, which loses nothing: every shattered set's prefixes
-    are shattered.
+    A node is a shattered set plus its cells: for each label pattern, the
+    bitset of the concepts realizing it.  Its children extend it by one later
+    point that splits every cell, which loses nothing: every subset of a
+    shattered set is shattered.  Only the current path and its pending
+    siblings are held.  The search returns at the ceiling
+    min(n, floor(log2 m)) and prunes what cannot beat the best size found: a
+    child whose size plus its remaining candidates is no larger, and a set
+    of size k whose cells cannot all hold 2^(best + 1 - k) concepts.
     """
-    m, n = len(concept_class), concept_class.domain_size
-    if m <= 63:
-        return _vc_levelwise_uint64(concept_class.matrix)
-    return _vc_levelwise_pyint(concept_class.point_masks, m, n)
+    m = len(concept_class)
+    masks = concept_class.point_masks
+    full = (1 << m) - 1
+    ceiling = min(concept_class.domain_size, m.bit_length() - 1)
+    best = 0
+
+    def extend(size: int, cells: list[int], candidates: list[int]) -> bool:
+        """Search above a shattered `size`-set; True once the ceiling is met."""
+        nonlocal best
+        for i, x in enumerate(candidates):
+            if size + len(candidates) - i <= best:
+                return False
+            one, zero = masks[x], full ^ masks[x]
+            halves = (h for cell in cells for h in (cell & one, cell & zero))
+            child = sorted(halves, key=int.bit_count)
+            best = max(best, size + 1)
+            if best == ceiling:
+                return True
+            if child[0].bit_count() < 1 << (best - size):
+                continue
+            later = _splitters(masks, child, candidates[i + 1 :], 1 << max(best - size - 1, 0))
+            if size + 1 + len(later) > best and extend(size + 1, child, later):
+                return True
+        return False
+
+    if ceiling:
+        extend(0, [full], [x for x in range(len(masks)) if masks[x] not in (0, full)])
+    return best
 
 
 # -- dual class ------------------------------------------------------------
@@ -369,21 +342,19 @@ def vc_dimension(concept_class: ConceptClass) -> int:
 @functools.lru_cache(maxsize=None)
 def dual_class(concept_class: ConceptClass) -> ConceptClass:
     """Transpose of the class: distinct columns become concepts over the
-    domain of original concept indices."""
-    m, n = len(concept_class), concept_class.domain_size
-    cols = set()
-    for x in range(n):
-        cols.add(row_to_int(concept_class.matrix[:, x]))
-    return ConceptClass(m, tuple(sorted(cols)))
+    domain of original concept indices (concept 0 is the dual's point 0)."""
+    return ConceptClass(len(concept_class), tuple(sorted(set(_dual_rows(concept_class)))))
 
 
 def dual_point_map(concept_class: ConceptClass) -> tuple[int, ...]:
     """For each original point, the index of its column in the dual class."""
-    dual = dual_class(concept_class)
-    index = {r: i for i, r in enumerate(dual.rows)}
-    return tuple(
-        index[row_to_int(concept_class.matrix[:, x])] for x in range(concept_class.domain_size)
-    )
+    index = {r: i for i, r in enumerate(dual_class(concept_class).rows)}
+    return tuple(index[r] for r in _dual_rows(concept_class))
+
+
+def _dual_rows(concept_class: ConceptClass) -> list[int]:
+    # reversing the concepts puts concept 0 at the top bit of each column
+    return _column_ints(concept_class.matrix[::-1])
 
 
 # -- consistency -----------------------------------------------------------
@@ -410,14 +381,10 @@ def is_realizable(concept_class: ConceptClass, sample: LabeledSample) -> bool:
 # -- text format -----------------------------------------------------------
 
 
-def parse_concept_class(text: str, *, allow_duplicates: bool = False) -> ConceptClass:
+def parse_concept_class(text: str) -> ConceptClass:
     """Parse the class text format: a header line ``n m`` followed by m rows
     of n characters from {0,1}.  Whitespace-only lines are ignored; duplicate
     rows are rejected with the offending line number.
-
-    With ``allow_duplicates`` the distinct rows are kept (used for payoff
-    matrices, which share the format but may repeat strategies — those are
-    parsed elsewhere and keep row order).
     """
     header: tuple[int, int] | None = None
     rows: list[int] = []
@@ -445,14 +412,12 @@ def parse_concept_class(text: str, *, allow_duplicates: bool = False) -> Concept
             raise ParseError(f"row must be exactly {n} characters of 0/1", lineno)
         value = int(line, 2)
         if value in seen:
-            if not allow_duplicates:
-                raise ParseError(f"duplicate row (first seen at line {seen[value]})", lineno)
-            continue
+            raise ParseError(f"duplicate row (first seen at line {seen[value]})", lineno)
         seen[value] = lineno
         rows.append(value)
     if header is None:
         raise ParseError("empty input: missing header")
-    if not allow_duplicates and len(rows) != m:
+    if len(rows) != m:
         raise ParseError(f"expected {m} concept rows, found {len(rows)}")
     return ConceptClass.from_row_ints(n, rows)
 

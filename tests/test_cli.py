@@ -1,4 +1,5 @@
 import json
+import resource
 import subprocess
 import sys
 
@@ -244,18 +245,30 @@ def test_suite_unknown_criterion_exits_two(capsys):
     assert "unknown criteria" in err
 
 
-def test_module_entry_point_subprocess():
+def _cap_address_space():
+    limit = 1 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["vc", "--class-spec", '{"kind": "full_cube", "n": 3}'], {"vc_dimension": 3}),
+        # the dual has 10 concepts over 1024 points; it must fit in 1 GiB
+        (
+            ["vc", "--with-dual", "--class-spec", '{"kind": "full_cube", "n": 10}'],
+            {"vc_dimension": 10, "dual_vc_dimension": 3},
+        ),
+    ],
+    ids=["full_cube-3", "full_cube-10-with-dual"],
+)
+def test_module_entry_point_subprocess(argv, expected):
     proc = subprocess.run(
-        [
-            sys.executable,
-            "-m",
-            "vccompress.cli",
-            "vc",
-            "--class-spec",
-            '{"kind": "full_cube", "n": 3}',
-        ],
+        [sys.executable, "-m", "vccompress.cli", *argv],
         capture_output=True,
         text=True,
+        preexec_fn=_cap_address_space,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["vc_dimension"] == 3
+    payload = json.loads(proc.stdout)
+    assert {key: payload[key] for key in expected} == expected

@@ -1,6 +1,7 @@
 """Concept-class primitives, checked against independent brute-force oracles."""
 
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -19,6 +20,13 @@ from vccompress import (
     vc_dimension,
 )
 from vccompress.errors import ParseError
+from vccompress.generators import (
+    full_cube,
+    halfspaces_grid,
+    intervals,
+    k_interval_unions,
+    random_vc_capped,
+)
 
 
 # --- oracles ---------------------------------------------------------------
@@ -90,6 +98,30 @@ def test_matrix_is_readonly():
     c = ConceptClass.from_rows([[0, 1], [1, 0]])
     with pytest.raises(ValueError):
         c.matrix[0, 0] = 1
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 64, 65, 130])
+def test_views_match_bitwise_definitions(n):
+    # sizes on both sides of every byte boundary, for points and for concepts
+    rng = random.Random(n)
+    for m in (1, 8, 9, 64, 65):
+        if m > 1 << n:
+            continue
+        rows = {0, (1 << n) - 1} if m > 1 else set()
+        while len(rows) < m:
+            rows.add(rng.getrandbits(n))
+        c = ConceptClass.from_row_ints(n, rows)
+        bit = [[(r >> (n - 1 - x)) & 1 for x in range(n)] for r in c.rows]
+        assert c.matrix.dtype == np.uint8
+        assert c.matrix.tolist() == bit, (n, m)
+        columns = [[bit[i][x] for i in range(m)] for x in range(n)]
+        masks = tuple(sum(b << i for i, b in enumerate(col)) for col in columns)
+        assert c.point_masks == masks, (n, m)
+        dual_rows = [sum(b << (m - 1 - i) for i, b in enumerate(col)) for col in columns]
+        d = dual_class(c)
+        assert d.domain_size == m
+        assert d.rows == tuple(sorted(set(dual_rows))), (n, m)
+        assert [d.rows[i] for i in dual_point_map(c)] == dual_rows, (n, m)
 
 
 # --- labeled samples ---------------------------------------------------------
@@ -189,10 +221,37 @@ def test_vc_agrees_with_naive_oracle():
 
 
 def test_vc_both_code_paths_agree():
-    # >63 concepts forces the big-integer path; compare against the oracle
+    # one search serves every class size; >63 concepts once took a separate
+    # big-integer path, so this size stays checked against the oracle
     c = random_class(9, 80, 7)
     assert len(c) == 80
     assert vc_dimension(c) == oracle_vc(c)
+
+
+PINNED_DIMENSIONS = [
+    # (generator, arguments, d, d*), recorded from the earlier level-wise
+    # searches, except the full cube's d*: they ran out of memory on it, and
+    # 10 dual concepts shatter at most floor(log2 10) = 3 points
+    (intervals, (24,), 2, 2),
+    (intervals, (30,), 2, 2),
+    (k_interval_unions, (9, 2), 4, 3),
+    (halfspaces_grid, (8, 2), 3, 2),
+    (halfspaces_grid, (4, 3), 4, 3),
+    (halfspaces_grid, (6, 2), 3, 2),
+    (random_vc_capped, (12, 3, 60), 3, 3),
+    (full_cube, (10,), 10, 3),
+]
+
+
+@pytest.mark.parametrize(
+    "make, args, d, d_star",
+    PINNED_DIMENSIONS,
+    ids=["-".join([make.__name__, *map(str, args)]) for make, args, _, _ in PINNED_DIMENSIONS],
+)
+def test_vc_pinned_beyond_oracle_reach(make, args, d, d_star):
+    cls = make(*args)
+    assert vc_dimension(cls) == d
+    assert vc_dimension(dual_class(cls)) == d_star
 
 
 # --- dual class ---------------------------------------------------------------
