@@ -180,7 +180,7 @@ def _rejection_sample(weights, dimension, epsilon, seed, c_apx, retries, deviati
             dev = deviation_fn(draw)
             best = min(best, dev)
             if dev <= epsilon:
-                return tuple(int(x) for x in draw), dev, base_size
+                return tuple(draw.tolist()), dev, base_size
     raise ApproximationBudgetError(
         f"no multiset certified at epsilon={epsilon} within the retry budget "
         f"(best deviation {best:.6g})",

@@ -15,7 +15,7 @@ Classes come from a text file (--class-file) or an inline generator spec
 (--class-spec '{"kind": "intervals", "n": 10}').  Samples are text files of
 "point label" lines.  Results are JSON on stdout; exact rationals are printed
 as fraction strings.  Exit codes: 0 success, 1 a verification or suite run
-failed, 2 bad input or configuration.
+failed, 2 bad input or configuration, or memory ran out.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .errors import (
     WeakLearningError,
 )
 from .experiment import generalization_experiment
-from .game import parse_payoff_matrix, solve_exact, solve_mw, sparse_epsilon_nash
+from .game import EXACT_ENTRY_CAP, parse_payoff_matrix, solve_exact, solve_mw, sparse_epsilon_nash
 from .generators import make_concept_class
 from .scheme import (
     compress,
@@ -176,7 +176,7 @@ def _cmd_game(args) -> int:
     matrix = _load_matrix(args)
     method = args.method
     if method == "auto":
-        method = "exact" if matrix.entries.size <= 4096 else "mw"
+        method = "exact" if matrix.entries.size <= EXACT_ENTRY_CAP else "mw"
     if method == "exact":
         solution = solve_exact(matrix)
     else:
@@ -382,6 +382,10 @@ def main(argv=None) -> int:
         return 1
     except (ConfigError, ParseError, ExactSolverCapError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 2
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -29,6 +29,11 @@ __all__ = [
     "parse_concept_class",
     "serialize_concept_class",
 ]
+
+# Entries kept by the vc_dimension and dual_class caches.  A key is a class,
+# which holds its cached matrix and point masks, so an unbounded cache grows
+# without limit in a long-lived process.
+CLASS_CACHE_SIZE = 64
 
 
 def row_to_int(bits: Sequence[int]) -> int:
@@ -293,7 +298,7 @@ def _splitters(masks: Sequence[int], cells: list[int], points: list[int], need: 
     return kept
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=CLASS_CACHE_SIZE)
 def vc_dimension(concept_class: ConceptClass) -> int:
     """Exact VC dimension, by one depth-first search over point sets.
 
@@ -339,7 +344,7 @@ def vc_dimension(concept_class: ConceptClass) -> int:
 # -- dual class ------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=CLASS_CACHE_SIZE)
 def dual_class(concept_class: ConceptClass) -> ConceptClass:
     """Transpose of the class: distinct columns become concepts over the
     domain of original concept indices (concept 0 is the dual's point 0)."""
@@ -386,9 +391,26 @@ def parse_concept_class(text: str) -> ConceptClass:
     of n characters from {0,1}.  Whitespace-only lines are ignored; duplicate
     rows are rejected with the offending line number.
     """
+    first_seen: dict[str, int] = {}
+    for lineno, row in _bit_rows(
+        text, "domain_size num_concepts", "domain size and concept count", "concept"
+    ):
+        if row in first_seen:
+            raise ParseError(f"duplicate row (first seen at line {first_seen[row]})", lineno)
+        first_seen[row] = lineno
+    return ConceptClass.from_row_ints(len(row), [int(r, 2) for r in first_seen])
+
+
+def _bit_rows(
+    text: str, header_names: str, size_names: str, row_noun: str
+) -> Iterator[tuple[int, str]]:
+    """The header-and-rows text format shared by concept classes and payoff
+    matrices: a header ``n m``, then m rows of n characters from {0,1}, with
+    whitespace-only lines ignored.  Yields (line number, row) as it reads, so
+    a caller's own row check fails at the same line as a format error would;
+    errors carry the offending line number."""
     header: tuple[int, int] | None = None
-    rows: list[int] = []
-    seen: dict[int, int] = {}
+    count = 0
     n = m = -1
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -397,29 +419,25 @@ def parse_concept_class(text: str) -> ConceptClass:
         if header is None:
             parts = line.split()
             if len(parts) != 2:
-                raise ParseError("header must be 'domain_size num_concepts'", lineno)
+                raise ParseError(f"header must be '{header_names}'", lineno)
             try:
                 n, m = int(parts[0]), int(parts[1])
             except ValueError:
                 raise ParseError("header must contain two integers", lineno) from None
             if n < 1 or m < 1:
-                raise ParseError("domain size and concept count must be positive", lineno)
+                raise ParseError(f"{size_names} must be positive", lineno)
             header = (n, m)
             continue
-        if len(rows) == m:
-            raise ParseError(f"more than {m} concept rows", lineno)
+        if count == m:
+            raise ParseError(f"more than {m} {row_noun} rows", lineno)
         if len(line) != n or any(ch not in "01" for ch in line):
             raise ParseError(f"row must be exactly {n} characters of 0/1", lineno)
-        value = int(line, 2)
-        if value in seen:
-            raise ParseError(f"duplicate row (first seen at line {seen[value]})", lineno)
-        seen[value] = lineno
-        rows.append(value)
+        count += 1
+        yield lineno, line
     if header is None:
         raise ParseError("empty input: missing header")
-    if len(rows) != m:
-        raise ParseError(f"expected {m} concept rows, found {len(rows)}")
-    return ConceptClass.from_row_ints(n, rows)
+    if count != m:
+        raise ParseError(f"expected {m} {row_noun} rows, found {count}")
 
 
 def serialize_concept_class(concept_class: ConceptClass) -> str:

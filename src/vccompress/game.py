@@ -27,8 +27,8 @@ from typing import Sequence
 import numpy as np
 
 from .approx import ProbabilityVector, approximation_size_bound, sparsify_mixture
-from .concepts import ConceptClass, dual_class, row_to_int, vc_dimension
-from .errors import ConvergenceError, ExactSolverCapError, ParseError
+from .concepts import ConceptClass, _bit_rows, dual_class, row_to_int, vc_dimension
+from .errors import ConvergenceError, ExactSolverCapError
 from .seeding import child_seeds
 
 __all__ = [
@@ -423,32 +423,5 @@ def parse_payoff_matrix(text: str) -> PayoffMatrix:
     """Payoff matrices share the concept-class text format (header `n m`,
     then m rows of n characters), but rows are positional strategies: order
     is preserved and duplicates are allowed."""
-    header: tuple[int, int] | None = None
-    rows: list[list[int]] = []
-    n = m = -1
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if header is None:
-            parts = line.split()
-            if len(parts) != 2:
-                raise ParseError("header must be 'num_columns num_rows'", lineno)
-            try:
-                n, m = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ParseError("header must contain two integers", lineno) from None
-            if n < 1 or m < 1:
-                raise ParseError("matrix dimensions must be positive", lineno)
-            header = (n, m)
-            continue
-        if len(rows) == m:
-            raise ParseError(f"more than {m} matrix rows", lineno)
-        if len(line) != n or any(ch not in "01" for ch in line):
-            raise ParseError(f"row must be exactly {n} characters of 0/1", lineno)
-        rows.append([int(ch) for ch in line])
-    if header is None:
-        raise ParseError("empty input: missing header")
-    if len(rows) != m:
-        raise ParseError(f"expected {m} matrix rows, found {len(rows)}")
-    return PayoffMatrix(rows)
+    rows = _bit_rows(text, "num_columns num_rows", "matrix dimensions", "matrix")
+    return PayoffMatrix([[int(ch) for ch in row] for _, row in rows])

@@ -19,11 +19,9 @@ detects every single-byte corruption).  Decoders reject trailing garbage.
 
 from __future__ import annotations
 
-import math
 import struct
 import zlib
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -147,7 +145,11 @@ def decode_side_info(data: bytes) -> tuple[tuple[int, ...], ...]:
 class CompressedSample:
     """A labeled kernel plus side info.  Valid by construction: the side info
     decodes, every position subset indexes the kernel, and the subsets
-    jointly cover it (the kernel never carries unused points)."""
+    jointly cover it (the kernel never carries unused points).
+
+    The side info is decoded once, on construction; the result is kept as
+    ``position_subsets``, which is not a field, so equality, hashing and the
+    repr see only the four fields below."""
 
     domain_size: int
     kernel_points: tuple[int, ...]
@@ -174,10 +176,7 @@ class CompressedSample:
             covered.update(subset)
         if covered != set(range(len(pts))):
             raise ValueError("side info must reference every kernel position")
-
-    @cached_property
-    def position_subsets(self) -> tuple[tuple[int, ...], ...]:
-        return decode_side_info(self.side_info)
+        object.__setattr__(self, "position_subsets", subsets)
 
     @property
     def subset_count(self) -> int:
@@ -218,15 +217,10 @@ def _reduced_vote_multiset(multiset: Sequence[int]) -> tuple[tuple[int, int], ..
     """Collapse a drawn concept multiset to (concept, multiplicity) pairs in
     first-appearance order, divided by their gcd.  Majority votes only see
     count ratios, so this is lossless for reconstruction."""
-    order: list[int] = []
-    counts: dict[int, int] = {}
-    for concept in multiset:
-        if concept not in counts:
-            order.append(concept)
-            counts[concept] = 0
-        counts[concept] += 1
-    g = math.gcd(*counts.values())
-    return tuple((concept, counts[concept] // g) for concept in order)
+    concepts, first, counts = np.unique(multiset, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    counts = counts[order] // np.gcd.reduce(counts)
+    return tuple(zip(concepts[order].tolist(), counts.tolist()))
 
 
 def compress(
@@ -273,25 +267,25 @@ def compress(
     )
 
     full_weights = np.zeros(len(concept_class.rows))
-    for concept, weight in zip(hypothesis_set.hypotheses, solution.row_strategy.weights):
-        full_weights[concept] = weight
+    full_weights[list(hypothesis_set.hypotheses)] = solution.row_strategy.weights
     multiset, certificate = sparsify_mixture(
         concept_class, ProbabilityVector(full_weights), SPARSIFY_EPSILON, sparsify_seed
     )
 
     votes = _reduced_vote_multiset(multiset)
-    total_votes = sum(mult for _, mult in votes)
-    margin = None
-    for point, label in sample.label_items:
-        agreeing = sum(
-            mult for concept, mult in votes if concept_class.value(concept, point) == label
+    concepts, mults = np.array(votes, dtype=np.int64).T
+    total_votes = int(mults.sum())
+    points = sample.distinct_points
+    agreement = concept_class.matrix[np.ix_(concepts, points)] == sample.label_vector()
+    margins = 2 * (mults @ agreement) - total_votes
+    failing = np.flatnonzero(margins <= 0)
+    if failing.size:
+        i = int(failing[0])
+        raise IntegrityError(
+            f"majority failed at point {points[i]}: "
+            f"{(total_votes + int(margins[i])) // 2} of {total_votes} votes"
         )
-        point_margin = 2 * agreeing - total_votes
-        if point_margin <= 0:
-            raise IntegrityError(
-                f"majority failed at point {point}: {agreeing} of {total_votes} votes"
-            )
-        margin = point_margin if margin is None else min(margin, point_margin)
+    margin = int(margins.min())
 
     provenance_of = dict(zip(hypothesis_set.hypotheses, hypothesis_set.provenance))
     kernel_points = sorted({x for concept, _ in votes for x in provenance_of[concept]})
@@ -339,20 +333,22 @@ def reconstruct(concept_class: ConceptClass, compressed: CompressedSample) -> np
             f"compressed domain size {compressed.domain_size} does not match "
             f"the class domain {concept_class.domain_size}"
         )
-    subsets = compressed.position_subsets
-    votes = np.zeros(concept_class.domain_size, dtype=np.int64)
-    for subset in subsets:
-        pairs = [
-            (compressed.kernel_points[i], compressed.kernel_labels[i]) for i in subset
-        ]
+    voters = _subset_erms(concept_class, compressed)
+    votes = concept_class.matrix[voters].sum(axis=0)
+    return (2 * votes > len(voters)).astype(np.uint8)
+
+
+def _subset_erms(concept_class: ConceptClass, compressed: CompressedSample) -> list[int]:
+    """The ERM concept of each side-info subset, in side-info order; each
+    distinct subset is learned once."""
+    learned: dict[tuple[int, ...], int] = {}
+    for subset in dict.fromkeys(compressed.position_subsets):
+        pairs = [(compressed.kernel_points[i], compressed.kernel_labels[i]) for i in subset]
         try:
-            concept = lowest_consistent_concept(concept_class, pairs)
+            learned[subset] = lowest_consistent_concept(concept_class, pairs)
         except UnrealizableError as exc:
-            raise IntegrityError(
-                "a side-info subset is inconsistent with every concept"
-            ) from exc
-        votes += concept_class.matrix[concept]
-    return (2 * votes > len(subsets)).astype(np.uint8)
+            raise IntegrityError("a side-info subset is inconsistent with every concept") from exc
+    return [learned[subset] for subset in compressed.position_subsets]
 
 
 def scheme_size_bound(
@@ -387,14 +383,8 @@ def verify_round_trip(
     mismatches = tuple(
         point for point, label in sample.label_items if int(decoded[point]) != label
     )
-    expected = []
-    for concept, mult in report.details["vote_concepts"]:
-        expected.extend([concept] * mult)
-    rebuilt = []
-    for subset in compressed.position_subsets:
-        pairs = [(compressed.kernel_points[i], compressed.kernel_labels[i]) for i in subset]
-        rebuilt.append(lowest_consistent_concept(concept_class, pairs))
-    hypotheses_match = rebuilt == expected
+    expected = [concept for concept, mult in report.details["vote_concepts"] for _ in range(mult)]
+    hypotheses_match = _subset_erms(concept_class, compressed) == expected
     bound = scheme_size_bound(
         report.details["vc_dimension"],
         report.details["dual_vc_dimension"],

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from vccompress import cli
 from vccompress.cli import main
 from vccompress.concepts import parse_concept_class, serialize_concept_class
 from vccompress.generators import intervals
@@ -193,6 +194,17 @@ def test_missing_file_exits_two(capsys):
     code, _, err = run_cli(capsys, "vc", "--class-file", "/nonexistent/class.txt")
     assert code == 2
     assert "error:" in err
+
+
+def test_memory_error_exits_two(capsys, monkeypatch, class_file):
+    def exhausted(args):
+        raise MemoryError("dual class too large")
+
+    monkeypatch.setattr(cli, "_cmd_vc", exhausted)
+    code, _, err = run_cli(capsys, "vc", "--class-file", class_file)
+    assert code == 2
+    assert err.strip() == "error: out of memory: dual class too large"
+    assert "Traceback" not in err
 
 
 def test_unknown_generator_kind_exits_two(capsys):

@@ -19,6 +19,7 @@ from vccompress import (
     shatters,
     vc_dimension,
 )
+from vccompress import concepts
 from vccompress.errors import ParseError
 from vccompress.generators import (
     full_cube,
@@ -356,3 +357,19 @@ def test_parse_errors():
         parse_concept_class("2 1\n0x\n")  # bad character
     with pytest.raises(ParseError):
         parse_concept_class("2 1\n011\n")  # wrong width
+
+
+# --- caches ---------------------------------------------------------------------
+
+
+def test_dimension_caches_are_bounded():
+    bound = concepts.CLASS_CACHE_SIZE
+    vc_dimension.cache_clear()
+    dual_class.cache_clear()
+    for value in range(1, bound + 2):  # bound + 1 distinct classes
+        c = ConceptClass.from_row_ints(8, [0, value])
+        assert vc_dimension(c) == 1
+        dual_class(c)
+    for cached in (vc_dimension, dual_class):
+        assert cached.cache_info().maxsize == bound
+        assert cached.cache_info().currsize <= bound

@@ -5,6 +5,8 @@ the scheme tests lean on exact reconstruction (a strict equality, not a
 tolerance) plus the documented size bound.
 """
 
+import hashlib
+import math
 import subprocess
 import sys
 
@@ -25,6 +27,7 @@ from vccompress import (
     serialize_compressed,
     verify_round_trip,
 )
+from vccompress import generators, scheme
 from vccompress.scheme import (
     MAGIC,
     CompressedSample,
@@ -312,3 +315,149 @@ def test_fresh_process_reconstruction(tmp_path):
         check=True,
     )
     assert out.stdout.strip() == format(c.rows[target], "010b")
+
+
+# -- golden bytes --
+
+# (class, target concept, sample points, seed) -> SHA-256 of the serialized
+# container, the reduced vote multiset and the smallest majority margin.
+# Recorded before the vote pipeline was rewritten; any refactor of compress
+# must reproduce them byte for byte.
+GOLDEN_CONTAINERS = [
+    (
+        "empty sample",
+        lambda: generators.intervals(5),
+        None,
+        [],
+        0,
+        "191af80bb29706b689336e859d50b16297b34d12db78eb9033088064dc7c14bd",
+        ((0, 1),),
+        1,
+    ),
+    (
+        "point mass",
+        lambda: generators.intervals(10),
+        17,
+        list(range(10)),
+        1,
+        "f688d9f7c5de66610423d7c0a024bff65587b63297e04602846038c2403cd576",
+        ((17, 1),),
+        1,
+    ),
+    (
+        "random_vc_capped mixture",
+        lambda: generators.random_vc_capped(12, 3, 60),
+        30,
+        [9, 3, 8, 2, 4, 2],
+        1,
+        "81a967506f0cfe1ed239c854162a6c4dfabb1a2bdc0aeb961ced6cc67c6ec4f4",
+        ((19, 998), (7, 999), (2, 1072), (16, 1027)),
+        1952,
+    ),
+    (
+        "k_interval_unions mixture",
+        lambda: generators.k_interval_unions(8, 2),
+        158,
+        [0, 3, 4, 1, 4, 2, 6, 7],
+        102,
+        "c045f159803b43aedfb8f1c21599c43596f68282babeca828a111e510ec93c3a",
+        ((120, 1045), (136, 979), (148, 1031), (83, 1041)),
+        2006,
+    ),
+    (
+        "halfspaces double oracle",  # 60 distinct points: past the exhaustive cap
+        lambda: generators.halfspaces_grid(8, 2),
+        7,
+        [(7 * i) % 64 for i in range(60)],
+        3,
+        "20d405daea385d175e59a135da716edcd25cd1770890d4954267c28366f3577c",
+        ((7, 1),),
+        1,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "make,concept,points,seed,digest,votes,margin",
+    [case[1:] for case in GOLDEN_CONTAINERS],
+    ids=[case[0] for case in GOLDEN_CONTAINERS],
+)
+def test_golden_container_bytes(make, concept, points, seed, digest, votes, margin):
+    c = make()
+    if concept is None:
+        sample = LabeledSample.from_pairs([])
+    else:
+        sample = LabeledSample.from_concept(c, concept, points)
+    compressed, report = compress(c, sample, seed=seed)
+    assert hashlib.sha256(serialize_compressed(compressed)).hexdigest() == digest
+    assert report.details["vote_concepts"] == votes
+    assert report.details["min_majority_margin"] == margin
+    assert all(type(x) is int for pair in report.details["vote_concepts"] for x in pair)
+    assert type(report.details["min_majority_margin"]) is int
+
+
+# -- one pass per job --
+
+
+def _counting(monkeypatch, name):
+    """Replace scheme.<name> by a wrapper that counts its calls."""
+    calls = []
+    original = getattr(scheme, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scheme, name, counted)
+    return calls
+
+
+@given(st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=300))
+def test_reduced_votes_match_the_counting_loop(multiset):
+    counts = {}
+    for concept in multiset:  # dicts keep first-appearance order
+        counts[concept] = counts.get(concept, 0) + 1
+    g = math.gcd(*counts.values())
+    expected = tuple((concept, count // g) for concept, count in counts.items())
+    votes = scheme._reduced_vote_multiset(tuple(multiset))
+    assert votes == expected
+    assert all(type(x) is int for pair in votes for x in pair)
+
+
+def test_container_decodes_its_side_info_once(monkeypatch):
+    c = generators.intervals(10)
+    compressed, _ = compress(c, LabeledSample.from_concept(c, 17, range(10)), seed=1)
+    blob = serialize_compressed(compressed)
+    decodes = _counting(monkeypatch, "decode_side_info")
+    decoded = deserialize_compressed(blob)
+    reconstruct(c, decoded)
+    assert decoded.subset_count == compressed.subset_count
+    assert len(decodes) == 1
+
+
+def test_reconstruct_learns_each_distinct_subset_once(monkeypatch):
+    c = generators.k_interval_unions(8, 2)
+    sample = LabeledSample.from_concept(c, 158, [0, 3, 4, 1, 4, 2, 6, 7])
+    compressed, report = compress(c, sample, seed=102)
+    distinct = set(compressed.position_subsets)
+    assert len(distinct) == len(report.details["vote_concepts"]) > 1
+    assert compressed.subset_count > len(distinct)
+    erms = _counting(monkeypatch, "lowest_consistent_concept")
+    labels = reconstruct(c, compressed)
+    assert len(erms) == len(distinct)
+    assert all(int(labels[p]) == label for p, label in sample.label_items)
+
+
+def test_losing_vote_multiset_is_rejected(monkeypatch):
+    c = generators.intervals(10)
+    target = 17
+    sample = LabeledSample.from_concept(c, target, range(10))
+    first_one = min(p for p, label in sample.label_items if label)
+    # concept 0 labels every point 0: it outvotes the target 2 to 1 (after
+    # the gcd reduction of 4 to 2) wherever the target says 1
+    monkeypatch.setattr(
+        scheme, "sparsify_mixture", lambda *args: ((target, 0, 0, target, 0, 0), None)
+    )
+    with pytest.raises(IntegrityError) as exc:
+        compress(c, sample, seed=0)
+    assert str(exc.value) == f"majority failed at point {first_one}: 1 of 3 votes"
