@@ -47,10 +47,6 @@ def row_to_int(bits: Sequence[int]) -> int:
     return value
 
 
-def int_to_row(value: int, width: int) -> tuple[int, ...]:
-    return tuple((value >> (width - 1 - x)) & 1 for x in range(width))
-
-
 def _column_ints(bits: np.ndarray) -> list[int]:
     """Each column of a 0/1 matrix as an int whose bit i is the entry in row i."""
     packed = np.packbits(bits.T, axis=1, bitorder="little")
@@ -146,9 +142,6 @@ class ConceptClass:
         self._check_point(point)
         return (self.rows[concept] >> (self.domain_size - 1 - point)) & 1
 
-    def concept_bits(self, concept: int) -> tuple[int, ...]:
-        return int_to_row(self.rows[concept], self.domain_size)
-
     def _check_point(self, point: int) -> None:
         if not isinstance(point, (int, np.integer)) or not (0 <= point < self.domain_size):
             raise ValueError(f"point {point!r} outside domain of size {self.domain_size}")
@@ -216,15 +209,6 @@ class LabeledSample:
     @property
     def is_empty(self) -> bool:
         return not self.points
-
-    def restrict(self, subset: Iterable[int]) -> "LabeledSample":
-        """Sub-sample on a subset of the distinct points."""
-        labels = self.labels
-        pts = tuple(sorted(set(int(p) for p in subset)))
-        missing = [p for p in pts if p not in labels]
-        if missing:
-            raise ValueError(f"points {missing} are not in the sample")
-        return LabeledSample(pts, tuple((p, labels[p]) for p in pts))
 
     def label_vector(self) -> np.ndarray:
         return np.array([lbl for _, lbl in self.label_items], dtype=np.uint8)

@@ -9,9 +9,13 @@ index wins), which makes hypotheses exactly reproducible from their subsets.
 a mixture that agrees with the sample's labels on every point with certified
 mass at least 2/3 (exact arithmetic) or 2/3 - 1/48 (multiplicative-weights
 certificate).  Either margin survives a later 1/8-sparsification with a
-strict integer majority to spare.  If a subset budget is too small for that,
-the builder doubles it; at budget = #distinct points the ERM over the whole
-sample agrees everywhere, so termination never depends on luck.
+strict integer majority to spare.  In the consistent-hypothesis case
+(Littlestone & Warmuth 1986) no game is solved: when some subset within
+budget has the lowest concept consistent with the whole sample as its ERM,
+the mixture is a point mass on that concept, certified at value exactly 1.
+If a subset budget is too small for a certificate, the builder doubles it;
+at budget = #distinct points the ERM over the whole sample agrees
+everywhere, so termination never depends on luck.
 """
 
 from __future__ import annotations
@@ -213,6 +217,9 @@ class _Pool:
             self._provenance[concept] = subset
         return False
 
+    def __contains__(self, concept: int) -> bool:
+        return concept in self._provenance
+
     def sorted_items(self) -> tuple[list[int], list[tuple[int, ...]]]:
         concepts = sorted(self._provenance)
         return concepts, [self._provenance[c] for c in concepts]
@@ -240,6 +247,13 @@ def build_hypothesis_set(
     is the certified worst-case agreement mass — at least 2/3 when the exact
     solver ran (exact_value set), at least 2/3 - 1/48 otherwise.
 
+    The exhaustive walk stops at the first subset (smallest first) whose ERM
+    is the lowest concept consistent with the whole sample.  That concept
+    agrees with every label, so the result is a one-hypothesis set with the
+    provenance a full enumeration would keep, and a point-mass solution with
+    exact_value 1, value_estimate 1.0, exploitability 0 and a uniform column
+    strategy; no game is solved.
+
     mode="exhaustive" enumerates every subset within budget, "double_oracle"
     grows the pool against adversarial point distributions, and "auto" picks
     by subset count.  The subset budget doubles internally whenever the
@@ -255,6 +269,7 @@ def build_hypothesis_set(
     labels_by_point = dict(sample.label_items)
     labels = np.array([labels_by_point[x] for x in points], dtype=np.uint8)
     k = len(points)
+    consistent = lowest_consistent_concept(cls, sample.label_items)
 
     current = learning_map
     budget_seeds = child_seeds(seed, 64)
@@ -266,10 +281,7 @@ def build_hypothesis_set(
         )
         pool = _Pool(cls, labels_by_point)
         if use_exhaustive:
-            for size in range(budget + 1):
-                for subset in itertools.combinations(points, size):
-                    pool.add_subset(subset)
-            certificate = _certify_pool(cls, pool, points, labels)
+            certificate = _exhaustive(cls, pool, points, labels, budget, consistent)
         else:
             certificate = _double_oracle(
                 cls, pool, points, labels, budget, int(budget_seeds[level % 64])
@@ -302,6 +314,27 @@ def build_hypothesis_set(
             )
         current = escalate_budget(current, k)
         level += 1
+
+
+def _exhaustive(cls, pool, points, labels, budget, consistent):
+    """Walk every subset within budget, smallest first, into the pool.
+
+    The first subset whose ERM is `consistent` (the lowest concept consistent
+    with the whole sample) ends the walk: that concept agrees with every
+    label, so a point mass on it certifies agreement exactly 1, and the
+    subset is the provenance the full pool would keep (shortest, first
+    found).  Otherwise the filled pool goes to the agreement game."""
+    subsets = itertools.chain.from_iterable(
+        itertools.combinations(points, size) for size in range(budget + 1)
+    )
+    for subset in subsets:
+        if pool.add_subset(subset) and consistent in pool:
+            k = len(points)
+            point_mass = _MixtureCertificate(
+                True, np.ones(1), np.full(k, 1.0 / k), 1.0, Fraction(1), 0.0
+            )
+            return [consistent], [subset], point_mass
+    return _certify_pool(cls, pool, points, labels)
 
 
 def _certify_pool(cls, pool, points, labels):

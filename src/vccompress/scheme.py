@@ -10,7 +10,8 @@ Pipeline: certify a weak mixture of subset-ERM hypotheses (learner), fold it
 to a small voting multiset by 1/8-sparsification (approx), reduce the vote
 counts by their gcd (majorities are scale-invariant), and re-verify that
 every sampled point still wins its integer majority strictly before
-anything is encoded.
+anything is encoded.  A point-mass mixture (one hypothesis consistent with
+the whole sample) skips the sparsifier and votes once.
 
 Wire formats are strict: unsigned LEB128 varints, delta-coded kernel points,
 LSB-first label bits, and side info protected by a trailing CRC-32 (which
@@ -191,7 +192,10 @@ class CompressedSample:
 class SchemeReport:
     """Size accounting for one compression.  scheme_size = kernel points plus
     encoded side-information bits; details carries the run's diagnostics
-    (dimensions, vote multiset, certified agreement, majority margin)."""
+    (dimensions, vote multiset, certified agreement, majority margin, and
+    the sparsifier's draw count and certified deviation).  A point-mass
+    mixture is not sparsified: its draw_count is 0 and its
+    sparsification_deviation 0.0, since its one vote equals it exactly."""
 
     kernel_size: int
     info_bits: int
@@ -227,8 +231,6 @@ def compress(
     concept_class: ConceptClass,
     sample: LabeledSample,
     seed: int = 0,
-    *,
-    mode: str = "auto",
 ) -> tuple[CompressedSample, SchemeReport]:
     """Compress a realizable labeled sample to a kernel and side info.
 
@@ -237,6 +239,10 @@ def compress(
     budget) and the dual VC dimension (vote count), never by the sample
     length.  Every sampled point's majority is re-verified as a strict
     integer inequality before encoding.
+
+    A certified mixture with a single hypothesis in its support is not
+    sparsified: its one vote equals the mixture exactly, so the report's
+    ``draw_count`` is 0 and its ``sparsification_deviation`` 0.0.
     """
     if not consistent_concepts(concept_class, sample):
         raise UnrealizableError("sample is not realizable by the concept class")
@@ -262,17 +268,22 @@ def compress(
 
     sparsify_seed, learner_seed = (int(s) for s in child_seeds(seed, 2))
     learning_map = LearningMap(concept_class, max(1, dimension))
-    hypothesis_set, solution = build_hypothesis_set(
-        learning_map, sample, mode=mode, seed=learner_seed
-    )
+    hypothesis_set, solution = build_hypothesis_set(learning_map, sample, seed=learner_seed)
 
-    full_weights = np.zeros(len(concept_class.rows))
-    full_weights[list(hypothesis_set.hypotheses)] = solution.row_strategy.weights
-    multiset, certificate = sparsify_mixture(
-        concept_class, ProbabilityVector(full_weights), SPARSIFY_EPSILON, sparsify_seed
-    )
+    support = solution.row_strategy.support
+    if support.size == 1:
+        # draws from a point mass are constant and would reduce to this vote
+        votes = ((hypothesis_set.hypotheses[int(support[0])], 1),)
+        draw_count, deviation = 0, 0.0
+    else:
+        full_weights = np.zeros(len(concept_class.rows))
+        full_weights[list(hypothesis_set.hypotheses)] = solution.row_strategy.weights
+        multiset, certificate = sparsify_mixture(
+            concept_class, ProbabilityVector(full_weights), SPARSIFY_EPSILON, sparsify_seed
+        )
+        votes = _reduced_vote_multiset(multiset)
+        draw_count, deviation = len(multiset), certificate.max_deviation
 
-    votes = _reduced_vote_multiset(multiset)
     concepts, mults = np.array(votes, dtype=np.int64).T
     total_votes = int(mults.sum())
     points = sample.distinct_points
@@ -315,8 +326,8 @@ def compress(
             "vote_concepts": votes,
             "min_majority_margin": margin,
             "certified_agreement": solution.value_estimate,
-            "sparsification_deviation": certificate.max_deviation,
-            "draw_count": len(multiset),
+            "sparsification_deviation": deviation,
+            "draw_count": draw_count,
         },
     )
     return compressed, report

@@ -6,10 +6,13 @@ matrix and compared against the 2/3 threshold (minus the certificate
 tolerance when the solver ran approximately).
 """
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vccompress import (
     BudgetExceededError,
@@ -23,7 +26,7 @@ from vccompress import (
     escalate_budget,
     lowest_consistent_concept,
 )
-from vccompress.learner import CERTIFICATE_TOLERANCE, WEAK_AGREEMENT
+from vccompress.learner import CERTIFICATE_TOLERANCE, WEAK_AGREEMENT, _Pool
 
 
 def cube(n):
@@ -173,6 +176,41 @@ def test_build_rejects_empty_samples_and_unknown_modes():
     sample = LabeledSample.from_pairs([(0, 1)])
     with pytest.raises(ValueError):
         build_hypothesis_set(LearningMap(c, 1), sample, mode="greedy", seed=0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=6).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.sets(st.integers(min_value=0, max_value=2**n - 1), min_size=1, max_size=24),
+            st.lists(st.integers(min_value=0, max_value=n - 1), min_size=1, max_size=10),
+        )
+    ),
+    st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=1, max_value=3),
+)
+def test_point_mass_matches_the_full_pool(spec, target, budget):
+    n, rows, points = spec
+    c = ConceptClass.from_row_ints(n, sorted(rows))
+    sample = LabeledSample.from_concept(c, target % len(c.rows), points)
+    consistent = lowest_consistent_concept(c, sample.label_items)
+    pool = _Pool(c, dict(sample.label_items))
+    distinct = sample.distinct_points
+    for size in range(min(budget, len(distinct)) + 1):
+        for subset in itertools.combinations(distinct, size):
+            pool.add_subset(subset)
+    concepts, provenance = pool.sorted_items()
+    hs, solution = build_hypothesis_set(LearningMap(c, budget), sample, seed=0)
+    if consistent in concepts:
+        assert hs.hypotheses == (consistent,)
+        assert hs.provenance == (provenance[concepts.index(consistent)],)
+        assert hs.budget == min(budget, len(distinct))
+        assert solution.exact_value == Fraction(1)
+        assert solution.value_estimate == 1.0
+        assert solution.exploitability == 0.0
+    tol = 0.0 if solution.exact_value is not None else float(CERTIFICATE_TOLERANCE)
+    recheck_certificate(c, sample, hs, solution, tolerance=tol)
 
 
 def test_hypothesis_set_validates_shape():

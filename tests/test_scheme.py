@@ -27,7 +27,7 @@ from vccompress import (
     serialize_compressed,
     verify_round_trip,
 )
-from vccompress import generators, scheme
+from vccompress import generators, learner, scheme
 from vccompress.scheme import (
     MAGIC,
     CompressedSample,
@@ -322,7 +322,9 @@ def test_fresh_process_reconstruction(tmp_path):
 # (class, target concept, sample points, seed) -> SHA-256 of the serialized
 # container, the reduced vote multiset and the smallest majority margin.
 # Recorded before the vote pipeline was rewritten; any refactor of compress
-# must reproduce them byte for byte.
+# must reproduce them byte for byte.  The intervals(30) case, a value-1
+# agreement game past the exact solver's cap, was recorded with the
+# consistent-hypothesis fast path.
 GOLDEN_CONTAINERS = [
     (
         "empty sample",
@@ -374,6 +376,16 @@ GOLDEN_CONTAINERS = [
         ((7, 1),),
         1,
     ),
+    (
+        "value-1 game past the exact cap",
+        lambda: generators.intervals(30),
+        400,
+        list(range(30)),
+        1,
+        "723e67f0752c7cfe396d1609091cd1a06bdf0b7d5b965c798c7c1e6b38ee85cd",
+        ((400, 1),),
+        1,
+    ),
 ]
 
 
@@ -399,16 +411,16 @@ def test_golden_container_bytes(make, concept, points, seed, digest, votes, marg
 # -- one pass per job --
 
 
-def _counting(monkeypatch, name):
-    """Replace scheme.<name> by a wrapper that counts its calls."""
+def _counting(monkeypatch, name, module=scheme):
+    """Replace module.<name> by a wrapper that counts its calls."""
     calls = []
-    original = getattr(scheme, name)
+    original = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(scheme, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -449,15 +461,46 @@ def test_reconstruct_learns_each_distinct_subset_once(monkeypatch):
 
 
 def test_losing_vote_multiset_is_rejected(monkeypatch):
-    c = generators.intervals(10)
-    target = 17
-    sample = LabeledSample.from_concept(c, target, range(10))
-    first_one = min(p for p, label in sample.label_items if label)
-    # concept 0 labels every point 0: it outvotes the target 2 to 1 (after
-    # the gcd reduction of 4 to 2) wherever the target says 1
+    # a four-vote mixture, so compress reaches the sparsifier
+    c = generators.random_vc_capped(12, 3, 60)
+    sample = LabeledSample.from_concept(c, 30, [9, 3, 8, 2, 4, 2])
+    # concept 0 disagrees with the target at points 3, 4 and 9: it outvotes
+    # the target 2 to 1 there (after the gcd reduction of 4 to 2)
+    assert [p for p, label in sample.label_items if c.value(0, p) != label] == [3, 4, 9]
+    losing = (30, 0, 0, 30, 0, 0)
+    sparsify = scheme.sparsify_mixture
     monkeypatch.setattr(
-        scheme, "sparsify_mixture", lambda *args: ((target, 0, 0, target, 0, 0), None)
+        scheme, "sparsify_mixture", lambda *args: (losing, sparsify(*args)[1])
     )
     with pytest.raises(IntegrityError) as exc:
-        compress(c, sample, seed=0)
-    assert str(exc.value) == f"majority failed at point {first_one}: 1 of 3 votes"
+        compress(c, sample, seed=1)
+    assert str(exc.value) == "majority failed at point 3: 1 of 3 votes"
+
+
+def test_point_mass_skips_the_game_and_the_sparsifier(monkeypatch):
+    calls = {
+        name: _counting(monkeypatch, name, module)
+        for module, name in (
+            (learner, "_exact_minimax"),
+            (learner, "solve_mw"),
+            (scheme, "sparsify_mixture"),
+        )
+    }
+    c = generators.intervals(30)
+    _, report = compress(c, LabeledSample.from_concept(c, 400, range(30)), seed=1)
+    assert report.details["vote_concepts"] == ((400, 1),)
+    assert report.details["draw_count"] == 0
+    assert report.details["sparsification_deviation"] == 0.0
+    assert report.details["certified_agreement"] == 1.0
+    assert {name: len(made) for name, made in calls.items()} == {
+        "_exact_minimax": 0,
+        "solve_mw": 0,
+        "sparsify_mixture": 0,
+    }
+    # the counters see a mixture's game and sparsifier
+    c = generators.random_vc_capped(12, 3, 60)
+    _, report = compress(c, LabeledSample.from_concept(c, 30, [9, 3, 8, 2, 4, 2]), seed=1)
+    assert len(report.details["vote_concepts"]) == 4
+    assert report.details["draw_count"] > 0
+    assert len(calls["_exact_minimax"]) > 0
+    assert len(calls["sparsify_mixture"]) == 1
