@@ -10,9 +10,11 @@ a mixture that agrees with the sample's labels on every point with certified
 mass at least 2/3 (exact arithmetic) or 2/3 - 1/48 (multiplicative-weights
 certificate).  Either margin survives a later 1/8-sparsification with a
 strict integer majority to spare.  In the consistent-hypothesis case
-(Littlestone & Warmuth 1986) no game is solved: when some subset within
-budget has the lowest concept consistent with the whole sample as its ERM,
-the mixture is a point mass on that concept, certified at value exactly 1.
+(Littlestone & Warmuth 1986) no game is solved: a pruned search for a
+teaching set of the lowest concept c0 consistent with the whole sample runs
+first, in every mode.  When some subset within budget has c0 as its ERM, the
+mixture is a point mass on c0, certified at value exactly 1; the exhaustive
+pool and the double oracle run only when no such subset exists.
 If a subset budget is too small for a certificate, the builder doubles it;
 at budget = #distinct points the ERM over the whole sample agrees
 everywhere, so termination never depends on luck.
@@ -217,9 +219,6 @@ class _Pool:
             self._provenance[concept] = subset
         return False
 
-    def __contains__(self, concept: int) -> bool:
-        return concept in self._provenance
-
     def sorted_items(self) -> tuple[list[int], list[tuple[int, ...]]]:
         concepts = sorted(self._provenance)
         return concepts, [self._provenance[c] for c in concepts]
@@ -247,14 +246,15 @@ def build_hypothesis_set(
     is the certified worst-case agreement mass — at least 2/3 when the exact
     solver ran (exact_value set), at least 2/3 - 1/48 otherwise.
 
-    The exhaustive walk stops at the first subset (smallest first) whose ERM
-    is the lowest concept consistent with the whole sample.  That concept
-    agrees with every label, so the result is a one-hypothesis set with the
-    provenance a full enumeration would keep, and a point-mass solution with
-    exact_value 1, value_estimate 1.0, exploitability 0 and a uniform column
-    strategy; no game is solved.
+    At every budget, in every mode, a pruned search first looks for the
+    shortest subset (first in combinations order) whose ERM is c0, the
+    lowest concept consistent with the whole sample.  c0 agrees with every
+    label, so a hit gives a one-hypothesis set with that subset as its
+    provenance, and a point-mass solution with exact_value 1, value_estimate
+    1.0, exploitability 0 and a uniform column strategy; no game is solved.
 
-    mode="exhaustive" enumerates every subset within budget, "double_oracle"
+    Only when no subset within budget teaches c0 does a game run:
+    mode="exhaustive" pools every subset within budget, "double_oracle"
     grows the pool against adversarial point distributions, and "auto" picks
     by subset count.  The subset budget doubles internally whenever the
     certified game falls short; at budget = #distinct points the full-sample
@@ -280,8 +280,14 @@ def build_hypothesis_set(
             mode == "auto" and _exhaustive_subset_count(k, budget) <= _EXHAUSTIVE_SUBSET_CAP
         )
         pool = _Pool(cls, labels_by_point)
-        if use_exhaustive:
-            certificate = _exhaustive(cls, pool, points, labels, budget, consistent)
+        teaching = _teaching_subset(cls, points, labels_by_point, budget, consistent)
+        if teaching is not None:
+            point_mass = _MixtureCertificate(
+                True, np.ones(1), np.full(k, 1.0 / k), 1.0, Fraction(1), 0.0
+            )
+            certificate = [consistent], [teaching], point_mass
+        elif use_exhaustive:
+            certificate = _exhaustive(cls, pool, points, labels, budget)
         else:
             certificate = _double_oracle(
                 cls, pool, points, labels, budget, int(budget_seeds[level % 64])
@@ -316,24 +322,60 @@ def build_hypothesis_set(
         level += 1
 
 
-def _exhaustive(cls, pool, points, labels, budget, consistent):
-    """Walk every subset within budget, smallest first, into the pool.
+def _teaching_subset(cls, points, labels_by_point, budget, c0):
+    """The shortest subset of `points` (first in combinations order) whose
+    ERM is c0, or None when no subset of at most `budget` points has it.
 
-    The first subset whose ERM is `consistent` (the lowest concept consistent
-    with the whole sample) ends the walk: that concept agrees with every
-    label, so a point mass on it certifies agreement exactly 1, and the
-    subset is the provenance the full pool would keep (shortest, first
-    found).  Otherwise the filled pool goes to the agreement game."""
-    subsets = itertools.chain.from_iterable(
-        itertools.combinations(points, size) for size in range(budget + 1)
-    )
-    for subset in subsets:
-        if pool.add_subset(subset) and consistent in pool:
-            k = len(points)
-            point_mass = _MixtureCertificate(
-                True, np.ones(1), np.full(k, 1.0 / k), 1.0, Fraction(1), 0.0
-            )
-            return [consistent], [subset], point_mass
+    c0 is consistent with every label, so a subset's ERM is c0 exactly when
+    the subset kills every concept below c0: a hitting set over the
+    point_masks bitsets (a teaching set, Goldman & Kearns 1995).  Each size
+    is a depth-first search in combinations order; a branch is pruned when
+    some live concept survives every point still available to it.  A size
+    that visits more than _EXHAUSTIVE_SUBSET_CAP prefixes gives up, which
+    never happens on a sample the exhaustive walk would take: that walk
+    enumerates every prefix the search could visit.  The search keeps an
+    explicit stack, so its depth is not bounded by the recursion limit.
+    """
+    below = (1 << c0) - 1
+    if not below:
+        return ()
+    masks = cls.point_masks
+    cons = [masks[x] & below if labels_by_point[x] else ~masks[x] & below for x in points]
+    k = len(cons)
+    suffix_and = [below] * (k + 1)  # concepts below c0 that points[j:] all keep
+    for j in range(k - 1, -1, -1):
+        suffix_and[j] = suffix_and[j + 1] & cons[j]
+    for size in range(1, min(budget, k) + 1):
+        nodes = 0
+        chosen: list[int] = []
+        alive = [below]  # alive[t]: concepts below c0 that chosen[:t] keeps
+        j = 0
+        while True:
+            remaining = size - len(chosen)
+            if j <= k - remaining and not alive[-1] & suffix_and[j]:
+                nodes += 1
+                if nodes > _EXHAUSTIVE_SUBSET_CAP:
+                    return None
+                left = alive[-1] & cons[j]
+                if remaining > 1:
+                    chosen.append(j)
+                    alive.append(left)
+                elif not left:
+                    return tuple(points[i] for i in chosen) + (points[j],)
+                j += 1
+            elif chosen:
+                j = chosen.pop() + 1
+                alive.pop()
+            else:
+                break
+    return None
+
+
+def _exhaustive(cls, pool, points, labels, budget):
+    """Pool every subset within budget, smallest first, and certify it."""
+    for size in range(budget + 1):
+        for subset in itertools.combinations(points, size):
+            pool.add_subset(subset)
     return _certify_pool(cls, pool, points, labels)
 
 

@@ -26,7 +26,8 @@ from vccompress import (
     escalate_budget,
     lowest_consistent_concept,
 )
-from vccompress.learner import CERTIFICATE_TOLERANCE, WEAK_AGREEMENT, _Pool
+from vccompress import generators, learner
+from vccompress.learner import CERTIFICATE_TOLERANCE, WEAK_AGREEMENT, _Pool, _teaching_subset
 
 
 def cube(n):
@@ -131,20 +132,26 @@ def test_intervals_mixture_is_certified_per_point():
     assert all(len(subset) <= hs.budget for subset in hs.provenance)
 
 
+# Targets of k_interval_unions(8, 2) that no subset of at most 4 of the 8
+# points teaches (their shortest teaching sets have 5 points), so the double
+# oracle, not the teaching search, certifies them below the full budget.
+UNTAUGHT_UNIONS = (30, 52)
+
+
 def test_double_oracle_reaches_a_certificate():
-    c = intervals_class(10)
-    target = c.rows.index(0b0000111110)
-    sample = LabeledSample.from_concept(c, target, range(10))
+    c = generators.k_interval_unions(8, 2)
+    sample = LabeledSample.from_concept(c, UNTAUGHT_UNIONS[1], range(8))
     hs, solution = build_hypothesis_set(
         LearningMap(c, 2), sample, mode="double_oracle", seed=11
     )
+    assert len(hs) > 1
     tol = 0.0 if solution.exact_value is not None else float(CERTIFICATE_TOLERANCE)
     recheck_certificate(c, sample, hs, solution, tolerance=tol)
 
 
 def test_double_oracle_is_deterministic_per_seed():
-    c = intervals_class(8)
-    sample = LabeledSample.from_concept(c, 5, range(8))
+    c = generators.k_interval_unions(8, 2)
+    sample = LabeledSample.from_concept(c, UNTAUGHT_UNIONS[0], range(8))
     first = build_hypothesis_set(LearningMap(c, 2), sample, mode="double_oracle", seed=9)
     second = build_hypothesis_set(LearningMap(c, 2), sample, mode="double_oracle", seed=9)
     assert first[0] == second[0]
@@ -178,15 +185,46 @@ def test_build_rejects_empty_samples_and_unknown_modes():
         build_hypothesis_set(LearningMap(c, 1), sample, mode="greedy", seed=0)
 
 
+# a class (n points, concept rows) with a list of sample points
+small_class_and_points = st.integers(min_value=1, max_value=6).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.sets(st.integers(min_value=0, max_value=2**n - 1), min_size=1, max_size=24),
+        st.lists(st.integers(min_value=0, max_value=n - 1), min_size=1, max_size=10),
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    small_class_and_points,
+    st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=1, max_value=3),
+)
+def test_teaching_subset_matches_a_brute_force_scan(spec, target, budget):
+    n, rows, points = spec
+    c = ConceptClass.from_row_ints(n, sorted(rows))
+    sample = LabeledSample.from_concept(c, target % len(c.rows), points)
+    labels = dict(sample.label_items)
+    consistent = lowest_consistent_concept(c, sample.label_items)
+    distinct = sample.distinct_points
+    subsets = itertools.chain.from_iterable(
+        itertools.combinations(distinct, size) for size in range(min(budget, len(distinct)) + 1)
+    )
+    first = next(
+        (
+            subset
+            for subset in subsets
+            if lowest_consistent_concept(c, [(x, labels[x]) for x in subset]) == consistent
+        ),
+        None,
+    )
+    assert _teaching_subset(c, distinct, labels, budget, consistent) == first
+
+
 @settings(max_examples=80, deadline=None)
 @given(
-    st.integers(min_value=1, max_value=6).flatmap(
-        lambda n: st.tuples(
-            st.just(n),
-            st.sets(st.integers(min_value=0, max_value=2**n - 1), min_size=1, max_size=24),
-            st.lists(st.integers(min_value=0, max_value=n - 1), min_size=1, max_size=10),
-        )
-    ),
+    small_class_and_points,
     st.integers(min_value=0, max_value=10**6),
     st.integers(min_value=1, max_value=3),
 )
@@ -201,16 +239,69 @@ def test_point_mass_matches_the_full_pool(spec, target, budget):
         for subset in itertools.combinations(distinct, size):
             pool.add_subset(subset)
     concepts, provenance = pool.sorted_items()
-    hs, solution = build_hypothesis_set(LearningMap(c, budget), sample, seed=0)
-    if consistent in concepts:
-        assert hs.hypotheses == (consistent,)
-        assert hs.provenance == (provenance[concepts.index(consistent)],)
-        assert hs.budget == min(budget, len(distinct))
+    # every mode, so that a taught sample is seen to skip both branches alike
+    for mode in ("auto", "exhaustive", "double_oracle"):
+        hs, solution = build_hypothesis_set(LearningMap(c, budget), sample, mode=mode, seed=0)
+        if consistent in concepts:
+            assert hs.hypotheses == (consistent,)
+            assert hs.provenance == (provenance[concepts.index(consistent)],)
+            assert hs.budget == min(budget, len(distinct))
+            assert solution.exact_value == Fraction(1)
+            assert solution.value_estimate == 1.0
+            assert solution.exploitability == 0.0
+        tol = 0.0 if solution.exact_value is not None else float(CERTIFICATE_TOLERANCE)
+        recheck_certificate(c, sample, hs, solution, tolerance=tol)
+
+
+def _counting(monkeypatch, name):
+    """Replace learner.<name> by a wrapper that records its results."""
+    results = []
+    original = getattr(learner, name)
+
+    def counted(*args, **kwargs):
+        results.append(original(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(learner, name, counted)
+    return results
+
+
+def test_taught_samples_solve_no_game(monkeypatch):
+    calls = {
+        name: _counting(monkeypatch, name)
+        for name in ("_exact_minimax", "solve_mw", "_double_oracle")
+    }
+    # 60 distinct points at budget 3 are past the exhaustive cap: "auto"
+    # sends such a sample to the double oracle unless the search teaches it
+    c = generators.halfspaces_grid(8, 2)
+    sample = LabeledSample.from_concept(c, 7, [(7 * i) % 64 for i in range(60)])
+    for mode in ("auto", "exhaustive", "double_oracle"):
+        hs, solution = build_hypothesis_set(LearningMap(c, 3), sample, mode=mode, seed=0)
+        assert (hs.hypotheses, hs.provenance) == ((7,), ((24,),))
         assert solution.exact_value == Fraction(1)
-        assert solution.value_estimate == 1.0
-        assert solution.exploitability == 0.0
-    tol = 0.0 if solution.exact_value is not None else float(CERTIFICATE_TOLERANCE)
-    recheck_certificate(c, sample, hs, solution, tolerance=tol)
+    assert {name: len(made) for name, made in calls.items()} == {
+        "_exact_minimax": 0,
+        "solve_mw": 0,
+        "_double_oracle": 0,
+    }
+    # an untaught sample falls through to the oracle, whose pool and exact
+    # value were recorded before the teaching search existed
+    c = generators.k_interval_unions(8, 2)
+    sample = LabeledSample.from_concept(c, UNTAUGHT_UNIONS[0], range(8))
+    hs, solution = build_hypothesis_set(LearningMap(c, 3), sample, mode="double_oracle", seed=0)
+    hypotheses = (0, 3, 4, 7, 9, 12, 13, 16, 19, 20, 21, 22, 25)
+    provenance = (
+        (), (6, 7), (5,), (5, 6, 7), (4, 7), (4, 5), (4, 5, 7),
+        (3,), (3, 6, 7), (3, 5), (3, 5, 6), (3, 5, 7), (3, 4, 6),
+    )
+    [(pool, subsets, cert)] = calls["_double_oracle"]
+    assert (tuple(pool), tuple(subsets), cert.exact_value) == (
+        hypotheses,
+        provenance,
+        Fraction(2, 3),
+    )
+    assert (hs.hypotheses, hs.provenance, hs.budget) == (hypotheses, provenance, 3)
+    assert len(calls["_exact_minimax"]) > 0
 
 
 def test_hypothesis_set_validates_shape():

@@ -324,7 +324,8 @@ def test_fresh_process_reconstruction(tmp_path):
 # Recorded before the vote pipeline was rewritten; any refactor of compress
 # must reproduce them byte for byte.  The intervals(30) case, a value-1
 # agreement game past the exact solver's cap, was recorded with the
-# consistent-hypothesis fast path.
+# consistent-hypothesis fast path, and the halfspaces case, whose one vote
+# the double oracle used to find, with the teaching-subset search.
 GOLDEN_CONTAINERS = [
     (
         "empty sample",
@@ -367,12 +368,12 @@ GOLDEN_CONTAINERS = [
         2006,
     ),
     (
-        "halfspaces double oracle",  # 60 distinct points: past the exhaustive cap
+        "halfspaces past the exhaustive cap",  # 60 distinct points, budget 3
         lambda: generators.halfspaces_grid(8, 2),
         7,
         [(7 * i) % 64 for i in range(60)],
         3,
-        "20d405daea385d175e59a135da716edcd25cd1770890d4954267c28366f3577c",
+        "cfe05713f6c1ad73bd0de7a87f5f0001e0ec41d259d9f0b88632caffc5a6e7a2",
         ((7, 1),),
         1,
     ),
