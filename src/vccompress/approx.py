@@ -9,11 +9,17 @@ than trusted from theory:
   within epsilon of a mixture of concepts on every domain point (the same
   statement applied to the dual class, which also supplies the size bound).
 
-Both draw i.i.d. from the target and retry until the certificate holds.
+Both draw i.i.d. from the target and return the first multiset whose
+certificate holds, trying sizes 1, 2, 4, ... below the ceiling
+ceil(c_apx (d+1) / epsilon^2) before the ceiling itself and then twice it.
+The ceiling is the theory's sufficient size, reported as ``size_bound``; any
+multiset that passes the exhaustive check is as good as a larger one, so the
+multiset is usually far smaller.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -137,50 +143,68 @@ def _as_distribution(weights, size: int, what: str) -> np.ndarray:
     return w / w.sum()  # exact-sum normalization for the sampler
 
 
+@functools.lru_cache(maxsize=1)
+def _true_mass(concept_class: ConceptClass, weights: bytes, over_concepts: bool) -> np.ndarray:
+    """The target's mass on every concept (``weights`` a measure over points)
+    or at every point (``weights`` a mixture over concepts).  The sampler
+    checks one target against many draws, and the float matrix this needs
+    takes 8 bytes per entry, so the last target's mass is kept."""
+    w = np.frombuffer(weights).copy()
+    matrix = concept_class.matrix.astype(np.float64)
+    mass = matrix @ w if over_concepts else w @ matrix
+    mass.flags.writeable = False
+    return mass
+
+
+def _deviation(draw_rows: np.ndarray, true_mass: np.ndarray, multiset, what: str) -> float:
+    """Worst |true_mass - average of the drawn 0/1 rows| over the columns.
+    The row sums are integer counts times 0/1 entries, exact in float64 in
+    any order, so only the drawn rows are read."""
+    idx = np.asarray(multiset, dtype=np.int64)
+    size = draw_rows.shape[0]
+    if idx.size == 0 or idx.min() < 0 or idx.max() >= size:
+        raise ValueError(f"multiset {what} out of range")
+    counts = np.bincount(idx, minlength=size)
+    drawn = np.flatnonzero(counts)
+    hits = counts[drawn].astype(np.float64) @ draw_rows[drawn].astype(np.float64)
+    return float(np.abs(true_mass - hits / idx.size).max())
+
+
 def approximation_deviation(concept_class: ConceptClass, mu, multiset: Sequence[int]) -> float:
     """Worst |mu(c=1) - empirical frequency of c=1 on the multiset| over all
     concepts; an exhaustive scan, not an estimate."""
-    n = concept_class.domain_size
-    w = _as_distribution(mu, n, "mu")
-    pts = np.asarray(multiset, dtype=np.int64)
-    if pts.size == 0 or pts.min() < 0 or pts.max() >= n:
-        raise ValueError("multiset points out of range")
-    counts = np.bincount(pts, minlength=n).astype(np.float64)
-    matrix = concept_class.matrix.astype(np.float64)
-    true_mass = matrix @ w
-    empirical = (matrix @ counts) / pts.size
-    return float(np.abs(true_mass - empirical).max())
+    w = _as_distribution(mu, concept_class.domain_size, "mu")
+    true_mass = _true_mass(concept_class, w.tobytes(), True)
+    return _deviation(concept_class.matrix.T, true_mass, multiset, "points")
 
 
 def sparsification_deviation(concept_class: ConceptClass, p, multiset: Sequence[int]) -> float:
     """Worst |p(c(x)=1) - fraction of the multiset with value 1 at x| over
     all domain points."""
-    m = len(concept_class)
-    w = _as_distribution(p, m, "p")
-    idx = np.asarray(multiset, dtype=np.int64)
-    if idx.size == 0 or idx.min() < 0 or idx.max() >= m:
-        raise ValueError("multiset concepts out of range")
-    counts = np.bincount(idx, minlength=m).astype(np.float64)
-    matrix = concept_class.matrix.astype(np.float64)
-    true_mass = w @ matrix
-    empirical = (counts @ matrix) / idx.size
-    return float(np.abs(true_mass - empirical).max())
+    w = _as_distribution(p, len(concept_class), "p")
+    true_mass = _true_mass(concept_class, w.tobytes(), False)
+    return _deviation(concept_class.matrix, true_mass, multiset, "concepts")
 
 
 def _rejection_sample(weights, dimension, epsilon, seed, c_apx, retries, deviation_fn):
-    base_size = approximation_size_bound(dimension, epsilon, c_apx)
+    """The first i.i.d. multiset from ``weights`` whose exhaustive deviation
+    is at most epsilon.  One attempt at each power of two below the ceiling
+    T = approximation_size_bound(dimension, epsilon, c_apx), then retries+1
+    attempts at T and, as an escape hatch, retries+1 at 2T before giving up.
+    Any multiset that passes the check is a certificate, so the smallest one
+    found wins; T only bounds the size."""
+    ceiling = approximation_size_bound(dimension, epsilon, c_apx)
+    sizes = [1 << i for i in range((ceiling - 1).bit_length())]
+    sizes += [ceiling] * (retries + 1) + [2 * ceiling] * (retries + 1)
     rng = make_rng(seed)
     population = weights.size
     best = math.inf
-    # retries+1 attempts at the base size, then (doubled escape hatch)
-    # retries+1 more at twice the size before giving up
-    for size in (base_size, 2 * base_size):
-        for _ in range(retries + 1):
-            draw = rng.choice(population, size=size, p=weights)
-            dev = deviation_fn(draw)
-            best = min(best, dev)
-            if dev <= epsilon:
-                return tuple(draw.tolist()), dev, base_size
+    for size in sizes:
+        draw = rng.choice(population, size=size, p=weights)
+        dev = deviation_fn(draw)
+        best = min(best, dev)
+        if dev <= epsilon:
+            return tuple(draw.tolist()), dev, ceiling
     raise ApproximationBudgetError(
         f"no multiset certified at epsilon={epsilon} within the retry budget "
         f"(best deviation {best:.6g})",
@@ -200,8 +224,11 @@ def epsilon_approximation(
     """Multiset of domain points approximating mu within epsilon on every
     concept, by rejection sampling with an exhaustive certificate check.
 
-    The multiset size is ceil(c_apx*(d+1)/epsilon^2) with d the VC dimension;
-    after `retries` failures the size is doubled once before erroring.
+    The size ceiling is T = ceil(c_apx*(d+1)/epsilon^2) with d the VC
+    dimension.  One draw is tried at each power of two below T, then
+    `retries`+1 at T and `retries`+1 at 2T before erroring; the first draw
+    that certifies is returned, so its length is a power of two below T, T
+    or 2T.  The certificate's ``size_bound`` is T.
     """
     n = concept_class.domain_size
     w = _as_distribution(mu, n, "mu")
@@ -228,8 +255,9 @@ def sparsify_mixture(
     within epsilon at every domain point.
 
     This is `epsilon_approximation` on the dual class, so the size ceiling
-    uses the dual VC dimension.  Draws are i.i.d. from p, hence the multiset
-    is contained in p's support.
+    T uses the dual VC dimension, and the multiset is the first certified
+    draw of the same size schedule: a power of two below T, T or 2T.  Draws
+    are i.i.d. from p, hence the multiset is contained in p's support.
     """
     m = len(concept_class)
     w = _as_distribution(p, m, "p")

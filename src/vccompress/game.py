@@ -12,8 +12,9 @@ The row player maximizes, the column player minimizes.  Three solvers:
   column best responses, with a post-hoc exploitability certificate.
 * ``sparse_epsilon_nash`` — small multisets of pure strategies whose uniform
   play is an epsilon-equilibrium, obtained by sparsifying exact or
-  near-optimal mixed strategies; support sizes depend only on the VC
-  dimensions of the strategy sets, never on how often rows/columns repeat.
+  near-optimal mixed strategies; the support-size ceilings depend only on
+  the VC dimensions of the strategy sets, never on how often rows/columns
+  repeat, and each multiset is the first certified draw below them.
 """
 
 from __future__ import annotations
@@ -107,7 +108,9 @@ class GameSolution:
 @dataclass(frozen=True)
 class SparseEquilibrium:
     """Multisets of pure strategies whose uniform play is within epsilon of
-    the game value against every pure response (verified exhaustively)."""
+    the game value against every pure response (verified exhaustively).
+    The support bounds are the sparsifier's size ceilings T; each multiset
+    has a power-of-two length below T, or T, or 2T."""
 
     row_multiset: tuple[int, ...]
     col_multiset: tuple[int, ...]
@@ -345,14 +348,16 @@ def _strategy_class_and_map(unique_rows: np.ndarray) -> tuple[ConceptClass, list
 
 
 def sparse_epsilon_nash(matrix, epsilon: float, seed: int) -> SparseEquilibrium:
-    """Sparse epsilon-equilibrium with support sizes governed by the VC
-    dimensions of the strategy sets.
+    """Sparse epsilon-equilibrium with support-size ceilings governed by the
+    VC dimensions of the strategy sets.
 
     Duplicate rows/columns are collapsed before solving (they change neither
     the value nor the dimensions), so padding a matrix with copies cannot
     inflate the supports.  Each side's multiset is the sparsified optimal
-    mixture; the epsilon guarantee is re-verified against every pure
-    strategy of the original matrix.
+    mixture: the first draw of 1, 2, 4, ... strategies that certifies, so
+    the reported support bounds are ceilings, not draw sizes.  The epsilon
+    guarantee is re-verified against every pure strategy of the original
+    matrix.
     """
     if not (0 < epsilon < 1):
         raise ValueError("epsilon must be in (0, 1)")

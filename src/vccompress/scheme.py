@@ -7,8 +7,10 @@ hypotheses, so the decompressor needs nothing beyond the concept class and
 the bytes.
 
 Pipeline: certify a weak mixture of subset-ERM hypotheses (learner), fold it
-to a small voting multiset by 1/8-sparsification (approx), reduce the vote
-counts by their gcd (majorities are scale-invariant), and re-verify that
+to a small voting multiset by 1/8-sparsification (approx: the first draw of
+1, 2, 4, ... votes that passes the exhaustive certificate, up to the
+paper's ceiling of O(d*) votes and its doubling), reduce the vote counts by
+their gcd (majorities are scale-invariant), and re-verify that
 every sampled point still wins its integer majority strictly before
 anything is encoded.  A point-mass mixture (one hypothesis consistent with
 the whole sample) skips the sparsifier and votes once.
@@ -193,9 +195,12 @@ class SchemeReport:
     """Size accounting for one compression.  scheme_size = kernel points plus
     encoded side-information bits; details carries the run's diagnostics
     (dimensions, vote multiset, certified agreement, majority margin, and
-    the sparsifier's draw count and certified deviation).  A point-mass
-    mixture is not sparsified: its draw_count is 0 and its
-    sparsification_deviation 0.0, since its one vote equals it exactly."""
+    the sparsifier's draw count and certified deviation).  ``draw_ceiling``
+    is the paper's vote count T = ceil(16 (d*+1) / epsilon^2), next to the
+    realized ``draw_count``: the sparsifier returns the first certified draw
+    of 1, 2, 4, ... votes below T, else of T or 2T.  A point-mass mixture is
+    not sparsified: its draw_count is 0 and its sparsification_deviation
+    0.0, since its one vote equals it exactly."""
 
     kernel_size: int
     info_bits: int
@@ -236,9 +241,9 @@ def compress(
 
     The kernel is the union of the provenance subsets behind the voting
     hypotheses; its size is governed by the class's VC dimension (subset
-    budget) and the dual VC dimension (vote count), never by the sample
-    length.  Every sampled point's majority is re-verified as a strict
-    integer inequality before encoding.
+    budget) and the dual VC dimension (ceiling on the vote count), never by
+    the sample length.  Every sampled point's majority is re-verified as a
+    strict integer inequality before encoding.
 
     A certified mixture with a single hypothesis in its support is not
     sparsified: its one vote equals the mixture exactly, so the report's
@@ -328,6 +333,7 @@ def compress(
             "certified_agreement": solution.value_estimate,
             "sparsification_deviation": deviation,
             "draw_count": draw_count,
+            "draw_ceiling": approximation_size_bound(dual_dimension, SPARSIFY_EPSILON),
         },
     )
     return compressed, report

@@ -1,6 +1,6 @@
 """Acceptance checks, one test per criterion.
 
-The whole battery runs off a single seeded suite execution (about 40 s on
+The whole battery runs off a single seeded suite execution (about 13 s on
 2 cores); each test prints its own PASS/FAIL line, so run with ``-s`` to see
 them as they land:
 

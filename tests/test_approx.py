@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vccompress import ConceptClass, dual_class, vc_dimension
 from vccompress.approx import (
@@ -114,9 +116,10 @@ def test_determinism():
 
 
 def test_budget_error_when_unattainable():
-    # mass 2/3 on a point can never be matched by empirical frequencies with
-    # denominator 4 (or 8 after the doubling) to within 0.03, so every draw
-    # fails and the budget error is deterministic
+    # mass 2/3 on a point can never be matched to within 0.03 by empirical
+    # frequencies with denominator 1 or 2 (below the ceiling T = 4), 4 (the
+    # ceiling) or 8 (the escape hatch), so every draw fails and the error is
+    # deterministic
     c = ConceptClass.from_rows([[0, 1], [1, 0], [1, 1]])
     mu = ProbabilityVector([1 / 3, 2 / 3])
     with pytest.raises(ApproximationBudgetError) as exc:
@@ -166,3 +169,27 @@ def test_sparsify_determinism():
     c = intervals_fixture(10)
     p = ProbabilityVector.uniform(len(c))
     assert sparsify_mixture(c, p, 0.25, seed=9) == sparsify_mixture(c, p, 0.25, seed=9)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_sparsify_returns_the_first_certified_size(data):
+    n = data.draw(st.integers(min_value=1, max_value=6), label="domain size")
+    rows = data.draw(
+        st.lists(st.integers(0, 2**n - 1), min_size=2, max_size=12, unique=True), label="rows"
+    )
+    c = ConceptClass.from_row_ints(n, rows)
+    raw = data.draw(
+        st.lists(st.integers(0, 8), min_size=len(c), max_size=len(c)).filter(any), label="weights"
+    )
+    p = ProbabilityVector(np.array(raw) / sum(raw))
+    epsilon = data.draw(st.sampled_from([0.5, 0.25, 0.125]), label="epsilon")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    multiset, cert = sparsify_mixture(c, p, epsilon, seed=seed)
+    ceiling = approximation_size_bound(vc_dimension(dual_class(c)), epsilon)
+    assert cert.size_bound == ceiling
+    size = len(multiset)
+    # a power of two below the ceiling, the ceiling, or the escape hatch
+    assert size in (ceiling, 2 * ceiling) or (size < ceiling and size & (size - 1) == 0)
+    assert sparsification_deviation(c, p, multiset) == cert.max_deviation <= epsilon
+    assert sparsify_mixture(c, p, epsilon, seed=seed) == (multiset, cert)

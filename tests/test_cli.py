@@ -2,6 +2,7 @@ import json
 import resource
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -117,7 +118,15 @@ def test_nash_certified(capsys, matrix_file):
         capsys, "nash", "--matrix-file", matrix_file, "--epsilon", "0.3", "--seed", "2"
     )
     assert payload["certified_exploitability"] <= 0.3
-    assert len(payload["row_multiset"]) == payload["row_support_bound"]
+    rows, cols = payload["row_multiset"], payload["col_multiset"]
+    assert len(rows) <= payload["row_support_bound"]
+    assert len(cols) <= payload["col_support_bound"]
+    # exact re-check against the cyclic game's unique optimum, uniform play
+    # of value 2/3: every pure response sees a share within epsilon of it
+    cyclic = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
+    row_play = [Fraction(sum(cyclic[i][j] for i in rows), len(rows)) for j in range(3)]
+    col_play = [Fraction(sum(cyclic[i][j] for j in cols), len(cols)) for i in range(3)]
+    assert max(abs(share - Fraction(2, 3)) for share in row_play + col_play) <= Fraction(3, 10)
 
 
 def test_compress_reconstruct_verify_files(capsys, class_file, sample_file, tmp_path):

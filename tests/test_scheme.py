@@ -324,8 +324,10 @@ def test_fresh_process_reconstruction(tmp_path):
 # Recorded before the vote pipeline was rewritten; any refactor of compress
 # must reproduce them byte for byte.  The intervals(30) case, a value-1
 # agreement game past the exact solver's cap, was recorded with the
-# consistent-hypothesis fast path, and the halfspaces case, whose one vote
-# the double oracle used to find, with the teaching-subset search.
+# consistent-hypothesis fast path, the halfspaces case, whose one vote the
+# double oracle used to find, with the teaching-subset search, and the two
+# mixtures with the sparsifier that keeps the first certified draw of
+# 1, 2, 4, ... votes (16 and 8 draws).
 GOLDEN_CONTAINERS = [
     (
         "empty sample",
@@ -353,9 +355,9 @@ GOLDEN_CONTAINERS = [
         30,
         [9, 3, 8, 2, 4, 2],
         1,
-        "81a967506f0cfe1ed239c854162a6c4dfabb1a2bdc0aeb961ced6cc67c6ec4f4",
-        ((19, 998), (7, 999), (2, 1072), (16, 1027)),
-        1952,
+        "4a042b93b92f1e9d09a4297495a57097a0a4152c2b2e3c415ccb5f514cb06852",
+        ((16, 5), (2, 2), (19, 3), (7, 6)),
+        4,
     ),
     (
         "k_interval_unions mixture",
@@ -363,9 +365,9 @@ GOLDEN_CONTAINERS = [
         158,
         [0, 3, 4, 1, 4, 2, 6, 7],
         102,
-        "c045f159803b43aedfb8f1c21599c43596f68282babeca828a111e510ec93c3a",
-        ((120, 1045), (136, 979), (148, 1031), (83, 1041)),
-        2006,
+        "feaa4cb33960d37a7150f9fac1d6719cde2c858d8d3d0ba75adeca0e7f0407b7",
+        ((83, 3), (136, 2), (148, 1), (120, 2)),
+        2,
     ),
     (
         "halfspaces past the exhaustive cap",  # 60 distinct points, budget 3
@@ -407,6 +409,16 @@ def test_golden_container_bytes(make, concept, points, seed, digest, votes, marg
     assert report.details["min_majority_margin"] == margin
     assert all(type(x) is int for pair in report.details["vote_concepts"] for x in pair)
     assert type(report.details["min_majority_margin"]) is int
+
+
+def test_golden_mixture_draws_far_below_the_ceiling():
+    # the sparsifier keeps the first certified draw of 1, 2, 4, ... votes; a
+    # return to ceiling-sized draws (4,096 votes here) fails this test
+    c = generators.k_interval_unions(8, 2)
+    sample = LabeledSample.from_concept(c, 158, [0, 3, 4, 1, 4, 2, 6, 7])
+    _, report = compress(c, sample, seed=102)
+    assert report.details["draw_ceiling"] == 4096
+    assert 0 < report.details["draw_count"] <= 64
 
 
 # -- one pass per job --
@@ -491,6 +503,7 @@ def test_point_mass_skips_the_game_and_the_sparsifier(monkeypatch):
     _, report = compress(c, LabeledSample.from_concept(c, 400, range(30)), seed=1)
     assert report.details["vote_concepts"] == ((400, 1),)
     assert report.details["draw_count"] == 0
+    assert report.details["draw_ceiling"] == 1024 * (report.details["dual_vc_dimension"] + 1)
     assert report.details["sparsification_deviation"] == 0.0
     assert report.details["certified_agreement"] == 1.0
     assert {name: len(made) for name, made in calls.items()} == {
