@@ -15,8 +15,6 @@ from .concepts import (
     ShatterWitness,
     consistent_concepts,
     dual_class,
-    dual_point_map,
-    is_realizable,
     parse_concept_class,
     serialize_concept_class,
     shatters,
@@ -55,7 +53,6 @@ from .learner import (
     HypothesisSet,
     LearningMap,
     build_hypothesis_set,
-    erm,
     escalate_budget,
     lowest_consistent_concept,
 )
@@ -63,8 +60,6 @@ from .game import (
     GameSolution,
     PayoffMatrix,
     SparseEquilibrium,
-    best_response,
-    exact_strategies,
     parse_payoff_matrix,
     solve_exact,
     solve_mw,

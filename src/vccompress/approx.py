@@ -11,10 +11,10 @@ than trusted from theory:
 
 Both draw i.i.d. from the target and return the first multiset whose
 certificate holds, trying sizes 1, 2, 4, ... below the ceiling
-ceil(c_apx (d+1) / epsilon^2) before the ceiling itself and then twice it.
-The ceiling is the theory's sufficient size, reported as ``size_bound``; any
-multiset that passes the exhaustive check is as good as a larger one, so the
-multiset is usually far smaller.
+T = ceil(C_APX_DEFAULT (d+1) / epsilon^2) once each, then T and 2T up to
+RETRY_DEFAULT + 1 times each.  The ceiling is the theory's sufficient size,
+reported as ``size_bound``; any multiset that passes the exhaustive check is
+as good as a larger one, so the multiset is usually far smaller.
 """
 
 from __future__ import annotations
@@ -124,15 +124,13 @@ class ApproximationCertificate:
             )
 
 
-def approximation_size_bound(dim: int, epsilon: float, c_apx: float = C_APX_DEFAULT) -> int:
-    """Documented multiset-size ceiling ceil(c_apx * (dim+1) / epsilon^2)."""
+def approximation_size_bound(dim: int, epsilon: float) -> int:
+    """Documented multiset-size ceiling ceil(C_APX_DEFAULT * (dim+1) / epsilon^2)."""
     if not (0 < epsilon <= 1):
         raise ValueError("epsilon must be in (0, 1]")
     if dim < 0:
         raise ValueError("dimension must be nonnegative")
-    if c_apx <= 0:
-        raise ValueError("c_apx must be positive")
-    return math.ceil(c_apx * (dim + 1) / (epsilon * epsilon))
+    return math.ceil(C_APX_DEFAULT * (dim + 1) / (epsilon * epsilon))
 
 
 def _as_distribution(weights, size: int, what: str) -> np.ndarray:
@@ -186,16 +184,16 @@ def sparsification_deviation(concept_class: ConceptClass, p, multiset: Sequence[
     return _deviation(concept_class.matrix, true_mass, multiset, "concepts")
 
 
-def _rejection_sample(weights, dimension, epsilon, seed, c_apx, retries, deviation_fn):
+def _rejection_sample(weights, dimension, epsilon, seed, deviation_fn):
     """The first i.i.d. multiset from ``weights`` whose exhaustive deviation
     is at most epsilon.  One attempt at each power of two below the ceiling
-    T = approximation_size_bound(dimension, epsilon, c_apx), then retries+1
-    attempts at T and, as an escape hatch, retries+1 at 2T before giving up.
-    Any multiset that passes the check is a certificate, so the smallest one
-    found wins; T only bounds the size."""
-    ceiling = approximation_size_bound(dimension, epsilon, c_apx)
+    T = approximation_size_bound(dimension, epsilon), then RETRY_DEFAULT+1
+    attempts at T and, as an escape hatch, RETRY_DEFAULT+1 at 2T before
+    giving up.  Any multiset that passes the check is a certificate, so the
+    smallest one found wins; T only bounds the size."""
+    ceiling = approximation_size_bound(dimension, epsilon)
     sizes = [1 << i for i in range((ceiling - 1).bit_length())]
-    sizes += [ceiling] * (retries + 1) + [2 * ceiling] * (retries + 1)
+    sizes += [ceiling] * (RETRY_DEFAULT + 1) + [2 * ceiling] * (RETRY_DEFAULT + 1)
     rng = make_rng(seed)
     population = weights.size
     best = math.inf
@@ -217,18 +215,15 @@ def epsilon_approximation(
     mu,
     epsilon: float,
     seed: int,
-    *,
-    c_apx: float = C_APX_DEFAULT,
-    retries: int = RETRY_DEFAULT,
 ) -> ApproximationCertificate:
     """Multiset of domain points approximating mu within epsilon on every
     concept, by rejection sampling with an exhaustive certificate check.
 
-    The size ceiling is T = ceil(c_apx*(d+1)/epsilon^2) with d the VC
-    dimension.  One draw is tried at each power of two below T, then
-    `retries`+1 at T and `retries`+1 at 2T before erroring; the first draw
-    that certifies is returned, so its length is a power of two below T, T
-    or 2T.  The certificate's ``size_bound`` is T.
+    The size ceiling is T = ceil(C_APX_DEFAULT*(d+1)/epsilon^2) with d the
+    VC dimension.  One draw is tried at each power of two below T, then
+    RETRY_DEFAULT+1 at T and RETRY_DEFAULT+1 at 2T before erroring; the
+    first draw that certifies is returned, so its length is a power of two
+    below T, T or 2T.  The certificate's ``size_bound`` is T.
     """
     n = concept_class.domain_size
     w = _as_distribution(mu, n, "mu")
@@ -236,8 +231,7 @@ def epsilon_approximation(
     # the deviation check re-runs the public function on the caller's mu so a
     # later independent re-verification is bit-identical
     multiset, dev, bound = _rejection_sample(
-        w, d, epsilon, seed, c_apx, retries,
-        lambda draw: approximation_deviation(concept_class, mu, draw),
+        w, d, epsilon, seed, lambda draw: approximation_deviation(concept_class, mu, draw)
     )
     return ApproximationCertificate(multiset, dev, float(epsilon), bound)
 
@@ -247,9 +241,6 @@ def sparsify_mixture(
     p,
     epsilon: float,
     seed: int,
-    *,
-    c_apx: float = C_APX_DEFAULT,
-    retries: int = RETRY_DEFAULT,
 ) -> tuple[tuple[int, ...], ApproximationCertificate]:
     """Multiset of concept indices whose uniform average tracks the mixture p
     within epsilon at every domain point.
@@ -263,8 +254,7 @@ def sparsify_mixture(
     w = _as_distribution(p, m, "p")
     d_star = vc_dimension(dual_class(concept_class))
     multiset, dev, bound = _rejection_sample(
-        w, d_star, epsilon, seed, c_apx, retries,
-        lambda draw: sparsification_deviation(concept_class, p, draw),
+        w, d_star, epsilon, seed, lambda draw: sparsification_deviation(concept_class, p, draw)
     )
     cert = ApproximationCertificate(multiset, dev, float(epsilon), bound)
     return multiset, cert

@@ -23,9 +23,7 @@ __all__ = [
     "shatters",
     "vc_dimension",
     "dual_class",
-    "dual_point_map",
     "consistent_concepts",
-    "is_realizable",
     "parse_concept_class",
     "serialize_concept_class",
 ]
@@ -83,40 +81,32 @@ class ConceptClass:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_row_ints(cls, domain_size: int, values: Iterable[int], *, dedupe: bool = False) -> "ConceptClass":
+    def from_row_ints(cls, domain_size: int, values: Iterable[int]) -> "ConceptClass":
         vals = list(values)
-        if dedupe:
-            vals = sorted(set(vals))
-        else:
-            if len(set(vals)) != len(vals):
-                raise ValueError("duplicate concept rows")
-            vals = sorted(vals)
-        return cls(domain_size, tuple(vals))
+        if len(set(vals)) != len(vals):
+            raise ValueError("duplicate concept rows")
+        return cls(domain_size, tuple(sorted(vals)))
 
     @classmethod
-    def from_rows(cls, rows: Iterable[Sequence[int]], *, dedupe: bool = False) -> "ConceptClass":
+    def from_rows(cls, rows: Iterable[Sequence[int]]) -> "ConceptClass":
         rows = list(rows)
         if not rows:
             raise ValueError("a concept class must contain at least one concept")
         n = len(rows[0])
         if any(len(r) != n for r in rows):
             raise ValueError("all rows must have equal length")
-        return cls.from_row_ints(n, (row_to_int(r) for r in rows), dedupe=dedupe)
+        return cls.from_row_ints(n, (row_to_int(r) for r in rows))
 
     @classmethod
-    def from_matrix(cls, matrix: np.ndarray, *, dedupe: bool = False) -> "ConceptClass":
+    def from_matrix(cls, matrix: np.ndarray) -> "ConceptClass":
         arr = np.asarray(matrix)
         if arr.ndim != 2:
             raise ValueError("matrix must be 2-dimensional")
-        return cls.from_rows(arr.astype(int).tolist(), dedupe=dedupe)
+        return cls.from_rows(arr.astype(int).tolist())
 
     # -- views -------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.rows)
-
-    @property
-    def num_concepts(self) -> int:
         return len(self.rows)
 
     @functools.cached_property
@@ -193,10 +183,6 @@ class LabeledSample:
             concept_class._check_point(p)
         labels = {p: concept_class.value(concept, p) for p in set(pts)}
         return cls(pts, tuple(sorted(labels.items())))
-
-    @property
-    def labels(self) -> dict[int, int]:
-        return dict(self.label_items)
 
     @property
     def distinct_points(self) -> tuple[int, ...]:
@@ -332,18 +318,9 @@ def vc_dimension(concept_class: ConceptClass) -> int:
 def dual_class(concept_class: ConceptClass) -> ConceptClass:
     """Transpose of the class: distinct columns become concepts over the
     domain of original concept indices (concept 0 is the dual's point 0)."""
-    return ConceptClass(len(concept_class), tuple(sorted(set(_dual_rows(concept_class)))))
-
-
-def dual_point_map(concept_class: ConceptClass) -> tuple[int, ...]:
-    """For each original point, the index of its column in the dual class."""
-    index = {r: i for i, r in enumerate(dual_class(concept_class).rows)}
-    return tuple(index[r] for r in _dual_rows(concept_class))
-
-
-def _dual_rows(concept_class: ConceptClass) -> list[int]:
     # reversing the concepts puts concept 0 at the top bit of each column
-    return _column_ints(concept_class.matrix[::-1])
+    columns = _column_ints(concept_class.matrix[::-1])
+    return ConceptClass(len(concept_class), tuple(sorted(set(columns))))
 
 
 # -- consistency -----------------------------------------------------------
@@ -361,10 +338,6 @@ def consistent_concepts(concept_class: ConceptClass, sample: LabeledSample) -> l
     wanted = sample.label_vector()
     hits = (concept_class.matrix[:, pts] == wanted[None, :]).all(axis=1)
     return [int(i) for i in np.flatnonzero(hits)]
-
-
-def is_realizable(concept_class: ConceptClass, sample: LabeledSample) -> bool:
-    return bool(consistent_concepts(concept_class, sample))
 
 
 # -- text format -----------------------------------------------------------

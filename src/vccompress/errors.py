@@ -34,7 +34,7 @@ class UnrealizableError(ValueError):
 
 
 class BudgetExceededError(ValueError):
-    """An input exceeds a declared size budget (e.g. ERM subset budget)."""
+    """An input exceeds a declared size budget."""
 
 
 class ExactSolverCapError(ValueError):

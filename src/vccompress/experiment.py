@@ -70,15 +70,14 @@ def generalization_experiment(
     trials: int = 200,
     seed: int = 0,
     pilot_runs: int = 32,
-    distribution=None,
 ) -> ExperimentReport:
     """Compress samples of the derived size and measure true reconstruction
     error exactly.
 
     Pilot phase: compress `pilot_runs` seeded full-support samples and take
     the largest realized scheme size as k.  Trial phase: for each trial,
-    draw required_sample_size(k) points i.i.d. from the distribution
-    (uniform by default), label them with a target concept (rotating through
+    draw required_sample_size(k) points i.i.d. and uniformly from the domain,
+    label them with a target concept (rotating through
     the class), compress the distinct labeled points — duplicates cannot
     change the output — reconstruct, and integrate the error over the whole
     domain.  A trial fails when its error exceeds epsilon.
@@ -87,12 +86,7 @@ def generalization_experiment(
         raise ValueError("trials and pilot_runs must be positive")
     n = concept_class.domain_size
     m = len(concept_class.rows)
-    if distribution is None:
-        weights = np.full(n, 1.0 / n)
-    else:
-        weights = np.asarray(distribution, dtype=np.float64)
-        if weights.shape != (n,) or (weights < 0).any() or not np.isclose(weights.sum(), 1.0):
-            raise ValueError("distribution must be a probability vector over the domain")
+    weights = np.full(n, 1.0 / n)
 
     pilot_seed, trial_seed = (int(s) for s in child_seeds(seed, 2))
     pilot_children = child_seeds(pilot_seed, pilot_runs)

@@ -23,7 +23,6 @@ import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -38,9 +37,7 @@ __all__ = [
     "PayoffMatrix",
     "GameSolution",
     "SparseEquilibrium",
-    "best_response",
     "solve_exact",
-    "exact_strategies",
     "solve_mw",
     "sparse_epsilon_nash",
     "parse_payoff_matrix",
@@ -138,30 +135,6 @@ def _as_matrix(matrix) -> np.ndarray:
     return PayoffMatrix(matrix).entries
 
 
-def best_response(matrix, strategy, side: str) -> tuple[int, float]:
-    """Best pure response for `side` against the opponent's mixed strategy.
-
-    side="row": strategy is over columns; returns (argmax row, its payoff).
-    side="col": strategy is over rows; returns (argmin column, its payoff).
-    Ties break to the lowest index.
-    """
-    m = _as_matrix(matrix)
-    w = strategy.weights if isinstance(strategy, ProbabilityVector) else ProbabilityVector(strategy).weights
-    if side == "row":
-        if w.size != m.shape[1]:
-            raise ValueError(f"strategy length {w.size} != column count {m.shape[1]}")
-        payoffs = m.astype(np.float64) @ w
-        idx = int(np.argmax(payoffs))
-        return idx, float(payoffs[idx])
-    if side == "col":
-        if w.size != m.shape[0]:
-            raise ValueError(f"strategy length {w.size} != row count {m.shape[0]}")
-        payoffs = w @ m.astype(np.float64)
-        idx = int(np.argmin(payoffs))
-        return idx, float(payoffs[idx])
-    raise ValueError(f"side must be 'row' or 'col', got {side!r}")
-
-
 # -- exact simplex -----------------------------------------------------------
 
 
@@ -235,15 +208,15 @@ def _exact_minimax(entries: np.ndarray) -> tuple[Fraction, list[Fraction], list[
     return shifted_value - 1, p, q
 
 
-def solve_exact(matrix, *, entry_cap: int = EXACT_ENTRY_CAP) -> GameSolution:
+def solve_exact(matrix) -> GameSolution:
     """Exact minimax solution by a self-contained dense simplex with an
     integer-preserving tableau; the value and strategies are exact rationals
     whose optimality is certified exactly before the float views are taken.
-    Matrices above `entry_cap` entries are refused; use solve_mw."""
+    Matrices above EXACT_ENTRY_CAP entries are refused; use solve_mw."""
     m = _as_matrix(matrix)
-    if m.size > entry_cap:
+    if m.size > EXACT_ENTRY_CAP:
         raise ExactSolverCapError(
-            f"{m.shape[0]}x{m.shape[1]} exceeds the {entry_cap}-entry cap for the "
+            f"{m.shape[0]}x{m.shape[1]} exceeds the {EXACT_ENTRY_CAP}-entry cap for the "
             "exact solver; use solve_mw"
         )
     value, p, q = _exact_minimax(m)
@@ -259,11 +232,6 @@ def solve_exact(matrix, *, entry_cap: int = EXACT_ENTRY_CAP) -> GameSolution:
     return GameSolution(row, col, v, exploit, exact_value=value)
 
 
-def exact_strategies(matrix) -> tuple[Fraction, list[Fraction], list[Fraction]]:
-    """Exact (value, row strategy, column strategy) without float conversion."""
-    return _exact_minimax(_as_matrix(matrix))
-
-
 # -- multiplicative weights ----------------------------------------------------
 
 
@@ -275,22 +243,18 @@ def _mw_certificate(mf: np.ndarray, p_bar: np.ndarray, q_bar: np.ndarray):
     return value, exploit, row_secures, col_caps
 
 
-def solve_mw(
-    matrix,
-    target_exploitability: float = 0.01,
-    *,
-    iteration_cap: int = MW_ITERATION_CAP,
-) -> GameSolution:
+def solve_mw(matrix, target_exploitability: float = 0.01) -> GameSolution:
     """Multiplicative-weights solution certified to the target exploitability.
 
     The row player runs exponential weights with learning rate
     sqrt(ln(m)/T) over a planned horizon T; the column player best-responds
     each round.  Averaged strategies are certified periodically and returned
-    as soon as they pass; hitting the iteration cap raises ConvergenceError
+    as soon as they pass; hitting MW_ITERATION_CAP raises ConvergenceError
     carrying the last certified exploitability.
     """
     if target_exploitability <= 0:
         raise ValueError("target exploitability must be positive")
+    iteration_cap = MW_ITERATION_CAP
     m = _as_matrix(matrix)
     rows, cols = m.shape
     mf = m.astype(np.float64)

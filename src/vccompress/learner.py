@@ -12,9 +12,10 @@ certificate).  Either margin survives a later 1/8-sparsification with a
 strict integer majority to spare.  In the consistent-hypothesis case
 (Littlestone & Warmuth 1986) no game is solved: a pruned search for a
 teaching set of the lowest concept c0 consistent with the whole sample runs
-first, in every mode.  When some subset within budget has c0 as its ERM, the
-mixture is a point mass on c0, certified at value exactly 1; the exhaustive
-pool and the double oracle run only when no such subset exists.
+first, at every budget.  When some subset within budget has c0 as its ERM,
+the mixture is a point mass on c0, certified at value exactly 1; the
+exhaustive pool or, past its subset cap, the double oracle runs only when no
+such subset exists.
 If a subset budget is too small for a certificate, the builder doubles it;
 at budget = #distinct points the ERM over the whole sample agrees
 everywhere, so termination never depends on luck.
@@ -33,7 +34,7 @@ import numpy as np
 
 from .approx import ProbabilityVector
 from .concepts import ConceptClass, LabeledSample
-from .errors import BudgetExceededError, UnrealizableError, WeakLearningError
+from .errors import UnrealizableError, WeakLearningError
 from .game import EXACT_ENTRY_CAP, GameSolution, _exact_minimax, solve_mw
 from .seeding import child_seeds, make_rng
 
@@ -43,7 +44,6 @@ __all__ = [
     "LearningMap",
     "HypothesisSet",
     "lowest_consistent_concept",
-    "erm",
     "escalate_budget",
     "build_hypothesis_set",
 ]
@@ -113,18 +113,6 @@ def lowest_consistent_concept(
         if not alive:
             raise UnrealizableError("no concept is consistent with the labeled points")
     return (alive & -alive).bit_length() - 1
-
-
-def erm(learning_map: LearningMap, sample: LabeledSample) -> int:
-    """Budget-gated ERM: the lowest consistent concept, provided the sample
-    touches no more distinct points than the subset budget allows."""
-    distinct = len(sample.distinct_points)
-    if distinct > learning_map.subset_budget:
-        raise BudgetExceededError(
-            f"sample has {distinct} distinct points but the budget is "
-            f"{learning_map.subset_budget}"
-        )
-    return lowest_consistent_concept(learning_map.concept_class, sample.label_items)
 
 
 def escalate_budget(learning_map: LearningMap, distinct_point_count: int) -> LearningMap:
@@ -235,7 +223,6 @@ def build_hypothesis_set(
     learning_map: LearningMap,
     sample: LabeledSample,
     *,
-    mode: str = "auto",
     seed: int = 0,
 ) -> tuple[HypothesisSet, GameSolution]:
     """Hypothesis pool plus a certified weak mixture for a realizable sample.
@@ -246,22 +233,21 @@ def build_hypothesis_set(
     is the certified worst-case agreement mass — at least 2/3 when the exact
     solver ran (exact_value set), at least 2/3 - 1/48 otherwise.
 
-    At every budget, in every mode, a pruned search first looks for the
-    shortest subset (first in combinations order) whose ERM is c0, the
-    lowest concept consistent with the whole sample.  c0 agrees with every
-    label, so a hit gives a one-hypothesis set with that subset as its
-    provenance, and a point-mass solution with exact_value 1, value_estimate
-    1.0, exploitability 0 and a uniform column strategy; no game is solved.
+    At every budget a pruned search first looks for the shortest subset
+    (first in combinations order) whose ERM is c0, the lowest concept
+    consistent with the whole sample.  c0 agrees with every label, so a hit
+    gives a one-hypothesis set with that subset as its provenance, and a
+    point-mass solution with exact_value 1, value_estimate 1.0,
+    exploitability 0 and a uniform column strategy; no game is solved.
 
-    Only when no subset within budget teaches c0 does a game run:
-    mode="exhaustive" pools every subset within budget, "double_oracle"
-    grows the pool against adversarial point distributions, and "auto" picks
-    by subset count.  The subset budget doubles internally whenever the
-    certified game falls short; at budget = #distinct points the full-sample
-    ERM agrees everywhere, so the escalation always terminates.
+    Only when no subset within budget teaches c0 does a game run.  When the
+    subsets within budget number at most _EXHAUSTIVE_SUBSET_CAP, the pool
+    holds the ERM of every one of them; past that cap, a double oracle grows
+    the pool against adversarial point distributions.  The subset budget
+    doubles internally whenever the certified game falls short; at budget =
+    #distinct points the full-sample ERM agrees everywhere, so the
+    escalation always terminates.
     """
-    if mode not in ("auto", "exhaustive", "double_oracle"):
-        raise ValueError(f"unknown mode {mode!r}")
     if sample.is_empty:
         raise ValueError("cannot build hypotheses for an empty sample")
     cls = learning_map.concept_class
@@ -276,9 +262,6 @@ def build_hypothesis_set(
     level = 0
     while True:
         budget = min(current.subset_budget, k)
-        use_exhaustive = mode == "exhaustive" or (
-            mode == "auto" and _exhaustive_subset_count(k, budget) <= _EXHAUSTIVE_SUBSET_CAP
-        )
         pool = _Pool(cls, labels_by_point)
         teaching = _teaching_subset(cls, points, labels_by_point, budget, consistent)
         if teaching is not None:
@@ -286,7 +269,7 @@ def build_hypothesis_set(
                 True, np.ones(1), np.full(k, 1.0 / k), 1.0, Fraction(1), 0.0
             )
             certificate = [consistent], [teaching], point_mass
-        elif use_exhaustive:
+        elif _exhaustive_subset_count(k, budget) <= _EXHAUSTIVE_SUBSET_CAP:
             certificate = _exhaustive(cls, pool, points, labels, budget)
         else:
             certificate = _double_oracle(

@@ -76,7 +76,9 @@ def encode_varint(value: int) -> bytes:
 
 
 def decode_varint(data: bytes, offset: int = 0) -> tuple[int, int]:
-    """Value and the offset just past it; strict about truncation/overlength."""
+    """Value and the offset just past it; strict about truncation/overlength.
+    Only the minimal encoding is accepted: a zero final byte after a
+    continuation byte would give a second spelling of the same value."""
     result = 0
     shift = 0
     pos = offset
@@ -89,6 +91,8 @@ def decode_varint(data: bytes, offset: int = 0) -> tuple[int, int]:
         result |= (byte & 0x7F) << shift
         pos += 1
         if not byte & 0x80:
+            if byte == 0 and pos - offset > 1:
+                raise DecodeError("varint not minimally encoded", offset)
             return result, pos
         shift += 7
 
@@ -368,18 +372,13 @@ def _subset_erms(concept_class: ConceptClass, compressed: CompressedSample) -> l
     return [learned[subset] for subset in compressed.position_subsets]
 
 
-def scheme_size_bound(
-    vc_dim: int,
-    dual_vc_dim: int,
-    subset_budget: int,
-    *,
-    epsilon: float = SPARSIFY_EPSILON,
-    c_apx: float = 16.0,
-) -> int:
+def scheme_size_bound(vc_dim: int, dual_vc_dim: int, subset_budget: int) -> int:
     """Worst-case scheme size (kernel points + encoded side-info bits) as a
     function of the two dimensions and the subset budget alone — notably
-    independent of the sample length."""
-    max_votes = approximation_size_bound(dual_vc_dim, epsilon, c_apx)
+    independent of the sample length.  The vote count is at most the
+    sparsifier's ceiling at SPARSIFY_EPSILON, approximation_size_bound(d*,
+    1/8); each vote's subset has at most subset_budget points."""
+    max_votes = approximation_size_bound(dual_vc_dim, SPARSIFY_EPSILON)
     max_kernel = max_votes * subset_budget
     max_position = max(max_kernel - 1, 0)
     payload_bytes = (

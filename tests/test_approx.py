@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vccompress import ConceptClass, dual_class, vc_dimension
+from vccompress import ConceptClass, approx, dual_class, vc_dimension
 from vccompress.approx import (
     ApproximationCertificate,
     ProbabilityVector,
@@ -115,15 +115,17 @@ def test_determinism():
     assert c2 != a  # overwhelmingly likely for a different seed
 
 
-def test_budget_error_when_unattainable():
+def test_budget_error_when_unattainable(monkeypatch):
     # mass 2/3 on a point can never be matched to within 0.03 by empirical
     # frequencies with denominator 1 or 2 (below the ceiling T = 4), 4 (the
     # ceiling) or 8 (the escape hatch), so every draw fails and the error is
     # deterministic
+    monkeypatch.setattr(approx, "C_APX_DEFAULT", 0.0018)
+    monkeypatch.setattr(approx, "RETRY_DEFAULT", 2)
     c = ConceptClass.from_rows([[0, 1], [1, 0], [1, 1]])
     mu = ProbabilityVector([1 / 3, 2 / 3])
     with pytest.raises(ApproximationBudgetError) as exc:
-        epsilon_approximation(c, mu, 0.03, seed=0, c_apx=0.0018, retries=2)
+        epsilon_approximation(c, mu, 0.03, seed=0)
     assert exc.value.best_deviation is not None
     assert exc.value.best_deviation > 0.03
 

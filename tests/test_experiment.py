@@ -57,9 +57,9 @@ def test_generalization_experiment_is_deterministic():
     assert a == b
 
 
-def test_generalization_experiment_validates_distribution():
+def test_generalization_experiment_validates_counts():
     c = intervals(5)
     with pytest.raises(ValueError):
-        generalization_experiment(c, trials=5, seed=0, distribution=[0.5, 0.5])
-    with pytest.raises(ValueError):
         generalization_experiment(c, trials=0, seed=0)
+    with pytest.raises(ValueError):
+        generalization_experiment(c, trials=5, seed=0, pilot_runs=0)

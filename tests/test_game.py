@@ -19,16 +19,20 @@ from vccompress import (
     ParseError,
     PayoffMatrix,
     ProbabilityVector,
-    best_response,
-    exact_strategies,
     parse_payoff_matrix,
     solve_exact,
     solve_mw,
     sparse_epsilon_nash,
 )
+from vccompress import game
 
 CYCLIC = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
 IDENTITY = [[1, 0], [0, 1]]
+
+
+def exact_strategies(entries):
+    """Exact (value, row strategy, column strategy) as Fractions."""
+    return game._exact_minimax(PayoffMatrix(entries).entries)
 
 
 def assert_exact_optimal(entries, value, p, q):
@@ -179,33 +183,6 @@ def test_exact_solver_refuses_oversized_matrices():
     solve_exact(np.ones((64, 64), dtype=np.uint8))
 
 
-# -- best response --
-
-
-def test_best_response_row_picks_highest_payoff():
-    idx, payoff = best_response(CYCLIC, ProbabilityVector([1.0, 0.0, 0.0]), "row")
-    assert (idx, payoff) == (0, 1.0)
-
-
-def test_best_response_col_picks_lowest_payoff():
-    idx, payoff = best_response(CYCLIC, ProbabilityVector([0.0, 0.0, 1.0]), "col")
-    assert (idx, payoff) == (1, 0.0)
-
-
-def test_best_response_ties_break_to_lowest_index():
-    idx, _ = best_response([[1, 1], [1, 1]], ProbabilityVector([0.5, 0.5]), "row")
-    assert idx == 0
-    idx, _ = best_response([[1, 1], [1, 1]], ProbabilityVector([0.5, 0.5]), "col")
-    assert idx == 0
-
-
-def test_best_response_validates_side_and_shape():
-    with pytest.raises(ValueError):
-        best_response(CYCLIC, ProbabilityVector([0.5, 0.5]), "row")
-    with pytest.raises(ValueError):
-        best_response(CYCLIC, ProbabilityVector([1 / 3] * 3), "diagonal")
-
-
 # -- multiplicative weights --
 
 
@@ -235,9 +212,10 @@ def test_mw_agrees_with_exact_on_random_games():
         assert abs(approx.value_estimate - exact.value_estimate) <= 0.01 + 1e-12
 
 
-def test_mw_raises_when_cap_blocks_certification():
+def test_mw_raises_when_cap_blocks_certification(monkeypatch):
+    monkeypatch.setattr(game, "MW_ITERATION_CAP", 2000)
     with pytest.raises(ConvergenceError) as info:
-        solve_mw(IDENTITY, target_exploitability=1e-9, iteration_cap=2000)
+        solve_mw(IDENTITY, target_exploitability=1e-9)
     assert info.value.last_exploitability > 1e-9
 
 
@@ -294,6 +272,29 @@ def test_sparse_nash_cyclic_keeps_exact_value():
     eq = sparse_epsilon_nash(CYCLIC, epsilon=0.25, seed=7)
     assert eq.value_estimate == pytest.approx(2 / 3)
     assert eq.certified_exploitability <= 0.25
+
+
+def test_sparse_nash_above_the_exact_cap_sparsifies_an_mw_solution(monkeypatch):
+    calls = []
+    original = game.solve_mw
+
+    def counted(*args, **kwargs):
+        calls.append(original(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(game, "solve_mw", counted)
+    rnd = random.Random(3)
+    entries = [[rnd.randrange(2) for _ in range(70)] for _ in range(70)]
+    eq = sparse_epsilon_nash(entries, epsilon=0.25, seed=4)
+    # the deduplicated core stays above EXACT_ENTRY_CAP, so MW solves it and
+    # the sparsifier runs at 0.75 epsilon
+    assert len(calls) == 1 and calls[0].exact_value is None
+    assert eq.certified_exploitability <= 0.25
+    assert all(0 <= i < 70 for i in eq.row_multiset + eq.col_multiset)
+    mf = np.array(entries, dtype=float)
+    worst_row = mf[list(eq.row_multiset), :].mean(axis=0).min()
+    worst_col = mf[:, list(eq.col_multiset)].mean(axis=1).max()
+    assert max(eq.value_estimate - worst_row, worst_col - eq.value_estimate) <= 0.25 + 1e-12
 
 
 def test_sparse_nash_validates_epsilon():

@@ -15,19 +15,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vccompress import (
-    BudgetExceededError,
     ConceptClass,
     HypothesisSet,
     LabeledSample,
     LearningMap,
     UnrealizableError,
     build_hypothesis_set,
-    erm,
+    compress,
+    deserialize_compressed,
     escalate_budget,
     lowest_consistent_concept,
+    reconstruct,
+    serialize_compressed,
 )
-from vccompress import generators, learner
+from vccompress import generators, learner, scheme
 from vccompress.learner import CERTIFICATE_TOLERANCE, WEAK_AGREEMENT, _Pool, _teaching_subset
+from vccompress.seeding import child_seeds
 
 
 def cube(n):
@@ -43,18 +46,38 @@ def intervals_class(n):
 
 
 def recheck_certificate(cls, sample, hs, solution, tolerance):
-    weights = solution.row_strategy.weights
-    assert len(weights) == len(hs.hypotheses)
+    recheck_mixture(
+        cls, sample, hs.hypotheses, hs.provenance, solution.row_strategy.weights, tolerance
+    )
+
+
+def recheck_mixture(cls, sample, hypotheses, provenance, weights, tolerance):
+    assert len(weights) == len(hypotheses)
     for point, label in sample.label_items:
         mass = sum(
             w
-            for w, h in zip(weights, hs.hypotheses)
+            for w, h in zip(weights, hypotheses)
             if cls.value(h, point) == label
         )
         assert mass >= float(WEAK_AGREEMENT) - tolerance - 1e-9
-    for concept, subset in zip(hs.hypotheses, hs.provenance):
+    for concept, subset in zip(hypotheses, provenance):
         pairs = [(x, dict(sample.label_items)[x]) for x in subset]
         assert lowest_consistent_concept(cls, pairs) == concept
+
+
+def oracle(cls, sample, budget, seed):
+    """learner._double_oracle at one budget, seeded as build_hypothesis_set
+    seeds its first budget: (hypotheses, provenance, certificate), or None
+    to request an escalation."""
+    pool = _Pool(cls, dict(sample.label_items))
+    return learner._double_oracle(
+        cls,
+        pool,
+        sample.distinct_points,
+        sample.label_vector(),
+        budget,
+        int(child_seeds(seed, 64)[0]),
+    )
 
 
 # -- ERM --
@@ -77,15 +100,19 @@ def test_lowest_consistent_concept_raises_when_nothing_fits():
 def test_erm_uses_lowest_consistent_index():
     c = ConceptClass.from_rows([[0, 0], [0, 1], [1, 1]])
     sample = LabeledSample.from_pairs([(1, 1)])
-    assert erm(LearningMap(c, 1), sample) == 1
+    assert lowest_consistent_concept(c, sample.label_items) == 1
 
 
 def test_erm_enforces_the_subset_budget():
     c = cube(3)
     sample = LabeledSample.from_pairs([(0, 1), (1, 0), (2, 1)])
-    with pytest.raises(BudgetExceededError):
-        erm(LearningMap(c, 2), sample)
-    assert erm(LearningMap(c, 3), sample) == 5
+    assert lowest_consistent_concept(c, sample.label_items) == 5
+    # the learner runs ERM only on subsets within its budget: two of the
+    # three points already teach concept 5
+    hs, _ = build_hypothesis_set(LearningMap(c, 2), sample, seed=0)
+    assert (hs.hypotheses, hs.provenance, hs.budget) == ((5,), ((0, 2),), 2)
+    hs, _ = build_hypothesis_set(LearningMap(c, 1), sample, seed=0)
+    assert all(len(subset) <= hs.budget for subset in hs.provenance)
 
 
 def test_learning_map_rejects_nonpositive_budget():
@@ -141,27 +168,28 @@ UNTAUGHT_UNIONS = (30, 52)
 def test_double_oracle_reaches_a_certificate():
     c = generators.k_interval_unions(8, 2)
     sample = LabeledSample.from_concept(c, UNTAUGHT_UNIONS[1], range(8))
-    hs, solution = build_hypothesis_set(
-        LearningMap(c, 2), sample, mode="double_oracle", seed=11
-    )
-    assert len(hs) > 1
-    tol = 0.0 if solution.exact_value is not None else float(CERTIFICATE_TOLERANCE)
-    recheck_certificate(c, sample, hs, solution, tolerance=tol)
+    # pairs cannot certify this target, so the oracle asks for a larger budget
+    assert oracle(c, sample, 2, seed=11) is None
+    hypotheses, provenance, cert = oracle(c, sample, 3, seed=11)
+    assert len(hypotheses) > 1
+    assert all(len(subset) <= 3 for subset in provenance)
+    tol = 0.0 if cert.exact_value is not None else float(CERTIFICATE_TOLERANCE)
+    recheck_mixture(c, sample, hypotheses, provenance, cert.weights, tolerance=tol)
 
 
 def test_double_oracle_is_deterministic_per_seed():
     c = generators.k_interval_unions(8, 2)
     sample = LabeledSample.from_concept(c, UNTAUGHT_UNIONS[0], range(8))
-    first = build_hypothesis_set(LearningMap(c, 2), sample, mode="double_oracle", seed=9)
-    second = build_hypothesis_set(LearningMap(c, 2), sample, mode="double_oracle", seed=9)
-    assert first[0] == second[0]
-    assert first[1].value_estimate == second[1].value_estimate
+    first = oracle(c, sample, 3, seed=9)
+    second = oracle(c, sample, 3, seed=9)
+    assert first[:2] == second[:2]
+    assert first[2].certified_agreement == second[2].certified_agreement
 
 
 def test_random_class_certificates_hold():
     rng = np.random.default_rng(17)
     matrix = rng.integers(0, 2, size=(40, 12))
-    c = ConceptClass.from_matrix(matrix, dedupe=True)
+    c = ConceptClass.from_matrix(np.unique(matrix, axis=0))
     target = 7 % len(c.rows)
     sample = LabeledSample.from_concept(c, target, range(12))
     hs, solution = build_hypothesis_set(LearningMap(c, 2), sample, seed=5)
@@ -176,13 +204,10 @@ def test_unrealizable_sample_surfaces_while_escalating():
         build_hypothesis_set(LearningMap(c, 1), sample, seed=0)
 
 
-def test_build_rejects_empty_samples_and_unknown_modes():
+def test_build_rejects_empty_samples():
     c = cube(2)
     with pytest.raises(ValueError):
         build_hypothesis_set(LearningMap(c, 1), LabeledSample.from_pairs([]), seed=0)
-    sample = LabeledSample.from_pairs([(0, 1)])
-    with pytest.raises(ValueError):
-        build_hypothesis_set(LearningMap(c, 1), sample, mode="greedy", seed=0)
 
 
 # a class (n points, concept rows) with a list of sample points
@@ -239,18 +264,16 @@ def test_point_mass_matches_the_full_pool(spec, target, budget):
         for subset in itertools.combinations(distinct, size):
             pool.add_subset(subset)
     concepts, provenance = pool.sorted_items()
-    # every mode, so that a taught sample is seen to skip both branches alike
-    for mode in ("auto", "exhaustive", "double_oracle"):
-        hs, solution = build_hypothesis_set(LearningMap(c, budget), sample, mode=mode, seed=0)
-        if consistent in concepts:
-            assert hs.hypotheses == (consistent,)
-            assert hs.provenance == (provenance[concepts.index(consistent)],)
-            assert hs.budget == min(budget, len(distinct))
-            assert solution.exact_value == Fraction(1)
-            assert solution.value_estimate == 1.0
-            assert solution.exploitability == 0.0
-        tol = 0.0 if solution.exact_value is not None else float(CERTIFICATE_TOLERANCE)
-        recheck_certificate(c, sample, hs, solution, tolerance=tol)
+    hs, solution = build_hypothesis_set(LearningMap(c, budget), sample, seed=0)
+    if consistent in concepts:
+        assert hs.hypotheses == (consistent,)
+        assert hs.provenance == (provenance[concepts.index(consistent)],)
+        assert hs.budget == min(budget, len(distinct))
+        assert solution.exact_value == Fraction(1)
+        assert solution.value_estimate == 1.0
+        assert solution.exploitability == 0.0
+    tol = 0.0 if solution.exact_value is not None else float(CERTIFICATE_TOLERANCE)
+    recheck_certificate(c, sample, hs, solution, tolerance=tol)
 
 
 def _counting(monkeypatch, name):
@@ -271,24 +294,23 @@ def test_taught_samples_solve_no_game(monkeypatch):
         name: _counting(monkeypatch, name)
         for name in ("_exact_minimax", "solve_mw", "_double_oracle")
     }
-    # 60 distinct points at budget 3 are past the exhaustive cap: "auto"
+    # 60 distinct points at budget 3 are past the exhaustive cap, which
     # sends such a sample to the double oracle unless the search teaches it
     c = generators.halfspaces_grid(8, 2)
     sample = LabeledSample.from_concept(c, 7, [(7 * i) % 64 for i in range(60)])
-    for mode in ("auto", "exhaustive", "double_oracle"):
-        hs, solution = build_hypothesis_set(LearningMap(c, 3), sample, mode=mode, seed=0)
-        assert (hs.hypotheses, hs.provenance) == ((7,), ((24,),))
-        assert solution.exact_value == Fraction(1)
+    hs, solution = build_hypothesis_set(LearningMap(c, 3), sample, seed=0)
+    assert (hs.hypotheses, hs.provenance) == ((7,), ((24,),))
+    assert solution.exact_value == Fraction(1)
     assert {name: len(made) for name, made in calls.items()} == {
         "_exact_minimax": 0,
         "solve_mw": 0,
         "_double_oracle": 0,
     }
-    # an untaught sample falls through to the oracle, whose pool and exact
-    # value were recorded before the teaching search existed
+    # on an untaught sample the oracle's pool and exact value are those
+    # recorded before the teaching search existed
     c = generators.k_interval_unions(8, 2)
     sample = LabeledSample.from_concept(c, UNTAUGHT_UNIONS[0], range(8))
-    hs, solution = build_hypothesis_set(LearningMap(c, 3), sample, mode="double_oracle", seed=0)
+    oracle(c, sample, 3, seed=0)
     hypotheses = (0, 3, 4, 7, 9, 12, 13, 16, 19, 20, 21, 22, 25)
     provenance = (
         (), (6, 7), (5,), (5, 6, 7), (4, 7), (4, 5), (4, 5, 7),
@@ -300,8 +322,33 @@ def test_taught_samples_solve_no_game(monkeypatch):
         provenance,
         Fraction(2, 3),
     )
-    assert (hs.hypotheses, hs.provenance, hs.budget) == (hypotheses, provenance, 3)
     assert len(calls["_exact_minimax"]) > 0
+
+
+def test_above_cap_learner_game_is_certified_by_mw(monkeypatch):
+    mw_calls = _counting(monkeypatch, "solve_mw")
+    builds = []
+    original_build = scheme.build_hypothesis_set
+
+    def recorded(*args, **kwargs):
+        builds.append(original_build(*args, **kwargs))
+        return builds[-1]
+
+    monkeypatch.setattr(scheme, "build_hypothesis_set", recorded)
+    # the learner's game here collapses to more than EXACT_ENTRY_CAP entries
+    c = generators.k_interval_unions(12, 2)
+    sample = LabeledSample.from_concept(c, 785, range(12))
+    compressed, report = compress(c, sample, seed=0)
+    assert len(mw_calls) == 1
+    [(hs, solution)] = builds
+    assert solution.exact_value is None
+    floor = float(WEAK_AGREEMENT - CERTIFICATE_TOLERANCE)
+    assert solution.value_estimate >= floor
+    assert report.details["certified_agreement"] >= floor
+    recheck_certificate(c, sample, hs, solution, tolerance=float(CERTIFICATE_TOLERANCE))
+    decoded = reconstruct(c, deserialize_compressed(serialize_compressed(compressed)))
+    assert decoded.tolist() == c.matrix[785].tolist()
+    assert report.details["min_majority_margin"] >= 1
 
 
 def test_hypothesis_set_validates_shape():

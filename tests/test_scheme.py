@@ -75,6 +75,21 @@ def test_varint_rejects_truncation_and_overlength():
         encode_varint(-1)
 
 
+def test_varint_rejects_overlong_encodings():
+    # a zero final byte after a continuation byte spells a value a second way
+    for overlong in (b"\x80\x00", b"\xff\x00", b"\xac\x82\x00", b"\x80\x80\x00"):
+        with pytest.raises(DecodeError):
+            decode_varint(overlong)
+    # so a container cannot alias another through its domain-size varint
+    c = intervals_class(10)
+    compressed, _ = compress(c, LabeledSample.from_concept(c, 3, range(10)), seed=0)
+    data = serialize_compressed(compressed)
+    assert data[len(MAGIC)] == 10
+    aliased = data[: len(MAGIC)] + b"\x8a\x00" + data[len(MAGIC) + 1 :]
+    with pytest.raises(DecodeError):
+        deserialize_compressed(aliased)
+
+
 @given(st.integers(min_value=0, max_value=2**63))
 def test_varint_round_trip(value):
     encoded = encode_varint(value)
@@ -224,7 +239,7 @@ def test_random_classes_round_trip():
     rng = np.random.default_rng(77)
     for trial in range(8):
         matrix = rng.integers(0, 2, size=(30, 9))
-        c = ConceptClass.from_matrix(matrix, dedupe=True)
+        c = ConceptClass.from_matrix(np.unique(matrix, axis=0))
         concept = int(rng.integers(0, len(c.rows)))
         points = rng.integers(0, 9, size=int(rng.integers(1, 15)))
         sample = LabeledSample.from_concept(c, concept, points)
