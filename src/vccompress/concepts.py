@@ -129,8 +129,13 @@ class ConceptClass:
         return tuple(_column_ints(self.matrix))
 
     def value(self, concept: int, point: int) -> int:
+        self._check_concept(concept)
         self._check_point(point)
         return (self.rows[concept] >> (self.domain_size - 1 - point)) & 1
+
+    def _check_concept(self, concept: int) -> None:
+        if not isinstance(concept, (int, np.integer)) or not (0 <= concept < len(self.rows)):
+            raise ValueError(f"concept {concept!r} outside a class of {len(self.rows)} concepts")
 
     def _check_point(self, point: int) -> None:
         if not isinstance(point, (int, np.integer)) or not (0 <= point < self.domain_size):
@@ -178,6 +183,7 @@ class LabeledSample:
     @classmethod
     def from_concept(cls, concept_class: ConceptClass, concept: int, points: Iterable[int]) -> "LabeledSample":
         """Sample labeled by a concept of the class (realizable by construction)."""
+        concept_class._check_concept(concept)
         pts = tuple(int(p) for p in points)
         for p in pts:
             concept_class._check_point(p)

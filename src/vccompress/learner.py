@@ -262,7 +262,6 @@ def build_hypothesis_set(
     level = 0
     while True:
         budget = min(current.subset_budget, k)
-        pool = _Pool(cls, labels_by_point)
         teaching = _teaching_subset(cls, points, labels_by_point, budget, consistent)
         if teaching is not None:
             point_mass = _MixtureCertificate(
@@ -270,8 +269,9 @@ def build_hypothesis_set(
             )
             certificate = [consistent], [teaching], point_mass
         elif _exhaustive_subset_count(k, budget) <= _EXHAUSTIVE_SUBSET_CAP:
-            certificate = _exhaustive(cls, pool, points, labels, budget)
+            certificate = _exhaustive(cls, _Pool(cls, labels_by_point), points, labels, budget)
         else:
+            pool = _Pool(cls, labels_by_point)
             certificate = _double_oracle(
                 cls, pool, points, labels, budget, int(budget_seeds[level % 64])
             )

@@ -22,6 +22,7 @@ detects every single-byte corruption).  Decoders reject trailing garbage.
 
 from __future__ import annotations
 
+import functools
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -204,14 +205,29 @@ class SchemeReport:
     realized ``draw_count``: the sparsifier returns the first certified draw
     of 1, 2, 4, ... votes below T, else of T or 2T.  A point-mass mixture is
     not sparsified: its draw_count is 0 and its sparsification_deviation
-    0.0, since its one vote equals it exactly."""
+    0.0, since its one vote equals it exactly.
+
+    Only a mixture's draw needs the dual VC dimension d*, so ``compress``
+    leaves ``dual_vc_dimension`` (and, for a point mass, ``draw_ceiling``)
+    out of ``known_details``.  ``details`` fills them in on first read, from
+    the class kept in ``concept_class``, and returns a plain dict."""
 
     kernel_size: int
     info_bits: int
     subset_count: int
     subset_budget: int
     scheme_size: int
-    details: dict = field(default_factory=dict)
+    known_details: dict
+    concept_class: ConceptClass = field(repr=False)
+
+    @functools.cached_property
+    def details(self) -> dict:
+        known = self.known_details
+        dual_dimension = vc_dimension(dual_class(self.concept_class))
+        details = {"vc_dimension": known["vc_dimension"], "dual_vc_dimension": dual_dimension, **known}
+        if "draw_count" in details and "draw_ceiling" not in details:
+            details["draw_ceiling"] = approximation_size_bound(dual_dimension, SPARSIFY_EPSILON)
+        return details
 
 
 @dataclass(frozen=True)
@@ -252,14 +268,17 @@ def compress(
     A certified mixture with a single hypothesis in its support is not
     sparsified: its one vote equals the mixture exactly, so the report's
     ``draw_count`` is 0 and its ``sparsification_deviation`` 0.0.
+
+    The dual VC dimension d* is computed only for a mixture, whose draw
+    needs it as its vote ceiling; the report's ``draw_ceiling`` is then the
+    ceiling that draw used.  For a point mass or an empty sample, the report
+    computes d* when its ``details`` are first read.
     """
     if not consistent_concepts(concept_class, sample):
         raise UnrealizableError("sample is not realizable by the concept class")
     dimension = vc_dimension(concept_class)
-    dual_dimension = vc_dimension(dual_class(concept_class))
     base_details = {
         "vc_dimension": dimension,
-        "dual_vc_dimension": dual_dimension,
         "epsilon": SPARSIFY_EPSILON,
         "seed": seed,
     }
@@ -271,7 +290,8 @@ def compress(
             subset_count=1,
             subset_budget=max(1, dimension),
             scheme_size=len(compressed.side_info) * 8,
-            details={**base_details, "vote_concepts": ((0, 1),), "min_majority_margin": 1},
+            known_details={**base_details, "vote_concepts": ((0, 1),), "min_majority_margin": 1},
+            concept_class=concept_class,
         )
         return compressed, report
 
@@ -283,7 +303,7 @@ def compress(
     if support.size == 1:
         # draws from a point mass are constant and would reduce to this vote
         votes = ((hypothesis_set.hypotheses[int(support[0])], 1),)
-        draw_count, deviation = 0, 0.0
+        draw_details = {"sparsification_deviation": 0.0, "draw_count": 0}
     else:
         full_weights = np.zeros(len(concept_class.rows))
         full_weights[list(hypothesis_set.hypotheses)] = solution.row_strategy.weights
@@ -291,7 +311,11 @@ def compress(
             concept_class, ProbabilityVector(full_weights), SPARSIFY_EPSILON, sparsify_seed
         )
         votes = _reduced_vote_multiset(multiset)
-        draw_count, deviation = len(multiset), certificate.max_deviation
+        draw_details = {
+            "sparsification_deviation": certificate.max_deviation,
+            "draw_count": len(multiset),
+            "draw_ceiling": certificate.size_bound,
+        }
 
     concepts, mults = np.array(votes, dtype=np.int64).T
     total_votes = int(mults.sum())
@@ -330,15 +354,14 @@ def compress(
         subset_count=total_votes,
         subset_budget=hypothesis_set.budget,
         scheme_size=len(kernel_points) + info_bits,
-        details={
+        known_details={
             **base_details,
             "vote_concepts": votes,
             "min_majority_margin": margin,
             "certified_agreement": solution.value_estimate,
-            "sparsification_deviation": deviation,
-            "draw_count": draw_count,
-            "draw_ceiling": approximation_size_bound(dual_dimension, SPARSIFY_EPSILON),
+            **draw_details,
         },
+        concept_class=concept_class,
     )
     return compressed, report
 

@@ -176,7 +176,11 @@ def test_compress_report_file(capsys, class_file, sample_file, tmp_path):
     )
     assert code == 0
     assert out == ""
-    assert json.loads(report.read_text())["subset_count"] >= 1
+    payload = json.loads(report.read_text())
+    assert payload["subset_count"] >= 1
+    # the report fills these in lazily; they must still reach the file
+    assert payload["details"]["dual_vc_dimension"] == 2
+    assert payload["details"]["draw_ceiling"] == 3072
 
 
 def test_reconstruct_rejects_corrupt_blob(capsys, class_file, sample_file, tmp_path):

@@ -147,6 +147,19 @@ def test_sample_from_concept_is_realizable():
     assert 5 in consistent_concepts(c, s)
 
 
+def test_sample_from_negative_concept_is_rejected():
+    # a negative index used to label the sample by the last concept
+    with pytest.raises(ValueError, match="concept -1"):
+        LabeledSample.from_concept(intervals(4), -1, range(4))
+
+
+def test_sample_from_concept_past_the_class_is_a_value_error():
+    # an index one past the class used to escape as a raw IndexError
+    c = intervals(4)
+    with pytest.raises(ValueError, match=f"concept {len(c)}"):
+        LabeledSample.from_concept(c, len(c), range(4))
+
+
 # --- shattering ---------------------------------------------------------------
 
 
@@ -190,6 +203,12 @@ def test_shatters_rejects_bad_points():
 def test_witness_shape_validated():
     with pytest.raises(ValueError):
         ShatterWitness((0, 1), (0,))
+
+
+def test_witness_with_negative_concept_is_rejected():
+    # concept -1 of full_cube(1) is its last row, which used to pass as a witness
+    with pytest.raises(ValueError, match="concept -1"):
+        ShatterWitness((0,), (0, -1)).verify(full_cube(1))
 
 
 # --- VC dimension ---------------------------------------------------------------

@@ -27,7 +27,8 @@ from vccompress import (
     serialize_compressed,
     verify_round_trip,
 )
-from vccompress import generators, learner, scheme
+from vccompress import dual_class, generators, learner, scheme, vc_dimension
+from vccompress.approx import approximation_size_bound
 from vccompress.scheme import (
     MAGIC,
     CompressedSample,
@@ -512,24 +513,52 @@ def test_point_mass_skips_the_game_and_the_sparsifier(monkeypatch):
             (learner, "_exact_minimax"),
             (learner, "solve_mw"),
             (scheme, "sparsify_mixture"),
+            (scheme, "dual_class"),
         )
     }
+    certificates = []
+    sparsify = scheme.sparsify_mixture
+
+    def keep_certificate(*args):
+        multiset, certificate = sparsify(*args)
+        certificates.append(certificate)
+        return multiset, certificate
+
+    monkeypatch.setattr(scheme, "sparsify_mixture", keep_certificate)
     c = generators.intervals(30)
     _, report = compress(c, LabeledSample.from_concept(c, 400, range(30)), seed=1)
+    assert {name: len(made) for name, made in calls.items()} == {
+        "_exact_minimax": 0,
+        "solve_mw": 0,
+        "sparsify_mixture": 0,
+        "dual_class": 0,
+    }
+    # the report computes d* and the vote ceiling on first read
+    d_star = vc_dimension(dual_class(c))
+    assert report.details["dual_vc_dimension"] == d_star
+    assert report.details["draw_ceiling"] == approximation_size_bound(d_star, 1 / 8)
     assert report.details["vote_concepts"] == ((400, 1),)
     assert report.details["draw_count"] == 0
     assert report.details["draw_ceiling"] == 1024 * (report.details["dual_vc_dimension"] + 1)
     assert report.details["sparsification_deviation"] == 0.0
     assert report.details["certified_agreement"] == 1.0
-    assert {name: len(made) for name, made in calls.items()} == {
-        "_exact_minimax": 0,
-        "solve_mw": 0,
-        "sparsify_mixture": 0,
-    }
-    # the counters see a mixture's game and sparsifier
+    # nor does the empty sample, which has no vote ceiling
+    del calls["dual_class"][:]
+    c = generators.intervals(7)
+    _, report = compress(c, LabeledSample.from_pairs([]), seed=0)
+    assert calls["dual_class"] == []
+    assert report.details["dual_vc_dimension"] == vc_dimension(dual_class(c))
+    assert "draw_ceiling" not in report.details
+    # the counters see a mixture's game and sparsifier, and its ceiling is
+    # the one the draw used
     c = generators.random_vc_capped(12, 3, 60)
     _, report = compress(c, LabeledSample.from_concept(c, 30, [9, 3, 8, 2, 4, 2]), seed=1)
     assert len(report.details["vote_concepts"]) == 4
     assert report.details["draw_count"] > 0
     assert len(calls["_exact_minimax"]) > 0
-    assert len(calls["sparsify_mixture"]) == 1
+    assert len(calls["sparsify_mixture"]) == len(certificates) == 1
+    assert report.details["draw_ceiling"] == certificates[0].size_bound
+    c = generators.k_interval_unions(8, 2)
+    _, report = compress(c, LabeledSample.from_concept(c, 158, [0, 3, 4, 1, 4, 2, 6, 7]), seed=102)
+    assert len(certificates) == 2
+    assert report.details["draw_ceiling"] == certificates[1].size_bound == 4096
