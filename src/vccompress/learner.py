@@ -271,9 +271,9 @@ def build_hypothesis_set(
         elif _exhaustive_subset_count(k, budget) <= _EXHAUSTIVE_SUBSET_CAP:
             certificate = _exhaustive(cls, _Pool(cls, labels_by_point), points, labels, budget)
         else:
-            pool = _Pool(cls, labels_by_point)
             certificate = _double_oracle(
-                cls, pool, points, labels, budget, int(budget_seeds[level % 64])
+                cls, _Pool(cls, labels_by_point), points, labels, budget,
+                int(budget_seeds[level % 64]),
             )
         if certificate is not None:
             hypotheses, provenance, cert = certificate

@@ -210,7 +210,10 @@ class SchemeReport:
     Only a mixture's draw needs the dual VC dimension d*, so ``compress``
     leaves ``dual_vc_dimension`` (and, for a point mass, ``draw_ceiling``)
     out of ``known_details``.  ``details`` fills them in on first read, from
-    the class kept in ``concept_class``, and returns a plain dict."""
+    the class kept in ``concept_class``, and returns a plain dict.  Being a
+    property, ``details`` is not a dataclass field: ``dataclasses.asdict``
+    shows ``known_details`` instead, and ``==`` compares report contents,
+    not the class."""
 
     kernel_size: int
     info_bits: int
@@ -218,13 +221,14 @@ class SchemeReport:
     subset_budget: int
     scheme_size: int
     known_details: dict
-    concept_class: ConceptClass = field(repr=False)
+    concept_class: ConceptClass = field(repr=False, compare=False)
 
     @functools.cached_property
     def details(self) -> dict:
         known = self.known_details
         dual_dimension = vc_dimension(dual_class(self.concept_class))
         details = {"vc_dimension": known["vc_dimension"], "dual_vc_dimension": dual_dimension, **known}
+        # a mixture's ceiling is the T its draw used; a point mass drew nothing
         if "draw_count" in details and "draw_ceiling" not in details:
             details["draw_ceiling"] = approximation_size_bound(dual_dimension, SPARSIFY_EPSILON)
         return details

@@ -5,6 +5,7 @@ the scheme tests lean on exact reconstruction (a strict equality, not a
 tolerance) plus the documented size bound.
 """
 
+import dataclasses
 import hashlib
 import math
 import subprocess
@@ -562,3 +563,17 @@ def test_point_mass_skips_the_game_and_the_sparsifier(monkeypatch):
     _, report = compress(c, LabeledSample.from_concept(c, 158, [0, 3, 4, 1, 4, 2, 6, 7]), seed=102)
     assert len(certificates) == 2
     assert report.details["draw_ceiling"] == certificates[1].size_bound == 4096
+
+
+def test_report_shape_leaves_the_class_out():
+    # details is a property: asdict shows known_details, and the class the
+    # report keeps for it stays out of repr and equality
+    c = generators.intervals(6)
+    _, report = compress(c, LabeledSample.from_concept(c, 3, range(6)), seed=0)
+    assert "concept_class" not in repr(report)
+    assert dataclasses.replace(report, concept_class=generators.intervals(7)) == report
+    fields = dataclasses.asdict(report)
+    assert "details" not in fields
+    assert fields["known_details"] == report.known_details
+    assert "dual_vc_dimension" not in report.known_details
+    assert report.details["dual_vc_dimension"] == 2
