@@ -15,7 +15,9 @@ Classes come from a text file (--class-file) or an inline generator spec
 (--class-spec '{"kind": "intervals", "n": 10}').  Samples are text files of
 "point label" lines.  Results are JSON on stdout; exact rationals are printed
 as fraction strings.  Exit codes: 0 success, 1 a verification or suite run
-failed, 2 bad input or configuration, or memory ran out.
+failed or a solver ran out of budget (ApproximationBudgetError,
+ConvergenceError, WeakLearningError), 2 bad input or configuration, or
+memory ran out.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from .errors import (
     ApproximationBudgetError,
     ConfigError,
     ConvergenceError,
-    ExactSolverCapError,
     ParseError,
     WeakLearningError,
 )
@@ -380,7 +381,7 @@ def main(argv=None) -> int:
     except (ApproximationBudgetError, ConvergenceError, WeakLearningError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ConfigError, ParseError, ExactSolverCapError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

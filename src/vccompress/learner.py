@@ -9,23 +9,26 @@ index wins), which makes hypotheses exactly reproducible from their subsets.
 a mixture that agrees with the sample's labels on every point with certified
 mass at least 2/3 (exact arithmetic) or 2/3 - 1/48 (multiplicative-weights
 certificate).  Either margin survives a later 1/8-sparsification with a
-strict integer majority to spare.  In the consistent-hypothesis case
-(Littlestone & Warmuth 1986) no game is solved: a pruned search for a
-teaching set of the lowest concept c0 consistent with the whole sample runs
-first, at every budget.  When some subset within budget has c0 as its ERM,
-the mixture is a point mass on c0, certified at value exactly 1; the
-exhaustive pool or, past its subset cap, the double oracle runs only when no
-such subset exists.
+strict integer majority to spare.
+
+One search builds every pool.  Concept c is the ERM of a labeled subset
+exactly when c labels the subset correctly and the subset kills every
+concept below c, so finding c's shortest such subset is a teaching-set
+search (Goldman & Kearns 1995) over the points c labels correctly.  In the
+consistent-hypothesis case (Littlestone & Warmuth 1986) no game is solved:
+the search for c0, the lowest concept consistent with the whole sample,
+runs first at every budget, and a hit makes the mixture a point mass on c0,
+certified at value exactly 1.  Otherwise the pool is the ERM image of all
+subsets within budget, one search per concept, and its agreement game is
+solved.  No step draws random numbers.
 If a subset budget is too small for a certificate, the builder doubles it;
-at budget = #distinct points the ERM over the whole sample agrees
-everywhere, so termination never depends on luck.
+at budget = #distinct points the whole sample teaches c0, so termination
+never depends on luck.
 """
 
 from __future__ import annotations
 
-import itertools
 import logging
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -36,7 +39,6 @@ from .approx import ProbabilityVector
 from .concepts import ConceptClass, LabeledSample
 from .errors import UnrealizableError, WeakLearningError
 from .game import EXACT_ENTRY_CAP, GameSolution, _exact_minimax, solve_mw
-from .seeding import child_seeds, make_rng
 
 __all__ = [
     "WEAK_AGREEMENT",
@@ -56,10 +58,9 @@ WEAK_AGREEMENT = Fraction(2, 3)
 # integer majorities stay strict after sparsifying at 1/8.
 CERTIFICATE_TOLERANCE = Fraction(1, 48)
 
-_EXHAUSTIVE_SUBSET_CAP = 20_000
-_ORACLE_ROUND_CAP = 200
-_ORACLE_BATCH = 16
-_ORACLE_STALL_LIMIT = 16
+# Prefixes one size of a teaching-set search may visit before it settles
+# for all of its points (or gives up when they exceed the budget).
+_PREFIX_CAP = 20_000
 
 
 @dataclass(frozen=True)
@@ -186,44 +187,9 @@ def _agreement_matrix(
     return (block == labels).astype(np.uint8)
 
 
-class _Pool:
-    """Hypotheses keyed by concept index; each keeps its shortest known
-    provenance (ties go to the first discovery, which is deterministic)."""
-
-    def __init__(self, concept_class: ConceptClass, labels_by_point: dict[int, int]):
-        self._cls = concept_class
-        self._labels = labels_by_point
-        self._provenance: dict[int, tuple[int, ...]] = {}
-
-    def add_subset(self, subset: tuple[int, ...]) -> bool:
-        """ERM the subset into the pool; True when a new concept appeared."""
-        pairs = [(x, self._labels[x]) for x in subset]
-        concept = lowest_consistent_concept(self._cls, pairs)
-        known = self._provenance.get(concept)
-        if known is None:
-            self._provenance[concept] = subset
-            return True
-        if len(subset) < len(known):
-            self._provenance[concept] = subset
-        return False
-
-    def sorted_items(self) -> tuple[list[int], list[tuple[int, ...]]]:
-        concepts = sorted(self._provenance)
-        return concepts, [self._provenance[c] for c in concepts]
-
-    def __len__(self):
-        return len(self._provenance)
-
-
-def _exhaustive_subset_count(k: int, budget: int) -> int:
-    return sum(math.comb(k, j) for j in range(min(budget, k) + 1))
-
-
 def build_hypothesis_set(
     learning_map: LearningMap,
     sample: LabeledSample,
-    *,
-    seed: int = 0,
 ) -> tuple[HypothesisSet, GameSolution]:
     """Hypothesis pool plus a certified weak mixture for a realizable sample.
 
@@ -240,13 +206,12 @@ def build_hypothesis_set(
     point-mass solution with exact_value 1, value_estimate 1.0,
     exploitability 0 and a uniform column strategy; no game is solved.
 
-    Only when no subset within budget teaches c0 does a game run.  When the
-    subsets within budget number at most _EXHAUSTIVE_SUBSET_CAP, the pool
-    holds the ERM of every one of them; past that cap, a double oracle grows
-    the pool against adversarial point distributions.  The subset budget
+    Only when no subset within budget teaches c0 does a game run, over the
+    ERM image: every concept that is the ERM of some subset within budget,
+    each with its shortest such subset (``_erm_image``).  The pool and its
+    certificate are deterministic; no seed enters.  The subset budget
     doubles internally whenever the certified game falls short; at budget =
-    #distinct points the full-sample ERM agrees everywhere, so the
-    escalation always terminates.
+    #distinct points c0 teaches itself, so the escalation always terminates.
     """
     if sample.is_empty:
         raise ValueError("cannot build hypotheses for an empty sample")
@@ -258,25 +223,16 @@ def build_hypothesis_set(
     consistent = lowest_consistent_concept(cls, sample.label_items)
 
     current = learning_map
-    budget_seeds = child_seeds(seed, 64)
-    level = 0
     while True:
         budget = min(current.subset_budget, k)
         teaching = _teaching_subset(cls, points, labels_by_point, budget, consistent)
         if teaching is not None:
-            point_mass = _MixtureCertificate(
-                True, np.ones(1), np.full(k, 1.0 / k), 1.0, Fraction(1), 0.0
-            )
-            certificate = [consistent], [teaching], point_mass
-        elif _exhaustive_subset_count(k, budget) <= _EXHAUSTIVE_SUBSET_CAP:
-            certificate = _exhaustive(cls, _Pool(cls, labels_by_point), points, labels, budget)
+            hypotheses, provenance = [consistent], [teaching]
+            cert = _MixtureCertificate(True, np.ones(1), np.full(k, 1.0 / k), 1.0, Fraction(1), 0.0)
         else:
-            certificate = _double_oracle(
-                cls, _Pool(cls, labels_by_point), points, labels, budget,
-                int(budget_seeds[level % 64]),
-            )
-        if certificate is not None:
-            hypotheses, provenance, cert = certificate
+            hypotheses, provenance = _erm_image(cls, points, labels_by_point, budget)
+            cert = _certify_mixture(_agreement_matrix(cls, hypotheses, points, labels))
+        if cert.accepted:
             solution = GameSolution(
                 row_strategy=ProbabilityVector(cert.weights),
                 col_strategy=ProbabilityVector(cert.point_pressure),
@@ -295,29 +251,54 @@ def build_hypothesis_set(
                 solution,
             )
         if budget >= k:
-            # ERM over all distinct points agrees with every label, so a
-            # certified mixture provably exists at this budget; reaching
-            # this line means the solver itself is broken
+            # all k points teach c0, so the search above cannot miss at this
+            # budget; reaching this line means the search itself is broken
             raise WeakLearningError(
                 f"no certified mixture at the full budget {budget} for {k} points"
             )
         current = escalate_budget(current, k)
-        level += 1
+
+
+def _erm_image(cls, points, labels_by_point, budget):
+    """Every concept that is the ERM of some subset of at most `budget` of
+    `points`, ascending, with the shortest such subset of each (first in
+    combinations order).
+
+    A subset's ERM is c exactly when c labels all of it correctly and it
+    kills every concept below c, so each concept's entry is a teaching-set
+    search over the points c labels correctly.  Restricting the points keeps
+    their combinations order, so the subset found is the first shortest one
+    over all of `points`.  Concept 0, the ERM of the empty subset, is always
+    in the image.
+    """
+    labels = np.array([labels_by_point[x] for x in points], dtype=np.uint8)
+    agrees = cls.matrix[:, np.asarray(points, dtype=np.intp)] == labels
+    hypotheses, provenance = [], []
+    for c, row in enumerate(agrees):
+        kept = [x for x, agree in zip(points, row) if agree]
+        subset = _teaching_subset(cls, kept, labels_by_point, budget, c)
+        if subset is not None:
+            hypotheses.append(c)
+            provenance.append(subset)
+    return hypotheses, provenance
 
 
 def _teaching_subset(cls, points, labels_by_point, budget, c0):
     """The shortest subset of `points` (first in combinations order) whose
     ERM is c0, or None when no subset of at most `budget` points has it.
 
-    c0 is consistent with every label, so a subset's ERM is c0 exactly when
-    the subset kills every concept below c0: a hitting set over the
-    point_masks bitsets (a teaching set, Goldman & Kearns 1995).  Each size
-    is a depth-first search in combinations order; a branch is pruned when
-    some live concept survives every point still available to it.  A size
-    that visits more than _EXHAUSTIVE_SUBSET_CAP prefixes gives up, which
-    never happens on a sample the exhaustive walk would take: that walk
-    enumerates every prefix the search could visit.  The search keeps an
-    explicit stack, so its depth is not bounded by the recursion limit.
+    c0 must label every point of `points` correctly.  A subset's ERM is then
+    c0 exactly when the subset kills every concept below c0: a hitting set
+    over the point_masks bitsets (a teaching set, Goldman & Kearns 1995).
+    When some concept below c0 survives all of `points`, no subset teaches
+    c0 and the search returns None at once.  Otherwise each size is a
+    depth-first search in combinations order; a branch is pruned when some
+    live concept survives every point still available to it.  A size that
+    visits more than _PREFIX_CAP prefixes stops the search and returns all
+    of `points` when they fit the budget (they teach c0), None otherwise.
+    So when c0 is the lowest concept consistent with all of `points`, a
+    search at budget >= len(points) never returns None.  The search keeps
+    an explicit stack, so its depth is not bounded by the recursion limit.
     """
     below = (1 << c0) - 1
     if not below:
@@ -328,6 +309,8 @@ def _teaching_subset(cls, points, labels_by_point, budget, c0):
     suffix_and = [below] * (k + 1)  # concepts below c0 that points[j:] all keep
     for j in range(k - 1, -1, -1):
         suffix_and[j] = suffix_and[j + 1] & cons[j]
+    if suffix_and[0]:
+        return None
     for size in range(1, min(budget, k) + 1):
         nodes = 0
         chosen: list[int] = []
@@ -337,8 +320,8 @@ def _teaching_subset(cls, points, labels_by_point, budget, c0):
             remaining = size - len(chosen)
             if j <= k - remaining and not alive[-1] & suffix_and[j]:
                 nodes += 1
-                if nodes > _EXHAUSTIVE_SUBSET_CAP:
-                    return None
+                if nodes > _PREFIX_CAP:
+                    return tuple(points) if k <= budget else None
                 left = alive[-1] & cons[j]
                 if remaining > 1:
                     chosen.append(j)
@@ -351,53 +334,4 @@ def _teaching_subset(cls, points, labels_by_point, budget, c0):
                 alive.pop()
             else:
                 break
-    return None
-
-
-def _exhaustive(cls, pool, points, labels, budget):
-    """Pool every subset within budget, smallest first, and certify it."""
-    for size in range(budget + 1):
-        for subset in itertools.combinations(points, size):
-            pool.add_subset(subset)
-    return _certify_pool(cls, pool, points, labels)
-
-
-def _certify_pool(cls, pool, points, labels):
-    hypotheses, provenance = pool.sorted_items()
-    agreement = _agreement_matrix(cls, hypotheses, points, labels)
-    cert = _certify_mixture(agreement)
-    if cert.accepted:
-        return hypotheses, provenance, cert
-    return None
-
-
-def _double_oracle(cls, pool, points, labels, budget, seed):
-    """Grow the pool against adversarial point distributions until the
-    mixture certifies (returns None to request a budget escalation)."""
-    k = len(points)
-    pool.add_subset(())
-    pool.add_subset(tuple(points[: min(budget, k)]))
-    rng = make_rng(seed)
-    stall = 0
-    best_certified = -1.0
-    for _ in range(_ORACLE_ROUND_CAP):
-        hypotheses, provenance = pool.sorted_items()
-        agreement = _agreement_matrix(cls, hypotheses, points, labels)
-        cert = _certify_mixture(agreement)
-        if cert.accepted:
-            return hypotheses, provenance, cert
-        pressure = cert.point_pressure.clip(min=0.0)
-        total = pressure.sum()
-        pressure = np.full(k, 1.0 / k) if total <= 0 else pressure / total
-        grew = False
-        for _ in range(_ORACLE_BATCH):
-            draw = rng.choice(k, size=min(budget, k), replace=True, p=pressure)
-            subset = tuple(sorted({points[i] for i in draw}))
-            if pool.add_subset(subset):
-                grew = True
-        improved = cert.certified_agreement > best_certified + 1e-12
-        best_certified = max(best_certified, cert.certified_agreement)
-        stall = 0 if (grew or improved) else stall + 1
-        if stall >= _ORACLE_STALL_LIMIT:
-            break
     return None

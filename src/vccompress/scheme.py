@@ -273,6 +273,9 @@ def compress(
     sparsified: its one vote equals the mixture exactly, so the report's
     ``draw_count`` is 0 and its ``sparsification_deviation`` 0.0.
 
+    The seed drives only a mixture's draw: the hypothesis pool and its
+    certificate are deterministic, and a point mass draws nothing.
+
     The dual VC dimension d* is computed only for a mixture, whose draw
     needs it as its vote ceiling; the report's ``draw_ceiling`` is then the
     ceiling that draw used.  For a point mass or an empty sample, the report
@@ -299,9 +302,9 @@ def compress(
         )
         return compressed, report
 
-    sparsify_seed, learner_seed = (int(s) for s in child_seeds(seed, 2))
+    [sparsify_seed] = child_seeds(seed, 1)
     learning_map = LearningMap(concept_class, max(1, dimension))
-    hypothesis_set, solution = build_hypothesis_set(learning_map, sample, seed=learner_seed)
+    hypothesis_set, solution = build_hypothesis_set(learning_map, sample)
 
     support = solution.row_strategy.support
     if support.size == 1:

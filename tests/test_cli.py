@@ -9,6 +9,7 @@ import pytest
 from vccompress import cli
 from vccompress.cli import main
 from vccompress.concepts import parse_concept_class, serialize_concept_class
+from vccompress.errors import ConvergenceError
 from vccompress.generators import intervals
 
 
@@ -217,6 +218,17 @@ def test_memory_error_exits_two(capsys, monkeypatch, class_file):
     code, _, err = run_cli(capsys, "vc", "--class-file", class_file)
     assert code == 2
     assert err.strip() == "error: out of memory: dual class too large"
+    assert "Traceback" not in err
+
+
+def test_solver_budget_error_exits_one(capsys, monkeypatch, matrix_file):
+    def stalled(args):
+        raise ConvergenceError("iteration cap reached")
+
+    monkeypatch.setattr(cli, "_cmd_game", stalled)
+    code, _, err = run_cli(capsys, "game", "--matrix-file", matrix_file)
+    assert code == 1
+    assert err.strip() == "error: iteration cap reached"
     assert "Traceback" not in err
 
 

@@ -29,8 +29,12 @@ from vccompress import (
     serialize_compressed,
 )
 from vccompress import generators, learner, scheme
-from vccompress.learner import CERTIFICATE_TOLERANCE, WEAK_AGREEMENT, _Pool, _teaching_subset
-from vccompress.seeding import child_seeds
+from vccompress.learner import (
+    CERTIFICATE_TOLERANCE,
+    WEAK_AGREEMENT,
+    _erm_image,
+    _teaching_subset,
+)
 
 
 def cube(n):
@@ -65,21 +69,6 @@ def recheck_mixture(cls, sample, hypotheses, provenance, weights, tolerance):
         assert lowest_consistent_concept(cls, pairs) == concept
 
 
-def oracle(cls, sample, budget, seed):
-    """learner._double_oracle at one budget, seeded as build_hypothesis_set
-    seeds its first budget: (hypotheses, provenance, certificate), or None
-    to request an escalation."""
-    pool = _Pool(cls, dict(sample.label_items))
-    return learner._double_oracle(
-        cls,
-        pool,
-        sample.distinct_points,
-        sample.label_vector(),
-        budget,
-        int(child_seeds(seed, 64)[0]),
-    )
-
-
 # -- ERM --
 
 
@@ -109,9 +98,9 @@ def test_erm_enforces_the_subset_budget():
     assert lowest_consistent_concept(c, sample.label_items) == 5
     # the learner runs ERM only on subsets within its budget: two of the
     # three points already teach concept 5
-    hs, _ = build_hypothesis_set(LearningMap(c, 2), sample, seed=0)
+    hs, _ = build_hypothesis_set(LearningMap(c, 2), sample)
     assert (hs.hypotheses, hs.provenance, hs.budget) == ((5,), ((0, 2),), 2)
-    hs, _ = build_hypothesis_set(LearningMap(c, 1), sample, seed=0)
+    hs, _ = build_hypothesis_set(LearningMap(c, 1), sample)
     assert all(len(subset) <= hs.budget for subset in hs.provenance)
 
 
@@ -138,7 +127,7 @@ def test_escalate_budget_doubles_and_caps():
 def test_full_cube_needs_pairs_for_a_weak_majority():
     c = cube(3)
     sample = LabeledSample.from_pairs([(0, 1), (1, 1), (2, 1)])
-    hs, solution = build_hypothesis_set(LearningMap(c, 1), sample, seed=0)
+    hs, solution = build_hypothesis_set(LearningMap(c, 1), sample)
     # singleton budgets top out at 1/3 agreement here, so the builder must
     # have escalated once, landing exactly on the 2/3 game value
     assert hs.budget == 2
@@ -151,39 +140,12 @@ def test_intervals_mixture_is_certified_per_point():
     c = intervals_class(10)
     target = c.rows.index(0b0011110000)
     sample = LabeledSample.from_concept(c, target, range(10))
-    hs, solution = build_hypothesis_set(LearningMap(c, 2), sample, seed=3)
+    hs, solution = build_hypothesis_set(LearningMap(c, 2), sample)
     assert solution.value_estimate >= float(WEAK_AGREEMENT - CERTIFICATE_TOLERANCE) - 1e-12
     tol = 0.0 if solution.exact_value is not None else float(CERTIFICATE_TOLERANCE)
     recheck_certificate(c, sample, hs, solution, tolerance=tol)
     assert list(hs.hypotheses) == sorted(set(hs.hypotheses))
     assert all(len(subset) <= hs.budget for subset in hs.provenance)
-
-
-# Targets of k_interval_unions(8, 2) that no subset of at most 4 of the 8
-# points teaches (their shortest teaching sets have 5 points), so the double
-# oracle, not the teaching search, certifies them below the full budget.
-UNTAUGHT_UNIONS = (30, 52)
-
-
-def test_double_oracle_reaches_a_certificate():
-    c = generators.k_interval_unions(8, 2)
-    sample = LabeledSample.from_concept(c, UNTAUGHT_UNIONS[1], range(8))
-    # pairs cannot certify this target, so the oracle asks for a larger budget
-    assert oracle(c, sample, 2, seed=11) is None
-    hypotheses, provenance, cert = oracle(c, sample, 3, seed=11)
-    assert len(hypotheses) > 1
-    assert all(len(subset) <= 3 for subset in provenance)
-    tol = 0.0 if cert.exact_value is not None else float(CERTIFICATE_TOLERANCE)
-    recheck_mixture(c, sample, hypotheses, provenance, cert.weights, tolerance=tol)
-
-
-def test_double_oracle_is_deterministic_per_seed():
-    c = generators.k_interval_unions(8, 2)
-    sample = LabeledSample.from_concept(c, UNTAUGHT_UNIONS[0], range(8))
-    first = oracle(c, sample, 3, seed=9)
-    second = oracle(c, sample, 3, seed=9)
-    assert first[:2] == second[:2]
-    assert first[2].certified_agreement == second[2].certified_agreement
 
 
 def test_random_class_certificates_hold():
@@ -192,7 +154,7 @@ def test_random_class_certificates_hold():
     c = ConceptClass.from_matrix(np.unique(matrix, axis=0))
     target = 7 % len(c.rows)
     sample = LabeledSample.from_concept(c, target, range(12))
-    hs, solution = build_hypothesis_set(LearningMap(c, 2), sample, seed=5)
+    hs, solution = build_hypothesis_set(LearningMap(c, 2), sample)
     tol = 0.0 if solution.exact_value is not None else float(CERTIFICATE_TOLERANCE)
     recheck_certificate(c, sample, hs, solution, tolerance=tol)
 
@@ -201,13 +163,13 @@ def test_unrealizable_sample_surfaces_while_escalating():
     c = ConceptClass.from_rows([[0, 1], [1, 0]])
     sample = LabeledSample.from_pairs([(0, 1), (1, 1)])
     with pytest.raises(UnrealizableError):
-        build_hypothesis_set(LearningMap(c, 1), sample, seed=0)
+        build_hypothesis_set(LearningMap(c, 1), sample)
 
 
 def test_build_rejects_empty_samples():
     c = cube(2)
     with pytest.raises(ValueError):
-        build_hypothesis_set(LearningMap(c, 1), LabeledSample.from_pairs([]), seed=0)
+        build_hypothesis_set(LearningMap(c, 1), LabeledSample.from_pairs([]))
 
 
 # a class (n points, concept rows) with a list of sample points
@@ -257,17 +219,22 @@ def test_point_mass_matches_the_full_pool(spec, target, budget):
     n, rows, points = spec
     c = ConceptClass.from_row_ints(n, sorted(rows))
     sample = LabeledSample.from_concept(c, target % len(c.rows), points)
+    labels = dict(sample.label_items)
     consistent = lowest_consistent_concept(c, sample.label_items)
-    pool = _Pool(c, dict(sample.label_items))
     distinct = sample.distinct_points
+    # the first ERM of every subset within budget, smallest subsets first
+    first_subset = {}
     for size in range(min(budget, len(distinct)) + 1):
         for subset in itertools.combinations(distinct, size):
-            pool.add_subset(subset)
-    concepts, provenance = pool.sorted_items()
-    hs, solution = build_hypothesis_set(LearningMap(c, budget), sample, seed=0)
+            concept = lowest_consistent_concept(c, [(x, labels[x]) for x in subset])
+            first_subset.setdefault(concept, subset)
+    concepts = sorted(first_subset)
+    provenance = [first_subset[concept] for concept in concepts]
+    assert _erm_image(c, distinct, labels, min(budget, len(distinct))) == (concepts, provenance)
+    hs, solution = build_hypothesis_set(LearningMap(c, budget), sample)
     if consistent in concepts:
         assert hs.hypotheses == (consistent,)
-        assert hs.provenance == (provenance[concepts.index(consistent)],)
+        assert hs.provenance == (first_subset[consistent],)
         assert hs.budget == min(budget, len(distinct))
         assert solution.exact_value == Fraction(1)
         assert solution.value_estimate == 1.0
@@ -290,39 +257,40 @@ def _counting(monkeypatch, name):
 
 
 def test_taught_samples_solve_no_game(monkeypatch):
-    calls = {
-        name: _counting(monkeypatch, name)
-        for name in ("_exact_minimax", "solve_mw", "_double_oracle")
-    }
-    # 60 distinct points at budget 3 are past the exhaustive cap, which
-    # sends such a sample to the double oracle unless the search teaches it
+    calls = {name: _counting(monkeypatch, name) for name in ("_exact_minimax", "solve_mw")}
+    # 60 distinct points at budget 3 make 36,051 subsets, but the search
+    # teaches c0 without walking them
     c = generators.halfspaces_grid(8, 2)
     sample = LabeledSample.from_concept(c, 7, [(7 * i) % 64 for i in range(60)])
-    hs, solution = build_hypothesis_set(LearningMap(c, 3), sample, seed=0)
+    hs, solution = build_hypothesis_set(LearningMap(c, 3), sample)
     assert (hs.hypotheses, hs.provenance) == ((7,), ((24,),))
     assert solution.exact_value == Fraction(1)
     assert {name: len(made) for name, made in calls.items()} == {
         "_exact_minimax": 0,
         "solve_mw": 0,
-        "_double_oracle": 0,
     }
-    # on an untaught sample the oracle's pool and exact value are those
-    # recorded before the teaching search existed
+    # target 30 of k_interval_unions(8, 2) has no teaching set of fewer than
+    # 5 of the 8 points; its pool and exact value at budget 3 are those the
+    # walk over all 93 subsets gave before the ERM-image search existed
     c = generators.k_interval_unions(8, 2)
-    sample = LabeledSample.from_concept(c, UNTAUGHT_UNIONS[0], range(8))
-    oracle(c, sample, 3, seed=0)
-    hypotheses = (0, 3, 4, 7, 9, 12, 13, 16, 19, 20, 21, 22, 25)
-    provenance = (
-        (), (6, 7), (5,), (5, 6, 7), (4, 7), (4, 5), (4, 5, 7),
-        (3,), (3, 6, 7), (3, 5), (3, 5, 6), (3, 5, 7), (3, 4, 6),
-    )
-    [(pool, subsets, cert)] = calls["_double_oracle"]
-    assert (tuple(pool), tuple(subsets), cert.exact_value) == (
-        hypotheses,
-        provenance,
-        Fraction(2, 3),
-    )
+    sample = LabeledSample.from_concept(c, 30, range(8))
+    hs, solution = build_hypothesis_set(LearningMap(c, 3), sample)
+    assert hs.hypotheses == tuple(range(15)) + tuple(range(16, 26)) + (27,)
+    assert hs.budget == 3
+    assert solution.exact_value == Fraction(2, 3)
     assert len(calls["_exact_minimax"]) > 0
+
+
+def test_prefix_cap_still_ends_the_escalation(monkeypatch):
+    # with every size's search cut after one prefix, no subset of fewer than
+    # all 8 points certifies target 52, which teaches itself at budget 8
+    monkeypatch.setattr(learner, "_PREFIX_CAP", 1)
+    c = generators.k_interval_unions(8, 2)
+    sample = LabeledSample.from_concept(c, 52, range(8))
+    hs, solution = build_hypothesis_set(LearningMap(c, 1), sample)
+    assert (hs.hypotheses, hs.provenance) == ((52,), ((0, 1, 2, 3, 4, 5, 6, 7),))
+    assert hs.budget == 8
+    assert solution.exact_value == Fraction(1)
 
 
 def test_above_cap_learner_game_is_certified_by_mw(monkeypatch):
@@ -338,7 +306,7 @@ def test_above_cap_learner_game_is_certified_by_mw(monkeypatch):
     # the learner's game here collapses to more than EXACT_ENTRY_CAP entries
     c = generators.k_interval_unions(12, 2)
     sample = LabeledSample.from_concept(c, 785, range(12))
-    compressed, report = compress(c, sample, seed=0)
+    compressed, report = compress(c, sample)
     assert len(mw_calls) == 1
     [(hs, solution)] = builds
     assert solution.exact_value is None
