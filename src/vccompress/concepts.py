@@ -102,7 +102,9 @@ class ConceptClass:
         arr = np.asarray(matrix)
         if arr.ndim != 2:
             raise ValueError("matrix must be 2-dimensional")
-        return cls.from_rows(arr.astype(int).tolist())
+        # no cast to int here: it would truncate 0.7 to 0 before `row_to_int`
+        # could reject it
+        return cls.from_rows(arr.tolist())
 
     # -- views -------------------------------------------------------------
 

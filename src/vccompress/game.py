@@ -7,7 +7,11 @@ The row player maximizes, the column player minimizes.  Three solvers:
   pivot.  The game is turned into the standard LP pair via a +1 payoff shift
   (making the value positive); Bland's rule guarantees termination, and both
   players' optimal strategies come out of one tableau as exact rationals.
-  Optimality is certified exactly on those rationals.
+  Basic slacks stay implicit (a slack column is stored only once that slack
+  leaves the basis), and the tableau is an int64 array, guarded before each
+  pivot against overflow, that turns into Python ints when the guard trips.
+  Optimality is certified exactly, in integers, before the rationals are
+  built.
 * ``solve_mw`` — multiplicative weights for the row player against exact
   column best responses, with a post-hoc exploitability certificate.
 * ``sparse_epsilon_nash`` — small multisets of pure strategies whose uniform
@@ -57,11 +61,13 @@ class PayoffMatrix:
     __slots__ = ("_entries",)
 
     def __init__(self, entries):
-        arr = np.array(entries, dtype=np.uint8)
+        arr = np.array(entries)
         if arr.ndim != 2 or arr.size == 0:
             raise ValueError("payoff matrix must be a nonempty 2-d array")
+        # validate before the cast, which would truncate 0.5 or wrap 256
         if not np.isin(arr, (0, 1)).all():
             raise ValueError("payoff entries must be 0 or 1")
+        arr = arr.astype(np.uint8, copy=False)
         arr.flags.writeable = False
         self._entries = arr
 
@@ -138,6 +144,34 @@ def _as_matrix(matrix) -> np.ndarray:
 # -- exact simplex -----------------------------------------------------------
 
 
+# While the tableau is int64, no entry exceeds this in magnitude, so the
+# largest intermediate, a pivot's pivot*a - f*b or the ratio test's cross
+# products, is at most 2*max|entry|**2 < 2**62; past it the tableau holds
+# Python ints.
+_INT64_SAFE_ENTRY = math.isqrt(2**61)
+
+
+def _leaving_row(column: np.ndarray, rhs: np.ndarray, basis: np.ndarray) -> int:
+    """Ratio test: the row minimizing rhs_i/a_i over a_i > 0, ties to the
+    lowest basic variable.  Comparisons are exact cross-multiplications; the
+    float ratios only pick where to start, and they are monotone in the exact
+    ones (int64 entries convert exactly, Python ints divide correctly
+    rounded), so the loop below almost always runs once."""
+    rows = np.flatnonzero(column > 0)
+    if rows.size == 0:
+        raise ArithmeticError("LP unbounded; impossible for shifted payoffs")
+    a, b = column[rows], rhs[rows]
+    k = int(np.argmin(b / a))
+    while True:
+        cross = b * a[k] - b[k] * a  # sign of b_i/a_i - b_k/a_k
+        better = np.flatnonzero(cross < 0)
+        if better.size == 0:
+            break
+        k = int(better[0])
+    tied = rows[cross == 0]
+    return int(tied[np.argmin(basis[tied])])
+
+
 def _exact_minimax(entries: np.ndarray) -> tuple[Fraction, list[Fraction], list[Fraction]]:
     """Exact game value and optimal strategies via one simplex run.
 
@@ -149,63 +183,77 @@ def _exact_minimax(entries: np.ndarray) -> tuple[Fraction, list[Fraction], list[
     integers over one common denominator, the previous pivot, and each pivot
     divides exactly by it.  Signs and ratio comparisons are those of the
     rational tableau, so the pivot sequence is the same and the results are
-    exact rationals.  Optimality is certified on the returned Fractions.
+    exact rationals.
+
+    A basic slack's column is denom times a unit vector and its reduced cost
+    is 0, so slack columns are implicit: one is stored, as denom at its row,
+    only when that slack first leaves the basis.  Bland's rule takes the
+    lowest variable index among the stored columns with positive reduced
+    cost.  The tableau is an int64 array while every entry stays below
+    _INT64_SAFE_ENTRY, checked before each pivot; from the first pivot that
+    could overflow it holds Python ints, so the arithmetic stays exact up to
+    EXACT_ENTRY_CAP.  Optimality is certified in integers on the duals and
+    the primal before the Fractions are built.
     """
     m, n = entries.shape
-    shifted = (entries.astype(np.int64) + 1).tolist()
-    # tableau rows: [A | I | rhs] and reduced costs cbar, all divided by denom
-    tableau = [shifted[i] + [1 if k == i else 0 for k in range(m)] + [1] for i in range(m)]
-    cbar = [1] * n + [0] * m
-    basis = list(range(n, n + m))
+    shifted = entries.astype(np.int64) + 1
+    # rows: constraints then reduced costs; columns: rhs, structurals, then
+    # each stored slack; all entries are over the common denominator denom
+    tableau = np.ones((m + 1, n + 1), dtype=np.int64)
+    tableau[:m, 1:] = shifted
+    tableau[m, 0] = 0
+    variables = np.arange(-1, n)  # variable of each column; -1 marks the rhs
+    slack_column = np.zeros(m, dtype=np.intp)  # 0 while slack n+i is implicit
+    basis = np.arange(n, n + m)
     denom = 1
+    pivots = 0
     while True:
-        enter = next((j for j, c in enumerate(cbar) if c > 0), None)  # Bland: lowest index
-        if enter is None:
+        if tableau.dtype != object and max(int(np.abs(tableau).max()), denom) > _INT64_SAFE_ENTRY:
+            tableau = tableau.astype(object)
+        positive = np.flatnonzero(tableau[m, 1:] > 0)
+        if positive.size == 0:
             break
-        leave = None
-        for i in range(m):
-            a = tableau[i][enter]
-            if a > 0:
-                if leave is None:
-                    leave = i
-                    continue
-                # ratio rhs_i/a_i against the best so far, cross-multiplied
-                lhs = tableau[i][-1] * tableau[leave][enter]
-                rhs = tableau[leave][-1] * a
-                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
-                    leave = i
-        if leave is None:
-            raise ArithmeticError("LP unbounded; impossible for shifted payoffs")
-        pivot_row = tableau[leave]
+        enter = 1 + int(positive[np.argmin(variables[1 + positive])])  # Bland
+        leave = _leaving_row(tableau[:m, enter], tableau[:m, 0], basis)
+        if basis[leave] >= n and not slack_column[leave]:
+            # the slack of row `leave` has been basic there since the start
+            slack = np.zeros((m + 1, 1), dtype=tableau.dtype)
+            slack[leave] = denom
+            slack_column[leave] = tableau.shape[1]
+            tableau = np.hstack((tableau, slack))
+            variables = np.append(variables, basis[leave])
+        pivot_row = tableau[leave].copy()
         pivot = pivot_row[enter]
-        for i in range(m):
-            if i != leave:
-                f = tableau[i][enter]
-                tableau[i] = [(pivot * a - f * b) // denom for a, b in zip(tableau[i], pivot_row)]
-        f = cbar[enter]
-        cbar = [(pivot * c - f * b) // denom for c, b in zip(cbar, pivot_row)]
-        basis[leave] = enter
-        denom = pivot
+        factors = tableau[:, enter, None].copy()
+        tableau *= pivot
+        tableau -= factors * pivot_row
+        tableau //= denom
+        tableau[leave] = pivot_row
+        basis[leave] = variables[enter]
+        denom = int(pivot)
+        pivots += 1
 
     # w and the duals share the denominator denom, which cancels below
-    w = [0] * n
-    for i, b in enumerate(basis):
-        if b < n:
-            w[b] = tableau[i][-1]
-    total = sum(w)
-    duals = [-cbar[n + i] for i in range(m)]
-    if total <= 0 or sum(duals) != total:
+    w = np.zeros(n, dtype=tableau.dtype)
+    structural = basis < n
+    w[basis[structural]] = tableau[:m, 0][structural]
+    stored = np.flatnonzero(slack_column)
+    duals = np.zeros(m, dtype=tableau.dtype)
+    duals[stored] = -tableau[m, slack_column[stored]]
+    total = int(w.sum())
+    logger.debug(
+        "exact simplex %dx%d: %d pivots, %d stored slack columns, %s tableau",
+        m, n, pivots, stored.size, "python-int" if tableau.dtype == object else "int64",
+    )
+    if total <= 0 or int(duals.sum()) != total:
         raise ArithmeticError("simplex did not reach a primal/dual optimal pair")
-    shifted_value = Fraction(denom, total)
-    q = [Fraction(wi, total) for wi in w]
-    p = [Fraction(yi, total) for yi in duals]
-
-    # exact optimality certificates on the shifted matrix
-    guarantees = [sum(p[i] * shifted[i][j] for i in range(m)) for j in range(n)]
-    caps = [sum(shifted[i][j] * q[j] for j in range(n)) for i in range(m)]
-    if min(guarantees) != shifted_value or max(caps) != shifted_value:
+    # exact optimality certificate on the shifted matrix: the duals secure
+    # denom/total against every column and w caps every row at it
+    if (duals @ shifted).min() != denom or (shifted @ w).max() != denom:
         raise ArithmeticError("simplex optimum failed its exact certificate")
-    return shifted_value - 1, p, q
+    q = [Fraction(wi, total) for wi in w.tolist()]
+    p = [Fraction(yi, total) for yi in duals.tolist()]
+    return Fraction(denom, total) - 1, p, q
 
 
 def solve_exact(matrix) -> GameSolution:

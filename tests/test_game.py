@@ -6,6 +6,7 @@ the game value and both strategies are optimal.  The checker below recomputes
 that sandwich with Fractions, independently of the solver's internals.
 """
 
+import logging
 import random
 from fractions import Fraction
 
@@ -84,10 +85,17 @@ def test_small_game_values(entries, expected):
 
 def test_random_games_pass_exact_duality_certificate():
     rng = np.random.default_rng(42)
+    games = []
     for _ in range(20):
         r = int(rng.integers(1, 9))
         c = int(rng.integers(1, 9))
-        entries = rng.integers(0, 2, size=(r, c))
+        games.append(rng.integers(0, 2, size=(r, c)))
+    # tall and wide games, where many slacks leave the basis and some re-enter
+    for _ in range(10):
+        long_side, short_side = int(rng.integers(20, 121)), int(rng.integers(2, 9))
+        games.append(rng.integers(0, 2, size=(long_side, short_side)))
+        games.append(rng.integers(0, 2, size=(short_side, long_side)))
+    for entries in games:
         value, p, q = exact_strategies(entries)
         assert_exact_optimal(entries.tolist(), value, p, q)
         assert 0 <= value <= 1
@@ -157,14 +165,130 @@ def _expand(weights, size):
     return [Fraction(weights.get(i, 0)) for i in range(size)]
 
 
-@pytest.mark.parametrize("seed,rows,cols,value,p_pinned,q_pinned", GUARD_GAMES)
-def test_exact_solutions_pinned_on_suite_sized_games(seed, rows, cols, value, p_pinned, q_pinned):
+def assert_pinned(seed, rows, cols, value, p_pinned, q_pinned):
     entries = _guard_matrix(seed, rows, cols)
     got_value, p, q = exact_strategies(entries)
     assert got_value == Fraction(value)
     assert p == _expand(p_pinned, rows)
     assert q == _expand(q_pinned, cols)
     assert_exact_optimal(entries, got_value, p, q)
+
+
+@pytest.mark.parametrize("seed,rows,cols,value,p_pinned,q_pinned", GUARD_GAMES)
+def test_exact_solutions_pinned_on_suite_sized_games(seed, rows, cols, value, p_pinned, q_pinned):
+    assert_pinned(seed, rows, cols, value, p_pinned, q_pinned)
+
+
+# Exact solutions on shapes the games above miss, pinned the same way: tall
+# learner-shaped games (hypotheses by sample points), a 64x64 game whose
+# tableau outgrows int64 and finishes in Python ints, and both one-line
+# shapes at EXACT_ENTRY_CAP, where all but one or two slacks stay implicit.
+SHAPE_GAMES = [
+    (
+        2, 81, 8, "4/5",
+        {
+            21: "1/5", 22: "1/5", 50: "1/5", 59: "1/5", 65: "1/5",
+        },
+        {
+            0: "1/5", 1: "1/10", 2: "1/5", 4: "1/10", 5: "1/5", 6: "1/10", 7: "1/10",
+        },
+    ),
+    (
+        1, 300, 13, "23/30",
+        {
+            2: "1/10", 10: "1/6", 52: "3/20", 105: "1/30", 119: "1/15", 130: "1/12", 156: "1/60",
+            164: "1/10", 243: "2/15", 258: "1/60", 268: "1/15", 271: "1/15",
+        },
+        {
+            0: "1/30", 1: "1/10", 3: "1/10", 4: "1/15", 5: "1/10", 6: "2/15", 7: "1/15",
+            8: "1/15", 9: "1/10", 10: "1/15", 11: "1/10", 12: "1/15",
+        },
+    ),
+    (
+        4, 64, 64, "106549360791/202986959104",
+        {
+            1: "17291927587/202986959104", 2: "2753881209/202986959104",
+            7: "1331762317/101493479552", 9: "12125081757/202986959104",
+            12: "198390885/50746739776", 15: "2992598751/202986959104",
+            16: "202001125/25373369888", 17: "3313753441/202986959104",
+            19: "4027834399/202986959104", 20: "217433405/25373369888",
+            26: "4514865889/202986959104", 27: "1840612795/25373369888",
+            28: "9885325841/202986959104", 29: "317336595/202986959104",
+            30: "741351507/101493479552", 32: "6757228881/202986959104",
+            34: "2028116247/50746739776", 35: "590317551/50746739776",
+            38: "3122804723/101493479552", 40: "1735294969/202986959104",
+            43: "6512879393/202986959104", 44: "656073585/202986959104",
+            46: "21152268409/202986959104", 48: "1966059571/101493479552",
+            51: "9868550257/202986959104", 52: "717712339/25373369888",
+            53: "2536847667/202986959104", 54: "973411797/101493479552",
+            55: "6320282419/202986959104", 56: "23599953/25373369888",
+            57: "5411381269/101493479552", 60: "4380067773/101493479552",
+            61: "6854448697/202986959104", 62: "764914111/12686684944",
+        },
+        {
+            0: "4439530335/202986959104", 1: "919806937/25373369888", 2: "524205251/25373369888",
+            4: "776020551/101493479552", 7: "11238043085/202986959104",
+            8: "1314948341/25373369888", 9: "6643604739/202986959104",
+            11: "2424696277/101493479552", 12: "3453366543/101493479552",
+            13: "4729353565/202986959104", 16: "1370561931/101493479552",
+            18: "4861829775/101493479552", 21: "6593295493/202986959104",
+            22: "16079542861/202986959104", 23: "2340828483/202986959104",
+            25: "7538949709/202986959104", 30: "10380644381/202986959104",
+            32: "5540844373/202986959104", 33: "2672296397/50746739776",
+            34: "3463071585/101493479552", 35: "173971903/202986959104",
+            36: "3364189043/202986959104", 44: "386391813/202986959104",
+            46: "5722032639/202986959104", 49: "8188775921/202986959104",
+            50: "5113463501/202986959104", 51: "8706599487/202986959104",
+            52: "8807516899/202986959104", 53: "1248009747/101493479552",
+            54: "245195557/202986959104", 57: "2306835225/50746739776",
+            58: "1804131671/101493479552", 61: "3912705067/202986959104",
+            62: "1024946685/101493479552",
+        },
+    ),
+    (
+        1, 4096, 1, "1",
+        {0: "1"},
+        {0: "1"},
+    ),
+    (
+        1, 1, 4096, "0",
+        {0: "1"},
+        {1: "1"},
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "seed,rows,cols,value,p_pinned,q_pinned",
+    SHAPE_GAMES,
+    ids=[f"{rows}x{cols}" for _, rows, cols, *_ in SHAPE_GAMES],
+)
+def test_exact_solutions_pinned_on_learner_and_cap_shapes(
+    seed, rows, cols, value, p_pinned, q_pinned
+):
+    assert_pinned(seed, rows, cols, value, p_pinned, q_pinned)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_ratio_test_is_exact_where_float_ratios_tie(dtype):
+    # (2**30-1)/2**30 and (2**30-2)/(2**30-1) differ by about 2**-60, below
+    # double precision near 1: equal as floats, but the second is smaller
+    column = np.array([2**30, 2**30 - 1, 5], dtype=dtype)
+    rhs = np.array([2**30 - 1, 2**30 - 2, 10], dtype=dtype)
+    assert rhs[0] / column[0] == rhs[1] / column[1]
+    assert game._leaving_row(column, rhs, np.array([0, 1, 2])) == 1
+    # exact ties go to the lowest basic variable, not the lowest row
+    tied = np.array([2, 1, 4], dtype=dtype)
+    assert game._leaving_row(tied, tied, np.array([7, 5, 6])) == 1
+
+
+def test_exact_solver_logs_when_the_tableau_leaves_int64(caplog):
+    caplog.set_level(logging.DEBUG, logger="vccompress.game")
+    exact_strategies(_guard_matrix(4, 64, 64))
+    exact_strategies(_guard_matrix(2, 81, 8))
+    big, tall = [r.getMessage() for r in caplog.records if r.name == "vccompress.game"]
+    assert big.startswith("exact simplex 64x64: ") and big.endswith(", python-int tableau")
+    assert tall.startswith("exact simplex 81x8: ") and tall.endswith(", int64 tableau")
 
 
 def test_solve_exact_reports_float_views():
@@ -310,6 +434,10 @@ def test_sparse_nash_validates_epsilon():
 def test_payoff_matrix_rejects_bad_entries():
     with pytest.raises(ValueError):
         PayoffMatrix([[0, 2], [1, 0]])
+    # each of these would pass if the entries were cast to uint8 first
+    for entries in ([[0.5, 1]], [[-1, 1]], [[256, 0]]):
+        with pytest.raises(ValueError, match="0 or 1"):
+            PayoffMatrix(entries)
     with pytest.raises(ValueError):
         PayoffMatrix(np.zeros((0, 3), dtype=np.uint8))
 
