@@ -48,7 +48,6 @@ from .scheme import (
     verify_round_trip,
 )
 from .learner import (
-    CERTIFICATE_TOLERANCE,
     WEAK_AGREEMENT,
     HypothesisSet,
     LearningMap,

@@ -11,9 +11,12 @@ The row player maximizes, the column player minimizes.  Three solvers:
   leaves the basis), and the tableau is an int64 array, guarded before each
   pivot against overflow, that turns into Python ints when the guard trips.
   Optimality is certified exactly, in integers, before the rationals are
-  built.
+  built.  The simplex itself is exact at any size, and the weak learner
+  runs it uncapped; refusing games above EXACT_ENTRY_CAP entries is only
+  the policy of ``solve_exact`` and ``sparse_epsilon_nash``.
 * ``solve_mw`` — multiplicative weights for the row player against exact
-  column best responses, with a post-hoc exploitability certificate.
+  column best responses, with a post-hoc exploitability certificate; the
+  weak learner never uses it.
 * ``sparse_epsilon_nash`` — small multisets of pure strategies whose uniform
   play is an epsilon-equilibrium, obtained by sparsifying exact or
   near-optimal mixed strategies; the support-size ceilings depend only on
@@ -191,9 +194,10 @@ def _exact_minimax(entries: np.ndarray) -> tuple[Fraction, list[Fraction], list[
     lowest variable index among the stored columns with positive reduced
     cost.  The tableau is an int64 array while every entry stays below
     _INT64_SAFE_ENTRY, checked before each pivot; from the first pivot that
-    could overflow it holds Python ints, so the arithmetic stays exact up to
-    EXACT_ENTRY_CAP.  Optimality is certified in integers on the duals and
-    the primal before the Fractions are built.
+    could overflow it holds Python ints, so the arithmetic is exact at any
+    size (EXACT_ENTRY_CAP is a policy of solve_exact and sparse_epsilon_nash,
+    not a limit of this solver).  Optimality is certified in integers on the
+    duals and the primal before the Fractions are built.
     """
     m, n = entries.shape
     shifted = entries.astype(np.int64) + 1
@@ -376,11 +380,9 @@ def sparse_epsilon_nash(matrix, epsilon: float, seed: int) -> SparseEquilibrium:
     m = _as_matrix(matrix)
     seeds = child_seeds(seed, 2)
 
-    urows, row_rep = np.unique(m, axis=0, return_index=True)
-    ucols_t, col_rep = np.unique(m.T, axis=0, return_index=True)
-    core = m[np.ix_(np.sort(row_rep), np.sort(col_rep))]
-    row_rep_sorted = np.sort(row_rep)
-    col_rep_sorted = np.sort(col_rep)
+    row_rep = np.sort(np.unique(m, axis=0, return_index=True)[1])
+    col_rep = np.sort(np.unique(m.T, axis=0, return_index=True)[1])
+    core = m[np.ix_(row_rep, col_rep)]
 
     if core.size <= EXACT_ENTRY_CAP:
         value, p_exact, q_exact = _exact_minimax(core)
@@ -391,26 +393,20 @@ def sparse_epsilon_nash(matrix, epsilon: float, seed: int) -> SparseEquilibrium:
     else:
         solution = solve_mw(core, target_exploitability=epsilon / 8)
         value_f = solution.value_estimate
-        p = solution.row_strategy.weights.copy()
-        q = solution.col_strategy.weights.copy()
+        p = solution.row_strategy.weights
+        q = solution.col_strategy.weights
         eps_sparsify = 0.75 * epsilon
 
     # rows as concepts over columns; the sparsifier's size bound is the VC
     # dimension of the dual (= the column set), as required
     row_cls, row_map = _strategy_class_and_map(core)
-    p_by_concept = np.zeros(len(row_cls))
-    for concept_idx, core_row in enumerate(row_map):
-        p_by_concept[concept_idx] = p[core_row]
-    row_ms, _ = sparsify_mixture(row_cls, ProbabilityVector(p_by_concept), eps_sparsify, seeds[0])
-    row_multiset = tuple(int(row_rep_sorted[row_map[c]]) for c in row_ms)
+    row_ms, _ = sparsify_mixture(row_cls, ProbabilityVector(p[row_map]), eps_sparsify, seeds[0])
+    row_multiset = tuple(int(row_rep[row_map[c]]) for c in row_ms)
 
     # columns as concepts over rows, symmetrically
     col_cls, col_map = _strategy_class_and_map(core.T)
-    q_by_concept = np.zeros(len(col_cls))
-    for concept_idx, core_col in enumerate(col_map):
-        q_by_concept[concept_idx] = q[core_col]
-    col_ms, _ = sparsify_mixture(col_cls, ProbabilityVector(q_by_concept), eps_sparsify, seeds[1])
-    col_multiset = tuple(int(col_rep_sorted[col_map[c]]) for c in col_ms)
+    col_ms, _ = sparsify_mixture(col_cls, ProbabilityVector(q[col_map]), eps_sparsify, seeds[1])
+    col_multiset = tuple(int(col_rep[col_map[c]]) for c in col_ms)
 
     # exhaustive verification on the ORIGINAL matrix
     mf = m.astype(np.float64)

@@ -6,10 +6,9 @@ labeled subset whose ERM produced it.  ERM is deterministic (lowest concept
 index wins), which makes hypotheses exactly reproducible from their subsets.
 
 ``build_hypothesis_set`` finds a small pool of such hypotheses together with
-a mixture that agrees with the sample's labels on every point with certified
-mass at least 2/3 (exact arithmetic) or 2/3 - 1/48 (multiplicative-weights
-certificate).  Either margin survives a later 1/8-sparsification with a
-strict integer majority to spare.
+a mixture that agrees with the sample's labels on every point with mass at
+least 2/3, certified in exact arithmetic.  That margin survives a later
+1/8-sparsification with a strict integer majority to spare.
 
 One search builds every pool.  Concept c is the ERM of a labeled subset
 exactly when c labels the subset correctly and the subset kills every
@@ -20,7 +19,9 @@ the search for c0, the lowest concept consistent with the whole sample,
 runs first at every budget, and a hit makes the mixture a point mass on c0,
 certified at value exactly 1.  Otherwise the pool is the ERM image of all
 subsets within budget, one search per concept, and its agreement game is
-solved.  No step draws random numbers.
+solved exactly at any size: it has one row per hypothesis and at most one
+column per distinct point, and tall games are cheap for the exact simplex.
+No step draws random numbers.
 If a subset budget is too small for a certificate, the builder doubles it;
 at budget = #distinct points the whole sample teaches c0, so termination
 never depends on luck.
@@ -38,11 +39,10 @@ import numpy as np
 from .approx import ProbabilityVector
 from .concepts import ConceptClass, LabeledSample
 from .errors import UnrealizableError, WeakLearningError
-from .game import EXACT_ENTRY_CAP, GameSolution, _exact_minimax, solve_mw
+from .game import GameSolution, _exact_minimax
 
 __all__ = [
     "WEAK_AGREEMENT",
-    "CERTIFICATE_TOLERANCE",
     "LearningMap",
     "HypothesisSet",
     "lowest_consistent_concept",
@@ -53,10 +53,6 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 WEAK_AGREEMENT = Fraction(2, 3)
-# A multiplicative-weights certificate may undershoot the exact game value;
-# 1/48 of slack keeps 2/3 - 1/48 - 1/8 = 25/48 strictly above one half, so
-# integer majorities stay strict after sparsifying at 1/8.
-CERTIFICATE_TOLERANCE = Fraction(1, 48)
 
 # Prefixes one size of a teaching-set search may visit before it settles
 # for all of its points (or gives up when they exceed the budget).
@@ -130,49 +126,31 @@ def escalate_budget(learning_map: LearningMap, distinct_point_count: int) -> Lea
 # -- certified mixtures --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _MixtureCertificate:
-    accepted: bool
-    weights: np.ndarray  # over pool rows
-    point_pressure: np.ndarray  # adversarial distribution over distinct points
-    certified_agreement: float  # exact min over points of the mixture's mass
-    exact_value: Fraction | None
-    gap: float
-
-
-def _certify_mixture(agreement: np.ndarray) -> _MixtureCertificate:
-    """Solve the hypotheses-vs-points agreement game and check whether the
-    optimal mixture clears the weak-agreement threshold.
+def _certify_mixture(agreement: np.ndarray) -> GameSolution | None:
+    """Solve the hypotheses-vs-points agreement game exactly; None when its
+    value falls short of WEAK_AGREEMENT.
 
     Duplicate point columns are collapsed before solving (they cannot change
-    the game), which usually keeps the matrix inside the exact solver's cap.
-    The certified agreement is always recomputed as an exhaustive minimum
-    over the original columns.
+    the game).  For an accepted game the float views are taken, and the
+    certified agreement and exploitability are rechecked as exhaustive
+    extremes over the original columns.
     """
     patterns, inverse, counts = np.unique(
         agreement, axis=1, return_inverse=True, return_counts=True
     )
-    af = agreement.astype(np.float64)
-    if patterns.size <= EXACT_ENTRY_CAP:
-        value, p_exact, q_exact = _exact_minimax(patterns)
-        p = np.array([float(x) for x in p_exact])
-        q_patterns = np.array([float(x) for x in q_exact])
-        accepted = value >= WEAK_AGREEMENT
-        exact_value = value
-    else:
-        solution = solve_mw(patterns, target_exploitability=float(CERTIFICATE_TOLERANCE) / 2)
-        p = solution.row_strategy.weights
-        q_patterns = solution.col_strategy.weights
-        exact_value = None
+    value, p_exact, q_exact = _exact_minimax(patterns)
+    if value < WEAK_AGREEMENT:
+        return None
+    p = np.array([float(x) for x in p_exact])
+    q_patterns = np.array([float(x) for x in q_exact])
     # spread each pattern's weight evenly over the duplicate columns it covers
     q_points = q_patterns[inverse] / counts[inverse]
-    secured = p @ af
-    capped = af @ q_points
-    certified = float(secured.min())
-    gap = max(float(capped.max()) - certified, 0.0)
-    if exact_value is None:
-        accepted = certified >= float(WEAK_AGREEMENT - CERTIFICATE_TOLERANCE)
-    return _MixtureCertificate(accepted, p, q_points, certified, exact_value, gap)
+    af = agreement.astype(np.float64)
+    certified = float((p @ af).min())
+    gap = max(float((af @ q_points).max()) - certified, 0.0)
+    return GameSolution(
+        ProbabilityVector(p), ProbabilityVector(q_points), certified, gap, exact_value=value
+    )
 
 
 # -- pool construction -----------------------------------------------------------
@@ -195,9 +173,10 @@ def build_hypothesis_set(
 
     Returns the pool and a GameSolution whose row strategy weights the
     hypotheses (in pool order), whose column strategy is the adversarial
-    distribution over the sample's distinct points, and whose value estimate
-    is the certified worst-case agreement mass — at least 2/3 when the exact
-    solver ran (exact_value set), at least 2/3 - 1/48 otherwise.
+    distribution over the sample's distinct points, whose exact_value is the
+    exact game value (at least 2/3), and whose value estimate is the
+    worst-case agreement mass of the float weights, rechecked over every
+    point.
 
     At every budget a pruned search first looks for the shortest subset
     (first in combinations order) whose ERM is c0, the lowest concept
@@ -208,7 +187,9 @@ def build_hypothesis_set(
 
     Only when no subset within budget teaches c0 does a game run, over the
     ERM image: every concept that is the ERM of some subset within budget,
-    each with its shortest such subset (``_erm_image``).  The pool and its
+    each with its shortest such subset (``_erm_image``).  The exact simplex
+    solves it at any size; EXACT_ENTRY_CAP is a policy of solve_exact and
+    sparse_epsilon_nash only, never of the learner.  The pool and its
     certificate are deterministic; no seed enters.  The subset budget
     doubles internally whenever the certified game falls short; at budget =
     #distinct points c0 teaches itself, so the escalation always terminates.
@@ -228,23 +209,22 @@ def build_hypothesis_set(
         teaching = _teaching_subset(cls, points, labels_by_point, budget, consistent)
         if teaching is not None:
             hypotheses, provenance = [consistent], [teaching]
-            cert = _MixtureCertificate(True, np.ones(1), np.full(k, 1.0 / k), 1.0, Fraction(1), 0.0)
+            solution = GameSolution(
+                ProbabilityVector(np.ones(1)),
+                ProbabilityVector(np.full(k, 1.0 / k)),
+                1.0,
+                0.0,
+                exact_value=Fraction(1),
+            )
         else:
             hypotheses, provenance = _erm_image(cls, points, labels_by_point, budget)
-            cert = _certify_mixture(_agreement_matrix(cls, hypotheses, points, labels))
-        if cert.accepted:
-            solution = GameSolution(
-                row_strategy=ProbabilityVector(cert.weights),
-                col_strategy=ProbabilityVector(cert.point_pressure),
-                value_estimate=cert.certified_agreement,
-                exploitability=cert.gap,
-                exact_value=cert.exact_value,
-            )
+            solution = _certify_mixture(_agreement_matrix(cls, hypotheses, points, labels))
+        if solution is not None:
             logger.debug(
                 "certified %d hypotheses at budget %d (agreement %.4f)",
                 len(hypotheses),
                 budget,
-                cert.certified_agreement,
+                solution.value_estimate,
             )
             return (
                 HypothesisSet(tuple(hypotheses), tuple(provenance), budget),

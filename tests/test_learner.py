@@ -2,10 +2,11 @@
 
 The certified mixtures are re-verified here from scratch: given the returned
 weights, the per-point agreement mass is recomputed directly from the concept
-matrix and compared against the 2/3 threshold (minus the certificate
-tolerance when the solver ran approximately).
+matrix and compared against the 2/3 threshold, which the exact game value of
+every certified mixture reaches.
 """
 
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -29,8 +30,8 @@ from vccompress import (
     serialize_compressed,
 )
 from vccompress import generators, learner, scheme
+from vccompress.game import EXACT_ENTRY_CAP
 from vccompress.learner import (
-    CERTIFICATE_TOLERANCE,
     WEAK_AGREEMENT,
     _erm_image,
     _teaching_subset,
@@ -141,9 +142,9 @@ def test_intervals_mixture_is_certified_per_point():
     target = c.rows.index(0b0011110000)
     sample = LabeledSample.from_concept(c, target, range(10))
     hs, solution = build_hypothesis_set(LearningMap(c, 2), sample)
-    assert solution.value_estimate >= float(WEAK_AGREEMENT - CERTIFICATE_TOLERANCE) - 1e-12
-    tol = 0.0 if solution.exact_value is not None else float(CERTIFICATE_TOLERANCE)
-    recheck_certificate(c, sample, hs, solution, tolerance=tol)
+    assert solution.exact_value >= WEAK_AGREEMENT
+    assert solution.value_estimate >= float(WEAK_AGREEMENT) - 1e-12
+    recheck_certificate(c, sample, hs, solution, tolerance=0.0)
     assert list(hs.hypotheses) == sorted(set(hs.hypotheses))
     assert all(len(subset) <= hs.budget for subset in hs.provenance)
 
@@ -155,8 +156,8 @@ def test_random_class_certificates_hold():
     target = 7 % len(c.rows)
     sample = LabeledSample.from_concept(c, target, range(12))
     hs, solution = build_hypothesis_set(LearningMap(c, 2), sample)
-    tol = 0.0 if solution.exact_value is not None else float(CERTIFICATE_TOLERANCE)
-    recheck_certificate(c, sample, hs, solution, tolerance=tol)
+    assert solution.exact_value >= WEAK_AGREEMENT
+    recheck_certificate(c, sample, hs, solution, tolerance=0.0)
 
 
 def test_unrealizable_sample_surfaces_while_escalating():
@@ -239,8 +240,8 @@ def test_point_mass_matches_the_full_pool(spec, target, budget):
         assert solution.exact_value == Fraction(1)
         assert solution.value_estimate == 1.0
         assert solution.exploitability == 0.0
-    tol = 0.0 if solution.exact_value is not None else float(CERTIFICATE_TOLERANCE)
-    recheck_certificate(c, sample, hs, solution, tolerance=tol)
+    assert solution.exact_value >= WEAK_AGREEMENT
+    recheck_certificate(c, sample, hs, solution, tolerance=0.0)
 
 
 def _counting(monkeypatch, name):
@@ -257,7 +258,7 @@ def _counting(monkeypatch, name):
 
 
 def test_taught_samples_solve_no_game(monkeypatch):
-    calls = {name: _counting(monkeypatch, name) for name in ("_exact_minimax", "solve_mw")}
+    games = _counting(monkeypatch, "_exact_minimax")
     # 60 distinct points at budget 3 make 36,051 subsets, but the search
     # teaches c0 without walking them
     c = generators.halfspaces_grid(8, 2)
@@ -265,10 +266,7 @@ def test_taught_samples_solve_no_game(monkeypatch):
     hs, solution = build_hypothesis_set(LearningMap(c, 3), sample)
     assert (hs.hypotheses, hs.provenance) == ((7,), ((24,),))
     assert solution.exact_value == Fraction(1)
-    assert {name: len(made) for name, made in calls.items()} == {
-        "_exact_minimax": 0,
-        "solve_mw": 0,
-    }
+    assert games == []
     # target 30 of k_interval_unions(8, 2) has no teaching set of fewer than
     # 5 of the 8 points; its pool and exact value at budget 3 are those the
     # walk over all 93 subsets gave before the ERM-image search existed
@@ -278,7 +276,7 @@ def test_taught_samples_solve_no_game(monkeypatch):
     assert hs.hypotheses == tuple(range(15)) + tuple(range(16, 26)) + (27,)
     assert hs.budget == 3
     assert solution.exact_value == Fraction(2, 3)
-    assert len(calls["_exact_minimax"]) > 0
+    assert len(games) > 0
 
 
 def test_prefix_cap_still_ends_the_escalation(monkeypatch):
@@ -293,8 +291,17 @@ def test_prefix_cap_still_ends_the_escalation(monkeypatch):
     assert solution.exact_value == Fraction(1)
 
 
-def test_above_cap_learner_game_is_certified_by_mw(monkeypatch):
-    mw_calls = _counting(monkeypatch, "solve_mw")
+def _compress_recording_the_game(monkeypatch, c, sample):
+    """compress(c, sample) at seed 0, plus every (hypothesis set, solution)
+    the learner built and every game shape its exact solver ran on."""
+    shapes = []
+    solve = learner._exact_minimax
+
+    def shaped(entries):
+        shapes.append(entries.shape)
+        return solve(entries)
+
+    monkeypatch.setattr(learner, "_exact_minimax", shaped)
     builds = []
     original_build = scheme.build_hypothesis_set
 
@@ -303,20 +310,57 @@ def test_above_cap_learner_game_is_certified_by_mw(monkeypatch):
         return builds[-1]
 
     monkeypatch.setattr(scheme, "build_hypothesis_set", recorded)
-    # the learner's game here collapses to more than EXACT_ENTRY_CAP entries
+    compressed, report = compress(c, sample)
+    return compressed, report, builds, shapes
+
+
+def test_above_cap_learner_game_is_solved_exactly(monkeypatch):
+    # the learner's pattern game here has more than EXACT_ENTRY_CAP entries,
+    # and the exact simplex solves it all the same
     c = generators.k_interval_unions(12, 2)
     sample = LabeledSample.from_concept(c, 785, range(12))
-    compressed, report = compress(c, sample)
-    assert len(mw_calls) == 1
+    compressed, report, builds, shapes = _compress_recording_the_game(monkeypatch, c, sample)
+    assert any(m * n > EXACT_ENTRY_CAP for m, n in shapes)
     [(hs, solution)] = builds
-    assert solution.exact_value is None
-    floor = float(WEAK_AGREEMENT - CERTIFICATE_TOLERANCE)
-    assert solution.value_estimate >= floor
-    assert report.details["certified_agreement"] >= floor
-    recheck_certificate(c, sample, hs, solution, tolerance=float(CERTIFICATE_TOLERANCE))
-    decoded = reconstruct(c, deserialize_compressed(serialize_compressed(compressed)))
+    assert solution.exact_value == Fraction(8, 11)
+    assert solution.value_estimate == pytest.approx(8 / 11)
+    assert report.details["certified_agreement"] == solution.value_estimate
+    recheck_certificate(c, sample, hs, solution, tolerance=0.0)
+    assert report.details["vote_concepts"] == (
+        (781, 6), (663, 5), (438, 6), (783, 5), (780, 3), (624, 2), (617, 3), (48, 2),
+    )
+    assert report.details["min_majority_margin"] == 10
+    assert report.details["draw_count"] == 32
+    blob = serialize_compressed(compressed)
+    assert hashlib.sha256(blob).hexdigest() == (
+        "706afd85c0b300ddf35b1af203c2267b99db0a7c030e54fa464b66fab84ad229"
+    )
+    decoded = reconstruct(c, deserialize_compressed(blob))
     assert decoded.tolist() == c.matrix[785].tolist()
-    assert report.details["min_majority_margin"] >= 1
+
+
+def test_learner_game_of_over_a_thousand_rows_is_solved_exactly(monkeypatch):
+    # 1,069 hypotheses against 13 point patterns, one of the few learner
+    # games past a thousand rows in k_interval_unions(12..14, 2..3) with
+    # every point sampled; it solves in well under a second
+    c = generators.k_interval_unions(13, 3)
+    sample = LabeledSample.from_concept(c, 3442, range(13))
+    compressed, report, builds, shapes = _compress_recording_the_game(monkeypatch, c, sample)
+    assert shapes == [(1069, 13)]
+    [(hs, solution)] = builds
+    assert solution.exact_value == Fraction(14, 17)
+    recheck_certificate(c, sample, hs, solution, tolerance=0.0)
+    assert report.details["vote_concepts"] == (
+        (3433, 4), (3274, 4), (3364, 4), (2880, 7), (3439, 2), (3375, 1),
+        (3436, 2), (1856, 3), (3434, 3), (3155, 1), (3393, 1),
+    )
+    assert report.details["min_majority_margin"] == 14
+    blob = serialize_compressed(compressed)
+    assert hashlib.sha256(blob).hexdigest() == (
+        "5e811bc70027d73c9d1f32108e8c98a8fab8335ed9fbee41dd1a04001f144050"
+    )
+    decoded = reconstruct(c, deserialize_compressed(blob))
+    assert decoded.tolist() == c.matrix[3442].tolist()
 
 
 def test_hypothesis_set_validates_shape():

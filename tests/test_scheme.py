@@ -8,6 +8,7 @@ tolerance) plus the documented size bound.
 import dataclasses
 import hashlib
 import math
+import random
 import subprocess
 import sys
 
@@ -438,6 +439,52 @@ def test_golden_mixture_draws_far_below_the_ceiling():
     assert 0 < report.details["draw_count"] <= 64
 
 
+# The six warm classes of the benchmark's round-trip workloads.
+GOLDEN_ROSTER = (
+    (generators.intervals, (10,)),
+    (generators.intervals, (30,)),
+    (generators.halfspaces_grid, (5, 2)),
+    (generators.halfspaces_grid, (8, 2)),
+    (generators.random_vc_capped, (12, 3, 60)),
+    (generators.k_interval_unions, (8, 2)),
+)
+
+
+def _golden_ops(classes):
+    """48 fixed (class, sample, seed) ops drawn from random.Random("golden"):
+    per roster class, three samples of 1-8 points and three of 100-1000;
+    the last two classes, the only ones whose samples come out as mixtures,
+    get six more samples of 100-1000 points each."""
+    rng = random.Random("golden")
+    spec = [(index, length) for index in range(6) for length in [(1, 8)] * 3 + [(100, 1000)] * 3]
+    spec += [(index, (100, 1000)) for index in (4, 5) for _ in range(6)]
+    for index, (low, high) in spec:
+        c = classes[index]
+        target = rng.randrange(len(c))
+        points = [rng.randrange(c.domain_size) for _ in range(rng.randint(low, high))]
+        yield c, LabeledSample.from_concept(c, target, points), rng.randrange(1 << 32)
+
+
+def test_golden_digest_over_the_roster():
+    # one digest over the containers, vote multisets and margins of 48 ops,
+    # recorded before the learner solved every game exactly; any change to
+    # compress that moves a byte of them fails here
+    classes = [make(*args) for make, args in GOLDEN_ROSTER]
+    digest = hashlib.sha256()
+    mixtures = 0
+    for c, sample, seed in _golden_ops(classes):
+        compressed, report = compress(c, sample, seed=seed)
+        known = report.known_details
+        digest.update(serialize_compressed(compressed))
+        digest.update(repr((known["vote_concepts"], known["min_majority_margin"])).encode())
+        mixtures += known.get("draw_count", 0) > 0
+    # the guard keeps covering the learner's game and the sparsifier
+    assert mixtures >= 3
+    assert digest.hexdigest() == (
+        "3f2a43c2ac6840abb2a3726b5288d5de03109387bed932776fa03af2e7856b25"
+    )
+
+
 # -- one pass per job --
 
 
@@ -512,7 +559,6 @@ def test_point_mass_skips_the_game_and_the_sparsifier(monkeypatch):
         name: _counting(monkeypatch, name, module)
         for module, name in (
             (learner, "_exact_minimax"),
-            (learner, "solve_mw"),
             (scheme, "sparsify_mixture"),
             (scheme, "dual_class"),
         )
@@ -530,7 +576,6 @@ def test_point_mass_skips_the_game_and_the_sparsifier(monkeypatch):
     _, report = compress(c, LabeledSample.from_concept(c, 400, range(30)), seed=1)
     assert {name: len(made) for name, made in calls.items()} == {
         "_exact_minimax": 0,
-        "solve_mw": 0,
         "sparsify_mixture": 0,
         "dual_class": 0,
     }
