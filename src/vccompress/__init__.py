@@ -13,7 +13,6 @@ from .concepts import (
     ConceptClass,
     LabeledSample,
     ShatterWitness,
-    consistent_concepts,
     dual_class,
     parse_concept_class,
     serialize_concept_class,

@@ -335,7 +335,7 @@ def dual_class(concept_class: ConceptClass) -> ConceptClass:
 
 
 def consistent_concepts(concept_class: ConceptClass, sample: LabeledSample) -> list[int]:
-    """Indices of all concepts agreeing with the sample, ascending."""
+    """Indices of all concepts agreeing with the sample, ascending (not used by compress)."""
     if sample.is_empty:
         return list(range(len(concept_class)))
     pts = np.array(sample.distinct_points, dtype=np.int64)

@@ -358,9 +358,9 @@ def solve_mw(matrix, target_exploitability: float = 0.01) -> GameSolution:
 def _strategy_class_and_map(unique_rows: np.ndarray) -> tuple[ConceptClass, list[int]]:
     """Concept class of the distinct strategy rows plus the map from concept
     index back to the row index within `unique_rows`."""
-    cls = ConceptClass.from_matrix(unique_rows)
-    by_int = {row_to_int(unique_rows[i]): i for i in range(unique_rows.shape[0])}
-    return cls, [by_int[r] for r in cls.rows]
+    packed = [row_to_int(row) for row in unique_rows.tolist()]
+    cls = ConceptClass.from_row_ints(unique_rows.shape[1], packed)
+    return cls, sorted(range(len(packed)), key=packed.__getitem__)
 
 
 def sparse_epsilon_nash(matrix, epsilon: float, seed: int) -> SparseEquilibrium:

@@ -32,7 +32,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -100,15 +100,19 @@ def lowest_consistent_concept(
     """Index of the lowest concept consistent with every (point, label) pair.
 
     This is the tie-breaking rule that makes ERM a pure function of its
-    input subset; raises UnrealizableError when nothing is consistent.
+    input subset.  Raises ValueError for a point outside the domain and
+    UnrealizableError when nothing is consistent.
     """
     masks = concept_class.point_masks
+    n = concept_class.domain_size
     full = (1 << len(concept_class.rows)) - 1
     alive = full
     for point, label in labeled_points:
+        if not 0 <= point < n:
+            raise ValueError(f"point {point!r} outside domain of size {n}")
         alive &= masks[point] if label else ~masks[point] & full
         if not alive:
-            raise UnrealizableError("no concept is consistent with the labeled points")
+            raise UnrealizableError("the labeled points are not realizable by the class")
     return (alive & -alive).bit_length() - 1
 
 
@@ -156,15 +160,6 @@ def _certify_mixture(agreement: np.ndarray) -> GameSolution | None:
 # -- pool construction -----------------------------------------------------------
 
 
-def _agreement_matrix(
-    concept_class: ConceptClass, hypotheses: Sequence[int], points: Sequence[int], labels: np.ndarray
-) -> np.ndarray:
-    block = concept_class.matrix[np.asarray(hypotheses, dtype=np.intp)][
-        :, np.asarray(points, dtype=np.intp)
-    ]
-    return (block == labels).astype(np.uint8)
-
-
 def build_hypothesis_set(
     learning_map: LearningMap,
     sample: LabeledSample,
@@ -178,12 +173,15 @@ def build_hypothesis_set(
     worst-case agreement mass of the float weights, rechecked over every
     point.
 
+    c0, the lowest concept consistent with the whole sample, comes from
+    ``lowest_consistent_concept``, which also checks the sample for compress
+    (ValueError outside the domain, UnrealizableError if unrealizable).
+
     At every budget a pruned search first looks for the shortest subset
-    (first in combinations order) whose ERM is c0, the lowest concept
-    consistent with the whole sample.  c0 agrees with every label, so a hit
-    gives a one-hypothesis set with that subset as its provenance, and a
-    point-mass solution with exact_value 1, value_estimate 1.0,
-    exploitability 0 and a uniform column strategy; no game is solved.
+    (first in combinations order) whose ERM is c0.  c0 agrees with every
+    label, so a hit gives a one-hypothesis set with that subset as its
+    provenance, and a point-mass solution with exact_value 1, value_estimate
+    1.0, exploitability 0 and a uniform column strategy; no game is solved.
 
     Only when no subset within budget teaches c0 does a game run, over the
     ERM image: every concept that is the ERM of some subset within budget,
@@ -199,7 +197,6 @@ def build_hypothesis_set(
     cls = learning_map.concept_class
     points = sample.distinct_points
     labels_by_point = dict(sample.label_items)
-    labels = np.array([labels_by_point[x] for x in points], dtype=np.uint8)
     k = len(points)
     consistent = lowest_consistent_concept(cls, sample.label_items)
 
@@ -217,8 +214,8 @@ def build_hypothesis_set(
                 exact_value=Fraction(1),
             )
         else:
-            hypotheses, provenance = _erm_image(cls, points, labels_by_point, budget)
-            solution = _certify_mixture(_agreement_matrix(cls, hypotheses, points, labels))
+            hypotheses, provenance, agreement = _erm_image(cls, points, labels_by_point, budget)
+            solution = _certify_mixture(agreement)
         if solution is not None:
             logger.debug(
                 "certified %d hypotheses at budget %d (agreement %.4f)",
@@ -242,7 +239,7 @@ def build_hypothesis_set(
 def _erm_image(cls, points, labels_by_point, budget):
     """Every concept that is the ERM of some subset of at most `budget` of
     `points`, ascending, with the shortest such subset of each (first in
-    combinations order).
+    combinations order), and the image's uint8 agreement rows over `points`.
 
     A subset's ERM is c exactly when c labels all of it correctly and it
     kills every concept below c, so each concept's entry is a teaching-set
@@ -260,7 +257,7 @@ def _erm_image(cls, points, labels_by_point, budget):
         if subset is not None:
             hypotheses.append(c)
             provenance.append(subset)
-    return hypotheses, provenance
+    return hypotheses, provenance, agrees[hypotheses].astype(np.uint8)
 
 
 def _teaching_subset(cls, points, labels_by_point, budget, c0):

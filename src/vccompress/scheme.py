@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .approx import ProbabilityVector, approximation_size_bound, sparsify_mixture
-from .concepts import ConceptClass, LabeledSample, consistent_concepts, dual_class, vc_dimension
+from .concepts import ConceptClass, LabeledSample, dual_class, vc_dimension
 from .errors import DecodeError, IntegrityError, UnrealizableError
 from .learner import LearningMap, build_hypothesis_set, lowest_consistent_concept
 from .seeding import child_seeds
@@ -276,13 +276,15 @@ def compress(
     The seed drives only a mixture's draw: the hypothesis pool and its
     certificate are deterministic, and a point mass draws nothing.
 
+    Only the learner's ERM (``lowest_consistent_concept``) checks the
+    sample: ValueError for a point outside the domain, UnrealizableError
+    for an unrealizable sample.
+
     The dual VC dimension d* is computed only for a mixture, whose draw
     needs it as its vote ceiling; the report's ``draw_ceiling`` is then the
     ceiling that draw used.  For a point mass or an empty sample, the report
     computes d* when its ``details`` are first read.
     """
-    if not consistent_concepts(concept_class, sample):
-        raise UnrealizableError("sample is not realizable by the concept class")
     dimension = vc_dimension(concept_class)
     base_details = {
         "vc_dimension": dimension,
@@ -302,7 +304,6 @@ def compress(
         )
         return compressed, report
 
-    [sparsify_seed] = child_seeds(seed, 1)
     learning_map = LearningMap(concept_class, max(1, dimension))
     hypothesis_set, solution = build_hypothesis_set(learning_map, sample)
 
@@ -314,6 +315,7 @@ def compress(
     else:
         full_weights = np.zeros(len(concept_class.rows))
         full_weights[list(hypothesis_set.hypotheses)] = solution.row_strategy.weights
+        [sparsify_seed] = child_seeds(seed, 1)
         multiset, certificate = sparsify_mixture(
             concept_class, ProbabilityVector(full_weights), SPARSIFY_EPSILON, sparsify_seed
         )

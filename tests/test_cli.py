@@ -266,6 +266,26 @@ def test_unrealizable_sample_exits_two(capsys, class_file, tmp_path):
     assert "realizable" in err
 
 
+def test_out_of_domain_sample_exits_two(capsys, class_file, tmp_path):
+    bad = tmp_path / "outside.txt"
+    bad.write_text("3 1\n10 0\n")
+    blob = tmp_path / "x.bin"
+    code, out, err = run_cli(
+        capsys,
+        "compress",
+        "--class-file",
+        class_file,
+        "--sample-file",
+        str(bad),
+        "--out",
+        str(blob),
+    )
+    assert code == 2
+    assert out == ""
+    assert err.strip() == "error: point 10 outside domain of size 10"
+    assert not blob.exists()
+
+
 def test_suite_subset(capsys, tmp_path):
     out = tmp_path / "suite.json"
     code, stdout, _ = run_cli(capsys, "suite", "--criteria", "4", "--out", str(out))

@@ -10,7 +10,6 @@ from vccompress import (
     ConceptClass,
     LabeledSample,
     ShatterWitness,
-    consistent_concepts,
     dual_class,
     parse_concept_class,
     serialize_concept_class,
@@ -18,6 +17,7 @@ from vccompress import (
     vc_dimension,
 )
 from vccompress import concepts
+from vccompress.concepts import consistent_concepts
 from vccompress.errors import ParseError
 from vccompress.generators import (
     full_cube,

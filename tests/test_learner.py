@@ -83,8 +83,24 @@ def test_lowest_consistent_concept_prefers_lowest_index():
 
 def test_lowest_consistent_concept_raises_when_nothing_fits():
     c = ConceptClass.from_rows([[0, 1], [1, 0]])
-    with pytest.raises(UnrealizableError):
+    with pytest.raises(UnrealizableError, match="not realizable"):
         lowest_consistent_concept(c, [(0, 1), (1, 1)])
+
+
+@pytest.mark.parametrize("point", [-1, 5])
+def test_lowest_consistent_concept_rejects_points_outside_the_domain(point):
+    # a negative point must not index point_masks from the end
+    with pytest.raises(ValueError, match=f"point {point} outside domain of size 5") as exc:
+        lowest_consistent_concept(generators.intervals(5), [(point, 1)])
+    assert not isinstance(exc.value, UnrealizableError)
+
+
+def test_build_hypothesis_set_rejects_a_point_outside_the_domain():
+    c = generators.intervals(5)
+    sample = LabeledSample.from_pairs([(2, 1), (5, 1)])
+    with pytest.raises(ValueError, match="point 5 outside domain of size 5") as exc:
+        build_hypothesis_set(LearningMap(c, 2), sample)
+    assert not isinstance(exc.value, UnrealizableError)
 
 
 def test_erm_uses_lowest_consistent_index():
@@ -231,7 +247,13 @@ def test_point_mass_matches_the_full_pool(spec, target, budget):
             first_subset.setdefault(concept, subset)
     concepts = sorted(first_subset)
     provenance = [first_subset[concept] for concept in concepts]
-    assert _erm_image(c, distinct, labels, min(budget, len(distinct))) == (concepts, provenance)
+    hypotheses, provenance_found, agreement = _erm_image(
+        c, distinct, labels, min(budget, len(distinct))
+    )
+    assert (hypotheses, provenance_found) == (concepts, provenance)
+    label_vector = np.array([labels[x] for x in distinct], dtype=np.uint8)
+    assert agreement.dtype == np.uint8
+    assert np.array_equal(agreement, c.matrix[concepts][:, distinct] == label_vector)
     hs, solution = build_hypothesis_set(LearningMap(c, budget), sample)
     if consistent in concepts:
         assert hs.hypotheses == (consistent,)

@@ -29,7 +29,7 @@ from vccompress import (
     serialize_compressed,
     verify_round_trip,
 )
-from vccompress import dual_class, generators, learner, scheme, vc_dimension
+from vccompress import concepts, dual_class, generators, learner, scheme, vc_dimension
 from vccompress.approx import approximation_size_bound
 from vccompress.scheme import (
     MAGIC,
@@ -206,6 +206,14 @@ def test_unrealizable_sample_is_rejected():
     sample = LabeledSample.from_pairs([(0, 1), (3, 0), (5, 1)])
     with pytest.raises(UnrealizableError):
         compress(c, sample)
+
+
+def test_point_outside_the_domain_is_rejected():
+    c = intervals_class(6)
+    sample = LabeledSample.from_pairs([(1, 1), (2, 1), (6, 0)])
+    with pytest.raises(ValueError, match="point 6 outside domain of size 6") as exc:
+        compress(c, sample)
+    assert not isinstance(exc.value, UnrealizableError)
 
 
 def test_scheme_size_respects_its_bound_and_ignores_sample_length():
@@ -561,8 +569,22 @@ def test_point_mass_skips_the_game_and_the_sparsifier(monkeypatch):
             (learner, "_exact_minimax"),
             (scheme, "sparsify_mixture"),
             (scheme, "dual_class"),
+            (scheme, "child_seeds"),
         )
     }
+    # the learner's ERM alone decides realizability: the class-wide scan is
+    # counted wherever the package binds it, and must never run
+    scans = []
+    scan = concepts.consistent_concepts
+
+    def counted_scan(*args):
+        scans.append(args)
+        return scan(*args)
+
+    for module in [m for name, m in sys.modules.items() if name.partition(".")[0] == "vccompress"]:
+        for attr, value in list(vars(module).items()):
+            if value is scan:
+                monkeypatch.setattr(module, attr, counted_scan)
     certificates = []
     sparsify = scheme.sparsify_mixture
 
@@ -578,6 +600,7 @@ def test_point_mass_skips_the_game_and_the_sparsifier(monkeypatch):
         "_exact_minimax": 0,
         "sparsify_mixture": 0,
         "dual_class": 0,
+        "child_seeds": 0,
     }
     # the report computes d* and the vote ceiling on first read
     d_star = vc_dimension(dual_class(c))
@@ -592,7 +615,7 @@ def test_point_mass_skips_the_game_and_the_sparsifier(monkeypatch):
     del calls["dual_class"][:]
     c = generators.intervals(7)
     _, report = compress(c, LabeledSample.from_pairs([]), seed=0)
-    assert calls["dual_class"] == []
+    assert calls["dual_class"] == calls["child_seeds"] == []
     assert report.details["dual_vc_dimension"] == vc_dimension(dual_class(c))
     assert "draw_ceiling" not in report.details
     # the counters see a mixture's game and sparsifier, and its ceiling is
@@ -602,12 +625,13 @@ def test_point_mass_skips_the_game_and_the_sparsifier(monkeypatch):
     assert len(report.details["vote_concepts"]) == 4
     assert report.details["draw_count"] > 0
     assert len(calls["_exact_minimax"]) > 0
-    assert len(calls["sparsify_mixture"]) == len(certificates) == 1
+    assert len(calls["sparsify_mixture"]) == len(certificates) == len(calls["child_seeds"]) == 1
     assert report.details["draw_ceiling"] == certificates[0].size_bound
     c = generators.k_interval_unions(8, 2)
     _, report = compress(c, LabeledSample.from_concept(c, 158, [0, 3, 4, 1, 4, 2, 6, 7]), seed=102)
-    assert len(certificates) == 2
+    assert len(certificates) == len(calls["child_seeds"]) == 2
     assert report.details["draw_ceiling"] == certificates[1].size_bound == 4096
+    assert scans == []
 
 
 def test_report_shape_leaves_the_class_out():
