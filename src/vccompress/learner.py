@@ -29,6 +29,7 @@ never depends on luck.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
@@ -157,6 +158,20 @@ def _certify_mixture(agreement: np.ndarray) -> GameSolution | None:
     )
 
 
+@functools.lru_cache(maxsize=256)
+def _point_mass_solution(k: int) -> GameSolution:
+    """The certificate of a taught point mass against k distinct points.
+    It depends on k alone, and a GameSolution and its weight arrays are
+    immutable, so every caller shares one per k."""
+    return GameSolution(
+        ProbabilityVector(np.ones(1)),
+        ProbabilityVector(np.full(k, 1.0 / k)),
+        1.0,
+        0.0,
+        exact_value=Fraction(1),
+    )
+
+
 # -- pool construction -----------------------------------------------------------
 
 
@@ -182,6 +197,9 @@ def build_hypothesis_set(
     label, so a hit gives a one-hypothesis set with that subset as its
     provenance, and a point-mass solution with exact_value 1, value_estimate
     1.0, exploitability 0 and a uniform column strategy; no game is solved.
+    That solution depends only on the number of distinct points, so it is
+    one shared, immutable object per count (frozen, with read-only weight
+    arrays), built once and then reused.
 
     Only when no subset within budget teaches c0 does a game run, over the
     ERM image: every concept that is the ERM of some subset within budget,
@@ -206,13 +224,7 @@ def build_hypothesis_set(
         teaching = _teaching_subset(cls, points, labels_by_point, budget, consistent)
         if teaching is not None:
             hypotheses, provenance = [consistent], [teaching]
-            solution = GameSolution(
-                ProbabilityVector(np.ones(1)),
-                ProbabilityVector(np.full(k, 1.0 / k)),
-                1.0,
-                0.0,
-                exact_value=Fraction(1),
-            )
+            solution = _point_mass_solution(k)
         else:
             hypotheses, provenance, agreement = _erm_image(cls, points, labels_by_point, budget)
             solution = _certify_mixture(agreement)

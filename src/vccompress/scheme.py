@@ -15,6 +15,12 @@ every sampled point still wins its integer majority strictly before
 anything is encoded.  A point-mass mixture (one hypothesis consistent with
 the whole sample) skips the sparsifier and votes once.
 
+The majority re-check reads the class's packed integer rows, independently
+of the learner's point bitsets: each vote's wrong points are one bitset
+over the sample, and only points that some vote gets wrong are counted, so
+a point mass costs one XOR.  Reconstruction with a single distinct voter
+returns a copy of that concept's row, which is its own majority.
+
 Wire formats are strict: unsigned LEB128 varints, delta-coded kernel points,
 LSB-first label bits, and side info protected by a trailing CRC-32 (which
 detects every single-byte corruption).  Decoders reject trailing garbage.
@@ -256,6 +262,47 @@ def _reduced_vote_multiset(multiset: Sequence[int]) -> tuple[tuple[int, int], ..
     return tuple(zip(concepts[order].tolist(), counts.tolist()))
 
 
+def _majority_margin(
+    concept_class: ConceptClass,
+    votes: Sequence[tuple[int, int]],
+    label_items: Sequence[tuple[int, int]],
+) -> int:
+    """The smallest majority margin (votes for the label minus votes against)
+    over the labeled points, re-checked on the integer concept rows; raises
+    IntegrityError at the lowest point whose margin is not positive.
+
+    Each vote's wrong points are one bitset over the sample, so only points
+    that some vote gets wrong are counted one by one; every other point has
+    the full margin, and a consistent point mass has no such point.
+    """
+    n = concept_class.domain_size
+    rows = concept_class.rows
+    sampled = positive = 0
+    for point, label in label_items:
+        bit = 1 << (n - 1 - point)
+        sampled |= bit
+        if label:
+            positive |= bit
+    wrong = [((rows[concept] ^ positive) & sampled, mult) for concept, mult in votes]
+    total = sum(mult for _, mult in votes)
+    contested = 0
+    for mask, _ in wrong:
+        contested |= mask
+    margin = total
+    while contested:
+        # the highest bit is the lowest point (point 0 is the top bit)
+        bit = 1 << (contested.bit_length() - 1)
+        contested ^= bit
+        against = sum(mult for mask, mult in wrong if mask & bit)
+        if 2 * against >= total:
+            raise IntegrityError(
+                f"majority failed at point {n - bit.bit_length()}: "
+                f"{total - against} of {total} votes"
+            )
+        margin = min(margin, total - 2 * against)
+    return margin
+
+
 def compress(
     concept_class: ConceptClass,
     sample: LabeledSample,
@@ -307,10 +354,12 @@ def compress(
     learning_map = LearningMap(concept_class, max(1, dimension))
     hypothesis_set, solution = build_hypothesis_set(learning_map, sample)
 
-    support = solution.row_strategy.support
-    if support.size == 1:
-        # draws from a point mass are constant and would reduce to this vote
-        votes = ((hypothesis_set.hypotheses[int(support[0])], 1),)
+    if len(hypothesis_set) == 1:
+        # the taught point mass (a certified game never has a one-row
+        # support: one row reaches 2/3 only by agreeing with every label,
+        # and then it is c0, whose teaching set the learner tries first);
+        # its draws are constant and would reduce to this vote
+        votes = ((hypothesis_set.hypotheses[0], 1),)
         draw_details = {"sparsification_deviation": 0.0, "draw_count": 0}
     else:
         full_weights = np.zeros(len(concept_class.rows))
@@ -326,19 +375,8 @@ def compress(
             "draw_ceiling": certificate.size_bound,
         }
 
-    concepts, mults = np.array(votes, dtype=np.int64).T
-    total_votes = int(mults.sum())
-    points = sample.distinct_points
-    agreement = concept_class.matrix[np.ix_(concepts, points)] == sample.label_vector()
-    margins = 2 * (mults @ agreement) - total_votes
-    failing = np.flatnonzero(margins <= 0)
-    if failing.size:
-        i = int(failing[0])
-        raise IntegrityError(
-            f"majority failed at point {points[i]}: "
-            f"{(total_votes + int(margins[i])) // 2} of {total_votes} votes"
-        )
-    margin = int(margins.min())
+    margin = _majority_margin(concept_class, votes, sample.label_items)
+    total_votes = sum(mult for _, mult in votes)
 
     provenance_of = dict(zip(hypothesis_set.hypotheses, hypothesis_set.provenance))
     kernel_points = sorted({x for concept, _ in votes for x in provenance_of[concept]})
@@ -387,6 +425,9 @@ def reconstruct(concept_class: ConceptClass, compressed: CompressedSample) -> np
             f"the class domain {concept_class.domain_size}"
         )
     voters = _subset_erms(concept_class, compressed)
+    if len(set(voters)) == 1:
+        # every vote is the same row, so the majority is that row
+        return concept_class.matrix[voters[0]].copy()
     votes = concept_class.matrix[voters].sum(axis=0)
     return (2 * votes > len(voters)).astype(np.uint8)
 

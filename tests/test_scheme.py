@@ -29,7 +29,7 @@ from vccompress import (
     serialize_compressed,
     verify_round_trip,
 )
-from vccompress import concepts, dual_class, generators, learner, scheme, vc_dimension
+from vccompress import approx, concepts, dual_class, generators, learner, scheme, vc_dimension
 from vccompress.approx import approximation_size_bound
 from vccompress.scheme import (
     MAGIC,
@@ -560,6 +560,102 @@ def test_losing_vote_multiset_is_rejected(monkeypatch):
     with pytest.raises(IntegrityError) as exc:
         compress(c, sample, seed=1)
     assert str(exc.value) == "majority failed at point 3: 1 of 3 votes"
+
+
+def _numpy_majority_margin(concept_class, votes, sample):
+    """The re-check's earlier numpy formula, kept as its oracle."""
+    concepts_, mults = np.array(votes, dtype=np.int64).T
+    total_votes = int(mults.sum())
+    points = sample.distinct_points
+    agreement = concept_class.matrix[np.ix_(concepts_, points)] == sample.label_vector()
+    margins = 2 * (mults @ agreement) - total_votes
+    failing = np.flatnonzero(margins <= 0)
+    if failing.size:
+        i = int(failing[0])
+        raise IntegrityError(
+            f"majority failed at point {points[i]}: "
+            f"{(total_votes + int(margins[i])) // 2} of {total_votes} votes"
+        )
+    return int(margins.min())
+
+
+@st.composite
+def votes_over_samples(draw):
+    """A random class, a vote multiset over it (multiplicities up to 5, a
+    concept may repeat) and a sample with repeated points, labeled by the
+    first vote's concept except at a few flipped points."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    rows = draw(st.sets(st.integers(min_value=0, max_value=(1 << n) - 1), min_size=1, max_size=24))
+    c = ConceptClass.from_row_ints(n, rows)
+    concept = st.integers(min_value=0, max_value=len(c.rows) - 1)
+    votes = draw(
+        st.lists(st.tuples(concept, st.integers(min_value=1, max_value=5)), min_size=1, max_size=6)
+    )
+    points = draw(st.lists(st.integers(min_value=0, max_value=n - 1), min_size=1, max_size=24))
+    flipped = draw(st.sets(st.sampled_from(points), max_size=3))
+    target = votes[0][0]
+    sample = LabeledSample.from_pairs((p, c.value(target, p) ^ (p in flipped)) for p in points)
+    return c, tuple(votes), sample
+
+
+@settings(max_examples=300, deadline=None)
+@given(votes_over_samples())
+def test_integer_majority_recheck_matches_the_numpy_formula(case):
+    c, votes, sample = case
+    try:
+        expected = _numpy_majority_margin(c, votes, sample)
+    except IntegrityError as exc:
+        with pytest.raises(IntegrityError) as got:
+            scheme._majority_margin(c, votes, sample.label_items)
+        assert str(got.value) == str(exc)
+    else:
+        margin = scheme._majority_margin(c, votes, sample.label_items)
+        assert type(margin) is int
+        assert margin == expected
+
+
+def test_taught_point_masses_share_one_solution(monkeypatch):
+    learner._point_mass_solution.cache_clear()
+    built = _counting(monkeypatch, "__init__", approx.ProbabilityVector)
+    c = generators.intervals(12)
+    first = LabeledSample.from_concept(c, 30, [1, 4, 7])
+    second = LabeledSample.from_concept(c, 50, [2, 9, 2, 10])  # also 3 distinct points
+    for sample, made in ((first, 2), (second, 2)):
+        _, report = compress(c, sample, seed=0)
+        assert len(report.details["vote_concepts"]) == 1
+        assert report.details["draw_count"] == 0
+        assert len(built) == made
+    learning_map = learner.LearningMap(c, vc_dimension(c))
+    _, one = learner.build_hypothesis_set(learning_map, first)
+    _, other = learner.build_hypothesis_set(learning_map, second)
+    assert len(built) == 2
+    assert one is other
+    assert not one.row_strategy.weights.flags.writeable
+    assert not one.col_strategy.weights.flags.writeable
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        one.value_estimate = 0.5
+
+
+def test_one_distinct_voter_reconstructs_a_fresh_row():
+    cube_ends = ConceptClass.from_rows([[0, 0, 0], [1, 1, 1]])
+    c = generators.intervals(10)
+    point_mass, _ = compress(c, LabeledSample.from_concept(c, 17, range(10)), seed=0)
+    cases = [
+        (c, point_mass),
+        # one subset named twice
+        (cube_ends, CompressedSample(3, (0, 2), (1, 1), encode_side_info([(0, 1), (0, 1)]))),
+        # two distinct subsets whose ERM is the same concept
+        (cube_ends, CompressedSample(3, (0, 1, 2), (1, 1, 1), encode_side_info([(0,), (1, 2)]))),
+    ]
+    for cls, compressed in cases:
+        voters = scheme._subset_erms(cls, compressed)
+        assert len(set(voters)) == 1
+        labels = reconstruct(cls, compressed)
+        assert labels.dtype == np.uint8
+        assert labels.flags.writeable
+        assert not np.shares_memory(labels, cls.matrix)
+        general = (2 * cls.matrix[voters].sum(axis=0) > len(voters)).astype(np.uint8)
+        assert np.array_equal(labels, general)
 
 
 def test_point_mass_skips_the_game_and_the_sparsifier(monkeypatch):

@@ -5,6 +5,7 @@ A cleanup that deletes or renames one of those names breaks
 the test suite too.
 """
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -20,3 +21,42 @@ def test_tracer_installs_on_the_package():
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_tracer_counts_point_masses_and_pool_sizes():
+    # the tracer reads the pool size and the point-mass flag from
+    # build_hypothesis_set's result; a taught point mass and a mixture
+    # must each count once
+    script = """
+import json, sys
+sys.path[:0] = sys.argv[1:]
+import tracing
+from vccompress import LabeledSample, compress, generators, learner, vc_dimension
+taught = generators.intervals(30)
+mixed = generators.random_vc_capped(12, 3, 60)
+cases = [
+    (taught, LabeledSample.from_concept(taught, 400, range(30))),
+    (mixed, LabeledSample.from_concept(mixed, 30, [9, 3, 8, 2, 4, 2])),
+]
+pools = [
+    len(learner.build_hypothesis_set(learner.LearningMap(c, max(1, vc_dimension(c))), s)[0])
+    for c, s in cases
+]
+tracer = tracing.Tracer()
+tracing.install(tracer)
+for c, s in cases:
+    compress(c, s, seed=1)
+print(json.dumps({"counts": tracer.counts, "pools": pools}))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(ROOT / "src"), str(ROOT / "perfbench")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    counts, pools = result["counts"], result["pools"]
+    assert pools[0] == 1 < pools[1]
+    assert counts["learner.build"] == 2
+    assert counts["game.point_masses"] == 1
+    assert counts["learner.pool_size"] == sum(pools)
