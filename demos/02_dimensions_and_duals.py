@@ -6,6 +6,7 @@ computed exhaustively.  The dual dimension always stays below 2^(d+1).
 """
 
 from vccompress import (
+    ConceptClass,
     dual_class,
     full_cube,
     halfspaces_grid,
@@ -17,7 +18,14 @@ from vccompress import (
 )
 from vccompress.concepts import ShatterWitness
 
+# a class of your own is a list of 0/1 rows, one per concept: here the five
+# thresholds on four ordered points
+thresholds = ConceptClass.from_rows(
+    [[0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 1], [0, 1, 1, 1], [1, 1, 1, 1]]
+)
+
 roster = [
+    ("thresholds on 4 points", thresholds),
     ("intervals(12)", intervals(12)),
     ("k_interval_unions(8, 2)", k_interval_unions(8, 2)),
     ("full_cube(4)", full_cube(4)),

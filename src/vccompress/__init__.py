@@ -49,7 +49,6 @@ from .scheme import (
 from .learner import (
     WEAK_AGREEMENT,
     HypothesisSet,
-    LearningMap,
     build_hypothesis_set,
     escalate_budget,
     lowest_consistent_concept,

@@ -83,10 +83,6 @@ class ProbabilityVector:
     def weights(self) -> np.ndarray:
         return self._weights
 
-    @property
-    def support(self) -> np.ndarray:
-        return np.flatnonzero(self._weights)
-
     def __len__(self) -> int:
         return self._weights.size
 

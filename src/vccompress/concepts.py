@@ -97,15 +97,6 @@ class ConceptClass:
             raise ValueError("all rows must have equal length")
         return cls.from_row_ints(n, (row_to_int(r) for r in rows))
 
-    @classmethod
-    def from_matrix(cls, matrix: np.ndarray) -> "ConceptClass":
-        arr = np.asarray(matrix)
-        if arr.ndim != 2:
-            raise ValueError("matrix must be 2-dimensional")
-        # no cast to int here: it would truncate 0.7 to 0 before `row_to_int`
-        # could reject it
-        return cls.from_rows(arr.tolist())
-
     # -- views -------------------------------------------------------------
 
     def __len__(self) -> int:

@@ -22,6 +22,11 @@ The row player maximizes, the column player minimizes.  Three solvers:
   near-optimal mixed strategies; the support-size ceilings depend only on
   the VC dimensions of the strategy sets, never on how often rows/columns
   repeat, and each multiset is the first certified draw below them.
+
+Every exact solve, from ``solve_exact``, ``sparse_epsilon_nash`` or the weak
+learner, takes one path (``_exact_solution``): the simplex, the float views
+of its rationals, value_estimate = float(exact_value), and the exploitability
+of the float strategies by the formula MW's certificate also uses.
 """
 
 from __future__ import annotations
@@ -260,6 +265,26 @@ def _exact_minimax(entries: np.ndarray) -> tuple[Fraction, list[Fraction], list[
     return Fraction(denom, total) - 1, p, q
 
 
+def _exploitability(mf: np.ndarray, p: np.ndarray, q: np.ndarray, value: float) -> float:
+    """How far the pair (p, q) is from an equilibrium at `value`: the larger
+    of what q lets the best row win above it and what p lets the best column
+    push below it, never negative; exhaustive over both pure strategy sets."""
+    return max(float((mf @ q).max()) - value, value - float((p @ mf).min()), 0.0)
+
+
+def _exact_solution(entries: np.ndarray) -> GameSolution:
+    """The one exact path: ``_exact_minimax`` (whose optimality certificate
+    is exact, in integers), then the float views of its rationals, the value
+    estimate float(exact_value) and the float exploitability of the views.
+    No validation and no cap; callers pass a nonempty 0/1 array."""
+    value, p, q = _exact_minimax(entries)
+    row = ProbabilityVector([float(x) for x in p])
+    col = ProbabilityVector([float(x) for x in q])
+    v = float(value)
+    exploit = _exploitability(entries.astype(np.float64), row.weights, col.weights, v)
+    return GameSolution(row, col, v, exploit, exact_value=value)
+
+
 def solve_exact(matrix) -> GameSolution:
     """Exact minimax solution by a self-contained dense simplex with an
     integer-preserving tableau; the value and strategies are exact rationals
@@ -271,28 +296,10 @@ def solve_exact(matrix) -> GameSolution:
             f"{m.shape[0]}x{m.shape[1]} exceeds the {EXACT_ENTRY_CAP}-entry cap for the "
             "exact solver; use solve_mw"
         )
-    value, p, q = _exact_minimax(m)
-    row = ProbabilityVector([float(x) for x in p])
-    col = ProbabilityVector([float(x) for x in q])
-    v = float(value)
-    mf = m.astype(np.float64)
-    exploit = max(
-        float((mf @ col.weights).max()) - v,
-        v - float((row.weights @ mf).min()),
-        0.0,
-    )
-    return GameSolution(row, col, v, exploit, exact_value=value)
+    return _exact_solution(m)
 
 
 # -- multiplicative weights ----------------------------------------------------
-
-
-def _mw_certificate(mf: np.ndarray, p_bar: np.ndarray, q_bar: np.ndarray):
-    value = float(p_bar @ mf @ q_bar)
-    row_secures = float((p_bar @ mf).min())
-    col_caps = float((mf @ q_bar).max())
-    exploit = max(col_caps - value, value - row_secures, 0.0)
-    return value, exploit, row_secures, col_caps
 
 
 def solve_mw(matrix, target_exploitability: float = 0.01) -> GameSolution:
@@ -334,7 +341,8 @@ def solve_mw(matrix, target_exploitability: float = 0.01) -> GameSolution:
         if t % check_every == 0 or t == iteration_cap:
             p_bar = p_sum / t
             q_bar = q_counts / t
-            value, exploit, _, _ = _mw_certificate(mf, p_bar, q_bar)
+            value = float(p_bar @ mf @ q_bar)
+            exploit = _exploitability(mf, p_bar, q_bar, value)
             best_exploit = min(best_exploit, exploit)
             if exploit <= target_exploitability:
                 logger.debug("mw certified after %d iterations (exploitability %.3g)", t, exploit)
@@ -385,17 +393,14 @@ def sparse_epsilon_nash(matrix, epsilon: float, seed: int) -> SparseEquilibrium:
     core = m[np.ix_(row_rep, col_rep)]
 
     if core.size <= EXACT_ENTRY_CAP:
-        value, p_exact, q_exact = _exact_minimax(core)
-        value_f = float(value)
-        p = np.array([float(x) for x in p_exact])
-        q = np.array([float(x) for x in q_exact])
+        solution = _exact_solution(core)
         eps_sparsify = epsilon
     else:
         solution = solve_mw(core, target_exploitability=epsilon / 8)
-        value_f = solution.value_estimate
-        p = solution.row_strategy.weights
-        q = solution.col_strategy.weights
         eps_sparsify = 0.75 * epsilon
+    value_f = solution.value_estimate
+    p = solution.row_strategy.weights
+    q = solution.col_strategy.weights
 
     # rows as concepts over columns; the sparsifier's size bound is the VC
     # dimension of the dual (= the column set), as required

@@ -19,8 +19,10 @@ the search for c0, the lowest concept consistent with the whole sample,
 runs first at every budget, and a hit makes the mixture a point mass on c0,
 certified at value exactly 1.  Otherwise the pool is the ERM image of all
 subsets within budget, one search per concept, and its agreement game is
-solved exactly at any size: it has one row per hypothesis and at most one
-column per distinct point, and tall games are cheap for the exact simplex.
+solved exactly at any size, through the game module's one exact path: it
+has one row per hypothesis and one column per distinct agreement pattern,
+and tall games are cheap for the exact simplex.  Every taught point mass
+shares one certificate, the solution of the 1x1 game [[1]].
 No step draws random numbers.
 If a subset budget is too small for a certificate, the builder doubles it;
 at budget = #distinct points the whole sample teaches c0, so termination
@@ -29,7 +31,6 @@ never depends on luck.
 
 from __future__ import annotations
 
-import functools
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,14 +38,12 @@ from typing import Iterable
 
 import numpy as np
 
-from .approx import ProbabilityVector
 from .concepts import ConceptClass, LabeledSample
 from .errors import UnrealizableError, WeakLearningError
-from .game import GameSolution, _exact_minimax
+from .game import GameSolution, _exact_solution
 
 __all__ = [
     "WEAK_AGREEMENT",
-    "LearningMap",
     "HypothesisSet",
     "lowest_consistent_concept",
     "escalate_budget",
@@ -58,19 +57,6 @@ WEAK_AGREEMENT = Fraction(2, 3)
 # Prefixes one size of a teaching-set search may visit before it settles
 # for all of its points (or gives up when they exceed the budget).
 _PREFIX_CAP = 20_000
-
-
-@dataclass(frozen=True)
-class LearningMap:
-    """A concept class paired with the largest labeled subset its ERM will
-    accept."""
-
-    concept_class: ConceptClass
-    subset_budget: int
-
-    def __post_init__(self):
-        if self.subset_budget < 1:
-            raise ValueError("subset budget must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -117,15 +103,12 @@ def lowest_consistent_concept(
     return (alive & -alive).bit_length() - 1
 
 
-def escalate_budget(learning_map: LearningMap, distinct_point_count: int) -> LearningMap:
+def escalate_budget(subset_budget: int, distinct_point_count: int) -> int:
     """Double the subset budget, capped at the number of distinct points in
     play (beyond which larger subsets add nothing).  Never shrinks."""
     if distinct_point_count < 1:
         raise ValueError("distinct point count must be at least 1")
-    new_budget = min(2 * learning_map.subset_budget, distinct_point_count)
-    if new_budget <= learning_map.subset_budget:
-        return learning_map
-    return LearningMap(learning_map.concept_class, new_budget)
+    return max(subset_budget, min(2 * subset_budget, distinct_point_count))
 
 
 # -- certified mixtures --------------------------------------------------------
@@ -136,57 +119,39 @@ def _certify_mixture(agreement: np.ndarray) -> GameSolution | None:
     value falls short of WEAK_AGREEMENT.
 
     Duplicate point columns are collapsed before solving (they cannot change
-    the game).  For an accepted game the float views are taken, and the
-    certified agreement and exploitability are rechecked as exhaustive
-    extremes over the original columns.
+    the game), so the solution is that of the game over the distinct
+    agreement patterns.
     """
-    patterns, inverse, counts = np.unique(
-        agreement, axis=1, return_inverse=True, return_counts=True
-    )
-    value, p_exact, q_exact = _exact_minimax(patterns)
-    if value < WEAK_AGREEMENT:
-        return None
-    p = np.array([float(x) for x in p_exact])
-    q_patterns = np.array([float(x) for x in q_exact])
-    # spread each pattern's weight evenly over the duplicate columns it covers
-    q_points = q_patterns[inverse] / counts[inverse]
-    af = agreement.astype(np.float64)
-    certified = float((p @ af).min())
-    gap = max(float((af @ q_points).max()) - certified, 0.0)
-    return GameSolution(
-        ProbabilityVector(p), ProbabilityVector(q_points), certified, gap, exact_value=value
-    )
+    # an unused return_index keeps np.unique from calling np.ma.is_masked,
+    # whose first call imports numpy.ma (tens of ms and about 1 MB per process)
+    patterns, _ = np.unique(agreement, axis=1, return_index=True)
+    solution = _exact_solution(patterns)
+    return solution if solution.exact_value >= WEAK_AGREEMENT else None
 
 
-@functools.lru_cache(maxsize=256)
-def _point_mass_solution(k: int) -> GameSolution:
-    """The certificate of a taught point mass against k distinct points.
-    It depends on k alone, and a GameSolution and its weight arrays are
-    immutable, so every caller shares one per k."""
-    return GameSolution(
-        ProbabilityVector(np.ones(1)),
-        ProbabilityVector(np.full(k, 1.0 / k)),
-        1.0,
-        0.0,
-        exact_value=Fraction(1),
-    )
+# The certificate of every taught point mass: c0 agrees with every label, so
+# its agreement game has one pattern, all ones, i.e. the 1x1 game [[1]].
+_POINT_MASS = _exact_solution(np.ones((1, 1), dtype=np.uint8))
 
 
 # -- pool construction -----------------------------------------------------------
 
 
 def build_hypothesis_set(
-    learning_map: LearningMap,
+    concept_class: ConceptClass,
     sample: LabeledSample,
+    subset_budget: int,
 ) -> tuple[HypothesisSet, GameSolution]:
     """Hypothesis pool plus a certified weak mixture for a realizable sample.
 
     Returns the pool and a GameSolution whose row strategy weights the
     hypotheses (in pool order), whose column strategy is the adversarial
-    distribution over the sample's distinct points, whose exact_value is the
-    exact game value (at least 2/3), and whose value estimate is the
-    worst-case agreement mass of the float weights, rechecked over every
-    point.
+    distribution over the distinct agreement patterns of the sample's
+    points (points on which every hypothesis agrees or errs alike share one
+    column), whose exact_value is the exact game value (at least 2/3), and
+    whose value_estimate is float(exact_value).  The exact simplex certifies
+    optimality in integers against every column, so no float recheck
+    follows.  ValueError when subset_budget is below 1.
 
     c0, the lowest concept consistent with the whole sample, comes from
     ``lowest_consistent_concept``, which also checks the sample for compress
@@ -195,11 +160,11 @@ def build_hypothesis_set(
     At every budget a pruned search first looks for the shortest subset
     (first in combinations order) whose ERM is c0.  c0 agrees with every
     label, so a hit gives a one-hypothesis set with that subset as its
-    provenance, and a point-mass solution with exact_value 1, value_estimate
-    1.0, exploitability 0 and a uniform column strategy; no game is solved.
-    That solution depends only on the number of distinct points, so it is
-    one shared, immutable object per count (frozen, with read-only weight
-    arrays), built once and then reused.
+    provenance, and the point mass's certificate: its game has one pattern,
+    so the solution is that of the 1x1 game [[1]] (exact_value 1,
+    value_estimate 1.0, exploitability 0, both strategies [1.0]).  It is
+    one module-level constant, frozen with read-only weight arrays, shared
+    by every call, so a taught sample solves no game.
 
     Only when no subset within budget teaches c0 does a game run, over the
     ERM image: every concept that is the ERM of some subset within budget,
@@ -210,23 +175,25 @@ def build_hypothesis_set(
     doubles internally whenever the certified game falls short; at budget =
     #distinct points c0 teaches itself, so the escalation always terminates.
     """
+    if subset_budget < 1:
+        raise ValueError("subset budget must be at least 1")
     if sample.is_empty:
         raise ValueError("cannot build hypotheses for an empty sample")
-    cls = learning_map.concept_class
     points = sample.distinct_points
     labels_by_point = dict(sample.label_items)
     k = len(points)
-    consistent = lowest_consistent_concept(cls, sample.label_items)
+    consistent = lowest_consistent_concept(concept_class, sample.label_items)
 
-    current = learning_map
     while True:
-        budget = min(current.subset_budget, k)
-        teaching = _teaching_subset(cls, points, labels_by_point, budget, consistent)
+        budget = min(subset_budget, k)
+        teaching = _teaching_subset(concept_class, points, labels_by_point, budget, consistent)
         if teaching is not None:
             hypotheses, provenance = [consistent], [teaching]
-            solution = _point_mass_solution(k)
+            solution = _POINT_MASS
         else:
-            hypotheses, provenance, agreement = _erm_image(cls, points, labels_by_point, budget)
+            hypotheses, provenance, agreement = _erm_image(
+                concept_class, points, labels_by_point, budget
+            )
             solution = _certify_mixture(agreement)
         if solution is not None:
             logger.debug(
@@ -245,7 +212,7 @@ def build_hypothesis_set(
             raise WeakLearningError(
                 f"no certified mixture at the full budget {budget} for {k} points"
             )
-        current = escalate_budget(current, k)
+        subset_budget = escalate_budget(subset_budget, k)
 
 
 def _erm_image(cls, points, labels_by_point, budget):

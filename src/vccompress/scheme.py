@@ -39,7 +39,7 @@ import numpy as np
 from .approx import ProbabilityVector, approximation_size_bound, sparsify_mixture
 from .concepts import ConceptClass, LabeledSample, dual_class, vc_dimension
 from .errors import DecodeError, IntegrityError, UnrealizableError
-from .learner import LearningMap, build_hypothesis_set, lowest_consistent_concept
+from .learner import build_hypothesis_set, lowest_consistent_concept
 from .seeding import child_seeds
 
 __all__ = [
@@ -205,8 +205,9 @@ class CompressedSample:
 class SchemeReport:
     """Size accounting for one compression.  scheme_size = kernel points plus
     encoded side-information bits; details carries the run's diagnostics
-    (dimensions, vote multiset, certified agreement, majority margin, and
-    the sparsifier's draw count and certified deviation).  ``draw_ceiling``
+    (dimensions, vote multiset, certified agreement (the learner game's
+    exact value, correctly rounded to a float), majority margin, and the
+    sparsifier's draw count and certified deviation).  ``draw_ceiling``
     is the paper's vote count T = ceil(16 (d*+1) / epsilon^2), next to the
     realized ``draw_count``: the sparsifier returns the first certified draw
     of 1, 2, 4, ... votes below T, else of T or 2T.  A point-mass mixture is
@@ -351,8 +352,7 @@ def compress(
         )
         return compressed, report
 
-    learning_map = LearningMap(concept_class, max(1, dimension))
-    hypothesis_set, solution = build_hypothesis_set(learning_map, sample)
+    hypothesis_set, solution = build_hypothesis_set(concept_class, sample, max(1, dimension))
 
     if len(hypothesis_set) == 1:
         # the taught point mass (a certified game never has a one-row

@@ -90,13 +90,13 @@ def test_row_out_of_range_rejected():
         ConceptClass(2, (4,))
 
 
-def test_from_matrix_rejects_entries_other_than_zero_and_one():
+def test_from_rows_rejects_entries_other_than_zero_and_one():
     # a cast first would read 0.7 as 0: rows (1, 3) from the first matrix,
     # and a false "duplicate concept rows" from the second
     for matrix in ([[0.7, 1], [1, 1]], [[0.7, 1], [0, 1]], [[2, 0], [0, 1]]):
         with pytest.raises(ValueError, match="0 or 1"):
-            ConceptClass.from_matrix(matrix)
-    assert ConceptClass.from_matrix(np.array([[1.0, 0.0], [0.0, 1.0]])).rows == (1, 2)
+            ConceptClass.from_rows(np.array(matrix).tolist())
+    assert ConceptClass.from_rows(np.array([[1.0, 0.0], [0.0, 1.0]]).tolist()).rows == (1, 2)
 
 
 def test_matrix_is_readonly():

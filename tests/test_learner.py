@@ -19,7 +19,6 @@ from vccompress import (
     ConceptClass,
     HypothesisSet,
     LabeledSample,
-    LearningMap,
     UnrealizableError,
     build_hypothesis_set,
     compress,
@@ -29,7 +28,7 @@ from vccompress import (
     reconstruct,
     serialize_compressed,
 )
-from vccompress import generators, learner, scheme
+from vccompress import game, generators, learner, scheme
 from vccompress.game import EXACT_ENTRY_CAP
 from vccompress.learner import (
     WEAK_AGREEMENT,
@@ -99,7 +98,7 @@ def test_build_hypothesis_set_rejects_a_point_outside_the_domain():
     c = generators.intervals(5)
     sample = LabeledSample.from_pairs([(2, 1), (5, 1)])
     with pytest.raises(ValueError, match="point 5 outside domain of size 5") as exc:
-        build_hypothesis_set(LearningMap(c, 2), sample)
+        build_hypothesis_set(c, sample, 2)
     assert not isinstance(exc.value, UnrealizableError)
 
 
@@ -115,27 +114,25 @@ def test_erm_enforces_the_subset_budget():
     assert lowest_consistent_concept(c, sample.label_items) == 5
     # the learner runs ERM only on subsets within its budget: two of the
     # three points already teach concept 5
-    hs, _ = build_hypothesis_set(LearningMap(c, 2), sample)
+    hs, _ = build_hypothesis_set(c, sample, 2)
     assert (hs.hypotheses, hs.provenance, hs.budget) == ((5,), ((0, 2),), 2)
-    hs, _ = build_hypothesis_set(LearningMap(c, 1), sample)
+    hs, _ = build_hypothesis_set(c, sample, 1)
     assert all(len(subset) <= hs.budget for subset in hs.provenance)
 
 
-def test_learning_map_rejects_nonpositive_budget():
-    with pytest.raises(ValueError):
-        LearningMap(cube(2), 0)
+def test_build_hypothesis_set_rejects_nonpositive_budget():
+    sample = LabeledSample.from_pairs([(0, 1)])
+    with pytest.raises(ValueError, match="subset budget must be at least 1"):
+        build_hypothesis_set(cube(2), sample, 0)
 
 
 def test_escalate_budget_doubles_and_caps():
-    m = LearningMap(cube(3), 2)
-    m2 = escalate_budget(m, 10)
-    assert m2.subset_budget == 4
-    assert escalate_budget(m2, 5).subset_budget == 5
-    capped = LearningMap(cube(3), 5)
-    assert escalate_budget(capped, 5) is capped
-    assert escalate_budget(LearningMap(cube(3), 8), 5).subset_budget == 8
+    assert escalate_budget(2, 10) == 4
+    assert escalate_budget(4, 5) == 5
+    assert escalate_budget(5, 5) == 5
+    assert escalate_budget(8, 5) == 8
     with pytest.raises(ValueError):
-        escalate_budget(m, 0)
+        escalate_budget(2, 0)
 
 
 # -- hypothesis sets --
@@ -144,7 +141,7 @@ def test_escalate_budget_doubles_and_caps():
 def test_full_cube_needs_pairs_for_a_weak_majority():
     c = cube(3)
     sample = LabeledSample.from_pairs([(0, 1), (1, 1), (2, 1)])
-    hs, solution = build_hypothesis_set(LearningMap(c, 1), sample)
+    hs, solution = build_hypothesis_set(c, sample, 1)
     # singleton budgets top out at 1/3 agreement here, so the builder must
     # have escalated once, landing exactly on the 2/3 game value
     assert hs.budget == 2
@@ -157,7 +154,7 @@ def test_intervals_mixture_is_certified_per_point():
     c = intervals_class(10)
     target = c.rows.index(0b0011110000)
     sample = LabeledSample.from_concept(c, target, range(10))
-    hs, solution = build_hypothesis_set(LearningMap(c, 2), sample)
+    hs, solution = build_hypothesis_set(c, sample, 2)
     assert solution.exact_value >= WEAK_AGREEMENT
     assert solution.value_estimate >= float(WEAK_AGREEMENT) - 1e-12
     recheck_certificate(c, sample, hs, solution, tolerance=0.0)
@@ -168,10 +165,10 @@ def test_intervals_mixture_is_certified_per_point():
 def test_random_class_certificates_hold():
     rng = np.random.default_rng(17)
     matrix = rng.integers(0, 2, size=(40, 12))
-    c = ConceptClass.from_matrix(np.unique(matrix, axis=0))
+    c = ConceptClass.from_rows(np.unique(matrix, axis=0).tolist())
     target = 7 % len(c.rows)
     sample = LabeledSample.from_concept(c, target, range(12))
-    hs, solution = build_hypothesis_set(LearningMap(c, 2), sample)
+    hs, solution = build_hypothesis_set(c, sample, 2)
     assert solution.exact_value >= WEAK_AGREEMENT
     recheck_certificate(c, sample, hs, solution, tolerance=0.0)
 
@@ -180,13 +177,13 @@ def test_unrealizable_sample_surfaces_while_escalating():
     c = ConceptClass.from_rows([[0, 1], [1, 0]])
     sample = LabeledSample.from_pairs([(0, 1), (1, 1)])
     with pytest.raises(UnrealizableError):
-        build_hypothesis_set(LearningMap(c, 1), sample)
+        build_hypothesis_set(c, sample, 1)
 
 
 def test_build_rejects_empty_samples():
     c = cube(2)
     with pytest.raises(ValueError):
-        build_hypothesis_set(LearningMap(c, 1), LabeledSample.from_pairs([]))
+        build_hypothesis_set(c, LabeledSample.from_pairs([]), 1)
 
 
 # a class (n points, concept rows) with a list of sample points
@@ -254,7 +251,7 @@ def test_point_mass_matches_the_full_pool(spec, target, budget):
     label_vector = np.array([labels[x] for x in distinct], dtype=np.uint8)
     assert agreement.dtype == np.uint8
     assert np.array_equal(agreement, c.matrix[concepts][:, distinct] == label_vector)
-    hs, solution = build_hypothesis_set(LearningMap(c, budget), sample)
+    hs, solution = build_hypothesis_set(c, sample, budget)
     if consistent in concepts:
         assert hs.hypotheses == (consistent,)
         assert hs.provenance == (first_subset[consistent],)
@@ -267,15 +264,15 @@ def test_point_mass_matches_the_full_pool(spec, target, budget):
 
 
 def _counting(monkeypatch, name):
-    """Replace learner.<name> by a wrapper that records its results."""
+    """Replace game.<name> by a wrapper that records its results."""
     results = []
-    original = getattr(learner, name)
+    original = getattr(game, name)
 
     def counted(*args, **kwargs):
         results.append(original(*args, **kwargs))
         return results[-1]
 
-    monkeypatch.setattr(learner, name, counted)
+    monkeypatch.setattr(game, name, counted)
     return results
 
 
@@ -285,7 +282,7 @@ def test_taught_samples_solve_no_game(monkeypatch):
     # teaches c0 without walking them
     c = generators.halfspaces_grid(8, 2)
     sample = LabeledSample.from_concept(c, 7, [(7 * i) % 64 for i in range(60)])
-    hs, solution = build_hypothesis_set(LearningMap(c, 3), sample)
+    hs, solution = build_hypothesis_set(c, sample, 3)
     assert (hs.hypotheses, hs.provenance) == ((7,), ((24,),))
     assert solution.exact_value == Fraction(1)
     assert games == []
@@ -294,7 +291,7 @@ def test_taught_samples_solve_no_game(monkeypatch):
     # walk over all 93 subsets gave before the ERM-image search existed
     c = generators.k_interval_unions(8, 2)
     sample = LabeledSample.from_concept(c, 30, range(8))
-    hs, solution = build_hypothesis_set(LearningMap(c, 3), sample)
+    hs, solution = build_hypothesis_set(c, sample, 3)
     assert hs.hypotheses == tuple(range(15)) + tuple(range(16, 26)) + (27,)
     assert hs.budget == 3
     assert solution.exact_value == Fraction(2, 3)
@@ -307,7 +304,7 @@ def test_prefix_cap_still_ends_the_escalation(monkeypatch):
     monkeypatch.setattr(learner, "_PREFIX_CAP", 1)
     c = generators.k_interval_unions(8, 2)
     sample = LabeledSample.from_concept(c, 52, range(8))
-    hs, solution = build_hypothesis_set(LearningMap(c, 1), sample)
+    hs, solution = build_hypothesis_set(c, sample, 1)
     assert (hs.hypotheses, hs.provenance) == ((52,), ((0, 1, 2, 3, 4, 5, 6, 7),))
     assert hs.budget == 8
     assert solution.exact_value == Fraction(1)
@@ -317,13 +314,13 @@ def _compress_recording_the_game(monkeypatch, c, sample):
     """compress(c, sample) at seed 0, plus every (hypothesis set, solution)
     the learner built and every game shape its exact solver ran on."""
     shapes = []
-    solve = learner._exact_minimax
+    solve = game._exact_minimax
 
     def shaped(entries):
         shapes.append(entries.shape)
         return solve(entries)
 
-    monkeypatch.setattr(learner, "_exact_minimax", shaped)
+    monkeypatch.setattr(game, "_exact_minimax", shaped)
     builds = []
     original_build = scheme.build_hypothesis_set
 

@@ -29,7 +29,7 @@ from vccompress import (
     serialize_compressed,
     verify_round_trip,
 )
-from vccompress import approx, concepts, dual_class, generators, learner, scheme, vc_dimension
+from vccompress import approx, concepts, dual_class, game, generators, learner, scheme, vc_dimension
 from vccompress.approx import approximation_size_bound
 from vccompress.scheme import (
     MAGIC,
@@ -250,7 +250,7 @@ def test_random_classes_round_trip():
     rng = np.random.default_rng(77)
     for trial in range(8):
         matrix = rng.integers(0, 2, size=(30, 9))
-        c = ConceptClass.from_matrix(np.unique(matrix, axis=0))
+        c = ConceptClass.from_rows(np.unique(matrix, axis=0).tolist())
         concept = int(rng.integers(0, len(c.rows)))
         points = rng.integers(0, 9, size=int(rng.integers(1, 15)))
         sample = LabeledSample.from_concept(c, concept, points)
@@ -615,21 +615,20 @@ def test_integer_majority_recheck_matches_the_numpy_formula(case):
 
 
 def test_taught_point_masses_share_one_solution(monkeypatch):
-    learner._point_mass_solution.cache_clear()
     built = _counting(monkeypatch, "__init__", approx.ProbabilityVector)
     c = generators.intervals(12)
     first = LabeledSample.from_concept(c, 30, [1, 4, 7])
-    second = LabeledSample.from_concept(c, 50, [2, 9, 2, 10])  # also 3 distinct points
-    for sample, made in ((first, 2), (second, 2)):
+    second = LabeledSample.from_concept(c, 50, [2, 9, 2, 10, 11])  # 4 distinct points
+    for sample in (first, second):
         _, report = compress(c, sample, seed=0)
         assert len(report.details["vote_concepts"]) == 1
         assert report.details["draw_count"] == 0
-        assert len(built) == made
-    learning_map = learner.LearningMap(c, vc_dimension(c))
-    _, one = learner.build_hypothesis_set(learning_map, first)
-    _, other = learner.build_hypothesis_set(learning_map, second)
-    assert len(built) == 2
+    budget = vc_dimension(c)
+    _, one = learner.build_hypothesis_set(c, first, budget)
+    _, other = learner.build_hypothesis_set(c, second, budget)
+    assert built == []
     assert one is other
+    assert one.exact_value == 1 and one.exploitability == 0.0
     assert not one.row_strategy.weights.flags.writeable
     assert not one.col_strategy.weights.flags.writeable
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -662,7 +661,7 @@ def test_point_mass_skips_the_game_and_the_sparsifier(monkeypatch):
     calls = {
         name: _counting(monkeypatch, name, module)
         for module, name in (
-            (learner, "_exact_minimax"),
+            (game, "_exact_minimax"),
             (scheme, "sparsify_mixture"),
             (scheme, "dual_class"),
             (scheme, "child_seeds"),
@@ -728,6 +727,36 @@ def test_point_mass_skips_the_game_and_the_sparsifier(monkeypatch):
     assert len(certificates) == len(calls["child_seeds"]) == 2
     assert report.details["draw_ceiling"] == certificates[1].size_bound == 4096
     assert scans == []
+
+
+def test_round_trips_never_import_numpy_ma():
+    # np.unique(..., axis=1) without a return_* output calls np.ma.is_masked,
+    # and its first call imports numpy.ma: tens of milliseconds and about
+    # 1 MB once per process, which a short benchmark run pays in full
+    script = """
+import sys
+from vccompress import (
+    LabeledSample, compress, deserialize_compressed, generators, reconstruct,
+    serialize_compressed,
+)
+taught = generators.intervals(30)
+mixed = generators.random_vc_capped(12, 3, 60)
+cases = [
+    (taught, LabeledSample.from_concept(taught, 400, range(30))),
+    (mixed, LabeledSample.from_concept(mixed, 30, [9, 3, 8, 2, 4, 2])),
+    (taught, LabeledSample.from_pairs([])),
+]
+for c, sample in cases:
+    compressed, report = compress(c, sample, seed=1)
+    reconstruct(c, deserialize_compressed(serialize_compressed(compressed)))
+    print(len(report.details["vote_concepts"]))
+print("numpy.ma" in sys.modules)
+"""
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True
+    )
+    # a point mass, a mixture of four votes and the empty sample's one vote
+    assert out.stdout.split() == ["1", "4", "1", "False"]
 
 
 def test_report_shape_leaves_the_class_out():

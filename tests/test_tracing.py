@@ -26,7 +26,9 @@ def test_tracer_installs_on_the_package():
 def test_tracer_counts_point_masses_and_pool_sizes():
     # the tracer reads the pool size and the point-mass flag from
     # build_hypothesis_set's result; a taught point mass and a mixture
-    # must each count once
+    # must each count once, and the mixture's one pattern game (6
+    # hypotheses by 5 distinct agreement patterns) must reach the wrapped
+    # exact solver, which the learner calls only through game
     script = """
 import json, sys
 sys.path[:0] = sys.argv[1:]
@@ -39,7 +41,7 @@ cases = [
     (mixed, LabeledSample.from_concept(mixed, 30, [9, 3, 8, 2, 4, 2])),
 ]
 pools = [
-    len(learner.build_hypothesis_set(learner.LearningMap(c, max(1, vc_dimension(c))), s)[0])
+    len(learner.build_hypothesis_set(c, s, max(1, vc_dimension(c)))[0])
     for c, s in cases
 ]
 tracer = tracing.Tracer()
@@ -60,3 +62,5 @@ print(json.dumps({"counts": tracer.counts, "pools": pools}))
     assert counts["learner.build"] == 2
     assert counts["game.point_masses"] == 1
     assert counts["learner.pool_size"] == sum(pools)
+    assert counts["game.exact"] == 1
+    assert counts["game.exact_entries"] == 30
