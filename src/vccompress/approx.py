@@ -1,16 +1,20 @@
 """Small empirical approximations of measures over concept classes.
 
-Two symmetric operations, both certified by exhaustive re-checking rather
-than trusted from theory:
+One fact behind two operations: an epsilon-approximation of a measure over
+the points of a class, tested on every concept, whose size is set by the
+class's VC dimension.  Both are certified by exhaustive re-checking rather
+than trusted from theory, by the one formula ``approximation_deviation``.
 
 * ``epsilon_approximation`` — a multiset of domain points whose empirical
   measure is within epsilon of a target distribution on every concept.
 * ``sparsify_mixture`` — a multiset of concepts whose uniform average is
-  within epsilon of a mixture of concepts on every domain point (the same
-  statement applied to the dual class, which also supplies the size bound).
+  within epsilon of a mixture of concepts on every domain point: the same
+  operation on the dual class, whose points are the concepts and whose
+  concepts are the distinct points (``sparsification_deviation`` is
+  ``approximation_deviation`` there, and d* supplies the size bound).
 
-Both draw i.i.d. from the target and return the first multiset whose
-certificate holds, trying sizes 1, 2, 4, ... below the ceiling
+Both draw i.i.d. from the target and return the certificate of the first
+multiset that holds, trying sizes 1, 2, 4, ... below the ceiling
 T = ceil(C_APX_DEFAULT (d+1) / epsilon^2) once each, then T and 2T up to
 RETRY_DEFAULT + 1 times each.  The ceiling is the theory's sufficient size,
 reported as ``size_bound``; any multiset that passes the exhaustive check is
@@ -86,14 +90,6 @@ class ProbabilityVector:
     def __len__(self) -> int:
         return self._weights.size
 
-    def __getitem__(self, i: int) -> float:
-        return float(self._weights[i])
-
-    def __array__(self, dtype=None, copy=None):
-        if dtype is None:
-            return self._weights
-        return self._weights.astype(dtype)
-
     def __repr__(self) -> str:
         return f"ProbabilityVector({self._weights.tolist()!r})"
 
@@ -138,54 +134,47 @@ def _as_distribution(weights, size: int, what: str) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=1)
-def _true_mass(concept_class: ConceptClass, weights: bytes, over_concepts: bool) -> np.ndarray:
-    """The target's mass on every concept (``weights`` a measure over points)
-    or at every point (``weights`` a mixture over concepts).  The sampler
-    checks one target against many draws, and the float matrix this needs
-    takes 8 bytes per entry, so the last target's mass is kept."""
-    w = np.frombuffer(weights).copy()
-    matrix = concept_class.matrix.astype(np.float64)
-    mass = matrix @ w if over_concepts else w @ matrix
+def _true_mass(concept_class: ConceptClass, weights: bytes) -> np.ndarray:
+    """The mass of the measure ``weights`` over the points on every concept.
+    The sampler checks one target against many draws, and the float matrix
+    this needs takes 8 bytes per entry, so the last target's mass is kept."""
+    mass = concept_class.matrix.astype(np.float64) @ np.frombuffer(weights)
     mass.flags.writeable = False
     return mass
 
 
-def _deviation(draw_rows: np.ndarray, true_mass: np.ndarray, multiset, what: str) -> float:
-    """Worst |true_mass - average of the drawn 0/1 rows| over the columns.
-    The row sums are integer counts times 0/1 entries, exact in float64 in
-    any order, so only the drawn rows are read."""
-    idx = np.asarray(multiset, dtype=np.int64)
-    size = draw_rows.shape[0]
-    if idx.size == 0 or idx.min() < 0 or idx.max() >= size:
-        raise ValueError(f"multiset {what} out of range")
-    counts = np.bincount(idx, minlength=size)
-    drawn = np.flatnonzero(counts)
-    hits = counts[drawn].astype(np.float64) @ draw_rows[drawn].astype(np.float64)
-    return float(np.abs(true_mass - hits / idx.size).max())
-
-
 def approximation_deviation(concept_class: ConceptClass, mu, multiset: Sequence[int]) -> float:
     """Worst |mu(c=1) - empirical frequency of c=1 on the multiset| over all
-    concepts; an exhaustive scan, not an estimate."""
-    w = _as_distribution(mu, concept_class.domain_size, "mu")
-    true_mass = _true_mass(concept_class, w.tobytes(), True)
-    return _deviation(concept_class.matrix.T, true_mass, multiset, "points")
+    concepts; an exhaustive scan, not an estimate.  The hit counts are
+    integer counts times 0/1 entries, exact in float64 in any order, so only
+    the drawn points' columns are read."""
+    n = concept_class.domain_size
+    w = _as_distribution(mu, n, "mu")
+    true_mass = _true_mass(concept_class, w.tobytes())
+    idx = np.asarray(multiset, dtype=np.int64)
+    if idx.size == 0 or idx.min() < 0 or idx.max() >= n:
+        raise ValueError("multiset points out of range")
+    counts = np.bincount(idx, minlength=n)
+    drawn = np.flatnonzero(counts)
+    hits = concept_class.matrix[:, drawn].astype(np.float64) @ counts[drawn].astype(np.float64)
+    return float(np.abs(true_mass - hits / idx.size).max())
 
 
 def sparsification_deviation(concept_class: ConceptClass, p, multiset: Sequence[int]) -> float:
     """Worst |p(c(x)=1) - fraction of the multiset with value 1 at x| over
-    all domain points."""
-    w = _as_distribution(p, len(concept_class), "p")
-    true_mass = _true_mass(concept_class, w.tobytes(), False)
-    return _deviation(concept_class.matrix, true_mass, multiset, "concepts")
+    all domain points: ``approximation_deviation`` on the dual class, whose
+    points are the concepts and whose concepts are the distinct points."""
+    return approximation_deviation(dual_class(concept_class), p, multiset)
 
 
-def _rejection_sample(weights, dimension, epsilon, seed, deviation_fn):
-    """The first i.i.d. multiset from ``weights`` whose exhaustive deviation
-    is at most epsilon.  One attempt at each power of two below the ceiling
-    T = approximation_size_bound(dimension, epsilon), then RETRY_DEFAULT+1
-    attempts at T and, as an escape hatch, RETRY_DEFAULT+1 at 2T before
-    giving up.  Any multiset that passes the check is a certificate, so the
+def _rejection_sample(
+    weights, dimension, epsilon, seed, deviation_fn
+) -> ApproximationCertificate:
+    """The certificate of the first i.i.d. multiset from ``weights`` whose
+    exhaustive deviation is at most epsilon.  One attempt at each power of
+    two below the ceiling T = approximation_size_bound(dimension, epsilon),
+    then RETRY_DEFAULT+1 attempts at T and, as an escape hatch,
+    RETRY_DEFAULT+1 at 2T before giving up.  Any multiset that passes the check is a certificate, so the
     smallest one found wins; T only bounds the size."""
     ceiling = approximation_size_bound(dimension, epsilon)
     sizes = [1 << i for i in range((ceiling - 1).bit_length())]
@@ -198,7 +187,7 @@ def _rejection_sample(weights, dimension, epsilon, seed, deviation_fn):
         dev = deviation_fn(draw)
         best = min(best, dev)
         if dev <= epsilon:
-            return tuple(draw.tolist()), dev, ceiling
+            return ApproximationCertificate(tuple(draw.tolist()), dev, float(epsilon), ceiling)
     raise ApproximationBudgetError(
         f"no multiset certified at epsilon={epsilon} within the retry budget "
         f"(best deviation {best:.6g})",
@@ -221,15 +210,13 @@ def epsilon_approximation(
     first draw that certifies is returned, so its length is a power of two
     below T, T or 2T.  The certificate's ``size_bound`` is T.
     """
-    n = concept_class.domain_size
-    w = _as_distribution(mu, n, "mu")
+    w = _as_distribution(mu, concept_class.domain_size, "mu")
     d = vc_dimension(concept_class)
     # the deviation check re-runs the public function on the caller's mu so a
     # later independent re-verification is bit-identical
-    multiset, dev, bound = _rejection_sample(
+    return _rejection_sample(
         w, d, epsilon, seed, lambda draw: approximation_deviation(concept_class, mu, draw)
     )
-    return ApproximationCertificate(multiset, dev, float(epsilon), bound)
 
 
 def sparsify_mixture(
@@ -237,20 +224,18 @@ def sparsify_mixture(
     p,
     epsilon: float,
     seed: int,
-) -> tuple[tuple[int, ...], ApproximationCertificate]:
-    """Multiset of concept indices whose uniform average tracks the mixture p
-    within epsilon at every domain point.
+) -> ApproximationCertificate:
+    """Certificate for a multiset of concept indices whose uniform average
+    tracks the mixture p within epsilon at every domain point.
 
     This is `epsilon_approximation` on the dual class, so the size ceiling
     T uses the dual VC dimension, and the multiset is the first certified
     draw of the same size schedule: a power of two below T, T or 2T.  Draws
-    are i.i.d. from p, hence the multiset is contained in p's support.
+    are i.i.d. from p, hence the multiset is contained in p's support.  Each
+    attempt is checked by ``sparsification_deviation``.
     """
-    m = len(concept_class)
-    w = _as_distribution(p, m, "p")
+    w = _as_distribution(p, len(concept_class), "p")
     d_star = vc_dimension(dual_class(concept_class))
-    multiset, dev, bound = _rejection_sample(
+    return _rejection_sample(
         w, d_star, epsilon, seed, lambda draw: sparsification_deviation(concept_class, p, draw)
     )
-    cert = ApproximationCertificate(multiset, dev, float(epsilon), bound)
-    return multiset, cert

@@ -29,8 +29,6 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
 from .approx import ProbabilityVector, epsilon_approximation
 from .concepts import (
     LabeledSample,
@@ -64,16 +62,6 @@ __all__ = ["main"]
 def _json_ready(value):
     if isinstance(value, Fraction):
         return str(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return dataclasses.asdict(value)
-    if isinstance(value, ProbabilityVector):
-        return value.weights.tolist()
     raise TypeError(f"not JSON-serializable: {type(value).__name__}")
 
 

@@ -18,9 +18,10 @@ The row player maximizes, the column player minimizes.  Three solvers:
   column best responses, with a post-hoc exploitability certificate; the
   weak learner never uses it.
 * ``sparse_epsilon_nash`` — small multisets of pure strategies whose uniform
-  play is an epsilon-equilibrium, obtained by sparsifying exact or
-  near-optimal mixed strategies; the support-size ceilings depend only on
-  the VC dimensions of the strategy sets, never on how often rows/columns
+  play is an epsilon-equilibrium: each is an ``epsilon_approximation`` of
+  an exact or near-optimal mixed strategy over the class of the other
+  side's distinct pure strategies.  The support-size ceilings depend only
+  on the VC dimensions of those classes, never on how often rows/columns
   repeat, and each multiset is the first certified draw below them.
 
 Every exact solve, from ``solve_exact``, ``sparse_epsilon_nash`` or the weak
@@ -38,8 +39,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .approx import ProbabilityVector, approximation_size_bound, sparsify_mixture
-from .concepts import ConceptClass, _bit_rows, dual_class, row_to_int, vc_dimension
+from .approx import ProbabilityVector, epsilon_approximation
+from .concepts import ConceptClass, _bit_rows, row_to_int, vc_dimension
 from .errors import ConvergenceError, ExactSolverCapError
 from .seeding import child_seeds
 
@@ -120,8 +121,11 @@ class GameSolution:
 class SparseEquilibrium:
     """Multisets of pure strategies whose uniform play is within epsilon of
     the game value against every pure response (verified exhaustively).
-    The support bounds are the sparsifier's size ceilings T; each multiset
-    has a power-of-two length below T, or T, or 2T."""
+    The row side's test dimension is the VC dimension of the distinct
+    columns as concepts over the rows (the dual dimension of the row set),
+    and symmetrically for columns.  The support bounds are the size
+    ceilings T of the two epsilon-approximations; each multiset has a
+    power-of-two length below T, or T, or 2T."""
 
     row_multiset: tuple[int, ...]
     col_multiset: tuple[int, ...]
@@ -363,23 +367,16 @@ def solve_mw(matrix, target_exploitability: float = 0.01) -> GameSolution:
 # -- sparse equilibria ----------------------------------------------------------
 
 
-def _strategy_class_and_map(unique_rows: np.ndarray) -> tuple[ConceptClass, list[int]]:
-    """Concept class of the distinct strategy rows plus the map from concept
-    index back to the row index within `unique_rows`."""
-    packed = [row_to_int(row) for row in unique_rows.tolist()]
-    cls = ConceptClass.from_row_ints(unique_rows.shape[1], packed)
-    return cls, sorted(range(len(packed)), key=packed.__getitem__)
-
-
 def sparse_epsilon_nash(matrix, epsilon: float, seed: int) -> SparseEquilibrium:
     """Sparse epsilon-equilibrium with support-size ceilings governed by the
     VC dimensions of the strategy sets.
 
     Duplicate rows/columns are collapsed before solving (they change neither
     the value nor the dimensions), so padding a matrix with copies cannot
-    inflate the supports.  Each side's multiset is the sparsified optimal
-    mixture: the first draw of 1, 2, 4, ... strategies that certifies, so
-    the reported support bounds are ceilings, not draw sizes.  The epsilon
+    inflate the supports.  Each side's multiset is an epsilon-approximation
+    of its optimal strategy, tested on every pure strategy of the other
+    side: the first draw of 1, 2, 4, ... strategies that certifies, so the
+    reported support bounds are ceilings, not draw sizes.  The epsilon
     guarantee is re-verified against every pure strategy of the original
     matrix.
     """
@@ -399,19 +396,16 @@ def sparse_epsilon_nash(matrix, epsilon: float, seed: int) -> SparseEquilibrium:
         solution = solve_mw(core, target_exploitability=epsilon / 8)
         eps_sparsify = 0.75 * epsilon
     value_f = solution.value_estimate
-    p = solution.row_strategy.weights
-    q = solution.col_strategy.weights
 
-    # rows as concepts over columns; the sparsifier's size bound is the VC
-    # dimension of the dual (= the column set), as required
-    row_cls, row_map = _strategy_class_and_map(core)
-    row_ms, _ = sparsify_mixture(row_cls, ProbabilityVector(p[row_map]), eps_sparsify, seeds[0])
-    row_multiset = tuple(int(row_rep[row_map[c]]) for c in row_ms)
-
-    # columns as concepts over rows, symmetrically
-    col_cls, col_map = _strategy_class_and_map(core.T)
-    col_ms, _ = sparsify_mixture(col_cls, ProbabilityVector(q[col_map]), eps_sparsify, seeds[1])
-    col_multiset = tuple(int(col_rep[col_map[c]]) for c in col_ms)
+    # the row multiset is drawn over core's rows and tested on its distinct
+    # columns as concepts, so their VC dimension sets its ceiling; the
+    # column multiset symmetrically
+    columns = ConceptClass.from_row_ints(core.shape[0], map(row_to_int, core.T.tolist()))
+    rows = ConceptClass.from_row_ints(core.shape[1], map(row_to_int, core.tolist()))
+    row_cert = epsilon_approximation(columns, solution.row_strategy, eps_sparsify, seeds[0])
+    col_cert = epsilon_approximation(rows, solution.col_strategy, eps_sparsify, seeds[1])
+    row_multiset = tuple(row_rep[list(row_cert.multiset)].tolist())
+    col_multiset = tuple(col_rep[list(col_cert.multiset)].tolist())
 
     # exhaustive verification on the ORIGINAL matrix
     mf = m.astype(np.float64)
@@ -419,18 +413,16 @@ def sparse_epsilon_nash(matrix, epsilon: float, seed: int) -> SparseEquilibrium:
     col_play = mf[:, list(col_multiset)].mean(axis=1)
     certified = max(value_f - float(row_play.min()), float(col_play.max()) - value_f, 0.0)
 
-    row_dim = vc_dimension(dual_class(row_cls))
-    col_dim = vc_dimension(dual_class(col_cls))
     return SparseEquilibrium(
         row_multiset=row_multiset,
         col_multiset=col_multiset,
         epsilon=float(epsilon),
         certified_exploitability=certified,
         value_estimate=value_f,
-        row_support_bound=approximation_size_bound(row_dim, eps_sparsify),
-        col_support_bound=approximation_size_bound(col_dim, eps_sparsify),
-        row_test_dimension=row_dim,
-        col_test_dimension=col_dim,
+        row_support_bound=row_cert.size_bound,
+        col_support_bound=col_cert.size_bound,
+        row_test_dimension=vc_dimension(columns),
+        col_test_dimension=vc_dimension(rows),
     )
 
 

@@ -24,6 +24,9 @@ __all__ = [
     "make_concept_class",
 ]
 
+# random_vc_capped draws at most this many candidate rows per requested concept
+_TRIES_PER_CONCEPT = 50
+
 
 def intervals(n: int) -> ConceptClass:
     """All contiguous blocks of 1s on n ordered points, plus the empty
@@ -92,21 +95,18 @@ def halfspaces_grid(side: int, dim: int, count: int = 64, seed: int = 0) -> Conc
     return ConceptClass.from_row_ints(n, sorted(rows))
 
 
-def random_vc_capped(
-    n: int, vc_cap: int, max_concepts: int, seed: int = 0, tries: int | None = None
-) -> ConceptClass:
+def random_vc_capped(n: int, vc_cap: int, max_concepts: int, seed: int = 0) -> ConceptClass:
     """Greedily grown random class whose VC dimension never exceeds vc_cap.
 
     Candidate rows are drawn uniformly; one is kept only if adding it leaves
-    the dimension within the cap.  Stops at max_concepts rows or after the
-    try budget (default 50 per requested concept).
+    the dimension within the cap.  Stops at max_concepts rows or after
+    _TRIES_PER_CONCEPT candidates per requested concept.
     """
     if n < 1 or vc_cap < 0 or max_concepts < 1:
         raise ValueError("need n >= 1, vc_cap >= 0, max_concepts >= 1")
     rng = make_rng(seed)
-    budget = 50 * max_concepts if tries is None else tries
     rows: set[int] = set()
-    for _ in range(budget):
+    for _ in range(_TRIES_PER_CONCEPT * max_concepts):
         if len(rows) >= max_concepts:
             break
         candidate = row_to_int(rng.integers(0, 2, size=n).tolist())

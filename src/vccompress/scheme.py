@@ -365,13 +365,13 @@ def compress(
         full_weights = np.zeros(len(concept_class.rows))
         full_weights[list(hypothesis_set.hypotheses)] = solution.row_strategy.weights
         [sparsify_seed] = child_seeds(seed, 1)
-        multiset, certificate = sparsify_mixture(
+        certificate = sparsify_mixture(
             concept_class, ProbabilityVector(full_weights), SPARSIFY_EPSILON, sparsify_seed
         )
-        votes = _reduced_vote_multiset(multiset)
+        votes = _reduced_vote_multiset(certificate.multiset)
         draw_details = {
             "sparsification_deviation": certificate.max_deviation,
-            "draw_count": len(multiset),
+            "draw_count": len(certificate.multiset),
             "draw_ceiling": certificate.size_bound,
         }
 
@@ -419,12 +419,11 @@ def reconstruct(concept_class: ConceptClass, compressed: CompressedSample) -> np
     Exact on every point of the originally compressed sample; ties (possible
     only off-sample) resolve to 0.
     """
-    if compressed.domain_size != concept_class.domain_size:
-        raise IntegrityError(
-            f"compressed domain size {compressed.domain_size} does not match "
-            f"the class domain {concept_class.domain_size}"
-        )
-    voters = _subset_erms(concept_class, compressed)
+    return _majority_vote(concept_class, _subset_erms(concept_class, compressed))
+
+
+def _majority_vote(concept_class: ConceptClass, voters: list[int]) -> np.ndarray:
+    """Each point's strict majority label over the voting concepts."""
     if len(set(voters)) == 1:
         # every vote is the same row, so the majority is that row
         return concept_class.matrix[voters[0]].copy()
@@ -433,8 +432,14 @@ def reconstruct(concept_class: ConceptClass, compressed: CompressedSample) -> np
 
 
 def _subset_erms(concept_class: ConceptClass, compressed: CompressedSample) -> list[int]:
-    """The ERM concept of each side-info subset, in side-info order; each
-    distinct subset is learned once."""
+    """The ERM concept of each side-info subset, in side-info order, once the
+    container's domain matches the class; each distinct subset is learned
+    once."""
+    if compressed.domain_size != concept_class.domain_size:
+        raise IntegrityError(
+            f"compressed domain size {compressed.domain_size} does not match "
+            f"the class domain {concept_class.domain_size}"
+        )
     learned: dict[tuple[int, ...], int] = {}
     for subset in dict.fromkeys(compressed.position_subsets):
         pairs = [(compressed.kernel_points[i], compressed.kernel_labels[i]) for i in subset]
@@ -466,14 +471,16 @@ def verify_round_trip(
 ) -> VerificationResult:
     """Compress, reconstruct, and check everything that should hold: labels
     reproduce exactly on the sample, the decompressor's hypotheses are the
-    very ones the compressor voted, and the size respects its bound."""
+    very ones the compressor voted, and the size respects its bound.  Each
+    side-info subset is learned once, for both the vote and that check."""
     compressed, report = compress(concept_class, sample, seed)
-    decoded = reconstruct(concept_class, compressed)
+    voters = _subset_erms(concept_class, compressed)
+    decoded = _majority_vote(concept_class, voters)
     mismatches = tuple(
         point for point, label in sample.label_items if int(decoded[point]) != label
     )
     expected = [concept for concept, mult in report.details["vote_concepts"] for _ in range(mult)]
-    hypotheses_match = _subset_erms(concept_class, compressed) == expected
+    hypotheses_match = voters == expected
     bound = scheme_size_bound(
         report.details["vc_dimension"],
         report.details["dual_vc_dimension"],

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vccompress import ConceptClass, approx, dual_class, vc_dimension
+from vccompress import ConceptClass, approx, dual_class, generators, vc_dimension
 from vccompress.approx import (
     ApproximationCertificate,
     ProbabilityVector,
@@ -47,9 +47,9 @@ def test_probability_vector_tolerates_tiny_sum_error():
 
 def test_probability_vector_helpers():
     u = ProbabilityVector.uniform(4)
-    assert len(u) == 4 and u[0] == 0.25
+    assert len(u) == 4 and u.weights[0] == 0.25
     p = ProbabilityVector.point_mass(5, 2)
-    assert np.asarray(p).sum() == 1.0
+    assert p.weights.sum() == 1.0
 
 
 def test_weights_are_readonly():
@@ -141,20 +141,19 @@ def test_mu_length_checked():
 def test_sparsify_point_mass_mixture():
     c = intervals_fixture(8)
     p = ProbabilityVector.point_mass(len(c), 11)
-    multiset, cert = sparsify_mixture(c, p, 0.125, seed=3)
-    assert set(multiset) == {11}
+    cert = sparsify_mixture(c, p, 0.125, seed=3)
+    assert set(cert.multiset) == {11}
     assert cert.max_deviation == 0.0
-    assert cert.multiset == multiset
 
 
 def test_sparsify_uniform_mixture_eighth():
     c = intervals_fixture(10)
     p = ProbabilityVector.uniform(len(c))
-    multiset, cert = sparsify_mixture(c, p, 0.125, seed=11)
+    cert = sparsify_mixture(c, p, 0.125, seed=11)
     d_star = vc_dimension(dual_class(c))
-    assert len(multiset) <= approximation_size_bound(d_star, 0.125)
+    assert len(cert.multiset) <= approximation_size_bound(d_star, 0.125)
     assert cert.size_bound == approximation_size_bound(d_star, 0.125)
-    dev = sparsification_deviation(c, p, multiset)
+    dev = sparsification_deviation(c, p, cert.multiset)
     assert dev == cert.max_deviation <= 0.125
 
 
@@ -162,14 +161,27 @@ def test_sparsify_draws_only_from_support():
     c = intervals_fixture(10)
     w = np.zeros(len(c))
     w[[4, 9, 17]] = [0.5, 0.25, 0.25]
-    multiset, _ = sparsify_mixture(c, ProbabilityVector(w), 0.125, seed=2)
-    assert set(multiset) <= {4, 9, 17}
+    cert = sparsify_mixture(c, ProbabilityVector(w), 0.125, seed=2)
+    assert set(cert.multiset) <= {4, 9, 17}
 
 
 def test_sparsify_determinism():
     c = intervals_fixture(10)
     p = ProbabilityVector.uniform(len(c))
     assert sparsify_mixture(c, p, 0.25, seed=9) == sparsify_mixture(c, p, 0.25, seed=9)
+
+
+def test_sparsification_is_approximation_on_the_dual_class():
+    # one deviation formula: the mixture's mass at each distinct point is the
+    # dual class's true mass, and the drawn concepts are its drawn points
+    c = generators.intervals(6)
+    w = np.zeros(len(c))
+    w[[15, 3, 1, 19, 14]] = np.array([6, 2, 5, 3, 7]) / 23
+    p = ProbabilityVector(w)
+    multiset = [1, 15, 14, 3]
+    assert sparsification_deviation(c, p, multiset) == approximation_deviation(
+        dual_class(c), p, multiset
+    )
 
 
 @settings(max_examples=100, deadline=None)
@@ -186,11 +198,12 @@ def test_sparsify_returns_the_first_certified_size(data):
     p = ProbabilityVector(np.array(raw) / sum(raw))
     epsilon = data.draw(st.sampled_from([0.5, 0.25, 0.125]), label="epsilon")
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
-    multiset, cert = sparsify_mixture(c, p, epsilon, seed=seed)
+    cert = sparsify_mixture(c, p, epsilon, seed=seed)
+    multiset = cert.multiset
     ceiling = approximation_size_bound(vc_dimension(dual_class(c)), epsilon)
     assert cert.size_bound == ceiling
     size = len(multiset)
     # a power of two below the ceiling, the ceiling, or the escape hatch
     assert size in (ceiling, 2 * ceiling) or (size < ceiling and size & (size - 1) == 0)
     assert sparsification_deviation(c, p, multiset) == cert.max_deviation <= epsilon
-    assert sparsify_mixture(c, p, epsilon, seed=seed) == (multiset, cert)
+    assert sparsify_mixture(c, p, epsilon, seed=seed) == cert

@@ -12,6 +12,10 @@ The same holds one level down: a public method or property defined in the
 body of an exported class must be read as an attribute (``x.name``)
 somewhere in those directories.  Attributes are matched by name alone, so a
 method counts as used when any object's attribute of that name is read.
+
+And no option is dead: every parameter with a default, of an exported
+function or of a public method or ``__init__`` of an exported class, must be
+passed, by keyword or by position, by some call in those directories.
 """
 
 import ast
@@ -83,3 +87,82 @@ def test_every_public_member_of_an_export_is_referenced_outside_the_tests():
     assert ("ProbabilityVector", "weights") in members  # the walk sees the classes
     referenced = referenced_outside_the_tests()
     assert sorted(m for m in members if m[1] not in referenced) == []
+
+
+def _defaulted(arguments, is_method):
+    """(name, position or None) of every parameter with a default; the
+    position counts the arguments a call passes, so a method's self or cls
+    is not counted, and a keyword-only parameter has none."""
+    positional = [*arguments.posonlyargs, *arguments.args][1 if is_method else 0 :]
+    first_default = len(positional) - len(arguments.defaults)
+    found = [(a.arg, i) for i, a in enumerate(positional) if i >= first_default]
+    found += [
+        (a.arg, None)
+        for a, default in zip(arguments.kwonlyargs, arguments.kw_defaults)
+        if default is not None
+    ]
+    return found
+
+
+def exported_optional_parameters():
+    """(callable, parameter, position) for every defaulted parameter of an
+    exported function, of a public method of an exported class, and of such a
+    class's ``__init__``, which a call names by the class."""
+    exported = exported_names()
+    optional = set()
+    for path in sorted((ROOT / "src" / "vccompress").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef) and node.name in exported:
+                optional |= {(node.name, *p) for p in _defaulted(node.args, False)}
+            elif isinstance(node, ast.ClassDef) and node.name in exported:
+                for item in node.body:
+                    if not isinstance(item, ast.FunctionDef):
+                        continue
+                    if item.name == "__init__":
+                        called_as = node.name
+                    elif not item.name.startswith("_"):
+                        called_as = item.name
+                    else:
+                        continue
+                    static = any(
+                        isinstance(d, ast.Name) and d.id == "staticmethod"
+                        for d in item.decorator_list
+                    )
+                    optional |= {(called_as, *p) for p in _defaulted(item.args, not static)}
+    return optional
+
+
+def parameters_set_outside_the_tests():
+    """(callable name, keyword) and (callable name, position) for every
+    argument some call in ``src/``, ``demos/`` or ``perfbench/`` passes; a
+    call is matched by the name it calls (``f(...)`` or ``x.f(...)``), a
+    ``*`` argument counts as passing every position and a ``**`` argument
+    every keyword."""
+    passed = set()
+    for directory in ("src", "demos", "perfbench"):
+        for path in sorted((ROOT / directory).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name is None:
+                    continue
+                for position, arg in enumerate(node.args):
+                    passed.add((name, "*" if isinstance(arg, ast.Starred) else position))
+                for keyword in node.keywords:
+                    passed.add((name, keyword.arg or "**"))
+    return passed
+
+
+def test_every_optional_parameter_of_an_export_is_set_outside_the_tests():
+    optional = exported_optional_parameters()
+    assert ("random_vc_capped", "seed", 3) in optional  # the walk sees functions
+    passed = parameters_set_outside_the_tests()
+
+    def is_set(name, parameter, position):
+        by_keyword = {(name, parameter), (name, "**")} & passed
+        by_position = position is not None and {(name, position), (name, "*")} & passed
+        return bool(by_keyword or by_position)
+
+    assert sorted(f"{n}: {p}" for n, p, i in optional if not is_set(n, p, i)) == []

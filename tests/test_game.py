@@ -14,18 +14,23 @@ import numpy as np
 import pytest
 
 from vccompress import (
+    ConceptClass,
     ConvergenceError,
     ExactSolverCapError,
     GameSolution,
     ParseError,
     PayoffMatrix,
     ProbabilityVector,
+    dual_class,
     parse_payoff_matrix,
     solve_exact,
     solve_mw,
     sparse_epsilon_nash,
+    vc_dimension,
 )
 from vccompress import game
+from vccompress.approx import approximation_size_bound
+from vccompress.concepts import row_to_int
 
 CYCLIC = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
 IDENTITY = [[1, 0], [0, 1]]
@@ -419,6 +424,33 @@ def test_sparse_nash_above_the_exact_cap_sparsifies_an_mw_solution(monkeypatch):
     worst_row = mf[list(eq.row_multiset), :].mean(axis=0).min()
     worst_col = mf[:, list(eq.col_multiset)].mean(axis=1).max()
     assert max(eq.value_estimate - worst_row, worst_col - eq.value_estimate) <= 0.25 + 1e-12
+
+
+def _dual_dimension_of_strategies(entries):
+    """VC dimension of the dual of the distinct rows as concepts over the
+    columns: the dimension that bounds the row player's support."""
+    rows = ConceptClass.from_row_ints(entries.shape[1], {row_to_int(r) for r in entries.tolist()})
+    return vc_dimension(dual_class(rows))
+
+
+def test_sparse_nash_bounds_are_the_dual_dimension_ceilings():
+    rng = np.random.default_rng(8)
+    games = [rng.integers(0, 2, size=rng.integers(1, 7, size=2)) for _ in range(30)]
+    games += [rng.integers(0, 2, size=(1, 6)), rng.integers(0, 2, size=(6, 1))]
+    games += [np.ones((1, 1), dtype=np.int64), np.zeros((3, 1), dtype=np.int64)]
+    # padded with duplicate rows and columns
+    games += [np.tile(g, (2, 3)) for g in games[:4]] + [np.repeat(g, 2, axis=0) for g in games[4:8]]
+    for index, entries in enumerate(games):
+        epsilon = (0.3, 0.25, 0.125)[index % 3]
+        eq = sparse_epsilon_nash(entries, epsilon=epsilon, seed=index)
+        row_dim = _dual_dimension_of_strategies(entries)
+        col_dim = _dual_dimension_of_strategies(entries.T)
+        assert (eq.row_test_dimension, eq.col_test_dimension) == (row_dim, col_dim)
+        assert eq.row_support_bound == approximation_size_bound(row_dim, epsilon)
+        assert eq.col_support_bound == approximation_size_bound(col_dim, epsilon)
+        assert all(0 <= i < entries.shape[0] for i in eq.row_multiset)
+        assert all(0 <= j < entries.shape[1] for j in eq.col_multiset)
+        assert eq.certified_exploitability <= epsilon
 
 
 def test_sparse_nash_validates_epsilon():

@@ -545,6 +545,22 @@ def test_reconstruct_learns_each_distinct_subset_once(monkeypatch):
     assert all(int(labels[p]) == label for p, label in sample.label_items)
 
 
+def test_verify_learns_each_distinct_subset_once(monkeypatch):
+    # the vote and the hypotheses check share one ERM per distinct subset
+    cases = [
+        (generators.k_interval_unions(8, 2), 158, [0, 3, 4, 1, 4, 2, 6, 7], 102),
+        (generators.random_vc_capped(12, 3, 60), 30, [9, 3, 8, 2, 4, 2], 1),
+        (generators.intervals(10), 17, range(10), 0),
+    ]
+    for c, target, points, seed in cases:
+        sample = LabeledSample.from_concept(c, target, points)
+        compressed, _ = compress(c, sample, seed=seed)
+        erms = _counting(monkeypatch, "lowest_consistent_concept")
+        result = verify_round_trip(c, sample, seed=seed)
+        assert result.passed and result.hypotheses_match
+        assert len(erms) == len(set(compressed.position_subsets))
+
+
 def test_losing_vote_multiset_is_rejected(monkeypatch):
     # a four-vote mixture, so compress reaches the sparsifier
     c = generators.random_vc_capped(12, 3, 60)
@@ -555,7 +571,9 @@ def test_losing_vote_multiset_is_rejected(monkeypatch):
     losing = (30, 0, 0, 30, 0, 0)
     sparsify = scheme.sparsify_mixture
     monkeypatch.setattr(
-        scheme, "sparsify_mixture", lambda *args: (losing, sparsify(*args)[1])
+        scheme,
+        "sparsify_mixture",
+        lambda *args: dataclasses.replace(sparsify(*args), multiset=losing),
     )
     with pytest.raises(IntegrityError) as exc:
         compress(c, sample, seed=1)
@@ -684,9 +702,8 @@ def test_point_mass_skips_the_game_and_the_sparsifier(monkeypatch):
     sparsify = scheme.sparsify_mixture
 
     def keep_certificate(*args):
-        multiset, certificate = sparsify(*args)
-        certificates.append(certificate)
-        return multiset, certificate
+        certificates.append(sparsify(*args))
+        return certificates[-1]
 
     monkeypatch.setattr(scheme, "sparsify_mixture", keep_certificate)
     c = generators.intervals(30)
