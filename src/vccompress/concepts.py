@@ -34,21 +34,32 @@ __all__ = [
 CLASS_CACHE_SIZE = 64
 
 
-def row_to_int(bits: Sequence[int]) -> int:
-    """Pack a 0/1 row; leftmost entry (point 0) is the most significant bit,
-    so integer order equals lexicographic order of the row strings."""
-    value = 0
-    for b in bits:
-        if b not in (0, 1):
-            raise ValueError(f"row entries must be 0 or 1, got {b!r}")
-        value = (value << 1) | int(b)
-    return value
+def _bit_matrix(entries, what: str) -> np.ndarray:
+    """`entries`, a nonempty 2-d 0/1 array, as a read-only uint8 matrix; the
+    entries are checked before the cast, which would truncate 0.5 or wrap 256."""
+    try:
+        arr = np.array(entries)
+    except ValueError:  # numpy's words for ragged rows
+        raise ValueError(f"{what} rows must have equal length") from None
+    if arr.ndim != 2 or arr.size == 0:
+        raise ValueError(f"{what} must be a nonempty 2-d array")
+    if not np.isin(arr, (0, 1)).all():
+        raise ValueError(f"{what} entries must be 0 or 1")
+    arr = arr.astype(np.uint8, copy=False)
+    arr.flags.writeable = False
+    return arr
 
 
 def _column_ints(bits: np.ndarray) -> list[int]:
     """Each column of a 0/1 matrix as an int whose bit i is the entry in row i."""
     packed = np.packbits(bits.T, axis=1, bitorder="little")
     return [int.from_bytes(col.tobytes(), "little") for col in packed]
+
+
+def _row_ints(bits: np.ndarray) -> list[int]:
+    """Each row of a 0/1 matrix as an int with its first entry (point 0) the
+    most significant bit, so integer order is lexicographic order of rows."""
+    return _column_ints(bits.T[::-1])
 
 
 @dataclass(frozen=True)
@@ -89,13 +100,8 @@ class ConceptClass:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]]) -> "ConceptClass":
-        rows = list(rows)
-        if not rows:
-            raise ValueError("a concept class must contain at least one concept")
-        n = len(rows[0])
-        if any(len(r) != n for r in rows):
-            raise ValueError("all rows must have equal length")
-        return cls.from_row_ints(n, (row_to_int(r) for r in rows))
+        bits = _bit_matrix(list(rows), "concept matrix")
+        return cls.from_row_ints(bits.shape[1], _row_ints(bits))
 
     # -- views -------------------------------------------------------------
 
@@ -317,8 +323,7 @@ def vc_dimension(concept_class: ConceptClass) -> int:
 def dual_class(concept_class: ConceptClass) -> ConceptClass:
     """Transpose of the class: distinct columns become concepts over the
     domain of original concept indices (concept 0 is the dual's point 0)."""
-    # reversing the concepts puts concept 0 at the top bit of each column
-    columns = _column_ints(concept_class.matrix[::-1])
+    columns = _row_ints(concept_class.matrix.T)
     return ConceptClass(len(concept_class), tuple(sorted(set(columns))))
 
 

@@ -40,7 +40,7 @@ from fractions import Fraction
 import numpy as np
 
 from .approx import ProbabilityVector, epsilon_approximation
-from .concepts import ConceptClass, _bit_rows, row_to_int, vc_dimension
+from .concepts import ConceptClass, _bit_matrix, _bit_rows, _row_ints, vc_dimension
 from .errors import ConvergenceError, ExactSolverCapError
 from .seeding import child_seeds
 
@@ -70,15 +70,7 @@ class PayoffMatrix:
     __slots__ = ("_entries",)
 
     def __init__(self, entries):
-        arr = np.array(entries)
-        if arr.ndim != 2 or arr.size == 0:
-            raise ValueError("payoff matrix must be a nonempty 2-d array")
-        # validate before the cast, which would truncate 0.5 or wrap 256
-        if not np.isin(arr, (0, 1)).all():
-            raise ValueError("payoff entries must be 0 or 1")
-        arr = arr.astype(np.uint8, copy=False)
-        arr.flags.writeable = False
-        self._entries = arr
+        self._entries = _bit_matrix(entries, "payoff matrix")
 
     @property
     def entries(self) -> np.ndarray:
@@ -400,8 +392,8 @@ def sparse_epsilon_nash(matrix, epsilon: float, seed: int) -> SparseEquilibrium:
     # the row multiset is drawn over core's rows and tested on its distinct
     # columns as concepts, so their VC dimension sets its ceiling; the
     # column multiset symmetrically
-    columns = ConceptClass.from_row_ints(core.shape[0], map(row_to_int, core.T.tolist()))
-    rows = ConceptClass.from_row_ints(core.shape[1], map(row_to_int, core.tolist()))
+    columns = ConceptClass.from_row_ints(core.shape[0], _row_ints(core.T))
+    rows = ConceptClass.from_row_ints(core.shape[1], _row_ints(core))
     row_cert = epsilon_approximation(columns, solution.row_strategy, eps_sparsify, seeds[0])
     col_cert = epsilon_approximation(rows, solution.col_strategy, eps_sparsify, seeds[1])
     row_multiset = tuple(row_rep[list(row_cert.multiset)].tolist())

@@ -2,15 +2,17 @@
 
 Every generator is deterministic given its arguments (randomized ones take a
 seed), returns a canonical ConceptClass, and guards the enumerations that
-grow exponentially.
+grow exponentially.  Rows are int bitsets or numpy 0/1 arrays packed by
+``concepts``' row packer, never built entry by entry in Python.
 """
 
 from __future__ import annotations
 
-import math
 from pathlib import Path
 
-from .concepts import ConceptClass, parse_concept_class, row_to_int, vc_dimension
+import numpy as np
+
+from .concepts import ConceptClass, _row_ints, parse_concept_class, vc_dimension
 from .errors import ConfigError
 from .seeding import make_rng
 
@@ -26,6 +28,10 @@ __all__ = [
 
 # random_vc_capped draws at most this many candidate rows per requested concept
 _TRIES_PER_CONCEPT = 50
+
+# random_vc_capped's throwaway classes bypass the vc_dimension cache; bound at
+# import, before anything can rebind the name vc_dimension
+_uncached_vc_dimension = vc_dimension.__wrapped__
 
 
 def intervals(n: int) -> ConceptClass:
@@ -47,11 +53,8 @@ def k_interval_unions(n: int, k: int) -> ConceptClass:
         raise ValueError("domain size and union count must be positive")
     if n > 16:
         raise ValueError("k_interval_unions enumerates 2^n rows; n must be <= 16")
-    rows = []
-    for value in range(1 << n):
-        runs = sum(1 for block in format(value, f"0{n}b").split("0") if block)
-        if runs <= k:
-            rows.append(value)
+    # v & ~(v >> 1) keeps the top bit of each maximal run of 1s
+    rows = [v for v in range(1 << n) if (v & ~(v >> 1)).bit_count() <= k]
     return ConceptClass.from_row_ints(n, rows)
 
 
@@ -69,8 +72,9 @@ def halfspaces_grid(side: int, dim: int, count: int = 64, seed: int = 0) -> Conc
 
     Points are centered (coordinates 2i - side + 1) and augmented with a
     constant feature; each of `count` seeded Gaussian weight vectors labels a
-    point 1 iff its inner product is strictly positive.  Duplicate labelings
-    collapse, so the class is usually much smaller than `count`.
+    point 1 iff its inner product, summed in float64 from 0 term by term in
+    axis order with the constant term last, is strictly positive.  Duplicate
+    labelings collapse, so the class is usually much smaller than `count`.
     """
     if side < 2 or dim < 1:
         raise ValueError("grid needs side >= 2 and dim >= 1")
@@ -79,28 +83,20 @@ def halfspaces_grid(side: int, dim: int, count: int = 64, seed: int = 0) -> Conc
         raise ValueError("grid too large; side**dim must be <= 4096")
     if count < 1:
         raise ValueError("count must be positive")
-    coords = []
-    for index in range(n):
-        rest, point = index, []
-        for _ in range(dim):
-            rest, axis = divmod(rest, side)
-            point.append(2 * axis - side + 1)
-        coords.append(point + [1])
-    rng = make_rng(seed)
-    weights = rng.normal(size=(count, dim + 1))
-    rows = {
-        row_to_int([1 if sum(w * c for w, c in zip(wv, cv)) > 0 else 0 for cv in coords])
-        for wv in weights
-    }
-    return ConceptClass.from_row_ints(n, sorted(rows))
+    coords = 2 * np.indices((side,) * dim).reshape(dim, n)[::-1] - side + 1  # axis 0 fastest
+    weights = make_rng(seed).normal(size=(count, dim + 1))
+    # not a matrix product, which leaves summation order and FMA use to BLAS
+    margin = sum(w[:, None] * c for w, c in zip(weights.T, coords)) + weights[:, dim:]
+    return ConceptClass.from_row_ints(n, sorted(set(_row_ints(margin > 0))))
 
 
 def random_vc_capped(n: int, vc_cap: int, max_concepts: int, seed: int = 0) -> ConceptClass:
     """Greedily grown random class whose VC dimension never exceeds vc_cap.
 
     Candidate rows are drawn uniformly; one is kept only if adding it leaves
-    the dimension within the cap.  Stops at max_concepts rows or after
-    _TRIES_PER_CONCEPT candidates per requested concept.
+    the dimension, found by the uncached search, within the cap.  Stops at
+    max_concepts rows or after _TRIES_PER_CONCEPT candidates per requested
+    concept.
     """
     if n < 1 or vc_cap < 0 or max_concepts < 1:
         raise ValueError("need n >= 1, vc_cap >= 0, max_concepts >= 1")
@@ -109,11 +105,11 @@ def random_vc_capped(n: int, vc_cap: int, max_concepts: int, seed: int = 0) -> C
     for _ in range(_TRIES_PER_CONCEPT * max_concepts):
         if len(rows) >= max_concepts:
             break
-        candidate = row_to_int(rng.integers(0, 2, size=n).tolist())
+        candidate = _row_ints(rng.integers(0, 2, size=(1, n)))[0]
         if candidate in rows:
             continue
         tentative = ConceptClass.from_row_ints(n, sorted(rows | {candidate}))
-        if vc_dimension(tentative) <= vc_cap:
+        if _uncached_vc_dimension(tentative) <= vc_cap:
             rows.add(candidate)
     return ConceptClass.from_row_ints(n, sorted(rows))
 

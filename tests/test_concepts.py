@@ -78,6 +78,10 @@ def test_rows_are_canonically_sorted():
 def test_duplicate_rows_rejected():
     with pytest.raises(ValueError):
         ConceptClass.from_rows([[0, 1], [0, 1]])
+    with pytest.raises(ValueError, match="nonempty"):
+        ConceptClass.from_rows([])
+    with pytest.raises(ValueError, match="equal length"):
+        ConceptClass.from_rows([[0, 1], [1]])
 
 
 def test_empty_class_rejected():
@@ -287,9 +291,7 @@ def test_dual_class_example():
     assert set(d.rows) == {0b010, 0b011, 0b001}
     # the column of each point is a dual concept row
     for x in range(3):
-        from vccompress.concepts import row_to_int
-
-        assert row_to_int(c.matrix[:, x]) in d.rows
+        assert int("".join(map(str, c.matrix[:, x])), 2) in d.rows
 
 
 def test_dual_of_constant_class():

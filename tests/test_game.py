@@ -30,7 +30,6 @@ from vccompress import (
 )
 from vccompress import game
 from vccompress.approx import approximation_size_bound
-from vccompress.concepts import row_to_int
 
 CYCLIC = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
 IDENTITY = [[1, 0], [0, 1]]
@@ -429,7 +428,8 @@ def test_sparse_nash_above_the_exact_cap_sparsifies_an_mw_solution(monkeypatch):
 def _dual_dimension_of_strategies(entries):
     """VC dimension of the dual of the distinct rows as concepts over the
     columns: the dimension that bounds the row player's support."""
-    rows = ConceptClass.from_row_ints(entries.shape[1], {row_to_int(r) for r in entries.tolist()})
+    row_ints = {int("".join(map(str, r)), 2) for r in entries.tolist()}
+    rows = ConceptClass.from_row_ints(entries.shape[1], row_ints)
     return vc_dimension(dual_class(rows))
 
 

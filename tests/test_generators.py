@@ -2,7 +2,8 @@
 
 Interval-union counts are checked against the closed form
 sum_j C(n+1, 2j): rows with at most k maximal 1-runs are in bijection with
-even-sized subsets of n+1 gap positions.
+even-sized subsets of n+1 gap positions.  Union rows and halfspace labels
+are also checked against entry-by-entry scalar oracles.
 """
 
 import math
@@ -10,6 +11,7 @@ import math
 import pytest
 
 from vccompress import ConfigError, vc_dimension
+from vccompress.concepts import ConceptClass
 from vccompress.generators import (
     full_cube,
     halfspaces_grid,
@@ -18,10 +20,40 @@ from vccompress.generators import (
     make_concept_class,
     random_vc_capped,
 )
+from vccompress.seeding import make_rng
 
 
 def union_count_oracle(n, k):
     return sum(math.comb(n + 1, 2 * j) for j in range(k + 1))
+
+
+def union_rows_oracle(n, k):
+    """Rows with at most k maximal 1-runs, counted by splitting the row's
+    bit string at its 0s."""
+    return tuple(
+        value
+        for value in range(1 << n)
+        if sum(1 for block in format(value, f"0{n}b").split("0") if block) <= k
+    )
+
+
+def halfspaces_oracle(side, dim, count, seed):
+    """Halfspace rows by a scalar loop over every (weight vector, point):
+    the label is the sign of sum(w * c) over the coordinates in axis order,
+    then the constant feature."""
+    coords = []
+    for index in range(side**dim):
+        rest, point = index, []
+        for _ in range(dim):
+            rest, axis = divmod(rest, side)
+            point.append(2 * axis - side + 1)
+        coords.append(point + [1])
+    weights = make_rng(seed).normal(size=(count, dim + 1))
+    rows = {
+        int("".join("1" if sum(w * c for w, c in zip(wv, cv)) > 0 else "0" for cv in coords), 2)
+        for wv in weights
+    }
+    return tuple(sorted(rows))
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 10])
@@ -47,10 +79,12 @@ def test_union_counts_frozen_values(n, k, count):
     assert count == union_count_oracle(n, k)
 
 
-@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("n", range(1, 13))
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_union_counts_match_oracle(n, k):
-    assert len(k_interval_unions(n, k).rows) == union_count_oracle(n, k)
+    rows = k_interval_unions(n, k).rows
+    assert len(rows) == union_count_oracle(n, k)
+    assert rows == union_rows_oracle(n, k)
 
 
 def test_union_vc_dimension_is_twice_k():
@@ -81,11 +115,32 @@ def test_halfspaces_grid_properties():
     assert halfspaces_grid(4, 2, count=64, seed=4) != c
 
 
+@pytest.mark.parametrize(
+    "side,dim", [(side, dim) for side in range(2, 9) for dim in range(1, 5) if side**dim <= 4096]
+)
+def test_halfspaces_grid_matches_the_scalar_loop(side, dim):
+    for seed in (0, 1, 7):
+        for count in (5, 64):
+            c = halfspaces_grid(side, dim, count=count, seed=seed)
+            assert c.domain_size == side**dim
+            assert c.rows == halfspaces_oracle(side, dim, count, seed)
+
+
 def test_random_vc_capped_respects_the_cap():
     c = random_vc_capped(7, 2, 24, seed=5)
     assert vc_dimension(c) <= 2
     assert 1 <= len(c.rows) <= 24
     assert c == random_vc_capped(7, 2, 24, seed=5)
+
+
+def test_random_vc_capped_leaves_the_dimension_cache_alone():
+    kept = ConceptClass.from_row_ints(5, [0, 3, 12, 17])
+    vc_dimension(kept)
+    before = vc_dimension.cache_info()
+    random_vc_capped(12, 3, 60)
+    assert vc_dimension.cache_info() == before
+    vc_dimension(kept)
+    assert vc_dimension.cache_info().hits == before.hits + 1
 
 
 def test_random_vc_capped_singleton():
