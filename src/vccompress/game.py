@@ -95,13 +95,16 @@ class PayoffMatrix:
 class GameSolution:
     """A strategy pair with a certified exploitability: the column strategy
     caps every row payoff at value+exploitability, and the row strategy
-    secures at least value-exploitability against every column."""
+    secures at least value-exploitability against every column.  An exact
+    solve also keeps the game value and the row strategy as the exact
+    rationals whose float views the strategies are."""
 
     row_strategy: ProbabilityVector
     col_strategy: ProbabilityVector
     value_estimate: float
     exploitability: float
     exact_value: Fraction | None = None
+    exact_row_strategy: tuple[Fraction, ...] | None = None
     iterations: int | None = None
 
     def __post_init__(self):
@@ -271,14 +274,15 @@ def _exploitability(mf: np.ndarray, p: np.ndarray, q: np.ndarray, value: float) 
 def _exact_solution(entries: np.ndarray) -> GameSolution:
     """The one exact path: ``_exact_minimax`` (whose optimality certificate
     is exact, in integers), then the float views of its rationals, the value
-    estimate float(exact_value) and the float exploitability of the views.
-    No validation and no cap; callers pass a nonempty 0/1 array."""
+    estimate float(exact_value) and the float exploitability of the views;
+    the exact value and row strategy are kept beside them.  No validation
+    and no cap; callers pass a nonempty 0/1 array."""
     value, p, q = _exact_minimax(entries)
     row = ProbabilityVector([float(x) for x in p])
     col = ProbabilityVector([float(x) for x in q])
     v = float(value)
     exploit = _exploitability(entries.astype(np.float64), row.weights, col.weights, v)
-    return GameSolution(row, col, v, exploit, exact_value=value)
+    return GameSolution(row, col, v, exploit, exact_value=value, exact_row_strategy=tuple(p))
 
 
 def solve_exact(matrix) -> GameSolution:

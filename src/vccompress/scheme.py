@@ -6,14 +6,20 @@ each named subset and takes a per-point majority vote over the resulting
 hypotheses, so the decompressor needs nothing beyond the concept class and
 the bytes.
 
-Pipeline: certify a weak mixture of subset-ERM hypotheses (learner), fold it
-to a small voting multiset by 1/8-sparsification (approx: the first draw of
-1, 2, 4, ... votes that passes the exhaustive certificate, up to the
-paper's ceiling of O(d*) votes and its doubling), reduce the vote counts by
-their gcd (majorities are scale-invariant), and re-verify that
+Pipeline: certify a weak mixture of subset-ERM hypotheses (learner), round
+its exact rational weights p to a small voting multiset, and re-verify that
 every sampled point still wins its integer majority strictly before
-anything is encoded.  A point-mass mixture (one hypothesis consistent with
-the whole sample) skips the sparsifier and votes once.
+anything is encoded.  The rounding takes N = 1, 2, ... votes: each
+hypothesis gets the floor of N*p, the largest remainders (ties to the lower
+pool index) one vote more, and the counts are divided by their gcd
+(majorities are scale-invariant); the first N whose votes win every point
+is kept.  p gives every point's label mass at least 2/3 and each count
+moves by less than 1, so the majority is strict from N = 6s on, s being
+p's support size, and no seed or draw is needed.  The search stops at the
+paper's vote ceiling T = approximation_size_bound(d*, 1/8), computing d*
+only past T's least value 1024; when 6s exceeds T and no N up to T wins,
+the seeded 1/8-sparsifier (approx) draws the votes instead.  A point-mass
+mixture (one hypothesis consistent with the whole sample) votes once.
 
 The majority re-check reads the class's packed integer rows, independently
 of the learner's point bitsets: each vote's wrong points are one bitset
@@ -29,6 +35,8 @@ detects every single-byte corruption).  Decoders reject trailing garbage.
 from __future__ import annotations
 
 import functools
+import logging
+import math
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -60,8 +68,13 @@ __all__ = [
     "deserialize_compressed",
 ]
 
+logger = logging.getLogger(__name__)
+
 MAGIC = b"VCSC01"
 SPARSIFY_EPSILON = 0.125
+# T at d* = 0, the least vote ceiling of any class: the rounding gets this
+# far without d*
+_LEAST_VOTE_CEILING = approximation_size_bound(0, SPARSIFY_EPSILON)
 
 
 # -- varints -----------------------------------------------------------------
@@ -206,21 +219,25 @@ class SchemeReport:
     """Size accounting for one compression.  scheme_size = kernel points plus
     encoded side-information bits; details carries the run's diagnostics
     (dimensions, vote multiset, certified agreement (the learner game's
-    exact value, correctly rounded to a float), majority margin, and the
-    sparsifier's draw count and certified deviation).  ``draw_ceiling``
-    is the paper's vote count T = ceil(16 (d*+1) / epsilon^2), next to the
-    realized ``draw_count``: the sparsifier returns the first certified draw
-    of 1, 2, 4, ... votes below T, else of T or 2T.  A point-mass mixture is
-    not sparsified: its draw_count is 0 and its sparsification_deviation
-    0.0, since its one vote equals it exactly.
+    exact value, correctly rounded to a float), majority margin, and how a
+    mixture's votes were found).  The majority margin is the votes'
+    certificate.  A mixture's ``votes_from`` is "rounding" or "sampler",
+    and its ``draw_count`` is the number N of votes rounded or drawn before
+    the gcd reduction, next to ``draw_ceiling``, the paper's vote count
+    T = ceil(16 (d*+1) / epsilon^2).  Rounding keeps the first N up to T
+    whose votes win every sampled point; the sampler fallback returns the
+    first certified draw of 1, 2, 4, ... votes below T, else of T or 2T,
+    and only it reports a ``sparsification_deviation``.  A point mass is
+    neither rounded nor drawn: its one vote is the mixture and its
+    draw_count is 0.
 
-    Only a mixture's draw needs the dual VC dimension d*, so ``compress``
-    leaves ``dual_vc_dimension`` (and, for a point mass, ``draw_ceiling``)
-    out of ``known_details``.  ``details`` fills them in on first read, from
-    the class kept in ``concept_class``, and returns a plain dict.  Being a
-    property, ``details`` is not a dataclass field: ``dataclasses.asdict``
-    shows ``known_details`` instead, and ``==`` compares report contents,
-    not the class."""
+    Only the sampler needs the dual VC dimension d*, and rounding only past
+    N = 1024, so ``compress`` usually leaves ``dual_vc_dimension`` and
+    ``draw_ceiling`` out of ``known_details``.  ``details`` fills them in on
+    first read, from the class kept in ``concept_class``, and returns a
+    plain dict.  Being a property, ``details`` is not a dataclass field:
+    ``dataclasses.asdict`` shows ``known_details`` instead, and ``==``
+    compares report contents, not the class."""
 
     kernel_size: int
     info_bits: int
@@ -235,7 +252,7 @@ class SchemeReport:
         known = self.known_details
         dual_dimension = vc_dimension(dual_class(self.concept_class))
         details = {"vc_dimension": known["vc_dimension"], "dual_vc_dimension": dual_dimension, **known}
-        # a mixture's ceiling is the T its draw used; a point mass drew nothing
+        # the sampler's ceiling is the T its draw used; the empty sample has none
         if "draw_count" in details and "draw_ceiling" not in details:
             details["draw_ceiling"] = approximation_size_bound(dual_dimension, SPARSIFY_EPSILON)
         return details
@@ -304,6 +321,60 @@ def _majority_margin(
     return margin
 
 
+def _vote_ceiling(concept_class: ConceptClass) -> int:
+    """The paper's vote ceiling T = approximation_size_bound(d*, 1/8)."""
+    return approximation_size_bound(vc_dimension(dual_class(concept_class)), SPARSIFY_EPSILON)
+
+
+def _rounded_votes(concepts, numerators, denominator, n) -> tuple[tuple[int, int], ...]:
+    """n votes over ``concepts`` in proportion to numerators/denominator
+    (the numerators sum to the denominator), by largest remainder: each
+    concept gets the floor of its share of n, and the n - sum(floors)
+    largest remainders, ties to the earlier concept, one vote more, so each
+    count is within 1 of its share.  Concepts left at 0 are dropped and the
+    counts divided by their gcd."""
+    floors, remainders = zip(*(divmod(n * a, denominator) for a in numerators))
+    counts = list(floors)
+    by_remainder = sorted(range(len(counts)), key=remainders.__getitem__, reverse=True)
+    for i in by_remainder[: n - sum(floors)]:
+        counts[i] += 1
+    g = math.gcd(*counts)
+    return tuple((concept, count // g) for concept, count in zip(concepts, counts) if count)
+
+
+def _round_mixture(concept_class, hypotheses, p, label_items):
+    """(N, votes) for the first N = 1, 2, ... whose ``_rounded_votes`` of
+    the exact mixture p over ``hypotheses`` pass ``_majority_margin``; None
+    when no N up to the vote ceiling T does.
+
+    Every sampled point's label mass under p is at least 2/3, and rounding
+    moves each of the s support counts by less than 1, so from N = 6s on
+    the votes for the label exceed 2N/3 - s >= N/2: the majority is strict.
+    A failure at N = 6s means p is no certificate, and its IntegrityError
+    propagates.  d* is computed, for T, only once N passes 1024, T's least
+    value; only a support with 6s > T can exhaust the search."""
+    support = [(concept, x) for concept, x in zip(hypotheses, p) if x]
+    concepts = [concept for concept, _ in support]
+    denominator = math.lcm(*(x.denominator for _, x in support))
+    numerators = [x.numerator * (denominator // x.denominator) for _, x in support]
+    certain = 6 * len(support)
+    ceiling = None
+    for n in range(1, certain + 1):
+        if n > _LEAST_VOTE_CEILING:
+            if ceiling is None:
+                ceiling = _vote_ceiling(concept_class)
+            if n > ceiling:
+                return None
+        votes = _rounded_votes(concepts, numerators, denominator, n)
+        try:
+            _majority_margin(concept_class, votes, label_items)
+        except IntegrityError:
+            if n == certain:
+                raise
+            continue
+        return n, votes
+
+
 def compress(
     concept_class: ConceptClass,
     sample: LabeledSample,
@@ -317,21 +388,25 @@ def compress(
     the sample length.  Every sampled point's majority is re-verified as a
     strict integer inequality before encoding.
 
-    A certified mixture with a single hypothesis in its support is not
-    sparsified: its one vote equals the mixture exactly, so the report's
-    ``draw_count`` is 0 and its ``sparsification_deviation`` 0.0.
+    A certified mixture's votes round its exact weights: the first N = 1,
+    2, ... votes whose largest-remainder rounding wins every sampled point,
+    found by N = 6s for a support of s hypotheses; the report's
+    ``votes_from`` is "rounding" and ``draw_count`` N.  Only when 6s
+    exceeds the vote ceiling T and no N up to T wins does the seeded
+    1/8-sparsifier draw the votes ("sampler").  A certified mixture with a
+    single hypothesis in its support votes once, and its ``draw_count`` is 0.
 
-    The seed drives only a mixture's draw: the hypothesis pool and its
-    certificate are deterministic, and a point mass draws nothing.
+    The seed feeds only that sampler fallback: the hypothesis pool, its
+    certificate and the rounding are deterministic.
 
     Only the learner's ERM (``lowest_consistent_concept``) checks the
     sample: ValueError for a point outside the domain, UnrealizableError
     for an unrealizable sample.
 
-    The dual VC dimension d* is computed only for a mixture, whose draw
-    needs it as its vote ceiling; the report's ``draw_ceiling`` is then the
-    ceiling that draw used.  For a point mass or an empty sample, the report
-    computes d* when its ``details`` are first read.
+    The dual VC dimension d* is computed only for T, by a rounding that
+    passes N = 1024 or by the sampler, whose ceiling the report's
+    ``draw_ceiling`` then is.  Otherwise the report computes d* and T when
+    its ``details`` are first read.
     """
     dimension = vc_dimension(concept_class)
     base_details = {
@@ -357,23 +432,35 @@ def compress(
     if len(hypothesis_set) == 1:
         # the taught point mass (a certified game never has a one-row
         # support: one row reaches 2/3 only by agreeing with every label,
-        # and then it is c0, whose teaching set the learner tries first);
-        # its draws are constant and would reduce to this vote
+        # and then it is c0, whose teaching set the learner tries first)
         votes = ((hypothesis_set.hypotheses[0], 1),)
-        draw_details = {"sparsification_deviation": 0.0, "draw_count": 0}
+        draw_details = {"draw_count": 0}
     else:
-        full_weights = np.zeros(len(concept_class.rows))
-        full_weights[list(hypothesis_set.hypotheses)] = solution.row_strategy.weights
-        [sparsify_seed] = child_seeds(seed, 1)
-        certificate = sparsify_mixture(
-            concept_class, ProbabilityVector(full_weights), SPARSIFY_EPSILON, sparsify_seed
+        p = solution.exact_row_strategy
+        rounded = _round_mixture(concept_class, hypothesis_set.hypotheses, p, sample.label_items)
+        if rounded is not None:
+            draw_count, votes = rounded
+            draw_details = {"votes_from": "rounding", "draw_count": draw_count}
+        else:
+            full_weights = np.zeros(len(concept_class.rows))
+            full_weights[list(hypothesis_set.hypotheses)] = solution.row_strategy.weights
+            [sparsify_seed] = child_seeds(seed, 1)
+            certificate = sparsify_mixture(
+                concept_class, ProbabilityVector(full_weights), SPARSIFY_EPSILON, sparsify_seed
+            )
+            votes = _reduced_vote_multiset(certificate.multiset)
+            draw_details = {
+                "votes_from": "sampler",
+                "draw_count": len(certificate.multiset),
+                "draw_ceiling": certificate.size_bound,
+                "sparsification_deviation": certificate.max_deviation,
+            }
+        logger.debug(
+            "mixture of %d hypotheses: %d votes by %s",
+            sum(1 for x in p if x),
+            draw_details["draw_count"],
+            draw_details["votes_from"],
         )
-        votes = _reduced_vote_multiset(certificate.multiset)
-        draw_details = {
-            "sparsification_deviation": certificate.max_deviation,
-            "draw_count": len(certificate.multiset),
-            "draw_ceiling": certificate.size_bound,
-        }
 
     margin = _majority_margin(concept_class, votes, sample.label_items)
     total_votes = sum(mult for _, mult in votes)

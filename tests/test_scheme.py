@@ -7,10 +7,12 @@ tolerance) plus the documented size bound.
 
 import dataclasses
 import hashlib
+import logging
 import math
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -352,8 +354,8 @@ def test_fresh_process_reconstruction(tmp_path):
 # agreement game past the exact solver's cap, was recorded with the
 # consistent-hypothesis fast path, the halfspaces case, whose one vote the
 # double oracle used to find, with the teaching-subset search, and the two
-# mixtures with the sparsifier that keeps the first certified draw of
-# 1, 2, 4, ... votes (16 and 8 draws).
+# mixtures with the rounding of the learner's exact weights that keeps the
+# first N = 1, 2, ... votes winning every sampled point (3 votes each).
 GOLDEN_CONTAINERS = [
     (
         "empty sample",
@@ -381,9 +383,9 @@ GOLDEN_CONTAINERS = [
         30,
         [9, 3, 8, 2, 4, 2],
         1,
-        "4a042b93b92f1e9d09a4297495a57097a0a4152c2b2e3c415ccb5f514cb06852",
-        ((16, 5), (2, 2), (19, 3), (7, 6)),
-        4,
+        "6978f58bb985219f5e44e4a2bb9ef338ccf34e2c8a09fac4e6e2475a904aa2c8",
+        ((2, 1), (7, 1), (16, 1)),
+        1,
     ),
     (
         "k_interval_unions mixture",
@@ -391,9 +393,9 @@ GOLDEN_CONTAINERS = [
         158,
         [0, 3, 4, 1, 4, 2, 6, 7],
         102,
-        "feaa4cb33960d37a7150f9fac1d6719cde2c858d8d3d0ba75adeca0e7f0407b7",
-        ((83, 3), (136, 2), (148, 1), (120, 2)),
-        2,
+        "d9516a924af26ddd598bb30f9f206c477ab6e5eae92dc3f2be85406d6b1158bd",
+        ((83, 1), (120, 1), (136, 1)),
+        1,
     ),
     (
         "halfspaces past the exhaustive cap",  # 60 distinct points, budget 3
@@ -438,8 +440,8 @@ def test_golden_container_bytes(make, concept, points, seed, digest, votes, marg
 
 
 def test_golden_mixture_draws_far_below_the_ceiling():
-    # the sparsifier keeps the first certified draw of 1, 2, 4, ... votes; a
-    # return to ceiling-sized draws (4,096 votes here) fails this test
+    # the rounding keeps the first winning N = 1, 2, ... votes; a return to
+    # ceiling-sized vote counts (4,096 here) fails this test
     c = generators.k_interval_unions(8, 2)
     sample = LabeledSample.from_concept(c, 158, [0, 3, 4, 1, 4, 2, 6, 7])
     _, report = compress(c, sample, seed=102)
@@ -475,7 +477,8 @@ def _golden_ops(classes):
 
 def test_golden_digest_over_the_roster():
     # one digest over the containers, vote multisets and margins of 48 ops,
-    # recorded before the learner solved every game exactly; any change to
+    # re-recorded when mixtures' votes came to be rounded from the exact
+    # weights (the point masses' containers kept every byte); any change to
     # compress that moves a byte of them fails here
     classes = [make(*args) for make, args in GOLDEN_ROSTER]
     digest = hashlib.sha256()
@@ -486,10 +489,10 @@ def test_golden_digest_over_the_roster():
         digest.update(serialize_compressed(compressed))
         digest.update(repr((known["vote_concepts"], known["min_majority_margin"])).encode())
         mixtures += known.get("draw_count", 0) > 0
-    # the guard keeps covering the learner's game and the sparsifier
+    # the guard keeps covering the learner's game and the rounding
     assert mixtures >= 3
     assert digest.hexdigest() == (
-        "3f2a43c2ac6840abb2a3726b5288d5de03109387bed932776fa03af2e7856b25"
+        "c100a3a8c4d6560729c0cddfcfe5a76350893dbfc06f7c3d918ccd65554f9a13"
     )
 
 
@@ -533,9 +536,13 @@ def test_container_decodes_its_side_info_once(monkeypatch):
 
 
 def test_reconstruct_learns_each_distinct_subset_once(monkeypatch):
-    c = generators.k_interval_unions(8, 2)
-    sample = LabeledSample.from_concept(c, 158, [0, 3, 4, 1, 4, 2, 6, 7])
-    compressed, report = compress(c, sample, seed=102)
+    # a mixture whose rounding gives concept 10 two of its five votes, so
+    # one side-info subset is named twice
+    rows = [6, 9, 20, 22, 40, 43, 48, 49, 53, 56, 60, 74, 75, 77, 84, 95, 101, 102, 103]
+    c = ConceptClass.from_row_ints(7, rows + [106, 109, 112, 119, 121, 124, 126])
+    sample = LabeledSample.from_concept(c, 24, range(7))
+    compressed, report = compress(c, sample, seed=0)
+    assert report.details["vote_concepts"] == ((10, 2), (15, 1), (19, 1), (21, 1))
     distinct = set(compressed.position_subsets)
     assert len(distinct) == len(report.details["vote_concepts"]) > 1
     assert compressed.subset_count > len(distinct)
@@ -562,22 +569,65 @@ def test_verify_learns_each_distinct_subset_once(monkeypatch):
 
 
 def test_losing_vote_multiset_is_rejected(monkeypatch):
-    # a four-vote mixture, so compress reaches the sparsifier
+    # a three-vote mixture, so compress reaches the rounding
     c = generators.random_vc_capped(12, 3, 60)
     sample = LabeledSample.from_concept(c, 30, [9, 3, 8, 2, 4, 2])
     # concept 0 disagrees with the target at points 3, 4 and 9: it outvotes
-    # the target 2 to 1 there (after the gcd reduction of 4 to 2)
+    # the target 2 to 1 there
     assert [p for p, label in sample.label_items if c.value(0, p) != label] == [3, 4, 9]
-    losing = (30, 0, 0, 30, 0, 0)
-    sparsify = scheme.sparsify_mixture
-    monkeypatch.setattr(
-        scheme,
-        "sparsify_mixture",
-        lambda *args: dataclasses.replace(sparsify(*args), multiset=losing),
-    )
+    # a rounding that returns this multiset at every N loses below 6s, so
+    # the search goes on, and at N = 6s, where a certified mixture's
+    # majority is strict, the failure surfaces instead of the sampler
+    losing = ((30, 1), (0, 2))
+    monkeypatch.setattr(scheme, "_rounded_votes", lambda *args: losing)
+    sampled = _counting(monkeypatch, "sparsify_mixture")
     with pytest.raises(IntegrityError) as exc:
         compress(c, sample, seed=1)
     assert str(exc.value) == "majority failed at point 3: 1 of 3 votes"
+    assert sampled == []
+
+
+def test_sampler_is_the_fallback_past_the_vote_ceiling(monkeypatch, caplog):
+    # with a vote ceiling of 2, below 6s, no rounding up to it wins, so the
+    # seeded sampler draws the votes; its containers are the ones it drew
+    # before mixtures were rounded
+    monkeypatch.setattr(scheme, "_LEAST_VOTE_CEILING", 2)
+    monkeypatch.setattr(scheme, "_vote_ceiling", lambda concept_class: 2)
+    certificates = []
+    sparsify = scheme.sparsify_mixture
+
+    def keep_certificate(*args):
+        certificates.append(sparsify(*args))
+        return certificates[-1]
+
+    monkeypatch.setattr(scheme, "sparsify_mixture", keep_certificate)
+    cases = [
+        (
+            generators.random_vc_capped(12, 3, 60), 30, [9, 3, 8, 2, 4, 2], 1,
+            "4a042b93b92f1e9d09a4297495a57097a0a4152c2b2e3c415ccb5f514cb06852",
+        ),
+        (
+            generators.k_interval_unions(8, 2), 158, [0, 3, 4, 1, 4, 2, 6, 7], 102,
+            "feaa4cb33960d37a7150f9fac1d6719cde2c858d8d3d0ba75adeca0e7f0407b7",
+        ),
+    ]
+    for c, target, points, seed, digest in cases:
+        sample = LabeledSample.from_concept(c, target, points)
+        del certificates[:]
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="vccompress.scheme"):
+            compressed, report = compress(c, sample, seed=seed)
+        [certificate] = certificates
+        [line] = [r.getMessage() for r in caplog.records if r.name == "vccompress.scheme"]
+        assert line.endswith(f": {len(certificate.multiset)} votes by sampler")
+        assert hashlib.sha256(serialize_compressed(compressed)).hexdigest() == digest
+        details = report.details
+        assert details["votes_from"] == "sampler"
+        assert details["draw_count"] == len(certificate.multiset)
+        assert details["draw_ceiling"] == certificate.size_bound
+        assert details["sparsification_deviation"] == certificate.max_deviation
+        assert details["vote_concepts"] == scheme._reduced_vote_multiset(certificate.multiset)
+        assert verify_round_trip(c, sample, seed=seed).passed
 
 
 def _numpy_majority_margin(concept_class, votes, sample):
@@ -632,6 +682,90 @@ def test_integer_majority_recheck_matches_the_numpy_formula(case):
         assert margin == expected
 
 
+@st.composite
+def certified_mixtures(draw):
+    """An exact mixture p over s <= 12 rows, and 0/1 agreement columns on
+    each of which the agreeing rows carry mass at least 2/3: all ones,
+    plus columns that disagree on a maximal set of rows, in a drawn order,
+    whose mass stays within 1/3 (the hardest columns to win)."""
+    s = draw(st.integers(min_value=1, max_value=12))
+    weights = draw(st.lists(st.integers(min_value=1, max_value=60), min_size=s, max_size=s))
+    p = [Fraction(w, sum(weights)) for w in weights]
+    columns = [[1] * s]
+    for order in draw(st.lists(st.permutations(range(s)), max_size=8)):
+        against = Fraction(0)
+        column = [1] * s
+        for i in order:
+            if against + p[i] <= Fraction(1, 3):
+                against += p[i]
+                column[i] = 0
+        columns.append(column)
+    return p, columns
+
+
+@settings(max_examples=300, deadline=None)
+@given(certified_mixtures())
+def test_rounding_at_six_s_keeps_every_majority_strict(case):
+    p, columns = case
+    s = len(p)
+    denominator = math.lcm(*(x.denominator for x in p))
+    numerators = [x.numerator * (denominator // x.denominator) for x in p]
+    votes = scheme._rounded_votes(range(s), numerators, denominator, 6 * s)
+    counts = dict(votes)
+    total = sum(counts.values())
+    scale = 6 * s // total  # the gcd the counts were divided by
+    assert scale * total == 6 * s
+    assert math.gcd(*counts.values()) == 1
+    # largest remainder moves each count by less than 1
+    assert all(abs(scale * counts.get(i, 0) - 6 * s * x) < 1 for i, x in enumerate(p))
+    for column in columns:
+        assert 2 * sum(counts.get(i, 0) for i in range(s) if column[i]) > total
+    # the search over N = 1, 2, ... stops by 6s on a class whose rows agree
+    # with an all-ones sample as the columns say; a flag point per row keeps
+    # the rows distinct
+    m = len(columns)
+    rows = [
+        int("".join(str(column[i]) for column in columns) + "0" * i + "1" + "0" * (s - 1 - i), 2)
+        for i in range(s)
+    ]
+    c = ConceptClass.from_row_ints(m + s, rows)
+    hypotheses = [c.rows.index(row) for row in rows]
+    n, rounded = scheme._round_mixture(c, hypotheses, p, [(j, 1) for j in range(m)])
+    assert n <= 6 * s
+    assert scheme._majority_margin(c, rounded, [(j, 1) for j in range(m)]) > 0
+
+
+def test_every_sample_on_three_points_round_trips():
+    # all 255 classes on 3 points, every concept, every nonempty point
+    # subset, each point once and twice: 14,336 round trips, 30 of them
+    # mixtures; every mixture is rounded, never sampled, by N = 6s
+    runs = mixtures = 0
+    for mask in range(1, 256):
+        c = ConceptClass.from_row_ints(3, [row for row in range(8) if mask >> row & 1])
+        for concept in range(len(c)):
+            for subset in range(1, 8):
+                points = [x for x in range(3) if subset >> x & 1]
+                for sample in (
+                    LabeledSample.from_concept(c, concept, points),
+                    LabeledSample.from_concept(c, concept, points * 2),
+                ):
+                    result = verify_round_trip(c, sample)
+                    details = result.report.details
+                    ceiling = approximation_size_bound(details["dual_vc_dimension"], 1 / 8)
+                    assert result.passed, (c.rows, concept, points)
+                    assert result.report.subset_count <= ceiling
+                    assert details.get("votes_from", "rounding") == "rounding"
+                    runs += 1
+                    if "votes_from" in details:
+                        mixtures += 1
+                        budget = result.report.subset_budget
+                        _, solution = learner.build_hypothesis_set(c, sample, budget)
+                        support = sum(1 for x in solution.exact_row_strategy if x)
+                        assert details["draw_count"] <= 6 * support
+    assert runs == 14336
+    assert mixtures > 0
+
+
 def test_taught_point_masses_share_one_solution(monkeypatch):
     built = _counting(monkeypatch, "__init__", approx.ProbabilityVector)
     c = generators.intervals(12)
@@ -675,7 +809,7 @@ def test_one_distinct_voter_reconstructs_a_fresh_row():
         assert np.array_equal(labels, general)
 
 
-def test_point_mass_skips_the_game_and_the_sparsifier(monkeypatch):
+def test_point_mass_skips_the_game_and_the_sparsifier(monkeypatch, caplog):
     calls = {
         name: _counting(monkeypatch, name, module)
         for module, name in (
@@ -698,14 +832,6 @@ def test_point_mass_skips_the_game_and_the_sparsifier(monkeypatch):
         for attr, value in list(vars(module).items()):
             if value is scan:
                 monkeypatch.setattr(module, attr, counted_scan)
-    certificates = []
-    sparsify = scheme.sparsify_mixture
-
-    def keep_certificate(*args):
-        certificates.append(sparsify(*args))
-        return certificates[-1]
-
-    monkeypatch.setattr(scheme, "sparsify_mixture", keep_certificate)
     c = generators.intervals(30)
     _, report = compress(c, LabeledSample.from_concept(c, 400, range(30)), seed=1)
     assert {name: len(made) for name, made in calls.items()} == {
@@ -721,7 +847,8 @@ def test_point_mass_skips_the_game_and_the_sparsifier(monkeypatch):
     assert report.details["vote_concepts"] == ((400, 1),)
     assert report.details["draw_count"] == 0
     assert report.details["draw_ceiling"] == 1024 * (report.details["dual_vc_dimension"] + 1)
-    assert report.details["sparsification_deviation"] == 0.0
+    assert "votes_from" not in report.details
+    assert "sparsification_deviation" not in report.details
     assert report.details["certified_agreement"] == 1.0
     # nor does the empty sample, which has no vote ceiling
     del calls["dual_class"][:]
@@ -730,19 +857,30 @@ def test_point_mass_skips_the_game_and_the_sparsifier(monkeypatch):
     assert calls["dual_class"] == calls["child_seeds"] == []
     assert report.details["dual_vc_dimension"] == vc_dimension(dual_class(c))
     assert "draw_ceiling" not in report.details
-    # the counters see a mixture's game and sparsifier, and its ceiling is
-    # the one the draw used
-    c = generators.random_vc_capped(12, 3, 60)
-    _, report = compress(c, LabeledSample.from_concept(c, 30, [9, 3, 8, 2, 4, 2]), seed=1)
-    assert len(report.details["vote_concepts"]) == 4
-    assert report.details["draw_count"] > 0
-    assert len(calls["_exact_minimax"]) > 0
-    assert len(calls["sparsify_mixture"]) == len(certificates) == len(calls["child_seeds"]) == 1
-    assert report.details["draw_ceiling"] == certificates[0].size_bound
-    c = generators.k_interval_unions(8, 2)
-    _, report = compress(c, LabeledSample.from_concept(c, 158, [0, 3, 4, 1, 4, 2, 6, 7]), seed=102)
-    assert len(certificates) == len(calls["child_seeds"]) == 2
-    assert report.details["draw_ceiling"] == certificates[1].size_bound == 4096
+    # a mixture solves its game, but its rounding needs neither d*, nor the
+    # sampler, nor a seed; its report fills in d* and the ceiling T on
+    # first read
+    mixtures = [
+        (generators.random_vc_capped(12, 3, 60), 30, [9, 3, 8, 2, 4, 2], 1),
+        (generators.k_interval_unions(8, 2), 158, [0, 3, 4, 1, 4, 2, 6, 7], 102),
+    ]
+    for c, target, points, seed in mixtures:
+        del calls["_exact_minimax"][:], calls["dual_class"][:]
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="vccompress.scheme"):
+            _, report = compress(c, LabeledSample.from_concept(c, target, points), seed=seed)
+        [line] = [r.getMessage() for r in caplog.records if r.name == "vccompress.scheme"]
+        assert line.startswith("mixture of ") and line.endswith(" hypotheses: 3 votes by rounding")
+        assert len(calls["_exact_minimax"]) > 0
+        assert calls["dual_class"] == calls["sparsify_mixture"] == calls["child_seeds"] == []
+        assert "dual_vc_dimension" not in report.known_details
+        assert "draw_ceiling" not in report.known_details
+        assert report.details["votes_from"] == "rounding"
+        assert report.details["draw_count"] == 3 == len(report.details["vote_concepts"])
+        d_star = vc_dimension(dual_class(c))
+        assert report.details["dual_vc_dimension"] == d_star
+        assert report.details["draw_ceiling"] == approximation_size_bound(d_star, 1 / 8) == 4096
+        assert "sparsification_deviation" not in report.details
     assert scans == []
 
 
@@ -772,8 +910,8 @@ print("numpy.ma" in sys.modules)
     out = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, check=True
     )
-    # a point mass, a mixture of four votes and the empty sample's one vote
-    assert out.stdout.split() == ["1", "4", "1", "False"]
+    # a point mass, a mixture of three votes and the empty sample's one vote
+    assert out.stdout.split() == ["1", "3", "1", "False"]
 
 
 def test_report_shape_leaves_the_class_out():
