@@ -27,7 +27,8 @@ The row player maximizes, the column player minimizes.  Three solvers:
 Every exact solve, from ``solve_exact``, ``sparse_epsilon_nash`` or the weak
 learner, takes one path (``_exact_solution``): the simplex, the float views
 of its rationals, value_estimate = float(exact_value), and the exploitability
-of the float strategies by the formula MW's certificate also uses.
+of the float strategies by the one formula (``_exploitability``) that MW's
+certificate and ``sparse_epsilon_nash``'s re-verification also use.
 """
 
 from __future__ import annotations
@@ -374,7 +375,8 @@ def sparse_epsilon_nash(matrix, epsilon: float, seed: int) -> SparseEquilibrium:
     side: the first draw of 1, 2, 4, ... strategies that certifies, so the
     reported support bounds are ceilings, not draw sizes.  The epsilon
     guarantee is re-verified against every pure strategy of the original
-    matrix.
+    matrix: the certified exploitability is that of the multisets'
+    empirical frequencies, by the formula every solver's certificate uses.
     """
     if not (0 < epsilon < 1):
         raise ValueError("epsilon must be in (0, 1)")
@@ -403,11 +405,11 @@ def sparse_epsilon_nash(matrix, epsilon: float, seed: int) -> SparseEquilibrium:
     row_multiset = tuple(row_rep[list(row_cert.multiset)].tolist())
     col_multiset = tuple(col_rep[list(col_cert.multiset)].tolist())
 
-    # exhaustive verification on the ORIGINAL matrix
-    mf = m.astype(np.float64)
-    row_play = mf[list(row_multiset), :].mean(axis=0)
-    col_play = mf[:, list(col_multiset)].mean(axis=1)
-    certified = max(value_f - float(row_play.min()), float(col_play.max()) - value_f, 0.0)
+    # exhaustive verification on the ORIGINAL matrix, of the multisets'
+    # empirical frequencies
+    p = np.bincount(row_multiset, minlength=m.shape[0]) / len(row_multiset)
+    q = np.bincount(col_multiset, minlength=m.shape[1]) / len(col_multiset)
+    certified = _exploitability(m.astype(np.float64), p, q, value_f)
 
     return SparseEquilibrium(
         row_multiset=row_multiset,

@@ -26,7 +26,8 @@ shares one certificate, the solution of the 1x1 game [[1]].
 No step draws random numbers.
 If a subset budget is too small for a certificate, the builder doubles it;
 at budget = #distinct points the whole sample teaches c0, so termination
-never depends on luck.
+never depends on luck.  The empty sample needs no case of its own: c0 is
+concept 0, the ERM of the empty subset, taught at budget 0.
 """
 
 from __future__ import annotations
@@ -151,7 +152,9 @@ def build_hypothesis_set(
     column), whose exact_value is the exact game value (at least 2/3), and
     whose value_estimate is float(exact_value).  The exact simplex certifies
     optimality in integers against every column, so no float recheck
-    follows.  ValueError when subset_budget is below 1.
+    follows.  ValueError when subset_budget is below 1.  The empty sample
+    is accepted: its c0 is concept 0, taught by the empty subset at budget
+    0 (its distinct-point count), with the shared point-mass certificate.
 
     c0, the lowest concept consistent with the whole sample, comes from
     ``lowest_consistent_concept``, which also checks the sample for compress
@@ -177,8 +180,6 @@ def build_hypothesis_set(
     """
     if subset_budget < 1:
         raise ValueError("subset budget must be at least 1")
-    if sample.is_empty:
-        raise ValueError("cannot build hypotheses for an empty sample")
     points = sample.distinct_points
     labels_by_point = dict(sample.label_items)
     k = len(points)

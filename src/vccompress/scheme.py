@@ -6,20 +6,23 @@ each named subset and takes a per-point majority vote over the resulting
 hypotheses, so the decompressor needs nothing beyond the concept class and
 the bytes.
 
-Pipeline: certify a weak mixture of subset-ERM hypotheses (learner), round
-its exact rational weights p to a small voting multiset, and re-verify that
-every sampled point still wins its integer majority strictly before
-anything is encoded.  The rounding takes N = 1, 2, ... votes: each
-hypothesis gets the floor of N*p, the largest remainders (ties to the lower
-pool index) one vote more, and the counts are divided by their gcd
-(majorities are scale-invariant); the first N whose votes win every point
-is kept.  p gives every point's label mass at least 2/3 and each count
-moves by less than 1, so the majority is strict from N = 6s on, s being
-p's support size, and no seed or draw is needed.  The search stops at the
-paper's vote ceiling T = approximation_size_bound(d*, 1/8), computing d*
-only past T's least value 1024; when 6s exceeds T and no N up to T wins,
-the seeded 1/8-sparsifier (approx) draws the votes instead.  A point-mass
-mixture (one hypothesis consistent with the whole sample) votes once.
+Pipeline, the same for every sample: certify a weak mixture of subset-ERM
+hypotheses (learner), turn it into a small voting multiset, and check once
+that every sampled point wins that multiset's integer majority strictly
+before anything is encoded.  A taught point mass (one hypothesis
+consistent with the whole sample) votes once; the empty sample is one, on
+concept 0, taught by the empty subset.  A larger mixture's exact rational
+weights p are rounded to N = 1, 2, ... votes: each hypothesis gets the
+floor of N*p and the largest remainders (ties to the lower pool index) one
+vote more.  The first N whose votes win every point is kept.  p gives
+every point's label mass at least 2/3 and each count moves by less than 1,
+so the majority is strict from N = 6s on, s being p's support size, and no
+seed or draw is needed.  The search stops at the paper's vote ceiling
+T = approximation_size_bound(d*, 1/8), computing d* only past T's least
+value 1024; when 6s exceeds T and no N up to T wins, the seeded
+1/8-sparsifier (approx) draws the votes instead.  Rounded and drawn counts
+alike are divided by their gcd (majorities are scale-invariant) by one
+reducer.
 
 The majority re-check reads the class's packed integer rows, independently
 of the learner's point bitsets: each vote's wrong points are one bitset
@@ -34,6 +37,7 @@ detects every single-byte corruption).  Decoders reject trailing garbage.
 
 from __future__ import annotations
 
+import collections
 import functools
 import logging
 import math
@@ -227,12 +231,12 @@ class SchemeReport:
     T = ceil(16 (d*+1) / epsilon^2).  Rounding keeps the first N up to T
     whose votes win every sampled point; the sampler fallback returns the
     first certified draw of 1, 2, 4, ... votes below T, else of T or 2T,
-    and only it reports a ``sparsification_deviation``.  A point mass is
-    neither rounded nor drawn: its one vote is the mixture and its
-    draw_count is 0.
+    and only it reports a ``sparsification_deviation``.  A point mass, the
+    empty sample's included, is neither rounded nor drawn: its one vote is
+    the mixture, its certified agreement 1.0 and its draw_count 0.
 
     Only the sampler needs the dual VC dimension d*, and rounding only past
-    N = 1024, so ``compress`` usually leaves ``dual_vc_dimension`` and
+    N = 1024, so ``compress`` leaves ``dual_vc_dimension`` and
     ``draw_ceiling`` out of ``known_details``.  ``details`` fills them in on
     first read, from the class kept in ``concept_class``, and returns a
     plain dict.  Being a property, ``details`` is not a dataclass field:
@@ -251,11 +255,12 @@ class SchemeReport:
     def details(self) -> dict:
         known = self.known_details
         dual_dimension = vc_dimension(dual_class(self.concept_class))
-        details = {"vc_dimension": known["vc_dimension"], "dual_vc_dimension": dual_dimension, **known}
-        # the sampler's ceiling is the T its draw used; the empty sample has none
-        if "draw_count" in details and "draw_ceiling" not in details:
-            details["draw_ceiling"] = approximation_size_bound(dual_dimension, SPARSIFY_EPSILON)
-        return details
+        return {
+            "vc_dimension": known["vc_dimension"],
+            "dual_vc_dimension": dual_dimension,
+            **known,
+            "draw_ceiling": approximation_size_bound(dual_dimension, SPARSIFY_EPSILON),
+        }
 
 
 @dataclass(frozen=True)
@@ -268,16 +273,6 @@ class VerificationResult:
 
 
 # -- the scheme ---------------------------------------------------------------
-
-
-def _reduced_vote_multiset(multiset: Sequence[int]) -> tuple[tuple[int, int], ...]:
-    """Collapse a drawn concept multiset to (concept, multiplicity) pairs in
-    first-appearance order, divided by their gcd.  Majority votes only see
-    count ratios, so this is lossless for reconstruction."""
-    concepts, first, counts = np.unique(multiset, return_index=True, return_counts=True)
-    order = np.argsort(first)
-    counts = counts[order] // np.gcd.reduce(counts)
-    return tuple(zip(concepts[order].tolist(), counts.tolist()))
 
 
 def _majority_margin(
@@ -326,26 +321,33 @@ def _vote_ceiling(concept_class: ConceptClass) -> int:
     return approximation_size_bound(vc_dimension(dual_class(concept_class)), SPARSIFY_EPSILON)
 
 
+def _reduced_votes(concepts, counts) -> tuple[tuple[int, int], ...]:
+    """(concept, count) pairs in the order given, zero counts dropped and
+    the rest divided by their gcd.  Majority votes only see count ratios,
+    so this is lossless for reconstruction."""
+    g = math.gcd(*counts)
+    return tuple((concept, count // g) for concept, count in zip(concepts, counts) if count)
+
+
 def _rounded_votes(concepts, numerators, denominator, n) -> tuple[tuple[int, int], ...]:
     """n votes over ``concepts`` in proportion to numerators/denominator
     (the numerators sum to the denominator), by largest remainder: each
     concept gets the floor of its share of n, and the n - sum(floors)
     largest remainders, ties to the earlier concept, one vote more, so each
-    count is within 1 of its share.  Concepts left at 0 are dropped and the
-    counts divided by their gcd."""
+    count is within 1 of its share; then ``_reduced_votes``."""
     floors, remainders = zip(*(divmod(n * a, denominator) for a in numerators))
     counts = list(floors)
     by_remainder = sorted(range(len(counts)), key=remainders.__getitem__, reverse=True)
     for i in by_remainder[: n - sum(floors)]:
         counts[i] += 1
-    g = math.gcd(*counts)
-    return tuple((concept, count // g) for concept, count in zip(concepts, counts) if count)
+    return _reduced_votes(concepts, counts)
 
 
 def _round_mixture(concept_class, hypotheses, p, label_items):
-    """(N, votes) for the first N = 1, 2, ... whose ``_rounded_votes`` of
-    the exact mixture p over ``hypotheses`` pass ``_majority_margin``; None
-    when no N up to the vote ceiling T does.
+    """(N, votes, margin) for the first N = 1, 2, ... whose
+    ``_rounded_votes`` of the exact mixture p over ``hypotheses`` pass
+    ``_majority_margin``, with that margin; None when no N up to the vote
+    ceiling T does.
 
     Every sampled point's label mass under p is at least 2/3, and rounding
     moves each of the s support counts by less than 1, so from N = 6s on
@@ -367,12 +369,12 @@ def _round_mixture(concept_class, hypotheses, p, label_items):
                 return None
         votes = _rounded_votes(concepts, numerators, denominator, n)
         try:
-            _majority_margin(concept_class, votes, label_items)
+            margin = _majority_margin(concept_class, votes, label_items)
         except IntegrityError:
             if n == certain:
                 raise
             continue
-        return n, votes
+        return n, votes, margin
 
 
 def compress(
@@ -388,13 +390,16 @@ def compress(
     the sample length.  Every sampled point's majority is re-verified as a
     strict integer inequality before encoding.
 
-    A certified mixture's votes round its exact weights: the first N = 1,
-    2, ... votes whose largest-remainder rounding wins every sampled point,
-    found by N = 6s for a support of s hypotheses; the report's
-    ``votes_from`` is "rounding" and ``draw_count`` N.  Only when 6s
-    exceeds the vote ceiling T and no N up to T wins does the seeded
-    1/8-sparsifier draw the votes ("sampler").  A certified mixture with a
-    single hypothesis in its support votes once, and its ``draw_count`` is 0.
+    Every sample, the empty one included, goes through the learner.  A
+    taught point mass votes once, and its ``draw_count`` is 0; the empty
+    sample's is concept 0 with an empty kernel.  A larger certified
+    mixture's votes round its exact weights: the first N = 1, 2, ... votes
+    whose largest-remainder rounding wins every sampled point, found by
+    N = 6s for a support of s hypotheses; the report's ``votes_from`` is
+    "rounding" and ``draw_count`` N.  Only when 6s exceeds the vote ceiling
+    T and no N up to T wins does the seeded 1/8-sparsifier draw the votes
+    ("sampler").  Each vote multiset tried is majority-checked once, and
+    the accepted one's margin is reported.
 
     The seed feeds only that sampler fallback: the hypothesis pool, its
     certificate and the rounding are deterministic.
@@ -403,30 +408,11 @@ def compress(
     sample: ValueError for a point outside the domain, UnrealizableError
     for an unrealizable sample.
 
-    The dual VC dimension d* is computed only for T, by a rounding that
-    passes N = 1024 or by the sampler, whose ceiling the report's
-    ``draw_ceiling`` then is.  Otherwise the report computes d* and T when
-    its ``details`` are first read.
+    The dual VC dimension d* is computed here only for T, by a rounding
+    that passes N = 1024 or by the sampler.  The report computes d* and
+    ``draw_ceiling`` = T when its ``details`` are first read.
     """
     dimension = vc_dimension(concept_class)
-    base_details = {
-        "vc_dimension": dimension,
-        "epsilon": SPARSIFY_EPSILON,
-        "seed": seed,
-    }
-    if sample.is_empty:
-        compressed = CompressedSample(concept_class.domain_size, (), (), encode_side_info([()]))
-        report = SchemeReport(
-            kernel_size=0,
-            info_bits=len(compressed.side_info) * 8,
-            subset_count=1,
-            subset_budget=max(1, dimension),
-            scheme_size=len(compressed.side_info) * 8,
-            known_details={**base_details, "vote_concepts": ((0, 1),), "min_majority_margin": 1},
-            concept_class=concept_class,
-        )
-        return compressed, report
-
     hypothesis_set, solution = build_hypothesis_set(concept_class, sample, max(1, dimension))
 
     if len(hypothesis_set) == 1:
@@ -434,12 +420,13 @@ def compress(
         # support: one row reaches 2/3 only by agreeing with every label,
         # and then it is c0, whose teaching set the learner tries first)
         votes = ((hypothesis_set.hypotheses[0], 1),)
+        margin = _majority_margin(concept_class, votes, sample.label_items)
         draw_details = {"draw_count": 0}
     else:
         p = solution.exact_row_strategy
         rounded = _round_mixture(concept_class, hypothesis_set.hypotheses, p, sample.label_items)
         if rounded is not None:
-            draw_count, votes = rounded
+            draw_count, votes, margin = rounded
             draw_details = {"votes_from": "rounding", "draw_count": draw_count}
         else:
             full_weights = np.zeros(len(concept_class.rows))
@@ -448,11 +435,12 @@ def compress(
             certificate = sparsify_mixture(
                 concept_class, ProbabilityVector(full_weights), SPARSIFY_EPSILON, sparsify_seed
             )
-            votes = _reduced_vote_multiset(certificate.multiset)
+            drawn = collections.Counter(certificate.multiset)
+            votes = _reduced_votes(drawn, drawn.values())
+            margin = _majority_margin(concept_class, votes, sample.label_items)
             draw_details = {
                 "votes_from": "sampler",
                 "draw_count": len(certificate.multiset),
-                "draw_ceiling": certificate.size_bound,
                 "sparsification_deviation": certificate.max_deviation,
             }
         logger.debug(
@@ -462,7 +450,6 @@ def compress(
             draw_details["votes_from"],
         )
 
-    margin = _majority_margin(concept_class, votes, sample.label_items)
     total_votes = sum(mult for _, mult in votes)
 
     provenance_of = dict(zip(hypothesis_set.hypotheses, hypothesis_set.provenance))
@@ -489,7 +476,9 @@ def compress(
         subset_budget=hypothesis_set.budget,
         scheme_size=len(kernel_points) + info_bits,
         known_details={
-            **base_details,
+            "vc_dimension": dimension,
+            "epsilon": SPARSIFY_EPSILON,
+            "seed": seed,
             "vote_concepts": votes,
             "min_majority_margin": margin,
             "certified_agreement": solution.value_estimate,

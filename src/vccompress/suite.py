@@ -491,6 +491,8 @@ def run_suite(seed: int = 0, criteria=None, echo: bool = False) -> dict:
     is reproducible for a fixed seed except for the runtime fields.
     """
     wanted = set(range(1, 10)) if criteria is None else set(criteria)
+    if not wanted:
+        raise ConfigError("no criteria selected")
     unknown = wanted - {number for number, _, _ in CRITERIA}
     if unknown:
         raise ConfigError(f"unknown criteria: {sorted(unknown)}")

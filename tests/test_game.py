@@ -396,6 +396,19 @@ def test_sparse_nash_certifies_against_every_pure_strategy():
     assert worst_col <= eq.value_estimate + 0.25 + 1e-12
 
 
+def test_sparse_nash_certificate_is_the_exploitability_of_its_frequencies():
+    # the multisets' empirical frequencies through the solvers' one
+    # exploitability formula equal the uniform plays' worst-case gaps
+    entries = np.tile(np.random.default_rng(5).integers(0, 2, size=(8, 8)), (10, 2))
+    eq = sparse_epsilon_nash(entries, epsilon=0.25, seed=21)
+    mf = entries.astype(float)
+    row_play = mf[list(eq.row_multiset), :].mean(axis=0)
+    col_play = mf[:, list(eq.col_multiset)].mean(axis=1)
+    v = eq.value_estimate
+    gaps = max(v - float(row_play.min()), float(col_play.max()) - v, 0.0)
+    assert eq.certified_exploitability == gaps > 0
+
+
 def test_sparse_nash_cyclic_keeps_exact_value():
     eq = sparse_epsilon_nash(CYCLIC, epsilon=0.25, seed=7)
     assert eq.value_estimate == pytest.approx(2 / 3)

@@ -180,10 +180,13 @@ def test_unrealizable_sample_surfaces_while_escalating():
         build_hypothesis_set(c, sample, 1)
 
 
-def test_build_rejects_empty_samples():
+def test_empty_sample_is_a_taught_point_mass():
+    # concept 0 is the ERM of the empty subset, so the empty sample teaches
+    # it at budget 0, its distinct-point count, with the shared certificate
     c = cube(2)
-    with pytest.raises(ValueError):
-        build_hypothesis_set(c, LabeledSample.from_pairs([]), 1)
+    hypothesis_set, solution = build_hypothesis_set(c, LabeledSample.from_pairs([]), 1)
+    assert hypothesis_set == HypothesisSet((0,), ((),), 0)
+    assert solution is learner._POINT_MASS
 
 
 # a class (n points, concept rows) with a list of sample points

@@ -5,6 +5,7 @@ the scheme tests lean on exact reconstruction (a strict equality, not a
 tolerance) plus the documented size bound.
 """
 
+import collections
 import dataclasses
 import hashlib
 import logging
@@ -519,9 +520,14 @@ def test_reduced_votes_match_the_counting_loop(multiset):
         counts[concept] = counts.get(concept, 0) + 1
     g = math.gcd(*counts.values())
     expected = tuple((concept, count // g) for concept, count in counts.items())
-    votes = scheme._reduced_vote_multiset(tuple(multiset))
+    # the sampler's call: its draw counted in first-appearance order
+    drawn = collections.Counter(multiset)
+    votes = scheme._reduced_votes(drawn, drawn.values())
     assert votes == expected
     assert all(type(x) is int for pair in votes for x in pair)
+    # the rounding's call: every pool concept in order, zero counts dropped
+    pool = range(42)
+    assert scheme._reduced_votes(pool, [counts.get(c, 0) for c in pool]) == tuple(sorted(expected))
 
 
 def test_container_decodes_its_side_info_once(monkeypatch):
@@ -626,8 +632,35 @@ def test_sampler_is_the_fallback_past_the_vote_ceiling(monkeypatch, caplog):
         assert details["draw_count"] == len(certificate.multiset)
         assert details["draw_ceiling"] == certificate.size_bound
         assert details["sparsification_deviation"] == certificate.max_deviation
-        assert details["vote_concepts"] == scheme._reduced_vote_multiset(certificate.multiset)
+        drawn = collections.Counter(certificate.multiset)
+        g = math.gcd(*drawn.values())
+        assert details["vote_concepts"] == tuple((c, k // g) for c, k in drawn.items())
         assert verify_round_trip(c, sample, seed=seed).passed
+
+
+def test_each_vote_multiset_is_checked_once(monkeypatch):
+    # a rounding checks each N it tries once, the winner included; a point
+    # mass (the empty sample too) and a sampler's draw are checked once
+    checks = _counting(monkeypatch, "_majority_margin")
+    taught = generators.intervals(30)
+    mixed = generators.random_vc_capped(12, 3, 60)
+    mixture = LabeledSample.from_concept(mixed, 30, [9, 3, 8, 2, 4, 2])
+    cases = [
+        (taught, LabeledSample.from_concept(taught, 400, range(30)), 1),
+        (taught, LabeledSample.from_pairs([]), 1),
+        (mixed, mixture, 3),
+    ]
+    for c, sample, expected in cases:
+        del checks[:]
+        _, report = compress(c, sample, seed=1)
+        assert len(checks) == expected == max(1, report.details["draw_count"])
+    # past a vote ceiling of 2, N = 1 and 2 fail and the draw is checked
+    monkeypatch.setattr(scheme, "_LEAST_VOTE_CEILING", 2)
+    monkeypatch.setattr(scheme, "_vote_ceiling", lambda concept_class: 2)
+    del checks[:]
+    _, report = compress(mixed, mixture, seed=1)
+    assert report.details["votes_from"] == "sampler"
+    assert len(checks) == 3
 
 
 def _numpy_majority_margin(concept_class, votes, sample):
@@ -730,20 +763,20 @@ def test_rounding_at_six_s_keeps_every_majority_strict(case):
     ]
     c = ConceptClass.from_row_ints(m + s, rows)
     hypotheses = [c.rows.index(row) for row in rows]
-    n, rounded = scheme._round_mixture(c, hypotheses, p, [(j, 1) for j in range(m)])
+    n, rounded, margin = scheme._round_mixture(c, hypotheses, p, [(j, 1) for j in range(m)])
     assert n <= 6 * s
-    assert scheme._majority_margin(c, rounded, [(j, 1) for j in range(m)]) > 0
+    assert margin == scheme._majority_margin(c, rounded, [(j, 1) for j in range(m)]) > 0
 
 
 def test_every_sample_on_three_points_round_trips():
-    # all 255 classes on 3 points, every concept, every nonempty point
-    # subset, each point once and twice: 14,336 round trips, 30 of them
-    # mixtures; every mixture is rounded, never sampled, by N = 6s
+    # all 255 classes on 3 points, every concept, every point subset (the
+    # empty one too), each point once and twice: 16,384 round trips, 30 of
+    # them mixtures; every mixture is rounded, never sampled, by N = 6s
     runs = mixtures = 0
     for mask in range(1, 256):
         c = ConceptClass.from_row_ints(3, [row for row in range(8) if mask >> row & 1])
         for concept in range(len(c)):
-            for subset in range(1, 8):
+            for subset in range(8):
                 points = [x for x in range(3) if subset >> x & 1]
                 for sample in (
                     LabeledSample.from_concept(c, concept, points),
@@ -762,7 +795,7 @@ def test_every_sample_on_three_points_round_trips():
                         _, solution = learner.build_hypothesis_set(c, sample, budget)
                         support = sum(1 for x in solution.exact_row_strategy if x)
                         assert details["draw_count"] <= 6 * support
-    assert runs == 14336
+    assert runs == 16384
     assert mixtures > 0
 
 
@@ -850,13 +883,18 @@ def test_point_mass_skips_the_game_and_the_sparsifier(monkeypatch, caplog):
     assert "votes_from" not in report.details
     assert "sparsification_deviation" not in report.details
     assert report.details["certified_agreement"] == 1.0
-    # nor does the empty sample, which has no vote ceiling
+    # nor does the empty sample, a taught point mass on concept 0
     del calls["dual_class"][:]
     c = generators.intervals(7)
     _, report = compress(c, LabeledSample.from_pairs([]), seed=0)
     assert calls["dual_class"] == calls["child_seeds"] == []
-    assert report.details["dual_vc_dimension"] == vc_dimension(dual_class(c))
-    assert "draw_ceiling" not in report.details
+    d_star = vc_dimension(dual_class(c))
+    assert report.details["dual_vc_dimension"] == d_star
+    assert report.details["draw_ceiling"] == approximation_size_bound(d_star, 1 / 8)
+    assert report.details["vote_concepts"] == ((0, 1),)
+    assert report.details["draw_count"] == 0
+    assert report.details["certified_agreement"] == 1.0
+    assert report.subset_budget == 0
     # a mixture solves its game, but its rounding needs neither d*, nor the
     # sampler, nor a seed; its report fills in d* and the ceiling T on
     # first read

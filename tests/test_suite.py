@@ -37,6 +37,12 @@ def test_unknown_criterion_rejected():
         run_suite(criteria=[12])
 
 
+def test_empty_selection_rejected():
+    # nothing would run, and all([]) would report a pass
+    with pytest.raises(ConfigError):
+        run_suite(criteria=[])
+
+
 def test_echo_prints_status_lines(capsys):
     run_suite(seed=0, criteria=[4], echo=True)
     out = capsys.readouterr().out

@@ -25,10 +25,11 @@ def test_tracer_installs_on_the_package():
 
 def test_tracer_counts_point_masses_and_pool_sizes():
     # the tracer reads the pool size and the point-mass flag from
-    # build_hypothesis_set's result; a taught point mass and a mixture
-    # must each count once, and the mixture's one pattern game (6
-    # hypotheses by 5 distinct agreement patterns) must reach the wrapped
-    # exact solver, which the learner calls only through game
+    # build_hypothesis_set's result; a taught point mass, a mixture and
+    # the empty sample (a point mass on concept 0) must each count once,
+    # and the mixture's one pattern game (6 hypotheses by 5 distinct
+    # agreement patterns) must reach the wrapped exact solver, which the
+    # learner calls only through game
     script = """
 import json, sys
 sys.path[:0] = sys.argv[1:]
@@ -39,6 +40,7 @@ mixed = generators.random_vc_capped(12, 3, 60)
 cases = [
     (taught, LabeledSample.from_concept(taught, 400, range(30))),
     (mixed, LabeledSample.from_concept(mixed, 30, [9, 3, 8, 2, 4, 2])),
+    (taught, LabeledSample.from_pairs([])),
 ]
 pools = [
     len(learner.build_hypothesis_set(c, s, max(1, vc_dimension(c)))[0])
@@ -58,9 +60,9 @@ print(json.dumps({"counts": tracer.counts, "pools": pools}))
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     counts, pools = result["counts"], result["pools"]
-    assert pools[0] == 1 < pools[1]
-    assert counts["learner.build"] == 2
-    assert counts["game.point_masses"] == 1
+    assert pools[0] == pools[2] == 1 < pools[1]
+    assert counts["learner.build"] == 3
+    assert counts["game.point_masses"] == 2
     assert counts["learner.pool_size"] == sum(pools)
     assert counts["game.exact"] == 1
     assert counts["game.exact_entries"] == 30
