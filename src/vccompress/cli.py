@@ -265,8 +265,13 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_suite(args) -> int:
     criteria = None
-    if args.criteria:
-        criteria = [int(part) for part in args.criteria.split(",")]
+    if args.criteria is not None:
+        try:
+            criteria = [int(part) for part in args.criteria.split(",")]
+        except ValueError:
+            raise ConfigError(
+                f"--criteria needs comma-separated integers, got {args.criteria!r}"
+            ) from None
     report = run_suite(seed=args.seed, criteria=criteria, echo=True)
     if args.out:
         _emit(report, args.out)

@@ -74,7 +74,7 @@ def generalization_experiment(
     """Compress samples of the derived size and measure true reconstruction
     error exactly.
 
-    Pilot phase: compress `pilot_runs` seeded full-support samples and take
+    Pilot phase: compress `pilot_runs` full-support samples and take
     the largest realized scheme size as k.  Trial phase: for each trial,
     draw required_sample_size(k) points i.i.d. and uniformly from the domain,
     label them with a target concept (rotating through
@@ -88,20 +88,18 @@ def generalization_experiment(
     m = len(concept_class.rows)
     weights = np.full(n, 1.0 / n)
 
-    pilot_seed, trial_seed = (int(s) for s in child_seeds(seed, 2))
-    pilot_children = child_seeds(pilot_seed, pilot_runs)
     scheme_sizes, kernel_sizes = [], []
     for run in range(pilot_runs):
         concept = run % m
         sample = LabeledSample.from_concept(concept_class, concept, range(n))
-        _, report = compress(concept_class, sample, int(pilot_children[run]))
+        _, report = compress(concept_class, sample)
         scheme_sizes.append(report.scheme_size)
         kernel_sizes.append(report.kernel_size)
     measured = max(scheme_sizes)
     required = required_sample_size(measured, epsilon, delta)
 
+    trial_seed = child_seeds(seed, 2)[1]
     rng = make_rng(trial_seed)
-    trial_children = child_seeds(trial_seed, trials)
     failures = 0
     errors = []
     max_trial_size = 0
@@ -110,7 +108,7 @@ def generalization_experiment(
         target_row = concept_class.matrix[concept]
         points = np.unique(rng.choice(n, size=required, p=weights))
         sample = LabeledSample.from_concept(concept_class, concept, points.tolist())
-        compressed, report = compress(concept_class, sample, int(trial_children[trial]))
+        compressed, report = compress(concept_class, sample)
         max_trial_size = max(max_trial_size, report.scheme_size)
         decoded = reconstruct(concept_class, compressed)
         error = _exact_error(decoded, target_row, weights)

@@ -6,7 +6,8 @@ a theoretical bound on its own: sizes, deviations, majorities, and values are
 all re-measured on concrete runs.
 
 Criteria:
- 1. exact round trips — exhaustive over small classes, randomized over larger
+ 1. verified round trips (labels, hypotheses, size bound) — exhaustive over
+    small classes, randomized over larger
  2. compression size independent of sample length
  3. dual VC dimension below 2^(d+1)
  4. epsilon-approximation sizes within ceil(16 (d+1) / eps^2)
@@ -15,12 +16,14 @@ Criteria:
  7. every compressed point wins a strict integer majority
  8. generalization: failure fraction within delta (+0.1 sampling slack)
  9. codec round trips and corruption detection
+
+`run_suite` times every criterion and applies the runtime caps of criteria 1,
+5 and 8.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -44,50 +47,33 @@ from .generators import (
 )
 from .scheme import (
     CompressedSample,
-    compress,
     decode_side_info,
     deserialize_compressed,
     encode_side_info,
-    reconstruct,
     scheme_size_bound,
     serialize_compressed,
+    verify_round_trip,
 )
 from .seeding import child_seeds, make_rng
 
-__all__ = ["CRITERIA", "CriterionResult", "run_suite"]
+__all__ = ["CRITERIA", "run_suite"]
+
+# Wall-clock caps in seconds, applied by run_suite to the criteria named here.
+_RUNTIME_CAPS = {1: 300.0, 5: 60.0, 8: 120.0}
 
 
-@dataclass
-class _SuiteLog:
-    """State shared across criteria within one suite run."""
-
-    majority_margins: list[int] = field(default_factory=list)
-
-
-@dataclass(frozen=True)
-class CriterionResult:
-    number: int
-    name: str
-    passed: bool
-    runtime_seconds: float
-    details: dict
+def _verified(concept_class, sample, margins):
+    """verify_round_trip, logging the run's majority margin for criterion 7."""
+    result = verify_round_trip(concept_class, sample)
+    margins.append(result.report.details["min_majority_margin"])
+    return result
 
 
-def _round_trip(concept_class, sample, seed, log) -> int:
-    compressed, report = compress(concept_class, sample, seed)
-    decoded = reconstruct(concept_class, compressed)
-    mismatches = sum(
-        1 for point, label in sample.label_items if int(decoded[point]) != label
-    )
-    log.majority_margins.append(report.details["min_majority_margin"])
-    return mismatches
-
-
-def _criterion_round_trips(seed: int, log: _SuiteLog):
-    """Every realizable sample must reconstruct exactly: exhaustively over
-    all (concept, point-subset) pairs for small classes, and over seeded
-    random samples for two larger ones.  Runtime capped at five minutes."""
-    start = time.perf_counter()
+def _criterion_round_trips(seed: int, margins: list[int]):
+    """Every realizable sample must verify: its labels reconstruct exactly,
+    the decompressor relearns the voted hypotheses, and the size keeps its
+    bound.  Exhaustive over all (concept, point-subset) pairs for small
+    classes, and over seeded random samples for two larger ones."""
     seeds = child_seeds(seed, 4)
     exhaustive_roster = [
         ("intervals-5", intervals(5)),
@@ -100,6 +86,7 @@ def _criterion_round_trips(seed: int, log: _SuiteLog):
     ]
     total = 0
     mismatched = 0
+    all_verified = True
     per_class = {}
     for name, cls in exhaustive_roster:
         n = cls.domain_size
@@ -108,7 +95,9 @@ def _criterion_round_trips(seed: int, log: _SuiteLog):
             for pattern in range(1 << n):
                 points = [x for x in range(n) if (pattern >> x) & 1]
                 sample = LabeledSample.from_concept(cls, concept, points)
-                mismatched += _round_trip(cls, sample, seed=concept * 31 + pattern, log=log)
+                result = _verified(cls, sample, margins)
+                mismatched += len(result.mismatches)
+                all_verified = all_verified and result.passed
                 runs += 1
         per_class[name] = runs
         total += runs
@@ -121,67 +110,62 @@ def _criterion_round_trips(seed: int, log: _SuiteLog):
     for name, cls in random_roster:
         n = cls.domain_size
         runs = 0
-        for trial in range(1000):
+        for _ in range(1000):
             concept = int(rng.integers(0, len(cls.rows)))
             size = int(rng.integers(1, 31))
             points = rng.integers(0, n, size=size).tolist()
             sample = LabeledSample.from_concept(cls, concept, points)
-            mismatched += _round_trip(cls, sample, seed=trial, log=log)
+            result = _verified(cls, sample, margins)
+            mismatched += len(result.mismatches)
+            all_verified = all_verified and result.passed
             runs += 1
         per_class[name] = runs
         total += runs
 
-    runtime = time.perf_counter() - start
-    passed = mismatched == 0 and runtime <= 300.0
-    return passed, {
+    return all_verified, {
         "compressions": total,
         "mismatched_points": mismatched,
         "per_class": per_class,
-        "runtime_cap_seconds": 300.0,
     }
 
 
-def _criterion_size_independence(seed: int, log: _SuiteLog):
-    """Compression size must be governed by the class, not the sample: the
-    documented ceiling is identical across sample-length tiers and every
-    measured size stays inside it."""
+def _criterion_size_independence(seed: int, margins: list[int]):
+    """Compression size must be governed by the class, not the sample: one
+    subset budget, hence one documented ceiling, serves every sample-length
+    tier, and every run verifies (labels, hypotheses, size within it)."""
     cls = intervals(10)
     tiers = (10, 100, 1000)
     rng = make_rng(seed)
     measured = {}
-    bounds = set()
     budgets = set()
     within = True
+    all_verified = True
     for tier in tiers:
         max_scheme = 0
         max_kernel = 0
-        for trial in range(100):
+        for _ in range(100):
             concept = int(rng.integers(0, len(cls.rows)))
             points = rng.integers(0, cls.domain_size, size=tier).tolist()
             sample = LabeledSample.from_concept(cls, concept, points)
-            _, report = compress(cls, sample, seed=trial)
-            log.majority_margins.append(report.details["min_majority_margin"])
-            bound = scheme_size_bound(
-                report.details["vc_dimension"],
-                report.details["dual_vc_dimension"],
-                report.subset_budget,
-            )
-            bounds.add(bound)
+            result = _verified(cls, sample, margins)
+            report = result.report
             budgets.add(report.subset_budget)
-            within = within and report.scheme_size <= bound
+            within = within and result.size_within_bound
+            all_verified = all_verified and result.passed
             max_scheme = max(max_scheme, report.scheme_size)
             max_kernel = max(max_kernel, report.kernel_size)
         measured[str(tier)] = {"max_scheme_size": max_scheme, "max_kernel_size": max_kernel}
-    passed = len(bounds) == 1 and len(budgets) == 1 and within
-    return passed, {
+    d = report.details["vc_dimension"]
+    d_star = report.details["dual_vc_dimension"]
+    return len(budgets) == 1 and all_verified, {
         "tiers": measured,
-        "shared_bound": sorted(bounds),
+        "shared_bound": sorted({scheme_size_bound(d, d_star, b) for b in budgets}),
         "subset_budgets": sorted(budgets),
         "all_within_bound": within,
     }
 
 
-def _criterion_dual_bound(seed: int, log: _SuiteLog):
+def _criterion_dual_bound(seed: int, margins: list[int]):
     """The dual dimension stays below 2^(d+1) on every roster class, with
     both dimensions computed by exhaustive search."""
     seeds = child_seeds(seed, 3)
@@ -207,7 +191,7 @@ def _criterion_dual_bound(seed: int, log: _SuiteLog):
     return passed, {"classes": rows}
 
 
-def _criterion_approximation_sizes(seed: int, log: _SuiteLog):
+def _criterion_approximation_sizes(seed: int, margins: list[int]):
     """Certified approximations at eps 1/4 and 1/8 stay within the
     ceil(16 (d+1)/eps^2) size ceiling and their deviations re-verify."""
     seeds = child_seeds(seed, 8)
@@ -247,12 +231,10 @@ def _criterion_approximation_sizes(seed: int, log: _SuiteLog):
     return passed, {"checks": checks, "worst_deviation": worst}
 
 
-def _criterion_game_solvers(seed: int, log: _SuiteLog):
+def _criterion_game_solvers(seed: int, margins: list[int]):
     """Exact simplex and multiplicative weights agree within 0.01 on fifty
     random matrices; the cyclic 3x3 game solves to exactly 2/3; the exact
-    solutions have (float) exploitability below 1e-9.  Runtime cap: one
-    minute."""
-    start = time.perf_counter()
+    solutions have (float) exploitability below 1e-9."""
     cyclic = solve_exact([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
     cyclic_ok = cyclic.exact_value == Fraction(2, 3)
     rng = make_rng(seed)
@@ -270,19 +252,16 @@ def _criterion_game_solvers(seed: int, log: _SuiteLog):
         worst_exploit = max(worst_exploit, exact.exploitability)
         if gap <= 0.01:
             agreements += 1
-    runtime = time.perf_counter() - start
-    passed = cyclic_ok and agreements == 50 and worst_exploit <= 1e-9 and runtime <= 60.0
-    return passed, {
+    return cyclic_ok and agreements == 50 and worst_exploit <= 1e-9, {
         "cyclic_value": str(cyclic.exact_value),
         "matrices": 50,
         "agreements_within_0.01": agreements,
         "worst_value_gap": worst_gap,
         "worst_exact_exploitability": worst_exploit,
-        "runtime_cap_seconds": 60.0,
     }
 
 
-def _criterion_sparse_supports(seed: int, log: _SuiteLog):
+def _criterion_sparse_supports(seed: int, margins: list[int]):
     """Sparse equilibrium supports are a function of the strategy structure:
     padding a matrix with duplicated rows and columns changes neither the
     support ceilings nor the drawn multisets."""
@@ -321,15 +300,14 @@ def _criterion_sparse_supports(seed: int, log: _SuiteLog):
     return passed, {"epsilon": epsilon, "matrices": rows}
 
 
-def _criterion_majority_margins(seed: int, log: _SuiteLog):
+def _criterion_majority_margins(seed: int, margins: list[int]):
     """Every point of every compressed sample in this suite run must have won
     its vote by a strict integer margin (an odd 2*agree - total >= 1)."""
-    if not log.majority_margins:
+    if not margins:
         cls = intervals(9)
         for concept in range(len(cls.rows)):
             sample = LabeledSample.from_concept(cls, concept, range(9))
-            _round_trip(cls, sample, seed=concept, log=log)
-    margins = log.majority_margins
+            _verified(cls, sample, margins)
     integral = all(isinstance(m, int) for m in margins)
     passed = integral and min(margins) >= 1
     return passed, {
@@ -339,11 +317,10 @@ def _criterion_majority_margins(seed: int, log: _SuiteLog):
     }
 
 
-def _criterion_generalization(seed: int, log: _SuiteLog):
+def _criterion_generalization(seed: int, margins: list[int]):
     """Samples of the derived size generalize: at eps = delta = 1/3 over 200
     trials, the failure fraction stays within delta plus 0.1 of sampling
-    slack.  Runtime cap: two minutes."""
-    start = time.perf_counter()
+    slack."""
     report = generalization_experiment(
         intervals(10),
         epsilon=1 / 3,
@@ -352,9 +329,7 @@ def _criterion_generalization(seed: int, log: _SuiteLog):
         seed=seed,
         pilot_runs=16,
     )
-    runtime = time.perf_counter() - start
-    passed = report.failure_fraction <= 1 / 3 + 0.1 and runtime <= 120.0
-    return passed, {
+    return report.failure_fraction <= 1 / 3 + 0.1, {
         "trials": report.trials,
         "required_sample_size": report.required_size,
         "measured_compression_size": report.measured_compression_size,
@@ -364,7 +339,6 @@ def _criterion_generalization(seed: int, log: _SuiteLog):
         "mean_error": report.mean_error,
         "max_error": report.max_error,
         "tolerance": 1 / 3 + 0.1,
-        "runtime_cap_seconds": 120.0,
     }
 
 
@@ -387,7 +361,7 @@ def _random_compressed_sample(rng) -> CompressedSample:
     return CompressedSample(domain, points, labels, side)
 
 
-def _criterion_codec(seed: int, log: _SuiteLog):
+def _criterion_codec(seed: int, margins: list[int]):
     """Codec round trips never lose information and corruption never passes
     silently: random encodings decode back equal; corrupted encodings either
     raise or decode to something observably different; single-byte damage in
@@ -496,29 +470,32 @@ def run_suite(seed: int = 0, criteria=None, echo: bool = False) -> dict:
     unknown = wanted - {number for number, _, _ in CRITERIA}
     if unknown:
         raise ConfigError(f"unknown criteria: {sorted(unknown)}")
-    log = _SuiteLog()
+    margins = []
     results = []
     for number, name, fn in CRITERIA:
         if number not in wanted:
             continue
         start = time.perf_counter()
-        passed, details = fn(seed, log)
+        passed, details = fn(seed, margins)
         runtime = time.perf_counter() - start
-        results.append(CriterionResult(number, name, passed, runtime, details))
+        cap = _RUNTIME_CAPS.get(number)
+        if cap is not None:
+            passed = passed and runtime <= cap
+            details["runtime_cap_seconds"] = cap
+        results.append(
+            {
+                "number": number,
+                "name": name,
+                "passed": passed,
+                "runtime_seconds": round(runtime, 3),
+                "details": details,
+            }
+        )
         if echo:
             verdict = "PASS" if passed else "FAIL"
             print(f"{verdict} criterion {number}: {name} ({runtime:.2f}s)")
     return {
         "seed": seed,
-        "all_passed": all(r.passed for r in results),
-        "results": [
-            {
-                "number": r.number,
-                "name": r.name,
-                "passed": r.passed,
-                "runtime_seconds": round(r.runtime_seconds, 3),
-                "details": r.details,
-            }
-            for r in results
-        ],
+        "all_passed": all(r["passed"] for r in results),
+        "results": results,
     }

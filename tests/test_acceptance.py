@@ -1,7 +1,7 @@
 """Acceptance checks, one test per criterion.
 
-The whole battery runs off a single seeded suite execution (about 13 s on
-2 cores); each test prints its own PASS/FAIL line, so run with ``-s`` to see
+The whole battery runs off a single seeded suite execution (26 to 32 s on a
+shared 2-core machine at load average 1); each test prints its own PASS/FAIL line, so run with ``-s`` to see
 them as they land:
 
     pytest tests/test_acceptance.py -v -s

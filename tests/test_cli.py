@@ -302,6 +302,14 @@ def test_suite_unknown_criterion_exits_two(capsys):
     assert "unknown criteria" in err
 
 
+@pytest.mark.parametrize("criteria", ["", "3,", "3,x"])
+def test_suite_malformed_criteria_exit_two_before_running(capsys, criteria):
+    code, out, err = run_cli(capsys, "suite", "--criteria", criteria)
+    assert code == 2
+    assert out == ""
+    assert err.strip() == f"error: --criteria needs comma-separated integers, got {criteria!r}"
+
+
 def _cap_address_space():
     limit = 1 << 30
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))

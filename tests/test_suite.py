@@ -1,5 +1,8 @@
+import dataclasses
+
 import pytest
 
+from vccompress import suite
 from vccompress.errors import ConfigError
 from vccompress.suite import CRITERIA, run_suite
 
@@ -48,3 +51,45 @@ def test_echo_prints_status_lines(capsys):
     out = capsys.readouterr().out
     assert "criterion 4" in out
     assert out.startswith("PASS") or out.startswith("FAIL")
+
+
+def test_run_suite_applies_the_runtime_cap(monkeypatch):
+    monkeypatch.setattr(suite, "_RUNTIME_CAPS", {4: 0.0})
+    report = run_suite(seed=0, criteria=[3, 4])
+    three, four = report["results"]
+    assert three["passed"] is True
+    assert "runtime_cap_seconds" not in three["details"]
+    assert four["passed"] is False
+    assert four["details"]["runtime_cap_seconds"] == 0.0
+    assert report["all_passed"] is False
+
+
+def test_round_trip_criterion_fails_on_a_failed_verification(monkeypatch):
+    # labels and size stay correct; only the relearned hypotheses disagree
+    verify = suite.verify_round_trip
+    calls = []
+
+    def first_fails(*args, **kwargs):
+        result = verify(*args, **kwargs)
+        calls.append(result)
+        if len(calls) == 1:
+            result = dataclasses.replace(result, hypotheses_match=False, passed=False)
+        return result
+
+    monkeypatch.setattr(suite, "verify_round_trip", first_fails)
+    entry = run_suite(seed=0, criteria=[2])["results"][0]
+    assert len(calls) == 300
+    assert not calls[0].mismatches
+    assert entry["details"]["all_within_bound"] is True
+    assert entry["passed"] is False
+
+
+def test_seedless_round_trips_keep_the_reported_sizes_and_margins():
+    report = run_suite(seed=0, criteria=[2, 7])
+    sizes, margins = (entry["details"] for entry in report["results"])
+    assert sizes["shared_bound"] == [129072]
+    assert sizes["subset_budgets"] == [2]
+    assert sizes["all_within_bound"] is True
+    for tier in ("10", "100", "1000"):
+        assert sizes["tiers"][tier] == {"max_scheme_size": 66, "max_kernel_size": 2}
+    assert margins == {"compressions_observed": 300, "min_margin": 1, "all_integer": True}
