@@ -6,7 +6,6 @@ from .approx import (
     approximation_deviation,
     approximation_size_bound,
     epsilon_approximation,
-    sparsification_deviation,
     sparsify_mixture,
 )
 from .concepts import (

@@ -3,7 +3,7 @@
 One fact behind two operations: an epsilon-approximation of a measure over
 the points of a class, tested on every concept, whose size is set by the
 class's VC dimension.  Both are certified by exhaustive re-checking rather
-than trusted from theory, by the one formula ``approximation_deviation``.
+than trusted from theory, by the one check ``approximation_deviation`` runs.
 
 * ``epsilon_approximation`` — a multiset of domain points whose empirical
   measure is within epsilon of a target distribution on every concept.
@@ -15,15 +15,14 @@ than trusted from theory, by the one formula ``approximation_deviation``.
 
 Both draw i.i.d. from the target and return the certificate of the first
 multiset that holds, trying sizes 1, 2, 4, ... below the ceiling
-T = ceil(C_APX_DEFAULT (d+1) / epsilon^2) once each, then T and 2T up to
-RETRY_DEFAULT + 1 times each.  The ceiling is the theory's sufficient size,
+T = ceil(C_APX_DEFAULT (d+1) / epsilon^2) once each, then T up to
+RETRY_DEFAULT + 1 times.  The ceiling is the theory's sufficient size,
 reported as ``size_bound``; any multiset that passes the exhaustive check is
 as good as a larger one, so the multiset is usually far smaller.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -97,8 +96,9 @@ class ProbabilityVector:
 @dataclass(frozen=True)
 class ApproximationCertificate:
     """Proof object for one accepted multiset: the multiset itself, the
-    exhaustively measured worst deviation, and the epsilon it was tested
-    against (max_deviation <= epsilon always)."""
+    exhaustively measured worst deviation, the epsilon it was tested
+    against (max_deviation <= epsilon always) and the size ceiling T the
+    multiset never exceeds."""
 
     multiset: tuple[int, ...]
     max_deviation: float
@@ -113,6 +113,10 @@ class ApproximationCertificate:
         if self.max_deviation > self.epsilon:
             raise ValueError(
                 f"deviation {self.max_deviation} exceeds epsilon {self.epsilon}; not a certificate"
+            )
+        if len(self.multiset) > self.size_bound:
+            raise ValueError(
+                f"multiset of {len(self.multiset)} exceeds its size bound {self.size_bound}"
             )
 
 
@@ -133,31 +137,28 @@ def _as_distribution(weights, size: int, what: str) -> np.ndarray:
     return w / w.sum()  # exact-sum normalization for the sampler
 
 
-@functools.lru_cache(maxsize=1)
-def _true_mass(concept_class: ConceptClass, weights: bytes) -> np.ndarray:
-    """The mass of the measure ``weights`` over the points on every concept.
-    The sampler checks one target against many draws, and the float matrix
-    this needs takes 8 bytes per entry, so the last target's mass is kept."""
-    mass = concept_class.matrix.astype(np.float64) @ np.frombuffer(weights)
-    mass.flags.writeable = False
-    return mass
+def _deviation(concept_class: ConceptClass, true_mass: np.ndarray, multiset) -> float:
+    """Worst |true mass - empirical frequency| over all concepts of the
+    class.  The hit counts are integer counts times 0/1 entries, exact in
+    float64 in any order, so only the drawn points' columns are read."""
+    n = concept_class.domain_size
+    idx = np.asarray(multiset)
+    if idx.size == 0 or not np.issubdtype(idx.dtype, np.integer):
+        raise ValueError("multiset must be a nonempty sequence of integer points")
+    if idx.min() < 0 or idx.max() >= n:
+        raise ValueError("multiset points out of range")
+    counts = np.bincount(idx.astype(np.int64), minlength=n)
+    drawn = np.flatnonzero(counts)
+    hits = concept_class.matrix[:, drawn].astype(np.float64) @ counts[drawn].astype(np.float64)
+    return float(np.abs(true_mass - hits / idx.size).max())
 
 
 def approximation_deviation(concept_class: ConceptClass, mu, multiset: Sequence[int]) -> float:
     """Worst |mu(c=1) - empirical frequency of c=1 on the multiset| over all
-    concepts; an exhaustive scan, not an estimate.  The hit counts are
-    integer counts times 0/1 entries, exact in float64 in any order, so only
-    the drawn points' columns are read."""
-    n = concept_class.domain_size
-    w = _as_distribution(mu, n, "mu")
-    true_mass = _true_mass(concept_class, w.tobytes())
-    idx = np.asarray(multiset, dtype=np.int64)
-    if idx.size == 0 or idx.min() < 0 or idx.max() >= n:
-        raise ValueError("multiset points out of range")
-    counts = np.bincount(idx, minlength=n)
-    drawn = np.flatnonzero(counts)
-    hits = concept_class.matrix[:, drawn].astype(np.float64) @ counts[drawn].astype(np.float64)
-    return float(np.abs(true_mass - hits / idx.size).max())
+    concepts; an exhaustive scan, not an estimate, by the check the sampler
+    runs on each draw, so a re-check of a certificate is bit-identical."""
+    w = _as_distribution(mu, concept_class.domain_size, "mu")
+    return _deviation(concept_class, concept_class.matrix.astype(np.float64) @ w, multiset)
 
 
 def sparsification_deviation(concept_class: ConceptClass, p, multiset: Sequence[int]) -> float:
@@ -165,34 +166,6 @@ def sparsification_deviation(concept_class: ConceptClass, p, multiset: Sequence[
     all domain points: ``approximation_deviation`` on the dual class, whose
     points are the concepts and whose concepts are the distinct points."""
     return approximation_deviation(dual_class(concept_class), p, multiset)
-
-
-def _rejection_sample(
-    weights, dimension, epsilon, seed, deviation_fn
-) -> ApproximationCertificate:
-    """The certificate of the first i.i.d. multiset from ``weights`` whose
-    exhaustive deviation is at most epsilon.  One attempt at each power of
-    two below the ceiling T = approximation_size_bound(dimension, epsilon),
-    then RETRY_DEFAULT+1 attempts at T and, as an escape hatch,
-    RETRY_DEFAULT+1 at 2T before giving up.  Any multiset that passes the check is a certificate, so the
-    smallest one found wins; T only bounds the size."""
-    ceiling = approximation_size_bound(dimension, epsilon)
-    sizes = [1 << i for i in range((ceiling - 1).bit_length())]
-    sizes += [ceiling] * (RETRY_DEFAULT + 1) + [2 * ceiling] * (RETRY_DEFAULT + 1)
-    rng = make_rng(seed)
-    population = weights.size
-    best = math.inf
-    for size in sizes:
-        draw = rng.choice(population, size=size, p=weights)
-        dev = deviation_fn(draw)
-        best = min(best, dev)
-        if dev <= epsilon:
-            return ApproximationCertificate(tuple(draw.tolist()), dev, float(epsilon), ceiling)
-    raise ApproximationBudgetError(
-        f"no multiset certified at epsilon={epsilon} within the retry budget "
-        f"(best deviation {best:.6g})",
-        best_deviation=best,
-    )
 
 
 def epsilon_approximation(
@@ -205,17 +178,29 @@ def epsilon_approximation(
     concept, by rejection sampling with an exhaustive certificate check.
 
     The size ceiling is T = ceil(C_APX_DEFAULT*(d+1)/epsilon^2) with d the
-    VC dimension.  One draw is tried at each power of two below T, then
-    RETRY_DEFAULT+1 at T and RETRY_DEFAULT+1 at 2T before erroring; the
-    first draw that certifies is returned, so its length is a power of two
-    below T, T or 2T.  The certificate's ``size_bound`` is T.
+    VC dimension.  One i.i.d. draw from mu is tried at each power of two
+    below T, then RETRY_DEFAULT+1 at T before erroring; the first draw that
+    certifies is returned, so its length is a power of two below T, or T.
+    Any multiset that passes the check is a certificate, so the smallest
+    one found wins; T, the certificate's ``size_bound``, only bounds it.
     """
     w = _as_distribution(mu, concept_class.domain_size, "mu")
-    d = vc_dimension(concept_class)
-    # the deviation check re-runs the public function on the caller's mu so a
-    # later independent re-verification is bit-identical
-    return _rejection_sample(
-        w, d, epsilon, seed, lambda draw: approximation_deviation(concept_class, mu, draw)
+    ceiling = approximation_size_bound(vc_dimension(concept_class), epsilon)
+    true_mass = concept_class.matrix.astype(np.float64) @ w
+    sizes = [1 << i for i in range((ceiling - 1).bit_length())]
+    sizes += [ceiling] * (RETRY_DEFAULT + 1)
+    rng = make_rng(seed)
+    best = math.inf
+    for size in sizes:
+        draw = rng.choice(w.size, size=size, p=w)
+        dev = _deviation(concept_class, true_mass, draw)
+        best = min(best, dev)
+        if dev <= epsilon:
+            return ApproximationCertificate(tuple(draw.tolist()), dev, float(epsilon), ceiling)
+    raise ApproximationBudgetError(
+        f"no multiset certified at epsilon={epsilon} within the retry budget "
+        f"(best deviation {best:.6g})",
+        best_deviation=best,
     )
 
 
@@ -230,12 +215,7 @@ def sparsify_mixture(
 
     This is `epsilon_approximation` on the dual class, so the size ceiling
     T uses the dual VC dimension, and the multiset is the first certified
-    draw of the same size schedule: a power of two below T, T or 2T.  Draws
-    are i.i.d. from p, hence the multiset is contained in p's support.  Each
-    attempt is checked by ``sparsification_deviation``.
+    draw of the same size schedule: a power of two below T, or T.  Draws
+    are i.i.d. from p, hence the multiset is contained in p's support.
     """
-    w = _as_distribution(p, len(concept_class), "p")
-    d_star = vc_dimension(dual_class(concept_class))
-    return _rejection_sample(
-        w, d_star, epsilon, seed, lambda draw: sparsification_deviation(concept_class, p, draw)
-    )
+    return epsilon_approximation(dual_class(concept_class), p, epsilon, seed)

@@ -121,7 +121,7 @@ class SparseEquilibrium:
     columns as concepts over the rows (the dual dimension of the row set),
     and symmetrically for columns.  The support bounds are the size
     ceilings T of the two epsilon-approximations; each multiset has a
-    power-of-two length below T, or T, or 2T."""
+    power-of-two length below T, or T."""
 
     row_multiset: tuple[int, ...]
     col_multiset: tuple[int, ...]

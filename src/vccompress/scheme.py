@@ -230,8 +230,8 @@ class SchemeReport:
     the gcd reduction, next to ``draw_ceiling``, the paper's vote count
     T = ceil(16 (d*+1) / epsilon^2).  Rounding keeps the first N up to T
     whose votes win every sampled point; the sampler fallback returns the
-    first certified draw of 1, 2, 4, ... votes below T, else of T or 2T,
-    and only it reports a ``sparsification_deviation``.  A point mass, the
+    first certified draw of 1, 2, 4, ... votes below T, else of T, and
+    only it reports a ``sparsification_deviation``.  A point mass, the
     empty sample's included, is neither rounded nor drawn: its one vote is
     the mixture, its certified agreement 1.0 and its draw_count 0.
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vccompress import ConceptClass, approx, dual_class, generators, vc_dimension
+from vccompress import (
+    ConceptClass,
+    approx,
+    dual_class,
+    generators,
+    sparse_epsilon_nash,
+    vc_dimension,
+)
 from vccompress.approx import (
     ApproximationCertificate,
     ProbabilityVector,
@@ -72,6 +80,12 @@ def test_certificate_valid_at_larger_epsilon():
     ApproximationCertificate(cert.multiset, cert.max_deviation, 0.5, cert.size_bound)
 
 
+def test_certificate_rejects_a_multiset_above_its_size_bound():
+    ApproximationCertificate((0, 1, 2), max_deviation=0.2, epsilon=0.25, size_bound=3)
+    with pytest.raises(ValueError, match="size bound"):
+        ApproximationCertificate((0, 1, 2, 3), max_deviation=0.2, epsilon=0.25, size_bound=3)
+
+
 def test_size_bound_formula():
     assert approximation_size_bound(2, 0.25) == math.ceil(16 * 3 / 0.0625)
     assert approximation_size_bound(0, 1.0) == 16
@@ -116,9 +130,9 @@ def test_determinism():
 
 def test_budget_error_when_unattainable(monkeypatch):
     # mass 2/3 on a point can never be matched to within 0.03 by empirical
-    # frequencies with denominator 1 or 2 (below the ceiling T = 4), 4 (the
-    # ceiling) or 8 (the escape hatch), so every draw fails and the error is
-    # deterministic
+    # frequencies with denominator 1 or 2 (below the ceiling T = 4) or 4 (the
+    # ceiling), so every draw (one of 1, one of 2, three of 4) fails and the
+    # error is deterministic
     monkeypatch.setattr(approx, "C_APX_DEFAULT", 0.0018)
     monkeypatch.setattr(approx, "RETRY_DEFAULT", 2)
     c = ConceptClass.from_rows([[0, 1], [1, 0], [1, 1]])
@@ -127,6 +141,20 @@ def test_budget_error_when_unattainable(monkeypatch):
         epsilon_approximation(c, mu, 0.03, seed=0)
     assert exc.value.best_deviation is not None
     assert exc.value.best_deviation > 0.03
+
+
+def test_deviation_rejects_non_integer_multisets():
+    # a float or string entry was truncated or parsed: [1.9] and ['1'] read
+    # as [1], and [1.9, 0.2] as [1, 0]
+    c = intervals_fixture(4)
+    mu = ProbabilityVector.uniform(4)
+    assert approximation_deviation(c, mu, [1]) == 0.75
+    assert approximation_deviation(c, mu, np.array([1, 0], dtype=np.int32)) == 0.5
+    for multiset in ([1.9], ["1"], [1.9, 0.2], np.array([1.0]), [], ()):
+        with pytest.raises(ValueError):
+            approximation_deviation(c, mu, multiset)
+    with pytest.raises(ValueError):
+        sparsification_deviation(c, ProbabilityVector.uniform(len(c)), [0.5])
 
 
 def test_mu_length_checked():
@@ -203,7 +231,81 @@ def test_sparsify_returns_the_first_certified_size(data):
     ceiling = approximation_size_bound(vc_dimension(dual_class(c)), epsilon)
     assert cert.size_bound == ceiling
     size = len(multiset)
-    # a power of two below the ceiling, the ceiling, or the escape hatch
-    assert size in (ceiling, 2 * ceiling) or (size < ceiling and size & (size - 1) == 0)
+    # a power of two below the ceiling, or the ceiling
+    assert size == ceiling or (size < ceiling and size & (size - 1) == 0)
     assert sparsification_deviation(c, p, multiset) == cert.max_deviation <= epsilon
     assert sparsify_mixture(c, p, epsilon, seed=seed) == cert
+
+
+@st.composite
+def mixture_cases(draw):
+    """A small class, a mixture over its concepts, an epsilon and a seed."""
+    n = draw(st.integers(min_value=1, max_value=6), label="domain size")
+    rows = draw(
+        st.lists(st.integers(0, 2**n - 1), min_size=2, max_size=12, unique=True), label="rows"
+    )
+    c = ConceptClass.from_row_ints(n, rows)
+    raw = draw(
+        st.lists(st.integers(0, 8), min_size=len(c), max_size=len(c)).filter(any), label="weights"
+    )
+    p = ProbabilityVector(np.array(raw) / sum(raw))
+    epsilon = draw(st.sampled_from([0.5, 0.25, 0.125]), label="epsilon")
+    seed = draw(st.integers(0, 2**32 - 1), label="seed")
+    return c, p, epsilon, seed
+
+
+@settings(max_examples=50, deadline=None)
+@given(mixture_cases())
+def test_sparsify_is_epsilon_approximation_on_the_dual_class(case):
+    c, p, epsilon, seed = case
+    assert sparsify_mixture(c, p, epsilon, seed) == epsilon_approximation(
+        dual_class(c), p, epsilon, seed
+    )
+
+
+def _golden_weights(size, shift):
+    """Fixed uneven weights with some zeros: (3i + shift) mod 7, normalised."""
+    raw = (3 * np.arange(size) + shift) % 7
+    return ProbabilityVector(raw / raw.sum())
+
+
+def test_golden_sampler_bytes():
+    # one digest over fixed ε-approximations, sparsifications and sparse
+    # equilibria: the draws, their exhaustive deviations to the bit and the
+    # ceilings; any change to the sampler that moves one of them fails here
+    classes = [
+        generators.intervals(6),
+        generators.k_interval_unions(6, 2),
+        generators.full_cube(4),
+        generators.halfspaces_grid(3, 2),
+        generators.random_vc_capped(8, 2, 24, seed=1),
+    ]
+    digest = hashlib.sha256()
+
+    def add(cert):
+        digest.update(repr((cert.multiset, cert.max_deviation.hex(), cert.size_bound)).encode())
+
+    for index, c in enumerate(classes):
+        for epsilon in (0.25, 0.125):
+            for seed in (0, 1):
+                add(epsilon_approximation(c, _golden_weights(c.domain_size, index), epsilon, seed))
+                add(sparsify_mixture(c, _golden_weights(len(c), index + 1), epsilon, seed))
+    rng = np.random.default_rng(24)
+    games = [rng.integers(0, 2, size=rng.integers(1, 8, size=2)) for _ in range(20)]
+    for index, entries in enumerate(games + [np.tile(g, (2, 3)) for g in games]):
+        eq = sparse_epsilon_nash(entries, epsilon=(0.3, 0.25)[index % 2], seed=index)
+        fields = (
+            eq.row_multiset,
+            eq.col_multiset,
+            eq.epsilon.hex(),
+            eq.certified_exploitability.hex(),
+            eq.value_estimate.hex(),
+            eq.row_support_bound,
+            eq.col_support_bound,
+            eq.row_test_dimension,
+            eq.col_test_dimension,
+        )
+        digest.update(repr(fields).encode())
+    assert digest.hexdigest() == (
+        "15a3ddff92c540b28733ea66c86d4578917691226e59993e220d20bd31d80d7e"
+    )
