@@ -9,6 +9,7 @@ compression scheme's determinism rests on that.
 from __future__ import annotations
 
 import functools
+import logging
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -32,6 +33,8 @@ __all__ = [
 # which holds its cached matrix and point masks, so an unbounded cache grows
 # without limit in a long-lived process.
 CLASS_CACHE_SIZE = 64
+
+logger = logging.getLogger(__name__)
 
 
 def _bit_matrix(entries, what: str) -> np.ndarray:
@@ -248,71 +251,72 @@ def shatters(concept_class: ConceptClass, points: Sequence[int]) -> ShatterWitne
     return ShatterWitness(tuple(pts), tuple(witnesses))
 
 
-def _splitters(masks: Sequence[int], cells: list[int], points: list[int], need: int) -> list[int]:
-    """The points that split every cell into two halves of at least `need`
-    concepts each (cells smallest first, as they fail most often)."""
-    kept = []
-    if need == 1:  # nonempty halves: cheaper than counting, and the common case
-        for y in points:
-            one = masks[y]
-            for cell in cells:
-                half = cell & one
-                if not half or half == cell:
-                    break
-            else:
-                kept.append(y)
-    else:
-        for y in points:
-            one = masks[y]
-            for cell in cells:
-                half = cell & one
-                if half.bit_count() < need or (cell ^ half).bit_count() < need:
-                    break
-            else:
-                kept.append(y)
-    return kept
-
-
 @functools.lru_cache(maxsize=CLASS_CACHE_SIZE)
 def vc_dimension(concept_class: ConceptClass) -> int:
-    """Exact VC dimension, by one depth-first search over point sets.
+    """Exact VC dimension, by one depth-first search over point columns.
+
+    The candidates are the nontrivial columns (point masks), one per class of
+    equal or complementary columns.  This loses nothing: a shattered set
+    holds no two equal columns (no concept labels them 0, 1) and no two
+    complementary ones (none labels them 0, 0), and swapping a column for
+    its complement maps shattered sets to shattered sets.
 
     A node is a shattered set plus its cells: for each label pattern, the
     bitset of the concepts realizing it.  Its children extend it by one later
-    point that splits every cell, which loses nothing: every subset of a
+    column that splits every cell, which loses nothing: every subset of a
     shattered set is shattered.  Only the current path and its pending
     siblings are held.  The search returns at the ceiling
     min(n, floor(log2 m)) and prunes what cannot beat the best size found: a
     child whose size plus its remaining candidates is no larger, and a set
-    of size k whose cells cannot all hold 2^(best + 1 - k) concepts.
+    of size k whose cells cannot all hold 2^(best + 1 - k) concepts.  So the
+    candidates of a k-set child are filtered one cell at a time, smallest
+    cell first: a column stays while it splits each cell into two halves of
+    at least 2^(best - k) concepts.
     """
     m = len(concept_class)
-    masks = concept_class.point_masks
     full = (1 << m) - 1
     ceiling = min(concept_class.domain_size, m.bit_length() - 1)
-    best = 0
+    columns = [c for c in concept_class.point_masks if 0 < c < full]
+    reduced = list(dict.fromkeys(min(c, full ^ c) for c in columns))
+    best = nodes = 0
 
     def extend(size: int, cells: list[int], candidates: list[int]) -> bool:
         """Search above a shattered `size`-set; True once the ceiling is met."""
-        nonlocal best
-        for i, x in enumerate(candidates):
+        nonlocal best, nodes
+        nodes += 1
+        for i, one in enumerate(candidates):
             if size + len(candidates) - i <= best:
                 return False
-            one, zero = masks[x], full ^ masks[x]
-            halves = (h for cell in cells for h in (cell & one, cell & zero))
+            halves = []
+            for cell in cells:
+                half = cell & one
+                halves += (half, cell ^ half)
             child = sorted(halves, key=int.bit_count)
             best = max(best, size + 1)
             if best == ceiling:
                 return True
             if child[0].bit_count() < 1 << (best - size):
                 continue
-            later = _splitters(masks, child, candidates[i + 1 :], 1 << max(best - size - 1, 0))
+            need = 1 << (best - size - 1)
+            later = candidates[i + 1 :]
+            for cell in child:
+                if size + 1 + len(later) <= best:
+                    break
+                if need == 1:  # nonempty halves: cheaper than counting
+                    later = [y for y in later if 0 < cell & y < cell]
+                else:
+                    top = cell.bit_count() - need
+                    later = [y for y in later if need <= (cell & y).bit_count() <= top]
             if size + 1 + len(later) > best and extend(size + 1, child, later):
                 return True
         return False
 
-    if ceiling:
-        extend(0, [full], [x for x in range(len(masks)) if masks[x] not in (0, full)])
+    extend(0, [full], reduced)
+    logger.debug(
+        "vc dimension %d (ceiling %d): %d nontrivial columns, %d after pairing "
+        "equal and complementary ones, %d nodes extended",
+        best, ceiling, len(columns), len(reduced), nodes,
+    )
     return best
 
 

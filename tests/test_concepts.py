@@ -1,6 +1,7 @@
 """Concept-class primitives, checked against independent brute-force oracles."""
 
 import itertools
+import logging
 import random
 
 import numpy as np
@@ -255,6 +256,28 @@ def test_vc_both_code_paths_agree():
     assert vc_dimension(c) == oracle_vc(c)
 
 
+@pytest.mark.parametrize("seed", range(12))
+def test_vc_agrees_with_oracle_on_repeated_and_complementary_columns(seed):
+    # the search keeps one column per equal-or-complementary pair and drops
+    # constant columns; widen a small class with all four kinds
+    rng = random.Random(seed)
+    n = rng.randint(4, 6)
+    base = random_class(n, rng.randint(2, 1 << n), seed).matrix
+    extra = rng.randint(max(8, n + 4), 11) - n - 2
+    copies = rng.randint(1, extra - 1)
+    columns = [
+        *base.T,
+        *(base[:, rng.randrange(n)] for _ in range(copies)),
+        *(1 - base[:, rng.randrange(n)] for _ in range(extra - copies)),
+        np.zeros(len(base), np.uint8),
+        np.ones(len(base), np.uint8),
+    ]
+    rng.shuffle(columns)
+    c = ConceptClass.from_rows(np.column_stack(columns))
+    assert 8 <= c.domain_size <= 11
+    assert vc_dimension(c) == oracle_vc(c)
+
+
 PINNED_DIMENSIONS = [
     # (generator, arguments, d, d*), recorded from the earlier level-wise
     # searches, except the full cube's d*: they ran out of memory on it, and
@@ -279,6 +302,36 @@ def test_vc_pinned_beyond_oracle_reach(make, args, d, d_star):
     cls = make(*args)
     assert vc_dimension(cls) == d
     assert vc_dimension(dual_class(cls)) == d_star
+
+
+@pytest.mark.parametrize(
+    "make, d",
+    [
+        pytest.param(lambda: halfspaces_grid(6, 2), 3, id="halfspaces_grid-6-2"),
+        pytest.param(lambda: halfspaces_grid(4, 3), 4, id="halfspaces_grid-4-3"),
+        pytest.param(lambda: k_interval_unions(8, 2), 4, id="k_interval_unions-8-2"),
+        pytest.param(lambda: dual_class(intervals(12)), 2, id="dual-intervals-12"),
+    ],
+)
+def test_vc_invariant_under_point_permutation_and_complements(make, d):
+    cls = make()
+    rng = np.random.default_rng(5)
+    flips = rng.integers(0, 2, cls.domain_size, dtype=np.uint8)
+    moved = ConceptClass.from_rows(cls.matrix[:, rng.permutation(cls.domain_size)] ^ flips)
+    assert flips.any() and not flips.all()
+    assert vc_dimension(moved) == vc_dimension(cls) == d
+
+
+def test_vc_search_logs_one_line_per_uncached_search(caplog):
+    cls = halfspaces_grid(6, 2)
+    vc_dimension.cache_clear()
+    with caplog.at_level(logging.DEBUG, logger="vccompress.concepts"):
+        assert vc_dimension(cls) == vc_dimension(cls) == 3
+    [line] = [r.getMessage() for r in caplog.records if r.name == "vccompress.concepts"]
+    assert line == (
+        "vc dimension 3 (ceiling 5): 36 nontrivial columns, 34 after pairing "
+        "equal and complementary ones, 133 nodes extended"
+    )
 
 
 # --- dual class ---------------------------------------------------------------
