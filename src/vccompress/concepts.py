@@ -29,9 +29,10 @@ __all__ = [
     "serialize_concept_class",
 ]
 
-# Entries kept by the vc_dimension and dual_class caches.  A key is a class,
-# which holds its cached matrix and point masks, so an unbounded cache grows
-# without limit in a long-lived process.
+# Entries kept by the vc_dimension and dual_class caches.  A vc_dimension key
+# is a (class, ceiling) pair, a dual_class key a class; each class holds its
+# cached matrix and point masks, so an unbounded cache grows without limit in
+# a long-lived process.
 CLASS_CACHE_SIZE = 64
 
 logger = logging.getLogger(__name__)
@@ -110,6 +111,14 @@ class ConceptClass:
 
     def __len__(self) -> int:
         return len(self.rows)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        # the dimension caches hash their class on every lookup
+        return hash((self.domain_size, self.rows))
 
     @functools.cached_property
     def matrix(self) -> np.ndarray:
@@ -252,8 +261,14 @@ def shatters(concept_class: ConceptClass, points: Sequence[int]) -> ShatterWitne
 
 
 @functools.lru_cache(maxsize=CLASS_CACHE_SIZE)
-def vc_dimension(concept_class: ConceptClass) -> int:
-    """Exact VC dimension, by one depth-first search over point columns.
+def vc_dimension(concept_class: ConceptClass, ceiling: int | None = None) -> int:
+    """Exact VC dimension d, or min(d, ceiling) when a ceiling is given, by
+    one depth-first search over point columns.  A capped call answers "is
+    d >= ceiling?" and stops at the first shattered set of that size; a
+    result below the ceiling is d itself.  The cache keys on the arguments
+    as passed, so a capped result never answers an uncapped call.  An
+    uncapped search also keeps d on the class it searched, and every later
+    call on that class, capped or not, reads it there without a search.
 
     The candidates are the nontrivial columns (point masks), one per class of
     equal or complementary columns.  This loses nothing: a shattered set
@@ -265,17 +280,24 @@ def vc_dimension(concept_class: ConceptClass) -> int:
     bitset of the concepts realizing it.  Its children extend it by one later
     column that splits every cell, which loses nothing: every subset of a
     shattered set is shattered.  Only the current path and its pending
-    siblings are held.  The search returns at the ceiling
-    min(n, floor(log2 m)) and prunes what cannot beat the best size found: a
-    child whose size plus its remaining candidates is no larger, and a set
-    of size k whose cells cannot all hold 2^(best + 1 - k) concepts.  So the
-    candidates of a k-set child are filtered one cell at a time, smallest
-    cell first: a column stays while it splits each cell into two halves of
-    at least 2^(best - k) concepts.
+    siblings are held.  The search returns at its ceiling, the least of
+    `ceiling`, n and floor(log2 m), and prunes what cannot beat the best
+    size found: a child whose size plus its remaining candidates is no
+    larger, and a set of size k whose cells cannot all hold 2^(best + 1 - k)
+    concepts.  So the candidates of a k-set child are filtered one cell at a
+    time, smallest cell first: a column stays while it splits each cell into
+    two halves of at least 2^(best - k) concepts.
     """
+    if ceiling is not None and ceiling < 0:
+        raise ValueError(f"ceiling must be nonnegative, got {ceiling}")
+    known = vars(concept_class).get("_vc_dimension")
+    if known is not None:
+        return known if ceiling is None else min(known, ceiling)
+    exact = ceiling is None
     m = len(concept_class)
     full = (1 << m) - 1
-    ceiling = min(concept_class.domain_size, m.bit_length() - 1)
+    n = concept_class.domain_size
+    ceiling = min(n if exact else ceiling, n, m.bit_length() - 1)
     columns = [c for c in concept_class.point_masks if 0 < c < full]
     reduced = list(dict.fromkeys(min(c, full ^ c) for c in columns))
     best = nodes = 0
@@ -311,12 +333,15 @@ def vc_dimension(concept_class: ConceptClass) -> int:
                 return True
         return False
 
-    extend(0, [full], reduced)
+    if ceiling:  # at ceiling 0 the empty set answers, with no search
+        extend(0, [full], reduced)
     logger.debug(
         "vc dimension %d (ceiling %d): %d nontrivial columns, %d after pairing "
         "equal and complementary ones, %d nodes extended",
         best, ceiling, len(columns), len(reduced), nodes,
     )
+    if exact:
+        object.__setattr__(concept_class, "_vc_dimension", best)
     return best
 
 

@@ -94,7 +94,8 @@ def random_vc_capped(n: int, vc_cap: int, max_concepts: int, seed: int = 0) -> C
     """Greedily grown random class whose VC dimension never exceeds vc_cap.
 
     Candidate rows are drawn uniformly; one is kept only if adding it leaves
-    the dimension, found by the uncached search, within the cap.  Stops at
+    the dimension within the cap, which the uncached search, capped one
+    above it, answers without computing d.  Stops at
     max_concepts rows or after _TRIES_PER_CONCEPT candidates per requested
     concept.
     """
@@ -109,7 +110,7 @@ def random_vc_capped(n: int, vc_cap: int, max_concepts: int, seed: int = 0) -> C
         if candidate in rows:
             continue
         tentative = ConceptClass.from_row_ints(n, sorted(rows | {candidate}))
-        if _uncached_vc_dimension(tentative) <= vc_cap:
+        if _uncached_vc_dimension(tentative, vc_cap + 1) <= vc_cap:
             rows.add(candidate)
     return ConceptClass.from_row_ints(n, sorted(rows))
 

@@ -13,21 +13,27 @@ least 2/3, certified in exact arithmetic.  That margin survives a later
 One search builds every pool.  Concept c is the ERM of a labeled subset
 exactly when c labels the subset correctly and the subset kills every
 concept below c, so finding c's shortest such subset is a teaching-set
-search (Goldman & Kearns 1995) over the points c labels correctly.  In the
-consistent-hypothesis case (Littlestone & Warmuth 1986) no game is solved:
-the search for c0, the lowest concept consistent with the whole sample,
-runs first at every budget, and a hit makes the mixture a point mass on c0,
-certified at value exactly 1.  Otherwise the pool is the ERM image of all
-subsets within budget, one search per concept, and its agreement game is
-solved exactly at any size, through the game module's one exact path: it
-has one row per hypothesis and one column per distinct agreement pattern,
-and tall games are cheap for the exact simplex.  Every taught point mass
-shares one certificate, the solution of the 1x1 game [[1]].
-No step draws random numbers.
-If a subset budget is too small for a certificate, the builder doubles it;
-at budget = #distinct points the whole sample teaches c0, so termination
-never depends on luck.  The empty sample needs no case of its own: c0 is
-concept 0, the ERM of the empty subset, taught at budget 0.
+search (Goldman & Kearns 1995) over the points c labels correctly.
+
+The subset budget is the learner's own: max(1, d), d the class's VC
+dimension, capped at the sample's distinct points.  The learner never asks
+for d outright.  In the consistent-hypothesis case (Littlestone & Warmuth
+1986) no game is solved: the search for c0, the lowest concept consistent
+with the whole sample, runs first, one size at a time, and enters a size
+s >= 2 only once the VC search capped at s says d >= s.  A hit makes the
+mixture a point mass on c0, certified at value exactly 1, and d is never
+computed.  The first size the capped search refuses gives d exactly, and
+only then is the pool the ERM image of all subsets within budget, one
+search per concept.  Its agreement game is solved exactly at any size,
+through the game module's one exact path: it has one row per hypothesis
+and one column per distinct agreement pattern, and tall games are cheap for
+the exact simplex.  Every taught point mass shares one certificate, the
+solution of the 1x1 game [[1]].  No step draws random numbers.  If the
+budget is too small for a certificate, the builder doubles it and carries
+c0's search on to the larger sizes; at budget = #distinct points the whole
+sample teaches c0, so termination never depends on luck.  The empty sample
+needs no case of its own: c0 is concept 0, the ERM of the empty subset,
+taught at budget 0.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .concepts import ConceptClass, LabeledSample
+from .concepts import ConceptClass, LabeledSample, vc_dimension
 from .errors import UnrealizableError, WeakLearningError
 from .game import GameSolution, _exact_solution
 
@@ -64,7 +70,10 @@ _PREFIX_CAP = 20_000
 class HypothesisSet:
     """Hypotheses (concept indices, ascending) with the labeled-subset
     provenance that regenerates each one via ERM, plus the budget that was
-    finally sufficient."""
+    finally sufficient: for a point mass taught within max(1, d), the
+    teaching set's size min(max(1, t), k) at which it was certified, which
+    is at most the subset budget min(max(1, d), k); otherwise the subset
+    budget itself, escalations included."""
 
     hypotheses: tuple[int, ...]
     provenance: tuple[tuple[int, ...], ...]
@@ -141,7 +150,6 @@ _POINT_MASS = _exact_solution(np.ones((1, 1), dtype=np.uint8))
 def build_hypothesis_set(
     concept_class: ConceptClass,
     sample: LabeledSample,
-    subset_budget: int,
 ) -> tuple[HypothesisSet, GameSolution]:
     """Hypothesis pool plus a certified weak mixture for a realizable sample.
 
@@ -152,68 +160,88 @@ def build_hypothesis_set(
     column), whose exact_value is the exact game value (at least 2/3), and
     whose value_estimate is float(exact_value).  The exact simplex certifies
     optimality in integers against every column, so no float recheck
-    follows.  ValueError when subset_budget is below 1.  The empty sample
-    is accepted: its c0 is concept 0, taught by the empty subset at budget
-    0 (its distinct-point count), with the shared point-mass certificate.
+    follows.  The empty sample is accepted: its c0 is concept 0, taught by
+    the empty subset, with the shared point-mass certificate.
 
     c0, the lowest concept consistent with the whole sample, comes from
     ``lowest_consistent_concept``, which also checks the sample for compress
     (ValueError outside the domain, UnrealizableError if unrealizable).
 
-    At every budget a pruned search first looks for the shortest subset
-    (first in combinations order) whose ERM is c0.  c0 agrees with every
-    label, so a hit gives a one-hypothesis set with that subset as its
-    provenance, and the point mass's certificate: its game has one pattern,
-    so the solution is that of the 1x1 game [[1]] (exact_value 1,
+    The subset budget is the learner's: max(1, d) capped at the k distinct
+    points, d being the class's VC dimension, which it asks for only as far
+    as it needs.  A pruned search looks for the shortest subset (first in
+    combinations order) whose ERM is c0, one size at a time.  Sizes 0 and 1
+    are always within budget; a size s >= 2 is entered only after
+    ``vc_dimension(concept_class, s)`` returns s, i.e. d >= s.  c0 agrees
+    with every label, so a hit gives a one-hypothesis set with that subset
+    as its provenance, certified at budget min(max(1, t), k) for a teaching
+    set of t points, and the point mass's certificate: its game has one
+    pattern, so the solution is that of the 1x1 game [[1]] (exact_value 1,
     value_estimate 1.0, exploitability 0, both strategies [1.0]).  It is
     one module-level constant, frozen with read-only weight arrays, shared
     by every call, so a taught sample solves no game.
 
-    Only when no subset within budget teaches c0 does a game run, over the
-    ERM image: every concept that is the ERM of some subset within budget,
-    each with its shortest such subset (``_erm_image``).  The exact simplex
-    solves it at any size; EXACT_ENTRY_CAP is a policy of solve_exact and
-    sparse_epsilon_nash only, never of the learner.  The pool and its
-    certificate are deterministic; no seed enters.  The subset budget
-    doubles internally whenever the certified game falls short; at budget =
-    #distinct points c0 teaches itself, so the escalation always terminates.
+    The first s whose capped search returns less than s gives d exactly, and
+    every size up to max(1, d) has been searched.  Only then does a game
+    run, over the ERM image at budget min(max(1, d), k): every concept that
+    is the ERM of some subset within budget, each with its shortest such
+    subset (``_erm_image``).  The exact simplex solves it at any size;
+    EXACT_ENTRY_CAP is a policy of solve_exact and sparse_epsilon_nash only,
+    never of the learner.  The pool and its certificate are deterministic;
+    no seed enters.  The budget doubles whenever the certified game falls
+    short, and c0's search goes on, without a ceiling, through the sizes the
+    larger budget admits, before the larger ERM image is tried; at budget
+    = k, c0 teaches itself, so the escalation always terminates.
     """
-    if subset_budget < 1:
-        raise ValueError("subset budget must be at least 1")
     points = sample.distinct_points
     labels_by_point = dict(sample.label_items)
     k = len(points)
     consistent = lowest_consistent_concept(concept_class, sample.label_items)
-
-    while True:
-        budget = min(subset_budget, k)
-        teaching = _teaching_subset(concept_class, points, labels_by_point, budget, consistent)
+    teaching_sizes = _teaching_search(concept_class, points, labels_by_point, consistent)
+    ceilings = []
+    for size in range(k + 1):
+        if size >= 2:
+            ceilings.append(size)
+            dimension = vc_dimension(concept_class, size)
+            if dimension < size:
+                break
+        teaching = next(teaching_sizes)
         if teaching is not None:
-            hypotheses, provenance = [consistent], [teaching]
-            solution = _POINT_MASS
-        else:
-            hypotheses, provenance, agreement = _erm_image(
-                concept_class, points, labels_by_point, budget
+            logger.debug(
+                "taught point mass: c0 = %d by %d points (ceilings queried: %s)",
+                consistent, size, ceilings,
             )
-            solution = _certify_mixture(agreement)
+            return HypothesisSet((consistent,), (teaching,), min(max(1, size), k)), _POINT_MASS
+    # d < size <= k, and no size up to max(1, d) teaches c0
+    budget = min(max(1, dimension), k)
+    while True:
+        hypotheses, provenance, agreement = _erm_image(
+            concept_class, points, labels_by_point, budget
+        )
+        solution = _certify_mixture(agreement)
         if solution is not None:
             logger.debug(
-                "certified %d hypotheses at budget %d (agreement %.4f)",
-                len(hypotheses),
-                budget,
-                solution.value_estimate,
+                "certified %d hypotheses by the ERM image at budget %d "
+                "(agreement %.4f; d = %d from the search capped at %d)",
+                len(hypotheses), budget, solution.value_estimate, dimension, ceilings[-1],
             )
-            return (
-                HypothesisSet(tuple(hypotheses), tuple(provenance), budget),
-                solution,
-            )
+            return HypothesisSet(tuple(hypotheses), tuple(provenance), budget), solution
         if budget >= k:
-            # all k points teach c0, so the search above cannot miss at this
+            # all k points teach c0, so c0's search cannot miss at this
             # budget; reaching this line means the search itself is broken
             raise WeakLearningError(
                 f"no certified mixture at the full budget {budget} for {k} points"
             )
-        subset_budget = escalate_budget(subset_budget, k)
+        searched, budget = budget, escalate_budget(budget, k)
+        for size in range(searched + 1, budget + 1):
+            teaching = next(teaching_sizes)
+            if teaching is not None:
+                logger.debug(
+                    "taught point mass: c0 = %d by %d points after escalating to "
+                    "budget %d (d = %d)",
+                    consistent, size, budget, dimension,
+                )
+                return HypothesisSet((consistent,), (teaching,), budget), _POINT_MASS
 
 
 def _erm_image(cls, points, labels_by_point, budget):
@@ -242,24 +270,39 @@ def _erm_image(cls, points, labels_by_point, budget):
 
 def _teaching_subset(cls, points, labels_by_point, budget, c0):
     """The shortest subset of `points` (first in combinations order) whose
-    ERM is c0, or None when no subset of at most `budget` points has it.
+    ERM is c0, or None when no subset of at most `budget` points has it;
+    ``_teaching_search`` up to size `budget`."""
+    search = _teaching_search(cls, points, labels_by_point, c0)
+    for _, subset in zip(range(budget + 1), search):
+        if subset is not None:
+            return subset
+    return None
+
+
+def _teaching_search(cls, points, labels_by_point, c0):
+    """For size 0, 1, ... in turn, the first subset of that many of `points`
+    (in combinations order) whose ERM is c0, or None when there is none;
+    it ends after the first hit, or at once when nothing teaches c0.  Each
+    size is searched only when asked for.
 
     c0 must label every point of `points` correctly.  A subset's ERM is then
     c0 exactly when the subset kills every concept below c0: a hitting set
     over the point_masks bitsets (a teaching set, Goldman & Kearns 1995).
     When some concept below c0 survives all of `points`, no subset teaches
-    c0 and the search returns None at once.  Otherwise each size is a
-    depth-first search in combinations order; a branch is pruned when some
-    live concept survives every point still available to it.  A size that
-    visits more than _PREFIX_CAP prefixes stops the search and returns all
-    of `points` when they fit the budget (they teach c0), None otherwise.
-    So when c0 is the lowest concept consistent with all of `points`, a
-    search at budget >= len(points) never returns None.  The search keeps
-    an explicit stack, so its depth is not bounded by the recursion limit.
+    c0 and the search ends at once.  Otherwise each size is a depth-first
+    search in combinations order; a branch is pruned when some live concept
+    survives every point still available to it.  A size that visits more
+    than _PREFIX_CAP prefixes ends the search of shorter subsets: the sizes
+    left below len(points) yield None and that size yields all of `points`,
+    which teach c0.  So when c0 is the lowest concept consistent with all of
+    `points`, the search yields a subset by size len(points).  The search
+    keeps an explicit stack, so its depth is not bounded by the recursion
+    limit.
     """
     below = (1 << c0) - 1
     if not below:
-        return ()
+        yield ()
+        return
     masks = cls.point_masks
     cons = [masks[x] & below if labels_by_point[x] else ~masks[x] & below for x in points]
     k = len(cons)
@@ -267,8 +310,9 @@ def _teaching_subset(cls, points, labels_by_point, budget, c0):
     for j in range(k - 1, -1, -1):
         suffix_and[j] = suffix_and[j + 1] & cons[j]
     if suffix_and[0]:
-        return None
-    for size in range(1, min(budget, k) + 1):
+        return
+    yield None  # the empty subset keeps every concept below c0
+    for size in range(1, k + 1):
         nodes = 0
         chosen: list[int] = []
         alive = [below]  # alive[t]: concepts below c0 that chosen[:t] keeps
@@ -278,17 +322,21 @@ def _teaching_subset(cls, points, labels_by_point, budget, c0):
             if j <= k - remaining and not alive[-1] & suffix_and[j]:
                 nodes += 1
                 if nodes > _PREFIX_CAP:
-                    return tuple(points) if k <= budget else None
+                    for _ in range(size, k):
+                        yield None
+                    yield tuple(points)
+                    return
                 left = alive[-1] & cons[j]
                 if remaining > 1:
                     chosen.append(j)
                     alive.append(left)
                 elif not left:
-                    return tuple(points[i] for i in chosen) + (points[j],)
+                    yield tuple(points[i] for i in chosen) + (points[j],)
+                    return
                 j += 1
             elif chosen:
                 j = chosen.pop() + 1
                 alive.pop()
             else:
                 break
-    return None
+        yield None

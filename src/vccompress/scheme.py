@@ -9,9 +9,11 @@ the bytes.
 Pipeline, the same for every sample: certify a weak mixture of subset-ERM
 hypotheses (learner), turn it into a small voting multiset, and check once
 that every sampled point wins that multiset's integer majority strictly
-before anything is encoded.  A taught point mass (one hypothesis
-consistent with the whole sample) votes once; the empty sample is one, on
-concept 0, taught by the empty subset.  A larger mixture's exact rational
+before anything is encoded.  The learner owns the subset budget max(1, d)
+and asks the VC search only "is d >= s?" for the sizes s it tries, so
+compress runs no dimension search of its own.  A taught point mass (one
+hypothesis consistent with the whole sample) votes once; the empty sample
+is one, on concept 0, taught by the empty subset.  A larger mixture's exact rational
 weights p are rounded to N = 1, 2, ... votes: each hypothesis gets the
 floor of N*p and the largest remainders (ties to the lower pool index) one
 vote more.  The first N whose votes win every point is kept.  p gives
@@ -27,8 +29,10 @@ reducer.
 The majority re-check reads the class's packed integer rows, independently
 of the learner's point bitsets: each vote's wrong points are one bitset
 over the sample, and only points that some vote gets wrong are counted, so
-a point mass costs one XOR.  Reconstruction with a single distinct voter
-returns a copy of that concept's row, which is its own majority.
+a point mass costs one XOR.  Reconstruction reads each distinct voter's
+row once, weighted by its count, so its memory is bounded by the class and
+not by the vote count; a single distinct voter returns a copy of that
+concept's row, which is its own majority.
 
 Wire formats are strict: unsigned LEB128 varints, delta-coded kernel points,
 LSB-first label bits, and side info protected by a trailing CRC-32 (which
@@ -235,32 +239,48 @@ class SchemeReport:
     empty sample's included, is neither rounded nor drawn: its one vote is
     the mixture, its certified agreement 1.0 and its draw_count 0.
 
+    ``known_details`` also carries ``distinct_point_count``, the sample's k
+    distinct points, and ``learner_budget``, the budget the learner
+    certified at: a mixture's subset budget, and min(max(1, t), k) for a
+    point mass taught by t points before any escalation.
+
     Only the sampler needs the dual VC dimension d*, and rounding only past
     N = 1024, so ``compress`` leaves ``dual_vc_dimension`` and
-    ``draw_ceiling`` out of ``known_details``.  ``details`` fills them in on
-    first read, from the class kept in ``concept_class``, and returns a
-    plain dict.  Being a property, ``details`` is not a dataclass field:
-    ``dataclasses.asdict`` shows ``known_details`` instead, and ``==``
-    compares report contents, not the class."""
+    ``draw_ceiling`` out of ``known_details``; a taught point mass needs d
+    only as far as its teaching set, so ``vc_dimension`` stays out too.
+    ``details`` fills the three in on first read, from the class kept in
+    ``concept_class``, and returns a plain dict.  ``subset_budget`` is
+    computed on first read as well: the learner's budget, raised for a
+    point mass to the budget min(max(1, d), k) it was taught within.  Being
+    properties, neither is a dataclass field: ``dataclasses.asdict`` shows
+    ``known_details`` instead, and ``==`` compares report contents, not the
+    class, d or the budget."""
 
     kernel_size: int
     info_bits: int
     subset_count: int
-    subset_budget: int
     scheme_size: int
     known_details: dict
     concept_class: ConceptClass = field(repr=False, compare=False)
 
     @functools.cached_property
     def details(self) -> dict:
-        known = self.known_details
         dual_dimension = vc_dimension(dual_class(self.concept_class))
         return {
-            "vc_dimension": known["vc_dimension"],
+            "vc_dimension": vc_dimension(self.concept_class),
             "dual_vc_dimension": dual_dimension,
-            **known,
+            **self.known_details,
             "draw_ceiling": approximation_size_bound(dual_dimension, SPARSIFY_EPSILON),
         }
+
+    @functools.cached_property
+    def subset_budget(self) -> int:
+        known = self.known_details
+        if known["draw_count"]:  # a mixture's budget is the learner's
+            return known["learner_budget"]
+        budget = min(max(1, vc_dimension(self.concept_class)), known["distinct_point_count"])
+        # a point mass taught after an escalation keeps the escalated budget
+        return max(budget, known["learner_budget"])
 
 
 @dataclass(frozen=True)
@@ -385,9 +405,10 @@ def compress(
     """Compress a realizable labeled sample to a kernel and side info.
 
     The kernel is the union of the provenance subsets behind the voting
-    hypotheses; its size is governed by the class's VC dimension (subset
-    budget) and the dual VC dimension (ceiling on the vote count), never by
-    the sample length.  Every sampled point's majority is re-verified as a
+    hypotheses; its size is governed by the class's VC dimension d (each
+    subset has at most max(1, d) points, the learner's subset budget) and
+    the dual VC dimension (ceiling on the vote count), never by the sample
+    length.  Every sampled point's majority is re-verified as a
     strict integer inequality before encoding.
 
     Every sample, the empty one included, goes through the learner.  A
@@ -408,12 +429,14 @@ def compress(
     sample: ValueError for a point outside the domain, UnrealizableError
     for an unrealizable sample.
 
-    The dual VC dimension d* is computed here only for T, by a rounding
-    that passes N = 1024 or by the sampler.  The report computes d* and
-    ``draw_ceiling`` = T when its ``details`` are first read.
+    compress computes no VC dimension itself.  The learner asks for d only
+    as far as the subset budget needs it (a taught point mass of t points,
+    only whether d >= t), and the dual VC dimension d* is computed only for
+    T, by a rounding that passes N = 1024 or by the sampler.  The report
+    computes d, d*, ``draw_ceiling`` = T and ``subset_budget`` when they are
+    first read.
     """
-    dimension = vc_dimension(concept_class)
-    hypothesis_set, solution = build_hypothesis_set(concept_class, sample, max(1, dimension))
+    hypothesis_set, solution = build_hypothesis_set(concept_class, sample)
 
     if len(hypothesis_set) == 1:
         # the taught point mass (a certified game never has a one-row
@@ -473,10 +496,10 @@ def compress(
         kernel_size=len(kernel_points),
         info_bits=info_bits,
         subset_count=total_votes,
-        subset_budget=hypothesis_set.budget,
         scheme_size=len(kernel_points) + info_bits,
         known_details={
-            "vc_dimension": dimension,
+            "distinct_point_count": len(sample.label_items),
+            "learner_budget": hypothesis_set.budget,
             "epsilon": SPARSIFY_EPSILON,
             "seed": seed,
             "vote_concepts": votes,
@@ -499,11 +522,16 @@ def reconstruct(concept_class: ConceptClass, compressed: CompressedSample) -> np
 
 
 def _majority_vote(concept_class: ConceptClass, voters: list[int]) -> np.ndarray:
-    """Each point's strict majority label over the voting concepts."""
+    """Each point's strict majority label over the voting concepts (ties to
+    0).  Each distinct voter's row is read once and weighted by its count,
+    so memory is bounded by the class, however often a container repeats a
+    subset."""
     if len(set(voters)) == 1:
         # every vote is the same row, so the majority is that row
         return concept_class.matrix[voters[0]].copy()
-    votes = concept_class.matrix[voters].sum(axis=0)
+    tally = collections.Counter(voters)
+    counts = np.fromiter(tally.values(), dtype=np.int64, count=len(tally))
+    votes = counts @ concept_class.matrix[list(tally)]
     return (2 * votes > len(voters)).astype(np.uint8)
 
 
@@ -548,21 +576,28 @@ def verify_round_trip(
     """Compress, reconstruct, and check everything that should hold: labels
     reproduce exactly on the sample, the decompressor's hypotheses are the
     very ones the compressor voted, and the size respects its bound.  Each
-    side-info subset is learned once, for both the vote and that check."""
+    side-info subset is learned once, for both the vote and that check.
+
+    The bound is checked from below first.  It is nondecreasing in d* and
+    in the budget, and the learner's budget is at most the report's
+    ``subset_budget``, so a size within the bound at d* = 0 and the
+    learner's budget is within the exact one.  Only a size above that is
+    checked against the bound at the exact d* and budget, which needs the
+    dual and primal VC searches."""
     compressed, report = compress(concept_class, sample, seed)
     voters = _subset_erms(concept_class, compressed)
     decoded = _majority_vote(concept_class, voters)
     mismatches = tuple(
         point for point, label in sample.label_items if int(decoded[point]) != label
     )
-    expected = [concept for concept, mult in report.details["vote_concepts"] for _ in range(mult)]
+    known = report.known_details
+    expected = [concept for concept, mult in known["vote_concepts"] for _ in range(mult)]
     hypotheses_match = voters == expected
-    bound = scheme_size_bound(
-        report.details["vc_dimension"],
-        report.details["dual_vc_dimension"],
-        report.subset_budget,
+    size_within_bound = report.scheme_size <= scheme_size_bound(
+        0, 0, known["learner_budget"]
+    ) or report.scheme_size <= scheme_size_bound(
+        report.details["vc_dimension"], report.details["dual_vc_dimension"], report.subset_budget
     )
-    size_within_bound = report.scheme_size <= bound
     return VerificationResult(
         passed=not mismatches and hypotheses_match and size_within_bound,
         report=report,

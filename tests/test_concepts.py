@@ -6,6 +6,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vccompress import (
     ConceptClass,
@@ -332,6 +334,63 @@ def test_vc_search_logs_one_line_per_uncached_search(caplog):
         "vc dimension 3 (ceiling 5): 36 nontrivial columns, 34 after pairing "
         "equal and complementary ones, 133 nodes extended"
     )
+
+
+def _capped_matches_the_oracle(cls):
+    d = oracle_vc(cls)
+    for ceiling in range(cls.domain_size + 2):
+        assert vc_dimension(cls, ceiling) == min(d, ceiling), ceiling
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=7).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.sets(st.integers(min_value=0, max_value=(1 << n) - 1), min_size=1, max_size=40),
+        )
+    )
+)
+def test_capped_search_is_min_of_d_and_the_ceiling(spec):
+    n, rows = spec
+    _capped_matches_the_oracle(ConceptClass.from_row_ints(n, rows))
+
+
+def test_capped_search_on_the_known_value_classes():
+    for cls in (
+        intervals_fixture(10),
+        ConceptClass.from_row_ints(3, range(8)),
+        ConceptClass.from_row_ints(4, [0]),
+        intervals_fixture(8),
+        random_class(9, 80, 7),
+    ):
+        _capped_matches_the_oracle(cls)
+    with pytest.raises(ValueError, match="ceiling must be nonnegative"):
+        vc_dimension(intervals_fixture(4), -1)
+
+
+def test_capped_search_logs_its_ceiling_and_never_answers_an_uncapped_call(caplog):
+    # a fresh class: no search has kept its d yet
+    cls = halfspaces_grid(6, 2)
+    vc_dimension.cache_clear()
+    with caplog.at_level(logging.DEBUG, logger="vccompress.concepts"):
+        assert vc_dimension(cls, 2) == vc_dimension(cls, 2) == 2
+        assert vc_dimension(cls, 9) == 3  # the search's own ceiling is 5
+        assert vc_dimension(cls) == 3
+    lines = [r.getMessage() for r in caplog.records if r.name == "vccompress.concepts"]
+    assert [line.partition(":")[0] for line in lines] == [
+        "vc dimension 2 (ceiling 2)",
+        "vc dimension 3 (ceiling 5)",
+        "vc dimension 3 (ceiling 5)",
+    ]
+    info = vc_dimension.cache_info()
+    assert (info.hits, info.misses) == (1, 3)
+    # the uncapped search kept d on the class: a new ceiling needs no search
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="vccompress.concepts"):
+        assert [vc_dimension(cls, ceiling) for ceiling in (1, 3, 4)] == [1, 3, 3]
+    assert [r for r in caplog.records if r.name == "vccompress.concepts"] == []
+    assert vc_dimension.cache_info().misses == 6
 
 
 # --- dual class ---------------------------------------------------------------

@@ -8,6 +8,7 @@ every certified mixture reaches.
 
 import hashlib
 import itertools
+import logging
 from fractions import Fraction
 
 import numpy as np
@@ -27,6 +28,7 @@ from vccompress import (
     lowest_consistent_concept,
     reconstruct,
     serialize_compressed,
+    vc_dimension,
 )
 from vccompress import game, generators, learner, scheme
 from vccompress.game import EXACT_ENTRY_CAP
@@ -98,7 +100,7 @@ def test_build_hypothesis_set_rejects_a_point_outside_the_domain():
     c = generators.intervals(5)
     sample = LabeledSample.from_pairs([(2, 1), (5, 1)])
     with pytest.raises(ValueError, match="point 5 outside domain of size 5") as exc:
-        build_hypothesis_set(c, sample, 2)
+        build_hypothesis_set(c, sample)
     assert not isinstance(exc.value, UnrealizableError)
 
 
@@ -113,17 +115,13 @@ def test_erm_enforces_the_subset_budget():
     sample = LabeledSample.from_pairs([(0, 1), (1, 0), (2, 1)])
     assert lowest_consistent_concept(c, sample.label_items) == 5
     # the learner runs ERM only on subsets within its budget: two of the
-    # three points already teach concept 5
-    hs, _ = build_hypothesis_set(c, sample, 2)
+    # three points already teach concept 5, certified at budget 2
+    hs, _ = build_hypothesis_set(c, sample)
     assert (hs.hypotheses, hs.provenance, hs.budget) == ((5,), ((0, 2),), 2)
-    hs, _ = build_hypothesis_set(c, sample, 1)
-    assert all(len(subset) <= hs.budget for subset in hs.provenance)
-
-
-def test_build_hypothesis_set_rejects_nonpositive_budget():
-    sample = LabeledSample.from_pairs([(0, 1)])
-    with pytest.raises(ValueError, match="subset budget must be at least 1"):
-        build_hypothesis_set(cube(2), sample, 0)
+    labels = dict(sample.label_items)
+    assert _teaching_subset(c, sample.distinct_points, labels, 1, 5) is None
+    _, provenance, _ = _erm_image(c, sample.distinct_points, labels, 1)
+    assert max(map(len, provenance)) == 1
 
 
 def test_escalate_budget_doubles_and_caps():
@@ -138,13 +136,18 @@ def test_escalate_budget_doubles_and_caps():
 # -- hypothesis sets --
 
 
-def test_full_cube_needs_pairs_for_a_weak_majority():
-    c = cube(3)
+def test_top_of_the_cube_needs_pairs_for_a_weak_majority():
+    # the four concepts of the 3-cube with at least two ones: d = 1, and
+    # the all-ones sample's c0 needs all three points to teach it
+    c = ConceptClass.from_row_ints(3, [0b011, 0b101, 0b110, 0b111])
     sample = LabeledSample.from_pairs([(0, 1), (1, 1), (2, 1)])
-    hs, solution = build_hypothesis_set(c, sample, 1)
-    # singleton budgets top out at 1/3 agreement here, so the builder must
-    # have escalated once, landing exactly on the 2/3 game value
-    assert hs.budget == 2
+    labels = dict(sample.label_items)
+    _, _, agreement = _erm_image(c, sample.distinct_points, labels, 1)
+    assert learner._certify_mixture(agreement) is None
+    hs, solution = build_hypothesis_set(c, sample)
+    # the budget max(1, d) = 1 falls short of 2/3, so the builder must have
+    # escalated once, landing exactly on the 2/3 game value
+    assert (hs.hypotheses, hs.provenance, hs.budget) == ((0, 1, 2), ((), (0,), (0, 1)), 2)
     assert solution.exact_value == Fraction(2, 3)
     assert solution.value_estimate == pytest.approx(2 / 3)
     recheck_certificate(c, sample, hs, solution, tolerance=0.0)
@@ -154,7 +157,8 @@ def test_intervals_mixture_is_certified_per_point():
     c = intervals_class(10)
     target = c.rows.index(0b0011110000)
     sample = LabeledSample.from_concept(c, target, range(10))
-    hs, solution = build_hypothesis_set(c, sample, 2)
+    hs, solution = build_hypothesis_set(c, sample)
+    assert hs.budget == 2  # d, which no teaching set of c0 fits
     assert solution.exact_value >= WEAK_AGREEMENT
     assert solution.value_estimate >= float(WEAK_AGREEMENT) - 1e-12
     recheck_certificate(c, sample, hs, solution, tolerance=0.0)
@@ -168,7 +172,7 @@ def test_random_class_certificates_hold():
     c = ConceptClass.from_rows(np.unique(matrix, axis=0).tolist())
     target = 7 % len(c.rows)
     sample = LabeledSample.from_concept(c, target, range(12))
-    hs, solution = build_hypothesis_set(c, sample, 2)
+    hs, solution = build_hypothesis_set(c, sample)
     assert solution.exact_value >= WEAK_AGREEMENT
     recheck_certificate(c, sample, hs, solution, tolerance=0.0)
 
@@ -177,14 +181,14 @@ def test_unrealizable_sample_surfaces_while_escalating():
     c = ConceptClass.from_rows([[0, 1], [1, 0]])
     sample = LabeledSample.from_pairs([(0, 1), (1, 1)])
     with pytest.raises(UnrealizableError):
-        build_hypothesis_set(c, sample, 1)
+        build_hypothesis_set(c, sample)
 
 
 def test_empty_sample_is_a_taught_point_mass():
     # concept 0 is the ERM of the empty subset, so the empty sample teaches
     # it at budget 0, its distinct-point count, with the shared certificate
     c = cube(2)
-    hypothesis_set, solution = build_hypothesis_set(c, LabeledSample.from_pairs([]), 1)
+    hypothesis_set, solution = build_hypothesis_set(c, LabeledSample.from_pairs([]))
     assert hypothesis_set == HypothesisSet((0,), ((),), 0)
     assert solution is learner._POINT_MASS
 
@@ -227,18 +231,15 @@ def test_teaching_subset_matches_a_brute_force_scan(spec, target, budget):
 
 
 @settings(max_examples=80, deadline=None)
-@given(
-    small_class_and_points,
-    st.integers(min_value=0, max_value=10**6),
-    st.integers(min_value=1, max_value=3),
-)
-def test_point_mass_matches_the_full_pool(spec, target, budget):
+@given(small_class_and_points, st.integers(min_value=0, max_value=10**6))
+def test_point_mass_matches_the_full_pool(spec, target):
     n, rows, points = spec
     c = ConceptClass.from_row_ints(n, sorted(rows))
     sample = LabeledSample.from_concept(c, target % len(c.rows), points)
     labels = dict(sample.label_items)
     consistent = lowest_consistent_concept(c, sample.label_items)
     distinct = sample.distinct_points
+    budget = max(1, vc_dimension(c))  # the learner's
     # the first ERM of every subset within budget, smallest subsets first
     first_subset = {}
     for size in range(min(budget, len(distinct)) + 1):
@@ -254,14 +255,17 @@ def test_point_mass_matches_the_full_pool(spec, target, budget):
     label_vector = np.array([labels[x] for x in distinct], dtype=np.uint8)
     assert agreement.dtype == np.uint8
     assert np.array_equal(agreement, c.matrix[concepts][:, distinct] == label_vector)
-    hs, solution = build_hypothesis_set(c, sample, budget)
+    hs, solution = build_hypothesis_set(c, sample)
     if consistent in concepts:
+        taught = first_subset[consistent]
         assert hs.hypotheses == (consistent,)
-        assert hs.provenance == (first_subset[consistent],)
-        assert hs.budget == min(budget, len(distinct))
+        assert hs.provenance == (taught,)
+        assert hs.budget == min(max(1, len(taught)), len(distinct))
         assert solution.exact_value == Fraction(1)
         assert solution.value_estimate == 1.0
         assert solution.exploitability == 0.0
+    else:
+        assert hs.budget >= min(budget, len(distinct))
     assert solution.exact_value >= WEAK_AGREEMENT
     recheck_certificate(c, sample, hs, solution, tolerance=0.0)
 
@@ -281,11 +285,11 @@ def _counting(monkeypatch, name):
 
 def test_taught_samples_solve_no_game(monkeypatch):
     games = _counting(monkeypatch, "_exact_minimax")
-    # 60 distinct points at budget 3 make 36,051 subsets, but the search
-    # teaches c0 without walking them
+    # 60 distinct points at the budget d = 3 make 36,051 subsets, but the
+    # search teaches c0 without walking them
     c = generators.halfspaces_grid(8, 2)
     sample = LabeledSample.from_concept(c, 7, [(7 * i) % 64 for i in range(60)])
-    hs, solution = build_hypothesis_set(c, sample, 3)
+    hs, solution = build_hypothesis_set(c, sample)
     assert (hs.hypotheses, hs.provenance) == ((7,), ((24,),))
     assert solution.exact_value == Fraction(1)
     assert games == []
@@ -294,23 +298,125 @@ def test_taught_samples_solve_no_game(monkeypatch):
     # walk over all 93 subsets gave before the ERM-image search existed
     c = generators.k_interval_unions(8, 2)
     sample = LabeledSample.from_concept(c, 30, range(8))
-    hs, solution = build_hypothesis_set(c, sample, 3)
-    assert hs.hypotheses == tuple(range(15)) + tuple(range(16, 26)) + (27,)
-    assert hs.budget == 3
-    assert solution.exact_value == Fraction(2, 3)
-    assert len(games) > 0
+    labels = dict(sample.label_items)
+    hypotheses, _, agreement = _erm_image(c, sample.distinct_points, labels, 3)
+    assert hypotheses == list(range(15)) + list(range(16, 26)) + [27]
+    assert learner._certify_mixture(agreement).exact_value == Fraction(2, 3)
+    assert len(games) == 1
+    # the learner's own budget is d = 4, which no teaching set fits either
+    hs, solution = build_hypothesis_set(c, sample)
+    assert hs.budget == 4 < len(hs)
+    assert solution.exact_value >= WEAK_AGREEMENT
+    assert len(games) == 2
 
 
 def test_prefix_cap_still_ends_the_escalation(monkeypatch):
     # with every size's search cut after one prefix, no subset of fewer than
-    # all 8 points certifies target 52, which teaches itself at budget 8
+    # all 8 points certifies target 52: the budget d = 4 escalates to 8, at
+    # which the 8 points teach c0
     monkeypatch.setattr(learner, "_PREFIX_CAP", 1)
     c = generators.k_interval_unions(8, 2)
     sample = LabeledSample.from_concept(c, 52, range(8))
-    hs, solution = build_hypothesis_set(c, sample, 1)
+    hs, solution = build_hypothesis_set(c, sample)
     assert (hs.hypotheses, hs.provenance) == ((52,), ((0, 1, 2, 3, 4, 5, 6, 7),))
     assert hs.budget == 8
     assert solution.exact_value == Fraction(1)
+
+
+def _recording_searches(monkeypatch):
+    """Wrap the learner's teaching-set search and its VC queries: returns
+    the list of (c0, sizes searched) of every search and the list of the
+    ceilings of every vc_dimension call the learner makes."""
+    searches, ceilings = [], []
+    search, dimension = learner._teaching_search, learner.vc_dimension
+
+    def recorded_search(cls, points, labels_by_point, c0):
+        sizes = []
+        searches.append((c0, sizes))
+        for size, subset in enumerate(search(cls, points, labels_by_point, c0)):
+            sizes.append(size)
+            yield subset
+
+    def recorded_dimension(*args):
+        ceilings.append(args[1:])
+        return dimension(*args)
+
+    monkeypatch.setattr(learner, "_teaching_search", recorded_search)
+    monkeypatch.setattr(learner, "vc_dimension", recorded_dimension)
+    return searches, ceilings
+
+
+def test_teaching_search_stays_within_the_budget_and_runs_once(monkeypatch):
+    # every sample of every concept on all points: c0's search enters each
+    # size at most once and none above max(1, d) unless the budget escalated;
+    # a mixture runs it once, plus one search per concept for its ERM image
+    searches, ceilings = _recording_searches(monkeypatch)
+    escalations = []
+    escalate = learner.escalate_budget
+    monkeypatch.setattr(
+        learner, "escalate_budget", lambda *args: escalations.append(args) or escalate(*args)
+    )
+    ops = mixtures = 0
+    for c in (generators.intervals(10), generators.k_interval_unions(8, 2), cube(4)):
+        d = vc_dimension(c)
+        for target in range(len(c)):
+            sample = LabeledSample.from_concept(c, target, range(c.domain_size))
+            del searches[:], ceilings[:], escalations[:]
+            hs, _ = build_hypothesis_set(c, sample)
+            c0, sizes = searches[0]
+            assert c0 == target
+            assert sizes == list(range(len(sizes)))
+            # every query is capped, one per size entered from 2 on
+            assert ceilings == [(s,) for s in range(2, len(ceilings) + 2)]
+            if escalations:
+                continue
+            ops += 1
+            assert max(sizes) <= max(1, d)
+            if len(hs) == 1:
+                assert len(searches) == 1
+                assert sizes[-1] == len(hs.provenance[0])
+            else:
+                mixtures += 1
+                assert sizes == list(range(max(1, d) + 1))
+                assert ceilings[-1] == (d + 1,)
+                assert len(searches) == 1 + len(c)
+    assert (ops, mixtures) == (235, 25)  # every op, none escalated
+
+
+def test_learner_logs_the_path_that_certified(caplog):
+    iv = generators.intervals(12)
+    # d = 1, and c0 = concept 2 needs two points: taught after an escalation
+    escalated = ConceptClass.from_row_ints(3, [0b001, 0b010, 0b011])
+    unions = generators.k_interval_unions(8, 2)
+    cases = [
+        (
+            iv,
+            LabeledSample.from_concept(iv, 30, range(12)),
+            "taught point mass: c0 = 30 by 2 points (ceilings queried: [2])",
+        ),
+        (
+            iv,
+            LabeledSample.from_pairs([(3, 1), (5, 0)]),
+            "taught point mass: c0 = 37 by 1 points (ceilings queried: [])",
+        ),
+        (
+            escalated,
+            LabeledSample.from_concept(escalated, 2, range(3)),
+            "taught point mass: c0 = 2 by 2 points after escalating to budget 2 (d = 1)",
+        ),
+        (
+            unions,
+            LabeledSample.from_concept(unions, 30, range(8)),
+            "certified 30 hypotheses by the ERM image at budget 4 (agreement 0.8000; "
+            "d = 4 from the search capped at 5)",
+        ),
+    ]
+    for c, sample, expected in cases:
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="vccompress.learner"):
+            build_hypothesis_set(c, sample)
+        lines = [r.getMessage() for r in caplog.records if r.name == "vccompress.learner"]
+        assert lines == [expected]
 
 
 def _compress_recording_the_game(monkeypatch, c, sample):

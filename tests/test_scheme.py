@@ -513,6 +513,22 @@ def _counting(monkeypatch, name, module=scheme):
     return calls
 
 
+def _counting_everywhere(monkeypatch, fn):
+    """Rebind every vccompress module's binding of `fn` to a wrapper that
+    records its arguments; returns the list of recorded argument tuples."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    for module in [m for name, m in sys.modules.items() if name.partition(".")[0] == "vccompress"]:
+        for attr, value in list(vars(module).items()):
+            if value is fn:
+                monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
 @given(st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=300))
 def test_reduced_votes_match_the_counting_loop(multiset):
     counts = {}
@@ -768,13 +784,23 @@ def test_rounding_at_six_s_keeps_every_majority_strict(case):
     assert margin == scheme._majority_margin(c, rounded, [(j, 1) for j in range(m)]) > 0
 
 
-def test_every_sample_on_three_points_round_trips():
+def test_every_sample_on_three_points_round_trips(monkeypatch):
     # all 255 classes on 3 points, every concept, every point subset (the
     # empty one too), each point once and twice: 16,384 round trips, 30 of
     # them mixtures; every mixture is rounded, never sampled, by N = 6s
-    runs = mixtures = 0
+    containers = []
+    original_compress = scheme.compress
+
+    def keep_container(*args):
+        containers.append(original_compress(*args))
+        return containers[-1]
+
+    monkeypatch.setattr(scheme, "compress", keep_container)
+    digest = hashlib.sha256()
+    runs = mixtures = escalated = 0
     for mask in range(1, 256):
         c = ConceptClass.from_row_ints(3, [row for row in range(8) if mask >> row & 1])
+        d = vc_dimension(c)
         for concept in range(len(c)):
             for subset in range(8):
                 points = [x for x in range(3) if subset >> x & 1]
@@ -783,20 +809,38 @@ def test_every_sample_on_three_points_round_trips():
                     LabeledSample.from_concept(c, concept, points * 2),
                 ):
                     result = verify_round_trip(c, sample)
-                    details = result.report.details
+                    [(compressed, report)] = containers
+                    del containers[:]
+                    assert report is result.report
+                    details = report.details
                     ceiling = approximation_size_bound(details["dual_vc_dimension"], 1 / 8)
                     assert result.passed, (c.rows, concept, points)
-                    assert result.report.subset_count <= ceiling
+                    assert report.subset_count <= ceiling
                     assert details.get("votes_from", "rounding") == "rounding"
+                    digest.update(serialize_compressed(compressed))
+                    digest.update(repr((details["vote_concepts"], report.subset_budget)).encode())
                     runs += 1
+                    budget = min(max(1, d), len(sample.distinct_points))
                     if "votes_from" in details:
                         mixtures += 1
-                        budget = result.report.subset_budget
-                        _, solution = learner.build_hypothesis_set(c, sample, budget)
+                        _, solution = learner.build_hypothesis_set(c, sample)
                         support = sum(1 for x in solution.exact_row_strategy if x)
                         assert details["draw_count"] <= 6 * support
+                    elif report.kernel_size <= budget:
+                        # a point mass is taught within the budget of d
+                        assert report.subset_budget == budget
+                    else:
+                        # ... or only after its budget escalated
+                        escalated += 1
+                        assert budget < report.kernel_size <= report.subset_budget
     assert runs == 16384
     assert mixtures > 0
+    assert escalated == 170
+    # the containers, vote multisets and subset budgets, as recorded before
+    # the learner came to ask the VC search only "is d >= s?"
+    assert digest.hexdigest() == (
+        "e16d0e8e65fc4300523e1bedfb492bea8ecc39826e2fee4af0a8d1dcd2bbbcae"
+    )
 
 
 def test_taught_point_masses_share_one_solution(monkeypatch):
@@ -808,9 +852,8 @@ def test_taught_point_masses_share_one_solution(monkeypatch):
         _, report = compress(c, sample, seed=0)
         assert len(report.details["vote_concepts"]) == 1
         assert report.details["draw_count"] == 0
-    budget = vc_dimension(c)
-    _, one = learner.build_hypothesis_set(c, first, budget)
-    _, other = learner.build_hypothesis_set(c, second, budget)
+    _, one = learner.build_hypothesis_set(c, first)
+    _, other = learner.build_hypothesis_set(c, second)
     assert built == []
     assert one is other
     assert one.exact_value == 1 and one.exploitability == 0.0
@@ -818,6 +861,111 @@ def test_taught_point_masses_share_one_solution(monkeypatch):
     assert not one.col_strategy.weights.flags.writeable
     with pytest.raises(dataclasses.FrozenInstanceError):
         one.value_estimate = 0.5
+
+
+def test_fresh_taught_class_runs_no_full_dimension_search(monkeypatch):
+    # a relabelled intervals(16) is in no cache; its point masses of at most
+    # d = 2 points need only "is d >= 2?", and verification checks the size
+    # bound at d* = 0 first, so neither compress nor verify_round_trip runs
+    # an uncapped VC search or builds the dual class
+    moved = random.Random(16).sample(range(16), 16)
+    c = ConceptClass.from_rows(generators.intervals(16).matrix[:, moved])
+    dimensions = _counting_everywhere(monkeypatch, concepts.vc_dimension)
+    duals = _counting_everywhere(monkeypatch, concepts.dual_class)
+    for target in (17, 60, 136):
+        sample = LabeledSample.from_concept(c, target, range(16))
+        _, report = compress(c, sample)
+        assert report.known_details["draw_count"] == 0 and report.kernel_size <= 2
+        assert verify_round_trip(c, sample).passed
+    assert dimensions and all(len(args) == 2 and args[1] <= 2 for args in dimensions)
+    assert duals == []
+    # the report computes d, d* and the subset budget on first read
+    assert report.subset_budget == 2
+    assert report.details["vc_dimension"] == report.details["dual_vc_dimension"] == 2
+    assert (c,) in dimensions and duals == [(c,)]
+
+
+def test_verify_checks_the_exact_bound_only_when_the_lower_one_fails(monkeypatch):
+    c = generators.intervals(10)
+    sample = LabeledSample.from_concept(c, 30, range(10))
+    bounds = []
+
+    def recorded(*args):
+        bounds.append(args)
+        return scheme_size_bound(*args)
+
+    monkeypatch.setattr(scheme, "scheme_size_bound", recorded)
+    assert verify_round_trip(c, sample).passed
+    assert bounds == [(0, 0, 2)]
+    del bounds[:]
+
+    def failing_at_zero(*args):
+        bounds.append(args)
+        return -1 if args[:2] == (0, 0) else scheme_size_bound(*args)
+
+    monkeypatch.setattr(scheme, "scheme_size_bound", failing_at_zero)
+    result = verify_round_trip(c, sample)
+    assert result.passed and result.size_within_bound
+    assert bounds == [(0, 0, 2), (2, 2, 2)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=40),
+    st.integers(min_value=0, max_value=12),
+    st.integers(min_value=0, max_value=300),
+)
+def test_size_bound_is_nondecreasing_in_the_dual_dimension_and_the_budget(d, d_star, budget):
+    bound = scheme_size_bound(d, d_star, budget)
+    assert bound <= scheme_size_bound(d, d_star + 1, budget)
+    assert bound <= scheme_size_bound(d, d_star, budget + 1)
+    # so a size within the bound at d* = 0 and a smaller budget is within it
+    assert scheme_size_bound(d, 0, budget // 2) <= bound
+
+
+@st.composite
+def voters_over_classes(draw):
+    """A random class and a list of voting concept indices, repeats allowed."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    rows = draw(st.sets(st.integers(min_value=0, max_value=(1 << n) - 1), min_size=1, max_size=20))
+    c = ConceptClass.from_row_ints(n, rows)
+    concept = st.integers(min_value=0, max_value=len(c) - 1)
+    voters = draw(st.lists(concept, min_size=1, max_size=40))
+    return c, voters
+
+
+@settings(max_examples=300, deadline=None)
+@given(voters_over_classes())
+def test_majority_vote_matches_the_row_sum_formula(case):
+    c, voters = case
+    labels = scheme._majority_vote(c, voters)
+    expected = (2 * c.matrix[voters].sum(axis=0) > len(voters)).astype(np.uint8)
+    assert labels.dtype == np.uint8
+    assert np.array_equal(labels, expected)
+
+
+def test_hostile_repeated_subsets_reconstruct_in_memory_bounded_by_the_class():
+    # a 100 KB container naming 60,000 subsets, (0,) twice then (), over a
+    # two-concept class on 20,000 points; one row copy per vote would need
+    # 1.2 GB, past the 512 MiB address-space cap the child sets itself
+    script = """
+import resource, sys
+from vccompress import ConceptClass, reconstruct
+from vccompress.scheme import CompressedSample, encode_side_info
+n = 20_000
+c = ConceptClass.from_row_ints(n, [0, 1 << (n - 1)])
+side_info = encode_side_info([(0,), (0,), ()] * 20_000)
+compressed = CompressedSample(n, (0,), (1,), side_info)
+cap = 512 << 20
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+labels = reconstruct(c, compressed)
+print(len(side_info), labels.tolist() == c.matrix[1].tolist())
+"""
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True
+    )
+    size, exact = out.stdout.split()
+    assert (int(size), exact) == (100_007, "True")
 
 
 def test_one_distinct_voter_reconstructs_a_fresh_row():
@@ -854,17 +1002,7 @@ def test_point_mass_skips_the_game_and_the_sparsifier(monkeypatch, caplog):
     }
     # the learner's ERM alone decides realizability: the class-wide scan is
     # counted wherever the package binds it, and must never run
-    scans = []
-    scan = concepts.consistent_concepts
-
-    def counted_scan(*args):
-        scans.append(args)
-        return scan(*args)
-
-    for module in [m for name, m in sys.modules.items() if name.partition(".")[0] == "vccompress"]:
-        for attr, value in list(vars(module).items()):
-            if value is scan:
-                monkeypatch.setattr(module, attr, counted_scan)
+    scans = _counting_everywhere(monkeypatch, concepts.consistent_concepts)
     c = generators.intervals(30)
     _, report = compress(c, LabeledSample.from_concept(c, 400, range(30)), seed=1)
     assert {name: len(made) for name, made in calls.items()} == {
@@ -960,7 +1098,21 @@ def test_report_shape_leaves_the_class_out():
     assert "concept_class" not in repr(report)
     assert dataclasses.replace(report, concept_class=generators.intervals(7)) == report
     fields = dataclasses.asdict(report)
-    assert "details" not in fields
+    assert "details" not in fields and "subset_budget" not in fields
     assert fields["known_details"] == report.known_details
-    assert "dual_vc_dimension" not in report.known_details
-    assert report.details["dual_vc_dimension"] == 2
+    for computed in ("vc_dimension", "dual_vc_dimension", "draw_ceiling", "subset_budget"):
+        assert computed not in report.known_details
+    assert report.details["dual_vc_dimension"] == report.details["vc_dimension"] == 2
+    assert report.subset_budget == 2
+    known = report.known_details
+    assert (known["distinct_point_count"], known["learner_budget"]) == (6, 2)
+
+
+def test_report_budget_of_a_point_mass_taught_after_an_escalation():
+    # d = 1, and c0 = concept 2 needs two of the three points: the learner
+    # escalates its budget to 2 before teaching it, and the report keeps 2
+    c = ConceptClass.from_row_ints(3, [0b001, 0b010, 0b011])
+    _, report = compress(c, LabeledSample.from_concept(c, 2, range(3)))
+    assert report.known_details["draw_count"] == 0 and report.kernel_size == 2
+    assert report.known_details["learner_budget"] == report.subset_budget == 2
+    assert min(max(1, vc_dimension(c)), 3) == 1

@@ -34,7 +34,7 @@ def test_tracer_counts_point_masses_and_pool_sizes():
 import json, sys
 sys.path[:0] = sys.argv[1:]
 import tracing
-from vccompress import LabeledSample, compress, generators, learner, vc_dimension
+from vccompress import LabeledSample, compress, generators, learner
 taught = generators.intervals(30)
 mixed = generators.random_vc_capped(12, 3, 60)
 cases = [
@@ -42,10 +42,7 @@ cases = [
     (mixed, LabeledSample.from_concept(mixed, 30, [9, 3, 8, 2, 4, 2])),
     (taught, LabeledSample.from_pairs([])),
 ]
-pools = [
-    len(learner.build_hypothesis_set(c, s, max(1, vc_dimension(c)))[0])
-    for c, s in cases
-]
+pools = [len(learner.build_hypothesis_set(c, s)[0]) for c, s in cases]
 tracer = tracing.Tracer()
 tracing.install(tracer)
 for c, s in cases:
