@@ -100,14 +100,6 @@ def _parse_sample_text(text: str) -> LabeledSample:
     return LabeledSample.from_pairs(pairs)
 
 
-def _load_sample(args) -> LabeledSample:
-    return _parse_sample_text(Path(args.sample_file).read_text())
-
-
-def _load_matrix(args):
-    return parse_payoff_matrix(Path(args.matrix_file).read_text())
-
-
 def _parse_distribution(spec: str, size: int) -> ProbabilityVector:
     if spec == "uniform":
         return ProbabilityVector.uniform(size)
@@ -162,7 +154,7 @@ def _cmd_approx(args) -> int:
 
 
 def _cmd_game(args) -> int:
-    matrix = _load_matrix(args)
+    matrix = parse_payoff_matrix(Path(args.matrix_file).read_text())
     method = args.method
     if method == "auto":
         method = "exact" if matrix.entries.size <= EXACT_ENTRY_CAP else "mw"
@@ -188,7 +180,7 @@ def _cmd_game(args) -> int:
 
 
 def _cmd_nash(args) -> int:
-    matrix = _load_matrix(args)
+    matrix = parse_payoff_matrix(Path(args.matrix_file).read_text())
     eq = sparse_epsilon_nash(matrix, args.epsilon, args.seed)
     _emit(dataclasses.asdict(eq), args.out)
     return 0
@@ -196,7 +188,7 @@ def _cmd_nash(args) -> int:
 
 def _cmd_compress(args) -> int:
     cls = _load_class(args)
-    sample = _load_sample(args)
+    sample = _parse_sample_text(Path(args.sample_file).read_text())
     compressed, report = compress(cls, sample, args.seed)
     blob = serialize_compressed(compressed)
     Path(args.out).write_bytes(blob)
@@ -232,7 +224,7 @@ def _cmd_reconstruct(args) -> int:
 
 def _cmd_verify(args) -> int:
     cls = _load_class(args)
-    sample = _load_sample(args)
+    sample = _parse_sample_text(Path(args.sample_file).read_text())
     result = verify_round_trip(cls, sample, args.seed)
     _emit(
         {

@@ -264,11 +264,11 @@ def shatters(concept_class: ConceptClass, points: Sequence[int]) -> ShatterWitne
 def vc_dimension(concept_class: ConceptClass, ceiling: int | None = None) -> int:
     """Exact VC dimension d, or min(d, ceiling) when a ceiling is given, by
     one depth-first search over point columns.  A capped call answers "is
-    d >= ceiling?" and stops at the first shattered set of that size; a
-    result below the ceiling is d itself.  The cache keys on the arguments
-    as passed, so a capped result never answers an uncapped call.  An
-    uncapped search also keeps d on the class it searched, and every later
-    call on that class, capped or not, reads it there without a search.
+    d >= ceiling?" and stops at the first shattered set of that size.  A
+    search that proves d (uncapped, or below its ceiling) keeps it on the
+    class, and every later call on that class reads it there.  The cache
+    keys on the arguments as passed, so a result at its ceiling never
+    answers an uncapped call.
 
     The candidates are the nontrivial columns (point masks), one per class of
     equal or complementary columns.  This loses nothing: a shattered set
@@ -293,11 +293,11 @@ def vc_dimension(concept_class: ConceptClass, ceiling: int | None = None) -> int
     known = vars(concept_class).get("_vc_dimension")
     if known is not None:
         return known if ceiling is None else min(known, ceiling)
-    exact = ceiling is None
     m = len(concept_class)
     full = (1 << m) - 1
-    n = concept_class.domain_size
-    ceiling = min(n if exact else ceiling, n, m.bit_length() - 1)
+    cap = min(concept_class.domain_size, m.bit_length() - 1)  # d is at most this
+    if ceiling is not None:
+        cap = min(cap, ceiling)
     columns = [c for c in concept_class.point_masks if 0 < c < full]
     reduced = list(dict.fromkeys(min(c, full ^ c) for c in columns))
     best = nodes = 0
@@ -315,7 +315,7 @@ def vc_dimension(concept_class: ConceptClass, ceiling: int | None = None) -> int
                 halves += (half, cell ^ half)
             child = sorted(halves, key=int.bit_count)
             best = max(best, size + 1)
-            if best == ceiling:
+            if best == cap:
                 return True
             if child[0].bit_count() < 1 << (best - size):
                 continue
@@ -333,14 +333,14 @@ def vc_dimension(concept_class: ConceptClass, ceiling: int | None = None) -> int
                 return True
         return False
 
-    if ceiling:  # at ceiling 0 the empty set answers, with no search
+    if cap:  # at ceiling 0 the empty set answers, with no search
         extend(0, [full], reduced)
     logger.debug(
         "vc dimension %d (ceiling %d): %d nontrivial columns, %d after pairing "
         "equal and complementary ones, %d nodes extended",
-        best, ceiling, len(columns), len(reduced), nodes,
+        best, cap, len(columns), len(reduced), nodes,
     )
-    if exact:
+    if ceiling is None or best < ceiling:  # below the ceiling asked for, best is d
         object.__setattr__(concept_class, "_vc_dimension", best)
     return best
 

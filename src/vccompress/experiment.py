@@ -58,10 +58,6 @@ class ExperimentReport:
         return self.failure_fraction <= self.delta
 
 
-def _exact_error(decoded: np.ndarray, target_row: np.ndarray, weights: np.ndarray) -> float:
-    return float(weights[decoded != target_row].sum())
-
-
 def generalization_experiment(
     concept_class: ConceptClass,
     *,
@@ -111,7 +107,7 @@ def generalization_experiment(
         compressed, report = compress(concept_class, sample)
         max_trial_size = max(max_trial_size, report.scheme_size)
         decoded = reconstruct(concept_class, compressed)
-        error = _exact_error(decoded, target_row, weights)
+        error = float(weights[decoded != target_row].sum())
         errors.append(error)
         if error > epsilon:
             failures += 1

@@ -22,12 +22,13 @@ for d outright.  In the consistent-hypothesis case (Littlestone & Warmuth
 with the whole sample, runs first, one size at a time, and enters a size
 s >= 2 only once the VC search capped at s says d >= s.  A hit makes the
 mixture a point mass on c0, certified at value exactly 1, and d is never
-computed.  The first size the capped search refuses gives d exactly, and
-only then is the pool the ERM image of all subsets within budget, one
-search per concept.  Its agreement game is solved exactly at any size,
-through the game module's one exact path: it has one row per hypothesis
-and one column per distinct agreement pattern, and tall games are cheap for
-the exact simplex.  Every taught point mass shares one certificate, the
+computed.  The first size the capped search refuses gives d exactly (and
+the search keeps it on the class), and only then is the pool the ERM image
+of all subsets within budget, one search per concept that errs on some
+sampled point.  Its agreement game is solved exactly at any size, through
+the game module's one exact path: it has one row per hypothesis and one
+column per distinct agreement pattern, and tall games are cheap for the
+exact simplex.  Every taught point mass shares one certificate, the
 solution of the 1x1 game [[1]].  No step draws random numbers.  If the
 budget is too small for a certificate, the builder doubles it and carries
 c0's search on to the larger sizes; at budget = #distinct points the whole
@@ -253,14 +254,17 @@ def _erm_image(cls, points, labels_by_point, budget):
     kills every concept below c, so each concept's entry is a teaching-set
     search over the points c labels correctly.  Restricting the points keeps
     their combinations order, so the subset found is the first shortest one
-    over all of `points`.  Concept 0, the ERM of the empty subset, is always
-    in the image.
+    over all of `points`.  Concepts that agree with every point are skipped:
+    above c0, the lowest of them, none is an ERM, since c0 survives every
+    subset, and ``build_hypothesis_set`` asks only for budgets within which
+    c0's own search has failed.  So concept 0, the ERM of the empty subset,
+    is in the image unless it is c0.
     """
     labels = np.array([labels_by_point[x] for x in points], dtype=np.uint8)
     agrees = cls.matrix[:, np.asarray(points, dtype=np.intp)] == labels
     hypotheses, provenance = [], []
-    for c, row in enumerate(agrees):
-        kept = [x for x, agree in zip(points, row) if agree]
+    for c in np.flatnonzero(~agrees.all(axis=1)).tolist():
+        kept = [x for x, agree in zip(points, agrees[c]) if agree]
         subset = _teaching_subset(cls, kept, labels_by_point, budget, c)
         if subset is not None:
             hypotheses.append(c)

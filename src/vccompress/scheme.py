@@ -1,10 +1,10 @@
 """The compression scheme: compress, reconstruct, verify, and the wire codec.
 
-A compressed sample is a small labeled kernel plus side information naming
-subsets of kernel positions.  Reconstruction reruns the deterministic ERM on
-each named subset and takes a per-point majority vote over the resulting
-hypotheses, so the decompressor needs nothing beyond the concept class and
-the bytes.
+A compressed sample is a small labeled kernel plus the subsets of kernel
+positions that its side information names.  Reconstruction reruns the
+deterministic ERM on each named subset and takes a per-point majority vote
+over the resulting hypotheses, so the decompressor needs nothing beyond the
+concept class and the bytes.
 
 Pipeline, the same for every sample: certify a weak mixture of subset-ERM
 hypotheses (learner), turn it into a small voting multiset, and check once
@@ -37,6 +37,8 @@ concept's row, which is its own majority.
 Wire formats are strict: unsigned LEB128 varints, delta-coded kernel points,
 LSB-first label bits, and side info protected by a trailing CRC-32 (which
 detects every single-byte corruption).  Decoders reject trailing garbage.
+A container keeps its subsets and encodes them once; only
+deserialize_compressed decodes side info.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ import collections
 import functools
 import logging
 import math
+import operator
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -178,40 +181,46 @@ def decode_side_info(data: bytes) -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True)
 class CompressedSample:
-    """A labeled kernel plus side info.  Valid by construction: the side info
-    decodes, every position subset indexes the kernel, and the subsets
-    jointly cover it (the kernel never carries unused points).
+    """A labeled kernel plus the position subsets its side info names.
+    Valid by construction: the subsets are a nonempty tuple of tuples of
+    strictly ascending kernel positions that jointly cover the kernel.
 
-    The side info is decoded once, on construction; the result is kept as
-    ``position_subsets``, which is not a field, so equality, hashing and the
-    repr see only the four fields below."""
+    ``side_info``, the subsets' encoding, is computed once, on first read.
+    It is not a field: equality, hashing and the repr see the four fields
+    below, which on valid subsets compare as the bytes would (the encoding
+    is a bijection)."""
 
     domain_size: int
     kernel_points: tuple[int, ...]
     kernel_labels: tuple[int, ...]
-    side_info: bytes
+    position_subsets: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
         if self.domain_size < 1:
             raise ValueError("domain size must be positive")
         pts = self.kernel_points
-        if any(b <= a for a, b in zip(pts, pts[1:])):
+        if not all(map(operator.lt, pts, pts[1:])):
             raise ValueError("kernel points must be strictly ascending")
         if pts and not (0 <= pts[0] and pts[-1] < self.domain_size):
             raise ValueError("kernel points must lie inside the domain")
         if len(self.kernel_labels) != len(pts):
             raise ValueError("kernel labels must match kernel points")
-        if any(l not in (0, 1) for l in self.kernel_labels):
+        if not all(map((0, 1).__contains__, self.kernel_labels)):
             raise ValueError("kernel labels must be 0 or 1")
-        subsets = decode_side_info(self.side_info)
+        if not (isinstance(self.position_subsets, tuple) and self.position_subsets):
+            raise ValueError("position subsets must be a nonempty tuple")
         covered = set()
-        for subset in subsets:
-            if subset and subset[-1] >= len(pts):
-                raise ValueError("subset position beyond the kernel")
+        for subset in self.position_subsets:
+            if not isinstance(subset, tuple) or not all(map(operator.lt, subset, subset[1:])):
+                raise ValueError("each subset must be a tuple of strictly ascending positions")
             covered.update(subset)
+        # no position outside the kernel and every kernel position named
         if covered != set(range(len(pts))):
-            raise ValueError("side info must reference every kernel position")
-        object.__setattr__(self, "position_subsets", subsets)
+            raise ValueError("the subsets' positions must be exactly the kernel positions")
+
+    @functools.cached_property
+    def side_info(self) -> bytes:
+        return encode_side_info(self.position_subsets)
 
     @property
     def subset_count(self) -> int:
@@ -489,7 +498,7 @@ def compress(
         concept_class.domain_size,
         tuple(kernel_points),
         kernel_labels,
-        encode_side_info(position_subsets),
+        tuple(position_subsets),
     )
     info_bits = len(compressed.side_info) * 8
     report = SchemeReport(
@@ -631,21 +640,18 @@ def serialize_compressed(compressed: CompressedSample) -> bytes:
 
 def deserialize_compressed(data: bytes) -> CompressedSample:
     """Strict inverse of serialize_compressed; any deviation is a DecodeError
-    (structure) or IntegrityError (checksum)."""
+    (structure) or IntegrityError (checksum).  The side info is decoded
+    here, once, and the container is built from its subsets; what its
+    constructor rejects (repeated kernel points, say) is a DecodeError."""
     if data[: len(MAGIC)] != MAGIC:
         raise DecodeError("bad magic", 0)
     pos = len(MAGIC)
     domain_size, pos = decode_varint(data, pos)
     kernel_size, pos = decode_varint(data, pos)
     points = []
-    for index in range(kernel_size):
+    for _ in range(kernel_size):
         delta, pos = decode_varint(data, pos)
-        if index == 0:
-            points.append(delta)
-        else:
-            if delta == 0:
-                raise DecodeError("zero delta between kernel points", pos)
-            points.append(points[-1] + delta)
+        points.append(points[-1] + delta if points else delta)
     label_bytes = (kernel_size + 7) // 8
     if len(data) - pos < label_bytes:
         raise DecodeError("label bits truncated", pos)
@@ -654,10 +660,8 @@ def deserialize_compressed(data: bytes) -> CompressedSample:
         raise DecodeError("nonzero padding in label bits", pos)
     labels = tuple((packed >> i) & 1 for i in range(kernel_size))
     pos += label_bytes
-    side_info = data[pos:]
+    position_subsets = decode_side_info(data[pos:])
     try:
-        return CompressedSample(domain_size, tuple(points), labels, side_info)
+        return CompressedSample(domain_size, tuple(points), labels, position_subsets)
     except ValueError as exc:
-        if isinstance(exc, (DecodeError, IntegrityError)):
-            raise
         raise DecodeError(str(exc), pos) from exc

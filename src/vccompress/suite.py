@@ -15,7 +15,8 @@ Criteria:
  6. sparse equilibrium supports unaffected by duplicate padding
  7. every compressed point wins a strict integer majority
  8. generalization: failure fraction within delta (+0.1 sampling slack)
- 9. codec round trips and corruption detection
+ 9. codec round trips, corruption detection and a valid but hostile
+    container
 
 `run_suite` times every criterion and applies the runtime caps of criteria 1,
 5 and 8.
@@ -50,6 +51,7 @@ from .scheme import (
     decode_side_info,
     deserialize_compressed,
     encode_side_info,
+    reconstruct,
     scheme_size_bound,
     serialize_compressed,
     verify_round_trip,
@@ -357,21 +359,24 @@ def _random_compressed_sample(rng) -> CompressedSample:
             subsets.append(set())
     covered = set().union(*subsets)
     subsets[-1] |= set(range(kernel_size)) - covered
-    side = encode_side_info([tuple(sorted(s)) for s in subsets])
-    return CompressedSample(domain, points, labels, side)
+    position_subsets = tuple(tuple(sorted(s)) for s in subsets)
+    return CompressedSample(domain, points, labels, position_subsets)
 
 
 def _criterion_codec(seed: int, margins: list[int]):
     """Codec round trips never lose information and corruption never passes
     silently: random encodings decode back equal; corrupted encodings either
     raise or decode to something observably different; single-byte damage in
-    the checksummed side-info region always raises."""
+    the checksummed side-info region always raises.  A valid container that
+    names one subset thousands of times round-trips and reconstructs the
+    voted row."""
     rng = make_rng(seed)
     failures = {
         "side_info_round_trip": 0,
         "container_round_trip": 0,
         "silent_alias": 0,
         "undetected_side_info_damage": 0,
+        "hostile_container": 0,
     }
 
     for _ in range(10_000):
@@ -436,9 +441,19 @@ def _criterion_codec(seed: int, margins: list[int]):
         check_mutant(sample, blob + b"\x00", False)
         spot += 1
 
+    # valid but hostile: one subset named 10,000 times, then 5,000 empty
+    # ones; it must survive its round trip and vote concept 1's row
+    pair = ConceptClass.from_row_ints(2, [0, 0b10])
+    hostile = CompressedSample(2, (0,), (1,), ((0,), (0,), ()) * 5_000)
+    if deserialize_compressed(serialize_compressed(hostile)) != hostile:
+        failures["hostile_container"] += 1
+    if not np.array_equal(reconstruct(pair, hostile), pair.matrix[1]):
+        failures["hostile_container"] += 1
+
     passed = not any(failures.values())
     return passed, {
         "round_trips": 10_500,
+        "hostile_subsets": hostile.subset_count,
         "exhaustive_mutations": exhaustive,
         "spot_mutations": spot,
         **failures,

@@ -86,8 +86,10 @@ def test_criterion_9_codec_robustness(suite_report):
         "container_round_trip",
         "silent_alias",
         "undetected_side_info_damage",
+        "hostile_container",
     ):
         assert entry["details"][bucket] == 0
+    assert entry["details"]["hostile_subsets"] == 15_000
 
 
 def test_all_criteria_passed(suite_report):

@@ -375,22 +375,37 @@ def test_capped_search_logs_its_ceiling_and_never_answers_an_uncapped_call(caplo
     vc_dimension.cache_clear()
     with caplog.at_level(logging.DEBUG, logger="vccompress.concepts"):
         assert vc_dimension(cls, 2) == vc_dimension(cls, 2) == 2
-        assert vc_dimension(cls, 9) == 3  # the search's own ceiling is 5
-        assert vc_dimension(cls) == 3
+        assert vc_dimension(cls) == 3  # a result at its ceiling is not d
     lines = [r.getMessage() for r in caplog.records if r.name == "vccompress.concepts"]
     assert [line.partition(":")[0] for line in lines] == [
         "vc dimension 2 (ceiling 2)",
         "vc dimension 3 (ceiling 5)",
-        "vc dimension 3 (ceiling 5)",
     ]
     info = vc_dimension.cache_info()
-    assert (info.hits, info.misses) == (1, 3)
+    assert (info.hits, info.misses) == (1, 2)
     # the uncapped search kept d on the class: a new ceiling needs no search
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="vccompress.concepts"):
         assert [vc_dimension(cls, ceiling) for ceiling in (1, 3, 4)] == [1, 3, 3]
     assert [r for r in caplog.records if r.name == "vccompress.concepts"] == []
-    assert vc_dimension.cache_info().misses == 6
+    assert vc_dimension.cache_info().misses == 5
+
+
+def test_capped_search_below_its_ceiling_keeps_d(caplog):
+    # a result below the ceiling asked for is d itself, whether the search
+    # ran out of candidates (ceiling 4, d = 3) or the ceiling exceeded the
+    # search's own (ceiling 9, which it lowers to 5)
+    for ceiling in (4, 9):
+        cls = halfspaces_grid(6, 2)
+        vc_dimension.cache_clear()
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="vccompress.concepts"):
+            assert vc_dimension(cls, ceiling) == 3
+            assert vc_dimension(cls) == vc_dimension(cls, 7) == 3
+        lines = [r.getMessage() for r in caplog.records if r.name == "vccompress.concepts"]
+        assert [line.partition(":")[0] for line in lines] == [
+            f"vc dimension 3 (ceiling {min(ceiling, 5)})"
+        ]
 
 
 # --- dual class ---------------------------------------------------------------

@@ -247,14 +247,16 @@ def test_point_mass_matches_the_full_pool(spec, target):
             concept = lowest_consistent_concept(c, [(x, labels[x]) for x in subset])
             first_subset.setdefault(concept, subset)
     concepts = sorted(first_subset)
-    provenance = [first_subset[concept] for concept in concepts]
+    # the ERM image leaves out c0, the one ERM that agrees with every point
+    image = [concept for concept in concepts if concept != consistent]
+    provenance = [first_subset[concept] for concept in image]
     hypotheses, provenance_found, agreement = _erm_image(
         c, distinct, labels, min(budget, len(distinct))
     )
-    assert (hypotheses, provenance_found) == (concepts, provenance)
+    assert (hypotheses, provenance_found) == (image, provenance)
     label_vector = np.array([labels[x] for x in distinct], dtype=np.uint8)
     assert agreement.dtype == np.uint8
-    assert np.array_equal(agreement, c.matrix[concepts][:, distinct] == label_vector)
+    assert np.array_equal(agreement, c.matrix[image][:, distinct] == label_vector)
     hs, solution = build_hypothesis_set(c, sample)
     if consistent in concepts:
         taught = first_subset[consistent]
@@ -349,7 +351,8 @@ def _recording_searches(monkeypatch):
 def test_teaching_search_stays_within_the_budget_and_runs_once(monkeypatch):
     # every sample of every concept on all points: c0's search enters each
     # size at most once and none above max(1, d) unless the budget escalated;
-    # a mixture runs it once, plus one search per concept for its ERM image
+    # a mixture runs it once, plus one search per concept other than c0 (the
+    # only one that agrees with every point) for its ERM image
     searches, ceilings = _recording_searches(monkeypatch)
     escalations = []
     escalate = learner.escalate_budget
@@ -379,7 +382,8 @@ def test_teaching_search_stays_within_the_budget_and_runs_once(monkeypatch):
                 mixtures += 1
                 assert sizes == list(range(max(1, d) + 1))
                 assert ceilings[-1] == (d + 1,)
-                assert len(searches) == 1 + len(c)
+                assert len(searches) == len(c)
+                assert c0 not in [concept for concept, _ in searches[1:]]
     assert (ops, mixtures) == (235, 25)  # every op, none escalated
 
 

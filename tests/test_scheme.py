@@ -11,8 +11,10 @@ import hashlib
 import logging
 import math
 import random
+import struct
 import subprocess
 import sys
+import zlib
 from fractions import Fraction
 
 import numpy as np
@@ -115,16 +117,16 @@ def test_side_info_round_trip_and_checksum():
         decode_side_info(bytes(corrupted))
 
 
+def _with_crc(payload):
+    return payload + struct.pack("<I", zlib.crc32(payload))
+
+
 def test_side_info_rejects_descending_positions_and_trailing_bytes():
     with pytest.raises(ValueError):
         encode_side_info([(2, 1)])
     blob = encode_side_info([(0, 1)])
-    import struct
-    import zlib
-
-    payload = blob[:-4] + b"\x00"
     with pytest.raises(DecodeError):
-        decode_side_info(payload + struct.pack("<I", zlib.crc32(payload)))
+        decode_side_info(_with_crc(blob[:-4] + b"\x00"))
     with pytest.raises((DecodeError, IntegrityError)):
         decode_side_info(b"\x00\x01")
 
@@ -270,7 +272,7 @@ def test_reconstruct_rejects_mismatched_domains():
 
 def test_reconstruct_rejects_inconsistent_subsets():
     c = ConceptClass.from_rows([[0, 1], [1, 0]])
-    bad = CompressedSample(2, (0, 1), (1, 1), encode_side_info([(0, 1)]))
+    bad = CompressedSample(2, (0, 1), (1, 1), ((0, 1),))
     with pytest.raises(IntegrityError):
         reconstruct(c, bad)
 
@@ -295,6 +297,60 @@ def test_deserialize_rejects_bad_magic_and_trailing_bytes():
         deserialize_compressed(b"XX" + blob[2:])
     with pytest.raises((DecodeError, IntegrityError)):
         deserialize_compressed(blob + b"\x00")
+
+
+@pytest.mark.parametrize(
+    "subsets,message",
+    [
+        ((), "nonempty tuple"),
+        ([(0, 1)], "nonempty tuple"),
+        (((0,), [1]), "tuple of strictly ascending"),
+        (((1, 0),), "tuple of strictly ascending"),
+        (((0, 0, 1),), "tuple of strictly ascending"),
+        (((-1, 0, 1),), "exactly the kernel positions"),
+        (((0, 1, 2),), "exactly the kernel positions"),
+        (((0,), (0,)), "exactly the kernel positions"),
+    ],
+)
+def test_container_rejects_invalid_position_subsets(subsets, message):
+    with pytest.raises(ValueError, match=message) as exc:
+        CompressedSample(4, (1, 3), (1, 0), subsets)
+    assert not isinstance(exc.value, (DecodeError, IntegrityError))
+
+
+def test_deserialize_reports_invalid_containers_as_decode_errors():
+    valid = CompressedSample(4, (1, 3), (1, 0), ((0, 1),))
+    blob = serialize_compressed(valid)
+    header = blob[: len(blob) - len(valid.side_info)]
+    for side_info in (
+        _with_crc(b"\x00"),  # no subset
+        _with_crc(b"\x01\x02\x01\x00"),  # descending positions
+        encode_side_info([(0, 1, 2)]),  # a position past the kernel
+        encode_side_info([(0,), (0,)]),  # kernel position 1 left uncovered
+    ):
+        with pytest.raises(DecodeError):
+            deserialize_compressed(header + side_info)
+    assert deserialize_compressed(header + valid.side_info) == valid
+    # kernel points 1, 1: a zero delta, rejected by the constructor
+    repeated = MAGIC + bytes([4, 2, 1, 0, 0b01]) + valid.side_info
+    with pytest.raises(DecodeError, match="strictly ascending"):
+        deserialize_compressed(repeated)
+
+
+@given(
+    st.lists(st.sets(st.integers(min_value=0, max_value=40), max_size=6), min_size=1, max_size=8),
+    st.randoms(use_true_random=False),
+)
+def test_any_valid_container_encodes_its_subsets_and_round_trips(raw, rnd):
+    # the positions are ranks in the union of the drawn sets, which is also
+    # the kernel, so the subsets cover it
+    kernel = sorted(set().union(*raw))
+    rank = {x: i for i, x in enumerate(kernel)}
+    subsets = tuple(tuple(sorted(rank[x] for x in s)) for s in raw)
+    labels = tuple(rnd.randint(0, 1) for _ in kernel)
+    c = CompressedSample(41, tuple(kernel), labels, subsets)
+    assert c.side_info == encode_side_info(c.position_subsets)
+    assert deserialize_compressed(serialize_compressed(c)) == c
 
 
 @settings(max_examples=60)
@@ -547,14 +603,39 @@ def test_reduced_votes_match_the_counting_loop(multiset):
 
 
 def test_container_decodes_its_side_info_once(monkeypatch):
-    c = generators.intervals(10)
-    compressed, _ = compress(c, LabeledSample.from_concept(c, 17, range(10)), seed=1)
-    blob = serialize_compressed(compressed)
+    # a point mass and a mixture: compress and verify_round_trip decode
+    # nothing, and a full round trip decodes once, in deserialize_compressed
     decodes = _counting(monkeypatch, "decode_side_info")
-    decoded = deserialize_compressed(blob)
-    reconstruct(c, decoded)
-    assert decoded.subset_count == compressed.subset_count
-    assert len(decodes) == 1
+    for c, target in ((generators.intervals(10), 17), (generators.k_interval_unions(8, 2), 30)):
+        sample = LabeledSample.from_concept(c, target, range(c.domain_size))
+        assert verify_round_trip(c, sample, seed=1).passed
+        assert decodes == []
+        compressed, _ = compress(c, sample, seed=1)
+        decoded = deserialize_compressed(serialize_compressed(compressed))
+        reconstruct(c, decoded)
+        assert decoded.subset_count == compressed.subset_count
+        assert len(decodes) == 1
+        del decodes[:]
+
+
+def test_report_reads_the_dimension_the_learner_proved(caplog):
+    # target 30 of k_interval_unions(8, 2) is a mixture: the learner's search
+    # capped at 5 proves d = 4, so the report's first details read runs no
+    # second primal search (the dual's ceiling is at most log2(8) = 3)
+    c = generators.k_interval_unions(8, 2)
+    vc_dimension.cache_clear()
+    dual_class.cache_clear()
+    with caplog.at_level(logging.DEBUG, logger="vccompress.concepts"):
+        _, report = compress(c, LabeledSample.from_concept(c, 30, range(8)))
+        assert report.details["vc_dimension"] == 4
+    lines = [r.getMessage() for r in caplog.records if r.name == "vccompress.concepts"]
+    assert [line.partition(":")[0] for line in lines] == [
+        "vc dimension 2 (ceiling 2)",
+        "vc dimension 3 (ceiling 3)",
+        "vc dimension 4 (ceiling 4)",
+        "vc dimension 4 (ceiling 5)",
+        "vc dimension 3 (ceiling 3)",  # the dual search, for details
+    ]
 
 
 def test_reconstruct_learns_each_distinct_subset_once(monkeypatch):
@@ -951,15 +1032,14 @@ def test_hostile_repeated_subsets_reconstruct_in_memory_bounded_by_the_class():
     script = """
 import resource, sys
 from vccompress import ConceptClass, reconstruct
-from vccompress.scheme import CompressedSample, encode_side_info
+from vccompress.scheme import CompressedSample
 n = 20_000
 c = ConceptClass.from_row_ints(n, [0, 1 << (n - 1)])
-side_info = encode_side_info([(0,), (0,), ()] * 20_000)
-compressed = CompressedSample(n, (0,), (1,), side_info)
+compressed = CompressedSample(n, (0,), (1,), ((0,), (0,), ()) * 20_000)
 cap = 512 << 20
 resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 labels = reconstruct(c, compressed)
-print(len(side_info), labels.tolist() == c.matrix[1].tolist())
+print(len(compressed.side_info), labels.tolist() == c.matrix[1].tolist())
 """
     out = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, check=True
@@ -975,9 +1055,9 @@ def test_one_distinct_voter_reconstructs_a_fresh_row():
     cases = [
         (c, point_mass),
         # one subset named twice
-        (cube_ends, CompressedSample(3, (0, 2), (1, 1), encode_side_info([(0, 1), (0, 1)]))),
+        (cube_ends, CompressedSample(3, (0, 2), (1, 1), ((0, 1), (0, 1)))),
         # two distinct subsets whose ERM is the same concept
-        (cube_ends, CompressedSample(3, (0, 1, 2), (1, 1, 1), encode_side_info([(0,), (1, 2)]))),
+        (cube_ends, CompressedSample(3, (0, 1, 2), (1, 1, 1), ((0,), (1, 2)))),
     ]
     for cls, compressed in cases:
         voters = scheme._subset_erms(cls, compressed)
