@@ -8,11 +8,9 @@ grow exponentially.  Rows are int bitsets or numpy 0/1 arrays packed by
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
 
-from .concepts import ConceptClass, _row_ints, parse_concept_class, vc_dimension
+from .concepts import ConceptClass, _row_ints, vc_dimension
 from .errors import ConfigError
 from .seeding import make_rng
 
@@ -22,7 +20,6 @@ __all__ = [
     "full_cube",
     "halfspaces_grid",
     "random_vc_capped",
-    "class_from_file",
     "make_concept_class",
 ]
 
@@ -36,9 +33,13 @@ _uncached_vc_dimension = vc_dimension.__wrapped__
 
 def intervals(n: int) -> ConceptClass:
     """All contiguous blocks of 1s on n ordered points, plus the empty
-    concept: n(n+1)/2 + 1 concepts of VC dimension 2 (for n >= 2)."""
+    concept: n(n+1)/2 + 1 concepts of VC dimension 2 (for n >= 2).  n is
+    capped at 361, the largest n with at most 2^16 concepts, the most rows
+    k_interval_unions enumerates."""
     if n < 1:
         raise ValueError("domain size must be positive")
+    if n > 361:
+        raise ValueError("intervals has n(n+1)/2 + 1 concepts; n must be <= 361")
     rows = {0}
     for first in range(n):
         for last in range(first, n):
@@ -115,17 +116,12 @@ def random_vc_capped(n: int, vc_cap: int, max_concepts: int, seed: int = 0) -> C
     return ConceptClass.from_row_ints(n, sorted(rows))
 
 
-def class_from_file(path) -> ConceptClass:
-    return parse_concept_class(Path(path).read_text())
-
-
 _GENERATORS = {
     "intervals": intervals,
     "k_interval_unions": k_interval_unions,
     "full_cube": full_cube,
     "halfspaces_grid": halfspaces_grid,
     "random_vc_capped": random_vc_capped,
-    "file": class_from_file,
 }
 
 

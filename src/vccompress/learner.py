@@ -16,25 +16,30 @@ concept below c, so finding c's shortest such subset is a teaching-set
 search (Goldman & Kearns 1995) over the points c labels correctly.
 
 The subset budget is the learner's own: max(1, d), d the class's VC
-dimension, capped at the sample's distinct points.  The learner never asks
-for d outright.  In the consistent-hypothesis case (Littlestone & Warmuth
-1986) no game is solved: the search for c0, the lowest concept consistent
-with the whole sample, runs first, one size at a time, and enters a size
-s >= 2 only once the VC search capped at s says d >= s.  A hit makes the
-mixture a point mass on c0, certified at value exactly 1, and d is never
-computed.  The first size the capped search refuses gives d exactly (and
-the search keeps it on the class), and only then is the pool the ERM image
-of all subsets within budget, one search per concept that errs on some
-sampled point.  Its agreement game is solved exactly at any size, through
-the game module's one exact path: it has one row per hypothesis and one
-column per distinct agreement pattern, and tall games are cheap for the
-exact simplex.  Every taught point mass shares one certificate, the
-solution of the 1x1 game [[1]].  No step draws random numbers.  If the
-budget is too small for a certificate, the builder doubles it and carries
-c0's search on to the larger sizes; at budget = #distinct points the whole
-sample teaches c0, so termination never depends on luck.  The empty sample
-needs no case of its own: c0 is concept 0, the ERM of the empty subset,
-taught at budget 0.
+dimension, capped at the sample's k distinct points, and one loop decides
+it while it searches.  The loop walks the subset sizes 0, 1, ..., k, and at
+each size:
+
+1. from size 2 on, until d is known, it asks the VC search capped at the
+   size whether d >= size.  The first size refused gives d exactly (the
+   search keeps it on the class), and the budget becomes min(max(1, d), k).
+2. Once the budget is known, a size above it first tries the ERM image at
+   the budget: every concept that is the ERM of some subset within budget,
+   found by one search per concept that errs on some sampled point.  Its
+   agreement game has one row per hypothesis and one column per distinct
+   agreement pattern, and the game module's one exact path solves it at any
+   size (tall games are cheap for the exact simplex).  A value of at least
+   2/3 returns that mixture; otherwise the budget doubles and the image is
+   tried again, until the size fits the budget.
+3. It searches for a subset of that size whose ERM is c0, the lowest concept
+   consistent with the whole sample.  A hit returns the point mass on c0:
+   the consistent-hypothesis case (Littlestone & Warmuth 1986), certified
+   at value exactly 1 by the shared solution of the 1x1 game [[1]].
+
+So a sample taught within max(1, d) solves no game and never computes d.
+No step draws random numbers.  At size k the whole sample teaches c0, so
+termination never depends on luck.  The empty sample needs no case of its
+own: c0 is concept 0, the ERM of the empty subset, taught at size 0.
 """
 
 from __future__ import annotations
@@ -168,82 +173,61 @@ def build_hypothesis_set(
     ``lowest_consistent_concept``, which also checks the sample for compress
     (ValueError outside the domain, UnrealizableError if unrealizable).
 
-    The subset budget is the learner's: max(1, d) capped at the k distinct
-    points, d being the class's VC dimension, which it asks for only as far
-    as it needs.  A pruned search looks for the shortest subset (first in
-    combinations order) whose ERM is c0, one size at a time.  Sizes 0 and 1
-    are always within budget; a size s >= 2 is entered only after
-    ``vc_dimension(concept_class, s)`` returns s, i.e. d >= s.  c0 agrees
-    with every label, so a hit gives a one-hypothesis set with that subset
-    as its provenance, certified at budget min(max(1, t), k) for a teaching
-    set of t points, and the point mass's certificate: its game has one
-    pattern, so the solution is that of the 1x1 game [[1]] (exact_value 1,
-    value_estimate 1.0, exploitability 0, both strategies [1.0]).  It is
-    one module-level constant, frozen with read-only weight arrays, shared
-    by every call, so a taught sample solves no game.
-
-    The first s whose capped search returns less than s gives d exactly, and
-    every size up to max(1, d) has been searched.  Only then does a game
-    run, over the ERM image at budget min(max(1, d), k): every concept that
-    is the ERM of some subset within budget, each with its shortest such
-    subset (``_erm_image``).  The exact simplex solves it at any size;
-    EXACT_ENTRY_CAP is a policy of solve_exact and sparse_epsilon_nash only,
-    never of the learner.  The pool and its certificate are deterministic;
-    no seed enters.  The budget doubles whenever the certified game falls
-    short, and c0's search goes on, without a ceiling, through the sizes the
-    larger budget admits, before the larger ERM image is tried; at budget
-    = k, c0 teaches itself, so the escalation always terminates.
+    The one loop over subset sizes is the module docstring's.  A teaching
+    set is the shortest subset (first in combinations order) whose ERM is
+    c0.  A size s >= 2 is searched only once the capped search
+    ``vc_dimension(concept_class, s)`` has returned s, or once the budget
+    has escalated to at least s.  A point mass keeps its teaching set as
+    its one provenance and is certified at budget min(max(1, t), k) for t
+    teaching points, or at the escalated budget.  Its certificate is one
+    module-level constant, frozen with read-only weight arrays (exact_value
+    1, value_estimate 1.0, exploitability 0, both strategies [1.0]).  A
+    mixture's pool is the ERM image at its budget (``_erm_image``), each
+    hypothesis with its shortest subset.  EXACT_ENTRY_CAP is a policy of
+    solve_exact and sparse_epsilon_nash only, never of the learner.
     """
     points = sample.distinct_points
     labels_by_point = dict(sample.label_items)
     k = len(points)
     consistent = lowest_consistent_concept(concept_class, sample.label_items)
     teaching_sizes = _teaching_search(concept_class, points, labels_by_point, consistent)
-    ceilings = []
+    dimension = budget = None  # unknown until a capped search refuses its ceiling
     for size in range(k + 1):
-        if size >= 2:
-            ceilings.append(size)
+        if size >= 2 and budget is None:
             dimension = vc_dimension(concept_class, size)
             if dimension < size:
-                break
+                budget = min(max(1, dimension), k)
+        while budget is not None and budget < size:
+            hypotheses, provenance, agreement = _erm_image(
+                concept_class, points, labels_by_point, budget
+            )
+            solution = _certify_mixture(agreement)
+            if solution is not None:
+                logger.debug(
+                    "certified %d hypotheses by the ERM image at budget %d "
+                    "(agreement %.4f; d = %d from the search capped at %d)",
+                    len(hypotheses), budget, solution.value_estimate, dimension,
+                    max(2, dimension + 1),
+                )
+                return HypothesisSet(tuple(hypotheses), tuple(provenance), budget), solution
+            budget = escalate_budget(budget, k)
         teaching = next(teaching_sizes)
         if teaching is not None:
-            logger.debug(
-                "taught point mass: c0 = %d by %d points (ceilings queried: %s)",
-                consistent, size, ceilings,
-            )
-            return HypothesisSet((consistent,), (teaching,), min(max(1, size), k)), _POINT_MASS
-    # d < size <= k, and no size up to max(1, d) teaches c0
-    budget = min(max(1, dimension), k)
-    while True:
-        hypotheses, provenance, agreement = _erm_image(
-            concept_class, points, labels_by_point, budget
-        )
-        solution = _certify_mixture(agreement)
-        if solution is not None:
-            logger.debug(
-                "certified %d hypotheses by the ERM image at budget %d "
-                "(agreement %.4f; d = %d from the search capped at %d)",
-                len(hypotheses), budget, solution.value_estimate, dimension, ceilings[-1],
-            )
-            return HypothesisSet(tuple(hypotheses), tuple(provenance), budget), solution
-        if budget >= k:
-            # all k points teach c0, so c0's search cannot miss at this
-            # budget; reaching this line means the search itself is broken
-            raise WeakLearningError(
-                f"no certified mixture at the full budget {budget} for {k} points"
-            )
-        searched, budget = budget, escalate_budget(budget, k)
-        for size in range(searched + 1, budget + 1):
-            teaching = next(teaching_sizes)
-            if teaching is not None:
+            if budget is None:
+                budget = min(max(1, size), k)
+                logger.debug(
+                    "taught point mass: c0 = %d by %d points (ceilings queried: %s)",
+                    consistent, size, list(range(2, size + 1)),
+                )
+            else:
                 logger.debug(
                     "taught point mass: c0 = %d by %d points after escalating to "
                     "budget %d (d = %d)",
                     consistent, size, budget, dimension,
                 )
-                return HypothesisSet((consistent,), (teaching,), budget), _POINT_MASS
-
+            return HypothesisSet((consistent,), (teaching,), budget), _POINT_MASS
+    # at size k all k points teach c0, so only a broken search gets here
+    raise WeakLearningError(f"no subset of the {k} distinct points teaches c0 = {consistent}")
 
 def _erm_image(cls, points, labels_by_point, budget):
     """Every concept that is the ERM of some subset of at most `budget` of

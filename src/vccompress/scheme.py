@@ -182,8 +182,9 @@ def decode_side_info(data: bytes) -> tuple[tuple[int, ...], ...]:
 @dataclass(frozen=True)
 class CompressedSample:
     """A labeled kernel plus the position subsets its side info names.
-    Valid by construction: the subsets are a nonempty tuple of tuples of
-    strictly ascending kernel positions that jointly cover the kernel.
+    Valid by construction: the kernel points and labels are tuples of ints,
+    and the subsets are a nonempty tuple of tuples of strictly ascending
+    int kernel positions that jointly cover the kernel.
 
     ``side_info``, the subsets' encoding, is computed once, on first read.
     It is not a field: equality, hashing and the repr see the four fields
@@ -196,16 +197,21 @@ class CompressedSample:
     position_subsets: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.domain_size < 1:
-            raise ValueError("domain size must be positive")
-        pts = self.kernel_points
+        if not isinstance(self.domain_size, int) or self.domain_size < 1:
+            raise ValueError("domain size must be a positive integer")
+        pts, labels = self.kernel_points, self.kernel_labels
+        # a float equal to an int would compare and hash as that int but not encode
+        if not (isinstance(pts, tuple) and all(map(int.__instancecheck__, pts))):
+            raise ValueError("kernel points must be a tuple of integers")
         if not all(map(operator.lt, pts, pts[1:])):
             raise ValueError("kernel points must be strictly ascending")
         if pts and not (0 <= pts[0] and pts[-1] < self.domain_size):
             raise ValueError("kernel points must lie inside the domain")
-        if len(self.kernel_labels) != len(pts):
+        if not (isinstance(labels, tuple) and all(map(int.__instancecheck__, labels))):
+            raise ValueError("kernel labels must be a tuple of integers")
+        if len(labels) != len(pts):
             raise ValueError("kernel labels must match kernel points")
-        if not all(map((0, 1).__contains__, self.kernel_labels)):
+        if not all(map((0, 1).__contains__, labels)):
             raise ValueError("kernel labels must be 0 or 1")
         if not (isinstance(self.position_subsets, tuple) and self.position_subsets):
             raise ValueError("position subsets must be a nonempty tuple")
@@ -214,6 +220,8 @@ class CompressedSample:
             if not isinstance(subset, tuple) or not all(map(operator.lt, subset, subset[1:])):
                 raise ValueError("each subset must be a tuple of strictly ascending positions")
             covered.update(subset)
+        if not all(map(int.__instancecheck__, covered)):
+            raise ValueError("subset positions must be integers")
         # no position outside the kernel and every kernel position named
         if covered != set(range(len(pts))):
             raise ValueError("the subsets' positions must be exactly the kernel positions")
@@ -259,8 +267,13 @@ class SchemeReport:
     only as far as its teaching set, so ``vc_dimension`` stays out too.
     ``details`` fills the three in on first read, from the class kept in
     ``concept_class``, and returns a plain dict.  ``subset_budget`` is
-    computed on first read as well: the learner's budget, raised for a
-    point mass to the budget min(max(1, d), k) it was taught within.  Being
+    computed on first read as well, by one formula for every container:
+    max(min(max(1, d), k), learner_budget).  Once the learner knows d its
+    budget is at least min(max(1, d), k), so a mixture, and a point mass
+    taught after an escalation, keep the learner's budget; a point mass
+    taught earlier is raised to the budget it was taught within.  A
+    mixture's d is read from the class, where the learner's capped search
+    left it.  Being
     properties, neither is a dataclass field: ``dataclasses.asdict`` shows
     ``known_details`` instead, and ``==`` compares report contents, not the
     class, d or the budget."""
@@ -285,10 +298,7 @@ class SchemeReport:
     @functools.cached_property
     def subset_budget(self) -> int:
         known = self.known_details
-        if known["draw_count"]:  # a mixture's budget is the learner's
-            return known["learner_budget"]
         budget = min(max(1, vc_dimension(self.concept_class)), known["distinct_point_count"])
-        # a point mass taught after an escalation keeps the escalated budget
         return max(budget, known["learner_budget"])
 
 

@@ -2,6 +2,7 @@ import json
 import resource
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -236,6 +237,15 @@ def test_unknown_generator_kind_exits_two(capsys):
     code, _, err = run_cli(capsys, "vc", "--class-spec", '{"kind": "nope"}')
     assert code == 2
     assert "unknown class kind" in err
+
+
+def test_oversized_generator_exits_two_before_enumerating(capsys):
+    # intervals(3000) would enumerate 4.5 million concepts
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "vc", "--class-spec", '{"kind": "intervals", "n": 3000}')
+    assert time.perf_counter() - start < 5
+    assert code == 2
+    assert "n must be <= 361" in err
 
 
 def test_bad_sample_label_exits_two(capsys, class_file, tmp_path):

@@ -166,3 +166,37 @@ def test_every_optional_parameter_of_an_export_is_set_outside_the_tests():
         return bool(by_keyword or by_position)
 
     assert sorted(f"{n}: {p}" for n, p, i in optional if not is_set(n, p, i)) == []
+
+
+def module_level_private_definitions():
+    """(module, name) for every private function or class defined at the top
+    level of a module in ``src/vccompress``."""
+    found = set()
+    for path in sorted((ROOT / "src" / "vccompress").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.startswith("__"):
+                    found.add((path.stem, node.name))
+    return found
+
+
+def test_every_private_helper_has_a_caller_in_src():
+    # a name counts as used when some top-level statement of src/ other than
+    # its own definition loads it or reads it as an attribute; import lines
+    # bind names and load none
+    used = set()
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for statement in ast.parse(path.read_text()).body:
+            own = getattr(statement, "name", None)
+            for node in ast.walk(statement):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                else:
+                    continue
+                if name != own:
+                    used.add(name)
+    private = module_level_private_definitions()
+    assert ("learner", "_teaching_subset") in private  # the walk sees the helpers
+    assert sorted(f"{m}.{n}" for m, n in private if n not in used) == []

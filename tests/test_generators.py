@@ -149,12 +149,9 @@ def test_random_vc_capped_singleton():
     assert vc_dimension(c) == 0
 
 
-def test_make_concept_class_dispatch(tmp_path):
+def test_make_concept_class_dispatch():
     c = make_concept_class({"kind": "intervals", "n": 5})
     assert c == intervals(5)
-    path = tmp_path / "class.txt"
-    path.write_text("2 2\n01\n10\n")
-    assert make_concept_class({"kind": "file", "path": str(path)}).domain_size == 2
 
 
 @pytest.mark.parametrize(
@@ -165,6 +162,8 @@ def test_make_concept_class_dispatch(tmp_path):
         {"kind": "intervals"},
         {"kind": "intervals", "n": -2},
         {"kind": "intervals", "n": 5, "extra": 1},
+        {"kind": "intervals", "n": 362},
+        {"kind": "file", "path": "x"},
     ],
 )
 def test_make_concept_class_rejects_bad_specs(spec):

@@ -392,6 +392,8 @@ def test_learner_logs_the_path_that_certified(caplog):
     # d = 1, and c0 = concept 2 needs two points: taught after an escalation
     escalated = ConceptClass.from_row_ints(3, [0b001, 0b010, 0b011])
     unions = generators.k_interval_unions(8, 2)
+    # d = 1: the ERM image at budget 1 falls short, and at budget 2 certifies
+    mixed = ConceptClass.from_row_ints(4, [6, 10, 12, 14, 15])
     cases = [
         (
             iv,
@@ -414,13 +416,20 @@ def test_learner_logs_the_path_that_certified(caplog):
             "certified 30 hypotheses by the ERM image at budget 4 (agreement 0.8000; "
             "d = 4 from the search capped at 5)",
         ),
+        (
+            mixed,
+            LabeledSample.from_concept(mixed, 3, range(4)),
+            "certified 3 hypotheses by the ERM image at budget 2 (agreement 0.6667; "
+            "d = 1 from the search capped at 2)",
+        ),
     ]
     for c, sample, expected in cases:
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="vccompress.learner"):
-            build_hypothesis_set(c, sample)
+            hs, _ = build_hypothesis_set(c, sample)
         lines = [r.getMessage() for r in caplog.records if r.name == "vccompress.learner"]
         assert lines == [expected]
+    assert hs.budget == 2  # the last case's, escalated once from max(1, d)
 
 
 def _compress_recording_the_game(monkeypatch, c, sample):

@@ -318,6 +318,30 @@ def test_container_rejects_invalid_position_subsets(subsets, message):
     assert not isinstance(exc.value, (DecodeError, IntegrityError))
 
 
+@pytest.mark.parametrize(
+    "fields,message",
+    [
+        ((4, [1, 3], (1, 0), ((0, 1),)), "kernel points must be a tuple of integers"),
+        ((4, (1.0, 3), (1, 0), ((0, 1),)), "kernel points must be a tuple of integers"),
+        ((4, (1, 3), (1.0, 0), ((0, 1),)), "kernel labels must be a tuple of integers"),
+        ((4, (1, 3), [1, 0], ((0, 1),)), "kernel labels must be a tuple of integers"),
+        ((4, (1, 3), (1, 0), ((0.0, 1),)), "subset positions must be integers"),
+        ((4.5, (1, 3), (1, 0), ((0, 1),)), "domain size must be a positive integer"),
+    ],
+)
+def test_container_requires_tuples_of_integers(fields, message):
+    # each of these once constructed, then failed to hash, compare or encode
+    with pytest.raises(ValueError, match=message):
+        CompressedSample(*fields)
+
+
+def test_container_accepts_bools_as_the_integers_they_equal():
+    ints = CompressedSample(4, (1, 3), (1, 0), ((0, 1),))
+    bools = CompressedSample(4, (True, 3), (True, False), ((False, True),))
+    assert bools == ints
+    assert serialize_compressed(bools) == serialize_compressed(ints)
+
+
 def test_deserialize_reports_invalid_containers_as_decode_errors():
     valid = CompressedSample(4, (1, 3), (1, 0), ((0, 1),))
     blob = serialize_compressed(valid)
