@@ -54,7 +54,6 @@ from .learner import (
 )
 from .game import (
     GameSolution,
-    PayoffMatrix,
     SparseEquilibrium,
     parse_payoff_matrix,
     solve_exact,

@@ -157,7 +157,7 @@ def _cmd_game(args) -> int:
     matrix = parse_payoff_matrix(Path(args.matrix_file).read_text())
     method = args.method
     if method == "auto":
-        method = "exact" if matrix.entries.size <= EXACT_ENTRY_CAP else "mw"
+        method = "exact" if matrix.size <= EXACT_ENTRY_CAP else "mw"
     if method == "exact":
         solution = solve_exact(matrix)
     else:
@@ -165,8 +165,8 @@ def _cmd_game(args) -> int:
     _emit(
         {
             "method": method,
-            "rows": matrix.rows,
-            "cols": matrix.cols,
+            "rows": matrix.shape[0],
+            "cols": matrix.shape[1],
             "value": solution.value_estimate,
             "exact_value": solution.exact_value,
             "exploitability": solution.exploitability,

@@ -171,8 +171,8 @@ class LabeledSample:
         for p, lbl in self.label_items:
             if not isinstance(p, int) or p < 0:
                 raise ValueError(f"point {p!r} must be a nonnegative integer")
-            if lbl not in (0, 1):
-                raise ValueError(f"label for point {p} must be 0 or 1, got {lbl!r}")
+            if not isinstance(lbl, int) or lbl not in (0, 1):
+                raise ValueError(f"label for point {p} must be the integer 0 or 1, got {lbl!r}")
         labeled = set(keys)
         if set(self.points) != labeled:
             raise ValueError("points and label_items must cover the same distinct points")

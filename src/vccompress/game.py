@@ -1,6 +1,10 @@
 """Zero-sum games on binary payoff matrices.
 
-The row player maximizes, the column player minimizes.  Three solvers:
+A game is any nonempty 2-d 0/1 array, a class's ``matrix`` included: entry
+(i, j) is the row player's payoff when the row player plays i and the
+column player plays j, and rows and columns may repeat (pure strategies are
+positional, unlike concept rows).  The row player maximizes, the column
+player minimizes.  Three solvers:
 
 * ``solve_exact`` — dense simplex with an integer-preserving tableau: integer
   entries over a common denominator, with exact division by the previous
@@ -48,7 +52,6 @@ from .seeding import child_seeds
 __all__ = [
     "EXACT_ENTRY_CAP",
     "MW_ITERATION_CAP",
-    "PayoffMatrix",
     "GameSolution",
     "SparseEquilibrium",
     "solve_exact",
@@ -61,35 +64,6 @@ logger = logging.getLogger(__name__)
 
 EXACT_ENTRY_CAP = 4096
 MW_ITERATION_CAP = 1_000_000
-
-
-class PayoffMatrix:
-    """A 0/1 payoff matrix; entry (i, j) is the row player's payoff when the
-    row player plays i and the column player plays j.  Rows and columns may
-    repeat (pure strategies are positional, unlike concept rows)."""
-
-    __slots__ = ("_entries",)
-
-    def __init__(self, entries):
-        self._entries = _bit_matrix(entries, "payoff matrix")
-
-    @property
-    def entries(self) -> np.ndarray:
-        return self._entries
-
-    @property
-    def rows(self) -> int:
-        return int(self._entries.shape[0])
-
-    @property
-    def cols(self) -> int:
-        return int(self._entries.shape[1])
-
-    def __eq__(self, other):
-        return isinstance(other, PayoffMatrix) and np.array_equal(self._entries, other._entries)
-
-    def __repr__(self):
-        return f"PayoffMatrix({self.rows}x{self.cols})"
 
 
 @dataclass(frozen=True)
@@ -141,12 +115,6 @@ class SparseEquilibrium:
                 f"certified exploitability {self.certified_exploitability} exceeds "
                 f"epsilon {self.epsilon}"
             )
-
-
-def _as_matrix(matrix) -> np.ndarray:
-    if isinstance(matrix, PayoffMatrix):
-        return matrix.entries
-    return PayoffMatrix(matrix).entries
 
 
 # -- exact simplex -----------------------------------------------------------
@@ -291,7 +259,7 @@ def solve_exact(matrix) -> GameSolution:
     integer-preserving tableau; the value and strategies are exact rationals
     whose optimality is certified exactly before the float views are taken.
     Matrices above EXACT_ENTRY_CAP entries are refused; use solve_mw."""
-    m = _as_matrix(matrix)
+    m = _bit_matrix(matrix, "payoff matrix")
     if m.size > EXACT_ENTRY_CAP:
         raise ExactSolverCapError(
             f"{m.shape[0]}x{m.shape[1]} exceeds the {EXACT_ENTRY_CAP}-entry cap for the "
@@ -315,7 +283,7 @@ def solve_mw(matrix, target_exploitability: float = 0.01) -> GameSolution:
     if target_exploitability <= 0:
         raise ValueError("target exploitability must be positive")
     iteration_cap = MW_ITERATION_CAP
-    m = _as_matrix(matrix)
+    m = _bit_matrix(matrix, "payoff matrix")
     rows, cols = m.shape
     mf = m.astype(np.float64)
     log_m = math.log(max(rows, 2))
@@ -380,7 +348,7 @@ def sparse_epsilon_nash(matrix, epsilon: float, seed: int) -> SparseEquilibrium:
     """
     if not (0 < epsilon < 1):
         raise ValueError("epsilon must be in (0, 1)")
-    m = _as_matrix(matrix)
+    m = _bit_matrix(matrix, "payoff matrix")
     seeds = child_seeds(seed, 2)
 
     row_rep = np.sort(np.unique(m, axis=0, return_index=True)[1])
@@ -427,9 +395,9 @@ def sparse_epsilon_nash(matrix, epsilon: float, seed: int) -> SparseEquilibrium:
 # -- text format ------------------------------------------------------------------
 
 
-def parse_payoff_matrix(text: str) -> PayoffMatrix:
+def parse_payoff_matrix(text: str) -> np.ndarray:
     """Payoff matrices share the concept-class text format (header `n m`,
-    then m rows of n characters), but rows are positional strategies: order
-    is preserved and duplicates are allowed."""
+    then m rows of n characters), but rows are positional strategies: the
+    read-only uint8 matrix keeps their order and their duplicates."""
     rows = _bit_rows(text, "num_columns num_rows", "matrix dimensions", "matrix")
-    return PayoffMatrix([[int(ch) for ch in row] for _, row in rows])
+    return _bit_matrix([[int(ch) for ch in row] for _, row in rows], "payoff matrix")

@@ -139,7 +139,5 @@ def make_concept_class(spec: dict) -> ConceptClass:
         )
     try:
         return generator(**params)
-    except TypeError as exc:
-        raise ConfigError(f"bad parameters for {kind!r}: {exc}") from exc
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad parameters for {kind!r}: {exc}") from exc

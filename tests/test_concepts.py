@@ -150,6 +150,17 @@ def test_sample_repeated_consistent_labels_ok():
     assert s.label_items == ((3, 1), (5, 0))
 
 
+@pytest.mark.parametrize("label", [np.int64(1), 1.0, "1"])
+def test_sample_rejects_a_label_that_is_not_an_int(label):
+    # a label equal to 1 that is not an int would otherwise fail only in the container
+    with pytest.raises(ValueError, match="label for point 1"):
+        LabeledSample((1, 2), ((1, label), (2, 1)))
+
+
+def test_sample_accepts_bool_labels():
+    assert LabeledSample((1, 2), ((1, True), (2, 0))).label_items == ((1, 1), (2, 0))
+
+
 def test_empty_sample():
     s = LabeledSample.from_pairs([])
     assert s.is_empty

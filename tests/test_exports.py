@@ -16,6 +16,10 @@ method counts as used when any object's attribute of that name is read.
 And no option is dead: every parameter with a default, of an exported
 function or of a public method or ``__init__`` of an exported class, must be
 passed, by keyword or by position, by some call in those directories.
+
+Nor is any private helper dead: every private function, class or assigned
+name at the top level of a module in ``src/`` must be read by some other
+top-level statement of ``src/``.
 """
 
 import ast
@@ -169,14 +173,24 @@ def test_every_optional_parameter_of_an_export_is_set_outside_the_tests():
 
 
 def module_level_private_definitions():
-    """(module, name) for every private function or class defined at the top
-    level of a module in ``src/vccompress``."""
+    """(module, name) for every private function, class or assigned name
+    (a constant, or an alias such as ``_uncached_vc_dimension``) defined at
+    the top level of a module in ``src/vccompress``."""
     found = set()
     for path in sorted((ROOT / "src" / "vccompress").glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if node.name.startswith("_") and not node.name.startswith("__"):
-                    found.add((path.stem, node.name))
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            found |= {
+                (path.stem, name)
+                for name in names
+                if name.startswith("_") and not name.startswith("__")
+            }
     return found
 
 
@@ -199,4 +213,5 @@ def test_every_private_helper_has_a_caller_in_src():
                     used.add(name)
     private = module_level_private_definitions()
     assert ("learner", "_teaching_subset") in private  # the walk sees the helpers
+    assert ("game", "_INT64_SAFE_ENTRY") in private  # and the constants
     assert sorted(f"{m}.{n}" for m, n in private if n not in used) == []

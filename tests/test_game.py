@@ -19,7 +19,6 @@ from vccompress import (
     ExactSolverCapError,
     GameSolution,
     ParseError,
-    PayoffMatrix,
     ProbabilityVector,
     dual_class,
     parse_payoff_matrix,
@@ -37,7 +36,7 @@ IDENTITY = [[1, 0], [0, 1]]
 
 def exact_strategies(entries):
     """Exact (value, row strategy, column strategy) as Fractions."""
-    return game._exact_minimax(PayoffMatrix(entries).entries)
+    return game._exact_minimax(np.array(entries, dtype=np.uint8))
 
 
 def assert_exact_optimal(entries, value, p, q):
@@ -476,15 +475,23 @@ def test_sparse_nash_validates_epsilon():
 # -- containers and parsing --
 
 
-def test_payoff_matrix_rejects_bad_entries():
+SOLVERS = {
+    "solve_exact": solve_exact,
+    "solve_mw": solve_mw,
+    "sparse_epsilon_nash": lambda matrix: sparse_epsilon_nash(matrix, 0.25, seed=0),
+}
+
+
+@pytest.mark.parametrize("solver", SOLVERS.values(), ids=SOLVERS.keys())
+def test_every_solver_rejects_bad_entries(solver):
     with pytest.raises(ValueError):
-        PayoffMatrix([[0, 2], [1, 0]])
+        solver([[0, 2], [1, 0]])
     # each of these would pass if the entries were cast to uint8 first
     for entries in ([[0.5, 1]], [[-1, 1]], [[256, 0]]):
         with pytest.raises(ValueError, match="0 or 1"):
-            PayoffMatrix(entries)
+            solver(entries)
     with pytest.raises(ValueError):
-        PayoffMatrix(np.zeros((0, 3), dtype=np.uint8))
+        solver(np.zeros((0, 3), dtype=np.uint8))
 
 
 def test_game_solution_rejects_negative_exploitability():
@@ -499,7 +506,9 @@ def test_game_solution_rejects_negative_exploitability():
 
 def test_parse_payoff_matrix_keeps_order_and_duplicates():
     pm = parse_payoff_matrix("2 3\n10\n10\n01\n")
-    assert pm.entries.tolist() == [[1, 0], [1, 0], [0, 1]]
+    assert isinstance(pm, np.ndarray) and pm.dtype == np.uint8
+    assert not pm.flags.writeable
+    assert pm.tolist() == [[1, 0], [1, 0], [0, 1]]
 
 
 @pytest.mark.parametrize(
