@@ -24,7 +24,7 @@ target = [(5, 0), (8, 1), (12, 1), (12, 1), (19, 1), (20, 0), (27, 0), (8, 1)]
 sample = LabeledSample.from_pairs(target)
 print(f"sample: {sample.size} labeled points ({len(sample.distinct_points)} distinct)")
 
-compressed, report = compress(cls, sample, seed=7)
+compressed, report = compress(cls, sample)
 print()
 print(f"kernel points : {compressed.kernel_points}")
 print(f"kernel labels : {compressed.kernel_labels}")
@@ -43,5 +43,5 @@ assert deserialize_compressed(blob) == compressed
 print(f"serialized container: {len(blob)} bytes")
 
 # One call that does all of the above and checks the size bound too.
-result = verify_round_trip(cls, sample, seed=7)
+result = verify_round_trip(cls, sample)
 print(f"verify_round_trip passed: {result.passed}")

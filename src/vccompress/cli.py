@@ -189,7 +189,7 @@ def _cmd_nash(args) -> int:
 def _cmd_compress(args) -> int:
     cls = _load_class(args)
     sample = _parse_sample_text(Path(args.sample_file).read_text())
-    compressed, report = compress(cls, sample, args.seed)
+    compressed, report = compress(cls, sample)
     blob = serialize_compressed(compressed)
     Path(args.out).write_bytes(blob)
     payload = {
@@ -225,7 +225,7 @@ def _cmd_reconstruct(args) -> int:
 def _cmd_verify(args) -> int:
     cls = _load_class(args)
     sample = _parse_sample_text(Path(args.sample_file).read_text())
-    result = verify_round_trip(cls, sample, args.seed)
+    result = verify_round_trip(cls, sample)
     _emit(
         {
             "passed": result.passed,
@@ -281,14 +281,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--class-file", help="concept class in the text format")
         p.add_argument("--class-spec", help='generator spec JSON, e.g. {"kind": "intervals", "n": 10}')
 
-    def add_common(p, seed_help=None):
-        p.add_argument("--seed", type=int, default=0, help=seed_help)
+    def add_common(p):
+        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", help="write JSON here instead of stdout")
-
-    compress_seed_help = (
-        "seeds only the sampler fallback, which draws a mixture's votes when "
-        "no rounding of its weights to at most the vote ceiling T wins"
-    )
 
     p = sub.add_parser("vc", help="dimensions of a concept class")
     add_class_options(p)
@@ -330,7 +325,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample-file", required=True)
     p.add_argument("--out", required=True, help="where to write the binary blob")
     p.add_argument("--report", help="write the JSON report here instead of stdout")
-    p.add_argument("--seed", type=int, default=0, help=compress_seed_help)
     p.set_defaults(fn=_cmd_compress)
 
     p = sub.add_parser("reconstruct", help="decode a blob and vote out the labels")
@@ -342,7 +336,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="compress + reconstruct and check everything")
     add_class_options(p)
     p.add_argument("--sample-file", required=True)
-    add_common(p, compress_seed_help)
+    p.add_argument("--out", help="write JSON here instead of stdout")
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("experiment", help="generalization experiment")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import logging
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -52,6 +53,14 @@ def _bit_matrix(entries, what: str) -> np.ndarray:
     arr = arr.astype(np.uint8, copy=False)
     arr.flags.writeable = False
     return arr
+
+
+def _integer(value, what: str) -> int:
+    """`value` as an int, else ValueError (int() would truncate 2.7)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} {value!r} must be an integer") from None
 
 
 def _column_ints(bits: np.ndarray) -> list[int]:
@@ -183,8 +192,8 @@ class LabeledSample:
         pts: list[int] = []
         labels: dict[int, int] = {}
         for p, lbl in pairs:
-            p = int(p)
-            lbl = int(lbl)
+            p = _integer(p, "point")
+            lbl = _integer(lbl, "label")
             if p in labels and labels[p] != lbl:
                 raise ValueError(f"conflicting labels for point {p}")
             labels[p] = lbl
@@ -195,7 +204,7 @@ class LabeledSample:
     def from_concept(cls, concept_class: ConceptClass, concept: int, points: Iterable[int]) -> "LabeledSample":
         """Sample labeled by a concept of the class (realizable by construction)."""
         concept_class._check_concept(concept)
-        pts = tuple(int(p) for p in points)
+        pts = tuple(_integer(p, "point") for p in points)
         for p in pts:
             concept_class._check_point(p)
         labels = {p: concept_class.value(concept, p) for p in set(pts)}
@@ -242,7 +251,7 @@ class ShatterWitness:
 
 def shatters(concept_class: ConceptClass, points: Sequence[int]) -> ShatterWitness | None:
     """Witness that the class shatters `points`, or None if it does not."""
-    pts = [int(p) for p in points]
+    pts = [_integer(p, "point") for p in points]
     if len(set(pts)) != len(pts):
         raise ValueError("points must be distinct")
     for p in pts:

@@ -76,6 +76,7 @@ def halfspaces_grid(side: int, dim: int, count: int = 64, seed: int = 0) -> Conc
     point 1 iff its inner product, summed in float64 from 0 term by term in
     axis order with the constant term last, is strictly positive.  Duplicate
     labelings collapse, so the class is usually much smaller than `count`.
+    The count * side**dim float64 margins are admitted up to 2**24 of them.
     """
     if side < 2 or dim < 1:
         raise ValueError("grid needs side >= 2 and dim >= 1")
@@ -84,6 +85,8 @@ def halfspaces_grid(side: int, dim: int, count: int = 64, seed: int = 0) -> Conc
         raise ValueError("grid too large; side**dim must be <= 4096")
     if count < 1:
         raise ValueError("count must be positive")
+    if count * n > 1 << 24:
+        raise ValueError("too many margins; count * side**dim must be <= 2**24")
     coords = 2 * np.indices((side,) * dim).reshape(dim, n)[::-1] - side + 1  # axis 0 fastest
     weights = make_rng(seed).normal(size=(count, dim + 1))
     # not a matrix product, which leaves summation order and FMA use to BLAS

@@ -79,7 +79,9 @@ class HypothesisSet:
     finally sufficient: for a point mass taught within max(1, d), the
     teaching set's size min(max(1, t), k) at which it was certified, which
     is at most the subset budget min(max(1, d), k); otherwise the subset
-    budget itself, escalations included."""
+    budget itself, escalations included.  No provenance subset has more
+    points, and ``compress`` reports this budget as the report's
+    ``subset_budget``."""
 
     hypotheses: tuple[int, ...]
     provenance: tuple[tuple[int, ...], ...]
@@ -119,12 +121,12 @@ def lowest_consistent_concept(
     return (alive & -alive).bit_length() - 1
 
 
-def escalate_budget(subset_budget: int, distinct_point_count: int) -> int:
+def escalate_budget(subset_budget: int, point_count: int) -> int:
     """Double the subset budget, capped at the number of distinct points in
     play (beyond which larger subsets add nothing).  Never shrinks."""
-    if distinct_point_count < 1:
+    if point_count < 1:
         raise ValueError("distinct point count must be at least 1")
-    return max(subset_budget, min(2 * subset_budget, distinct_point_count))
+    return max(subset_budget, min(2 * subset_budget, point_count))
 
 
 # -- certified mixtures --------------------------------------------------------

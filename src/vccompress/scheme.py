@@ -20,11 +20,11 @@ vote more.  The first N whose votes win every point is kept.  p gives
 every point's label mass at least 2/3 and each count moves by less than 1,
 so the majority is strict from N = 6s on, s being p's support size, and no
 seed or draw is needed.  The search stops at the paper's vote ceiling
-T = approximation_size_bound(d*, 1/8), computing d* only past T's least
-value 1024; when 6s exceeds T and no N up to T wins, the seeded
-1/8-sparsifier (approx) draws the votes instead.  Rounded and drawn counts
-alike are divided by their gcd (majorities are scale-invariant) by one
-reducer.
+T (``_vote_ceiling``, the sparsifier's size at d* and 1/8), computing d*
+only past T's least value 1024; when 6s exceeds T and no N up to T wins,
+the seeded 1/8-sparsifier (approx) draws the votes instead.  Rounded and
+drawn counts alike are divided by their gcd (majorities are
+scale-invariant) by one reducer.
 
 The majority re-check reads the class's packed integer rows, independently
 of the learner's point bitsets: each vote's wrong points are one bitset
@@ -83,9 +83,12 @@ logger = logging.getLogger(__name__)
 
 MAGIC = b"VCSC01"
 SPARSIFY_EPSILON = 0.125
-# T at d* = 0, the least vote ceiling of any class: the rounding gets this
-# far without d*
-_LEAST_VOTE_CEILING = approximation_size_bound(0, SPARSIFY_EPSILON)
+
+
+def _vote_ceiling(dual_dimension: int) -> int:
+    """The paper's vote ceiling T = approximation_size_bound(d*, 1/8): the
+    sparsifier's draw count, and the most votes a container casts."""
+    return approximation_size_bound(dual_dimension, SPARSIFY_EPSILON)
 
 
 # -- varints -----------------------------------------------------------------
@@ -256,32 +259,26 @@ class SchemeReport:
     empty sample's included, is neither rounded nor drawn: its one vote is
     the mixture, its certified agreement 1.0 and its draw_count 0.
 
-    ``known_details`` also carries ``distinct_point_count``, the sample's k
-    distinct points, and ``learner_budget``, the budget the learner
-    certified at: a mixture's subset budget, and min(max(1, t), k) for a
-    point mass taught by t points before any escalation.
+    ``subset_budget`` is the budget the learner certified at
+    (``HypothesisSet.budget``): no side-info subset has more points, so
+    the size is within ``scheme_size_bound`` at it.
 
     Only the sampler needs the dual VC dimension d*, and rounding only past
     N = 1024, so ``compress`` leaves ``dual_vc_dimension`` and
     ``draw_ceiling`` out of ``known_details``; a taught point mass needs d
     only as far as its teaching set, so ``vc_dimension`` stays out too.
     ``details`` fills the three in on first read, from the class kept in
-    ``concept_class``, and returns a plain dict.  ``subset_budget`` is
-    computed on first read as well, by one formula for every container:
-    max(min(max(1, d), k), learner_budget).  Once the learner knows d its
-    budget is at least min(max(1, d), k), so a mixture, and a point mass
-    taught after an escalation, keep the learner's budget; a point mass
-    taught earlier is raised to the budget it was taught within.  A
-    mixture's d is read from the class, where the learner's capped search
-    left it.  Being
-    properties, neither is a dataclass field: ``dataclasses.asdict`` shows
-    ``known_details`` instead, and ``==`` compares report contents, not the
-    class, d or the budget."""
+    ``concept_class`` (a mixture's d is read where the learner's capped
+    search left it), and returns a plain dict.  Being a property, it is
+    not a dataclass field: ``dataclasses.asdict`` shows ``known_details``
+    instead, and ``==`` compares report contents, not the class or its
+    dimensions."""
 
     kernel_size: int
     info_bits: int
     subset_count: int
     scheme_size: int
+    subset_budget: int
     known_details: dict
     concept_class: ConceptClass = field(repr=False, compare=False)
 
@@ -292,14 +289,8 @@ class SchemeReport:
             "vc_dimension": vc_dimension(self.concept_class),
             "dual_vc_dimension": dual_dimension,
             **self.known_details,
-            "draw_ceiling": approximation_size_bound(dual_dimension, SPARSIFY_EPSILON),
+            "draw_ceiling": _vote_ceiling(dual_dimension),
         }
-
-    @functools.cached_property
-    def subset_budget(self) -> int:
-        known = self.known_details
-        budget = min(max(1, vc_dimension(self.concept_class)), known["distinct_point_count"])
-        return max(budget, known["learner_budget"])
 
 
 @dataclass(frozen=True)
@@ -355,11 +346,6 @@ def _majority_margin(
     return margin
 
 
-def _vote_ceiling(concept_class: ConceptClass) -> int:
-    """The paper's vote ceiling T = approximation_size_bound(d*, 1/8)."""
-    return approximation_size_bound(vc_dimension(dual_class(concept_class)), SPARSIFY_EPSILON)
-
-
 def _reduced_votes(concepts, counts) -> tuple[tuple[int, int], ...]:
     """(concept, count) pairs in the order given, zero counts dropped and
     the rest divided by their gcd.  Majority votes only see count ratios,
@@ -393,19 +379,17 @@ def _round_mixture(concept_class, hypotheses, p, label_items):
     the votes for the label exceed 2N/3 - s >= N/2: the majority is strict.
     A failure at N = 6s means p is no certificate, and its IntegrityError
     propagates.  d* is computed, for T, only once N passes 1024, T's least
-    value; only a support with 6s > T can exhaust the search."""
+    value (each later N reads it from the dimension caches); only a support
+    with 6s > T can exhaust the search."""
     support = [(concept, x) for concept, x in zip(hypotheses, p) if x]
     concepts = [concept for concept, _ in support]
     denominator = math.lcm(*(x.denominator for _, x in support))
     numerators = [x.numerator * (denominator // x.denominator) for _, x in support]
     certain = 6 * len(support)
-    ceiling = None
+    least = _vote_ceiling(0)  # T at d* = 0, the least of any class
     for n in range(1, certain + 1):
-        if n > _LEAST_VOTE_CEILING:
-            if ceiling is None:
-                ceiling = _vote_ceiling(concept_class)
-            if n > ceiling:
-                return None
+        if n > least and n > _vote_ceiling(vc_dimension(dual_class(concept_class))):
+            return None
         votes = _rounded_votes(concepts, numerators, denominator, n)
         try:
             margin = _majority_margin(concept_class, votes, label_items)
@@ -425,7 +409,8 @@ def compress(
 
     The kernel is the union of the provenance subsets behind the voting
     hypotheses; its size is governed by the class's VC dimension d (each
-    subset has at most max(1, d) points, the learner's subset budget) and
+    subset has at most the learner's subset budget, max(1, d) unless the
+    learner escalated it) and
     the dual VC dimension (ceiling on the vote count), never by the sample
     length.  Every sampled point's majority is re-verified as a
     strict integer inequality before encoding.
@@ -451,9 +436,9 @@ def compress(
     compress computes no VC dimension itself.  The learner asks for d only
     as far as the subset budget needs it (a taught point mass of t points,
     only whether d >= t), and the dual VC dimension d* is computed only for
-    T, by a rounding that passes N = 1024 or by the sampler.  The report
-    computes d, d*, ``draw_ceiling`` = T and ``subset_budget`` when they are
-    first read.
+    T, by a rounding that passes N = 1024 or by the sampler.  The report's
+    ``subset_budget`` is the learner's; it computes d, d* and
+    ``draw_ceiling`` = T when they are first read.
     """
     hypothesis_set, solution = build_hypothesis_set(concept_class, sample)
 
@@ -516,9 +501,8 @@ def compress(
         info_bits=info_bits,
         subset_count=total_votes,
         scheme_size=len(kernel_points) + info_bits,
+        subset_budget=hypothesis_set.budget,
         known_details={
-            "distinct_point_count": len(sample.label_items),
-            "learner_budget": hypothesis_set.budget,
             "epsilon": SPARSIFY_EPSILON,
             "seed": seed,
             "vote_concepts": votes,
@@ -576,10 +560,9 @@ def _subset_erms(concept_class: ConceptClass, compressed: CompressedSample) -> l
 def scheme_size_bound(vc_dim: int, dual_vc_dim: int, subset_budget: int) -> int:
     """Worst-case scheme size (kernel points + encoded side-info bits) as a
     function of the two dimensions and the subset budget alone — notably
-    independent of the sample length.  The vote count is at most the
-    sparsifier's ceiling at SPARSIFY_EPSILON, approximation_size_bound(d*,
-    1/8); each vote's subset has at most subset_budget points."""
-    max_votes = approximation_size_bound(dual_vc_dim, SPARSIFY_EPSILON)
+    independent of the sample length.  The vote count is at most the vote
+    ceiling T at d*; each vote's subset has at most subset_budget points."""
+    max_votes = _vote_ceiling(dual_vc_dim)
     max_kernel = max_votes * subset_budget
     max_position = max(max_kernel - 1, 0)
     payload_bytes = (
@@ -589,31 +572,28 @@ def scheme_size_bound(vc_dim: int, dual_vc_dim: int, subset_budget: int) -> int:
     return max_kernel + 8 * (payload_bytes + 4)
 
 
-def verify_round_trip(
-    concept_class: ConceptClass, sample: LabeledSample, seed: int = 0
-) -> VerificationResult:
+def verify_round_trip(concept_class: ConceptClass, sample: LabeledSample) -> VerificationResult:
     """Compress, reconstruct, and check everything that should hold: labels
     reproduce exactly on the sample, the decompressor's hypotheses are the
-    very ones the compressor voted, and the size respects its bound.  Each
+    very ones the compressor voted, and the size respects its bound at the
+    report's ``subset_budget``, the budget the learner certified at.  Each
     side-info subset is learned once, for both the vote and that check.
 
-    The bound is checked from below first.  It is nondecreasing in d* and
-    in the budget, and the learner's budget is at most the report's
-    ``subset_budget``, so a size within the bound at d* = 0 and the
-    learner's budget is within the exact one.  Only a size above that is
-    checked against the bound at the exact d* and budget, which needs the
-    dual and primal VC searches."""
-    compressed, report = compress(concept_class, sample, seed)
+    The bound is checked from below first.  It is nondecreasing in d*, so
+    a size within the bound at d* = 0 is within the exact one.  Only a
+    size above that is checked against the bound at the exact d*, which
+    needs the dual and primal VC searches."""
+    compressed, report = compress(concept_class, sample)
     voters = _subset_erms(concept_class, compressed)
     decoded = _majority_vote(concept_class, voters)
     mismatches = tuple(
         point for point, label in sample.label_items if int(decoded[point]) != label
     )
-    known = report.known_details
-    expected = [concept for concept, mult in known["vote_concepts"] for _ in range(mult)]
+    votes = report.known_details["vote_concepts"]
+    expected = [concept for concept, mult in votes for _ in range(mult)]
     hypotheses_match = voters == expected
     size_within_bound = report.scheme_size <= scheme_size_bound(
-        0, 0, known["learner_budget"]
+        0, 0, report.subset_budget
     ) or report.scheme_size <= scheme_size_bound(
         report.details["vc_dimension"], report.details["dual_vc_dimension"], report.subset_budget
     )

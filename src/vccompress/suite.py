@@ -133,9 +133,13 @@ def _criterion_round_trips(seed: int, margins: list[int]):
 
 def _criterion_size_independence(seed: int, margins: list[int]):
     """Compression size must be governed by the class, not the sample: one
-    subset budget, hence one documented ceiling, serves every sample-length
-    tier, and every run verifies (labels, hypotheses, size within it)."""
+    ceiling, the bound at the class's own d and d* and the budget max(1, d),
+    serves every sample-length tier.  Every run verifies (labels,
+    hypotheses, size within the bound at its own budget), certifies at a
+    budget of at most max(1, d), and keeps its size within that ceiling."""
     cls = intervals(10)
+    d = vc_dimension(cls)
+    ceiling = scheme_size_bound(d, vc_dimension(dual_class(cls)), max(1, d))
     tiers = (10, 100, 1000)
     rng = make_rng(seed)
     measured = {}
@@ -152,16 +156,14 @@ def _criterion_size_independence(seed: int, margins: list[int]):
             result = _verified(cls, sample, margins)
             report = result.report
             budgets.add(report.subset_budget)
-            within = within and result.size_within_bound
+            within = within and report.scheme_size <= ceiling
             all_verified = all_verified and result.passed
             max_scheme = max(max_scheme, report.scheme_size)
             max_kernel = max(max_kernel, report.kernel_size)
         measured[str(tier)] = {"max_scheme_size": max_scheme, "max_kernel_size": max_kernel}
-    d = report.details["vc_dimension"]
-    d_star = report.details["dual_vc_dimension"]
-    return len(budgets) == 1 and all_verified, {
+    return all_verified and within and max(budgets) <= max(1, d), {
         "tiers": measured,
-        "shared_bound": sorted({scheme_size_bound(d, d_star, b) for b in budgets}),
+        "shared_bound": [ceiling],
         "subset_budgets": sorted(budgets),
         "all_within_bound": within,
     }

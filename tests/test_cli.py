@@ -142,8 +142,6 @@ def test_compress_reconstruct_verify_files(capsys, class_file, sample_file, tmp_
         sample_file,
         "--out",
         str(blob),
-        "--seed",
-        "3",
     )
     assert blob.stat().st_size == payload["bytes"]
     assert payload["kernel_size"] <= 2
@@ -320,8 +318,7 @@ def test_suite_malformed_criteria_exit_two_before_running(capsys, criteria):
     assert err.strip() == f"error: --criteria needs comma-separated integers, got {criteria!r}"
 
 
-def _cap_address_space():
-    limit = 1 << 30
+def _cap_address_space(limit=1 << 30):
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
@@ -347,3 +344,19 @@ def test_module_entry_point_subprocess(argv, expected):
     assert proc.returncode == 0, proc.stderr
     payload = json.loads(proc.stdout)
     assert {key: payload[key] for key in expected} == expected
+
+
+def test_oversized_halfspace_count_exits_two_before_drawing():
+    # a billion weight vectors would ask numpy for 14.9 GiB of margins
+    spec = '{"kind": "halfspaces_grid", "side": 2, "dim": 1, "count": 1000000000}'
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "vccompress.cli", "vc", "--class-spec", spec],
+        capture_output=True,
+        text=True,
+        preexec_fn=lambda: _cap_address_space(512 << 20),
+    )
+    assert time.perf_counter() - start < 5
+    assert proc.returncode == 2, proc.stderr
+    assert "count * side**dim must be <= 2**24" in proc.stderr
+    assert "Traceback" not in proc.stderr

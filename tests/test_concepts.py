@@ -3,6 +3,7 @@
 import itertools
 import logging
 import random
+import re
 
 import numpy as np
 import pytest
@@ -185,6 +186,44 @@ def test_sample_from_concept_past_the_class_is_a_value_error():
     c = intervals(4)
     with pytest.raises(ValueError, match=f"concept {len(c)}"):
         LabeledSample.from_concept(c, len(c), range(4))
+
+
+_TAKES_INTEGERS = {
+    "from_pairs point": lambda x: LabeledSample.from_pairs([(x, 1), (5, 0)]),
+    "from_pairs label": lambda x: LabeledSample.from_pairs([(2, 1), (5, x)]),
+    "from_concept point": lambda x: LabeledSample.from_concept(intervals(6), 3, [x, 4]),
+    "shatters point": lambda x: shatters(intervals(6), [x, 4]),
+}
+
+
+def _outcome(call, value):
+    try:
+        return call(value)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("entry", sorted(_TAKES_INTEGERS))
+@pytest.mark.parametrize(
+    "value, accepted",
+    [
+        (2.7, False),
+        (0.9, False),
+        ("1", False),
+        (np.float64(2.0), False),
+        (np.int64(3), True),
+        (True, True),
+    ],
+)
+def test_points_and_labels_must_be_integers(entry, value, accepted):
+    # int() truncated the rejected ones: point 2.7 became 2 and label 0.9
+    # became 0; an integer of another type passes as the int it equals
+    call = _TAKES_INTEGERS[entry]
+    if accepted:
+        assert _outcome(call, value) == _outcome(call, int(value))
+    else:
+        with pytest.raises(ValueError, match=re.escape(f"{value!r} must be an integer")):
+            call(value)
 
 
 # --- shattering ---------------------------------------------------------------

@@ -164,6 +164,8 @@ def test_make_concept_class_dispatch():
         {"kind": "intervals", "n": 5, "extra": 1},
         {"kind": "intervals", "n": 362},
         {"kind": "file", "path": "x"},
+        # one margin past 2**24: two grid points, 2**23 + 1 weight vectors
+        {"kind": "halfspaces_grid", "side": 2, "dim": 1, "count": (1 << 23) + 1},
     ],
 )
 def test_make_concept_class_rejects_bad_specs(spec):

@@ -244,7 +244,7 @@ def test_verify_round_trip_passes_and_checks_hypotheses():
     c = intervals_class(10)
     for target in (0, 5, 25, 40):
         sample = LabeledSample.from_concept(c, target % len(c.rows), range(10))
-        result = verify_round_trip(c, sample, seed=target)
+        result = verify_round_trip(c, sample)
         assert result.passed
         assert result.hypotheses_match
         assert result.size_within_bound
@@ -259,7 +259,7 @@ def test_random_classes_round_trip():
         concept = int(rng.integers(0, len(c.rows)))
         points = rng.integers(0, 9, size=int(rng.integers(1, 15)))
         sample = LabeledSample.from_concept(c, concept, points)
-        result = verify_round_trip(c, sample, seed=trial)
+        result = verify_round_trip(c, sample)
         assert result.passed, result
 
 
@@ -632,7 +632,7 @@ def test_container_decodes_its_side_info_once(monkeypatch):
     decodes = _counting(monkeypatch, "decode_side_info")
     for c, target in ((generators.intervals(10), 17), (generators.k_interval_unions(8, 2), 30)):
         sample = LabeledSample.from_concept(c, target, range(c.domain_size))
-        assert verify_round_trip(c, sample, seed=1).passed
+        assert verify_round_trip(c, sample).passed
         assert decodes == []
         compressed, _ = compress(c, sample, seed=1)
         decoded = deserialize_compressed(serialize_compressed(compressed))
@@ -690,7 +690,7 @@ def test_verify_learns_each_distinct_subset_once(monkeypatch):
         sample = LabeledSample.from_concept(c, target, points)
         compressed, _ = compress(c, sample, seed=seed)
         erms = _counting(monkeypatch, "lowest_consistent_concept")
-        result = verify_round_trip(c, sample, seed=seed)
+        result = verify_round_trip(c, sample)
         assert result.passed and result.hypotheses_match
         assert len(erms) == len(set(compressed.position_subsets))
 
@@ -717,9 +717,8 @@ def test_losing_vote_multiset_is_rejected(monkeypatch):
 def test_sampler_is_the_fallback_past_the_vote_ceiling(monkeypatch, caplog):
     # with a vote ceiling of 2, below 6s, no rounding up to it wins, so the
     # seeded sampler draws the votes; its containers are the ones it drew
-    # before mixtures were rounded
-    monkeypatch.setattr(scheme, "_LEAST_VOTE_CEILING", 2)
-    monkeypatch.setattr(scheme, "_vote_ceiling", lambda concept_class: 2)
+    # before mixtures were rounded.  Only compress sees that ceiling: the
+    # report's T and the size bound are the class's own
     certificates = []
     sparsify = scheme.sparsify_mixture
 
@@ -742,7 +741,8 @@ def test_sampler_is_the_fallback_past_the_vote_ceiling(monkeypatch, caplog):
         sample = LabeledSample.from_concept(c, target, points)
         del certificates[:]
         caplog.clear()
-        with caplog.at_level(logging.DEBUG, logger="vccompress.scheme"):
+        with monkeypatch.context() as low, caplog.at_level(logging.DEBUG, "vccompress.scheme"):
+            low.setattr(scheme, "_vote_ceiling", lambda dual_dimension: 2)
             compressed, report = compress(c, sample, seed=seed)
         [certificate] = certificates
         [line] = [r.getMessage() for r in caplog.records if r.name == "vccompress.scheme"]
@@ -756,7 +756,10 @@ def test_sampler_is_the_fallback_past_the_vote_ceiling(monkeypatch, caplog):
         drawn = collections.Counter(certificate.multiset)
         g = math.gcd(*drawn.values())
         assert details["vote_concepts"] == tuple((c, k // g) for c, k in drawn.items())
-        assert verify_round_trip(c, sample, seed=seed).passed
+        # verify_round_trip checks this drawn container
+        with monkeypatch.context() as drawn_once:
+            drawn_once.setattr(scheme, "compress", lambda *args: (compressed, report))
+            assert verify_round_trip(c, sample).passed
 
 
 def test_each_vote_multiset_is_checked_once(monkeypatch):
@@ -776,8 +779,7 @@ def test_each_vote_multiset_is_checked_once(monkeypatch):
         _, report = compress(c, sample, seed=1)
         assert len(checks) == expected == max(1, report.details["draw_count"])
     # past a vote ceiling of 2, N = 1 and 2 fail and the draw is checked
-    monkeypatch.setattr(scheme, "_LEAST_VOTE_CEILING", 2)
-    monkeypatch.setattr(scheme, "_vote_ceiling", lambda concept_class: 2)
+    monkeypatch.setattr(scheme, "_vote_ceiling", lambda dual_dimension: 2)
     del checks[:]
     _, report = compress(mixed, mixture, seed=1)
     assert report.details["votes_from"] == "sampler"
@@ -889,10 +891,13 @@ def test_rounding_at_six_s_keeps_every_majority_strict(case):
     assert margin == scheme._majority_margin(c, rounded, [(j, 1) for j in range(m)]) > 0
 
 
-def test_every_sample_on_three_points_round_trips(monkeypatch):
-    # all 255 classes on 3 points, every concept, every point subset (the
-    # empty one too), each point once and twice: 16,384 round trips, 30 of
-    # them mixtures; every mixture is rounded, never sampled, by N = 6s
+def _round_trip_every_sample(monkeypatch, n, masks, repeats):
+    """verify_round_trip on every concept and every point subset (the empty
+    one too) of each class on n points whose rows are the set bits of a
+    mask, the subset's points taken once per entry of `repeats`.  Returns
+    the sha256 over the containers and vote multisets, the run, mixture and
+    escalation counts, and how many classes' largest kernel exceeds d by
+    0, 1, ...."""
     containers = []
     original_compress = scheme.compress
 
@@ -903,49 +908,72 @@ def test_every_sample_on_three_points_round_trips(monkeypatch):
     monkeypatch.setattr(scheme, "compress", keep_container)
     digest = hashlib.sha256()
     runs = mixtures = escalated = 0
-    for mask in range(1, 256):
-        c = ConceptClass.from_row_ints(3, [row for row in range(8) if mask >> row & 1])
+    kernel_excess = collections.Counter()
+    for mask in masks:
+        c = ConceptClass.from_row_ints(n, [row for row in range(1 << n) if mask >> row & 1])
         d = vc_dimension(c)
+        ceiling = approximation_size_bound(vc_dimension(dual_class(c)), 1 / 8)
+        largest_kernel = 0
         for concept in range(len(c)):
-            for subset in range(8):
-                points = [x for x in range(3) if subset >> x & 1]
-                for sample in (
-                    LabeledSample.from_concept(c, concept, points),
-                    LabeledSample.from_concept(c, concept, points * 2),
-                ):
+            for subset in range(1 << n):
+                points = [x for x in range(n) if subset >> x & 1]
+                for repeat in repeats:
+                    sample = LabeledSample.from_concept(c, concept, points * repeat)
                     result = verify_round_trip(c, sample)
                     [(compressed, report)] = containers
                     del containers[:]
                     assert report is result.report
-                    details = report.details
-                    ceiling = approximation_size_bound(details["dual_vc_dimension"], 1 / 8)
+                    details = report.known_details
                     assert result.passed, (c.rows, concept, points)
                     assert report.subset_count <= ceiling
+                    assert max(map(len, compressed.position_subsets)) <= report.subset_budget
                     assert details.get("votes_from", "rounding") == "rounding"
                     digest.update(serialize_compressed(compressed))
-                    digest.update(repr((details["vote_concepts"], report.subset_budget)).encode())
+                    digest.update(repr(details["vote_concepts"]).encode())
                     runs += 1
-                    budget = min(max(1, d), len(sample.distinct_points))
+                    largest_kernel = max(largest_kernel, report.kernel_size)
+                    k = len(sample.distinct_points)
+                    budget = min(max(1, d), k)
                     if "votes_from" in details:
                         mixtures += 1
                         _, solution = learner.build_hypothesis_set(c, sample)
                         support = sum(1 for x in solution.exact_row_strategy if x)
                         assert details["draw_count"] <= 6 * support
                     elif report.kernel_size <= budget:
-                        # a point mass is taught within the budget of d
-                        assert report.subset_budget == budget
+                        # a point mass taught within the budget of d reports
+                        # the budget its teaching set was certified at
+                        assert report.subset_budget == min(max(1, report.kernel_size), k)
                     else:
                         # ... or only after its budget escalated
                         escalated += 1
                         assert budget < report.kernel_size <= report.subset_budget
-    assert runs == 16384
-    assert mixtures > 0
-    assert escalated == 170
-    # the containers, vote multisets and subset budgets, as recorded before
-    # the learner came to ask the VC search only "is d >= s?"
-    assert digest.hexdigest() == (
-        "e16d0e8e65fc4300523e1bedfb492bea8ecc39826e2fee4af0a8d1dcd2bbbcae"
-    )
+        kernel_excess[largest_kernel - d] += 1
+    return digest.hexdigest(), (runs, mixtures, escalated), dict(kernel_excess)
+
+
+def test_every_sample_on_three_points_round_trips(monkeypatch):
+    # all 255 classes on 3 points, every concept, every point subset (the
+    # empty one too), each point once and twice: 16,384 round trips, 30 of
+    # them mixtures; every mixture is rounded, never sampled, by N = 6s
+    digest, counts, kernel_excess = _round_trip_every_sample(monkeypatch, 3, range(1, 256), (1, 2))
+    assert counts == (16384, 30, 170)
+    # the largest kernel exceeds d on 47 classes, always as d + 1 (the
+    # paper promises no kernel of d points)
+    assert kernel_excess == {0: 208, 1: 47}
+    # the containers and vote multisets, as recorded before the report's
+    # subset budget became the learner's
+    assert digest == "3f43fb5e64d8ff5f61b707061e6371daea338aae7225659b7258e141e578ddeb"
+
+
+def test_seeded_slice_of_the_four_point_classes_round_trips(monkeypatch):
+    # 120 of the 65,535 classes on 4 points, every concept and point subset:
+    # 14,832 round trips, 121 of them mixtures, all rounded
+    masks = random.Random(4).sample(range(1, 1 << 16), 120)
+    digest, counts, kernel_excess = _round_trip_every_sample(monkeypatch, 4, masks, (1,))
+    assert counts == (14832, 121, 1)
+    # the largest kernel reaches d + 2 on nine classes, all at d = 2
+    assert kernel_excess == {0: 84, 1: 27, 2: 9}
+    assert digest == "3486fb8e7dfd27a27b2a24c8def07d80904032d2f85b78ff3f96a15ace340ee4"
 
 
 def test_taught_point_masses_share_one_solution(monkeypatch):
@@ -1195,28 +1223,44 @@ print("numpy.ma" in sys.modules)
 
 
 def test_report_shape_leaves_the_class_out():
-    # details is a property: asdict shows known_details, and the class the
-    # report keeps for it stays out of repr and equality
+    # details is a property: asdict shows known_details and the learner's
+    # subset_budget, and the class the report keeps for details stays out
+    # of repr and equality
     c = generators.intervals(6)
     _, report = compress(c, LabeledSample.from_concept(c, 3, range(6)), seed=0)
     assert "concept_class" not in repr(report)
     assert dataclasses.replace(report, concept_class=generators.intervals(7)) == report
+    assert dataclasses.replace(report, subset_budget=3) != report
     fields = dataclasses.asdict(report)
-    assert "details" not in fields and "subset_budget" not in fields
+    assert "details" not in fields
     assert fields["known_details"] == report.known_details
-    for computed in ("vc_dimension", "dual_vc_dimension", "draw_ceiling", "subset_budget"):
+    assert fields["subset_budget"] == report.subset_budget == 2
+    for computed in ("vc_dimension", "dual_vc_dimension", "draw_ceiling"):
         assert computed not in report.known_details
     assert report.details["dual_vc_dimension"] == report.details["vc_dimension"] == 2
-    assert report.subset_budget == 2
-    known = report.known_details
-    assert (known["distinct_point_count"], known["learner_budget"]) == (6, 2)
+    assert "distinct_point_count" not in report.details
+    assert "learner_budget" not in report.details
 
 
 def test_report_budget_of_a_point_mass_taught_after_an_escalation():
     # d = 1, and c0 = concept 2 needs two of the three points: the learner
     # escalates its budget to 2 before teaching it, and the report keeps 2
     c = ConceptClass.from_row_ints(3, [0b001, 0b010, 0b011])
-    _, report = compress(c, LabeledSample.from_concept(c, 2, range(3)))
+    sample = LabeledSample.from_concept(c, 2, range(3))
+    _, report = compress(c, sample)
     assert report.known_details["draw_count"] == 0 and report.kernel_size == 2
-    assert report.known_details["learner_budget"] == report.subset_budget == 2
+    assert learner.build_hypothesis_set(c, sample)[0].budget == report.subset_budget == 2
     assert min(max(1, vc_dimension(c)), 3) == 1
+
+
+def test_report_budget_of_a_point_mass_taught_below_the_budget_of_d():
+    # d = 2, and an all-negative sample of three points is taught by the
+    # empty subset: the learner certifies it at min(max(1, 0), 3) = 1, and
+    # the report gives that budget, not min(max(1, d), k) = 2
+    c = generators.intervals(10)
+    sample = LabeledSample.from_pairs([(2, 0), (5, 0), (7, 0)])
+    _, report = compress(c, sample)
+    assert report.kernel_size == 0 and report.known_details["vote_concepts"] == ((0, 1),)
+    assert learner.build_hypothesis_set(c, sample)[0].budget == report.subset_budget == 1
+    assert vc_dimension(c) == 2
+    assert verify_round_trip(c, sample).size_within_bound

@@ -1,8 +1,11 @@
-"""The benchmark's tracer wraps vccompress functions by name.
+"""The benchmark's tracer wraps vccompress functions by name, and its
+worker calls the package through a fixed surface.
 
 A cleanup that deletes or renames one of those names breaks
-``perfbench/run.py --trace 1`` and ``--self-test``; this test makes it fail
-the test suite too.
+``perfbench/run.py --trace 1`` and ``--self-test``; these tests make it fail
+the test suite too.  The worker's op checks read compress's seed argument,
+the three-argument ``scheme_size_bound``, the report's ``details`` keys and
+``subset_budget``, and the dimension caches' ``cache_clear``.
 """
 
 import json
@@ -63,3 +66,33 @@ print(json.dumps({"counts": tracer.counts, "pools": pools}))
     assert counts["learner.pool_size"] == sum(pools)
     assert counts["game.exact"] == 1
     assert counts["game.exact_entries"] == 30
+
+
+def test_worker_runs_one_op_of_each_workload():
+    # the benchmark's own op, with its checks (labels, the codec round trip
+    # and size within the bound), from empty dimension caches as its set-up
+    # starts; the first op of each round-trip workload and one cold op
+    script = """
+import json, sys
+sys.path[:0] = sys.argv[1:]
+import vccompress
+from vccompress import concepts
+import worker, workloads
+concepts.vc_dimension.cache_clear()
+concepts.dual_class.cache_clear()
+roster = workloads.build_roster()
+names = ("roundtrip_short", "roundtrip_long")
+ops = [next(workloads.roundtrip_ops(name, 2, roster)) for name in names]
+ops += workloads.cold_ops(2, 1)
+results = [worker.run_op(op, vccompress) for op in ops]
+print(json.dumps([[result["bits"], result["bound"]] for result in results]))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(ROOT / "src"), str(ROOT / "perfbench")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    sizes = json.loads(proc.stdout.splitlines()[-1])
+    assert len(sizes) == 3
+    assert all(0 < bits <= bound for bits, bound in sizes)
