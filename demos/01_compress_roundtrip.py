@@ -2,7 +2,8 @@
 
 The compressor never stores the sample itself.  It keeps a handful of kernel
 points with their labels plus a short side-info string saying which kernel
-subsets to feed back into the learner; majority vote over the rebuilt
+subsets to feed back into the learner, and how many votes each one's
+hypothesis casts (one run per subset); majority vote over the rebuilt
 hypotheses reproduces every sample label exactly.
 """
 
@@ -28,8 +29,8 @@ compressed, report = compress(cls, sample)
 print()
 print(f"kernel points : {compressed.kernel_points}")
 print(f"kernel labels : {compressed.kernel_labels}")
-print(f"vote subsets  : {compressed.position_subsets}")
-print(f"kernel size {report.kernel_size}, side info {report.info_bits} bits, "
+print(f"vote runs     : {compressed.runs}  (kernel positions, votes)")
+print(f"kernel size {report.kernel_size}, side info and CRC {report.info_bits} bits, "
       f"scheme size {report.scheme_size}")
 
 labels = reconstruct(cls, compressed)

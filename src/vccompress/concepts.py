@@ -202,12 +202,16 @@ class LabeledSample:
 
     @classmethod
     def from_concept(cls, concept_class: ConceptClass, concept: int, points: Iterable[int]) -> "LabeledSample":
-        """Sample labeled by a concept of the class (realizable by construction)."""
+        """Sample labeled by a concept of the class (realizable by construction).
+        The concept and each distinct point are checked once, in order, and
+        each label is read straight from the concept's row."""
         concept_class._check_concept(concept)
         pts = tuple(_integer(p, "point") for p in points)
-        for p in pts:
+        distinct = dict.fromkeys(pts)
+        for p in distinct:
             concept_class._check_point(p)
-        labels = {p: concept_class.value(concept, p) for p in set(pts)}
+        row, top = concept_class.rows[concept], concept_class.domain_size - 1
+        labels = {p: (row >> (top - p)) & 1 for p in distinct}
         return cls(pts, tuple(sorted(labels.items())))
 
     @property

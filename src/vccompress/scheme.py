@@ -1,10 +1,11 @@
 """The compression scheme: compress, reconstruct, verify, and the wire codec.
 
 A compressed sample is a small labeled kernel plus the subsets of kernel
-positions that its side information names.  Reconstruction reruns the
-deterministic ERM on each named subset and takes a per-point majority vote
-over the resulting hypotheses, so the decompressor needs nothing beyond the
-concept class and the bytes.
+positions that its side information names, each with the number of votes
+its hypothesis casts.  Reconstruction reruns the deterministic ERM on each
+named subset and takes a per-point majority vote over the resulting
+hypotheses, weighted by those counts, so the decompressor needs nothing
+beyond the concept class and the bytes.
 
 Pipeline, the same for every sample: certify a weak mixture of subset-ERM
 hypotheses (learner), turn it into a small voting multiset, and check once
@@ -34,11 +35,18 @@ row once, weighted by its count, so its memory is bounded by the class and
 not by the vote count; a single distinct voter returns a copy of that
 concept's row, which is its own majority.
 
-Wire formats are strict: unsigned LEB128 varints, delta-coded kernel points,
-LSB-first label bits, and side info protected by a trailing CRC-32 (which
-detects every single-byte corruption).  Decoders reject trailing garbage.
-A container keeps its subsets and encodes them once; only
-deserialize_compressed decodes side info.
+A container holds its votes as runs: one (subset of kernel positions,
+count) pair per distinct voter, in vote order, exactly the reduced votes.
+Its wire format spells only what a decoder cannot infer: unsigned LEB128
+varints, delta-coded kernel points, LSB-first label bits, then the side
+info, the run count R and, for R >= 2, each run's subset as a k-bit
+LSB-first mask over the k kernel positions with its count.  A lone run is
+implied (the whole kernel, voting once), so R = 1 is all it spells.  One
+trailing CRC-32 covers every byte after the magic, so every single-byte
+corruption is detected before anything is parsed.  Decoders reject
+trailing garbage, nonzero padding and every non-canonical form, so bytes
+and containers are in bijection.  A container keeps its runs and encodes
+them once; only deserialize_compressed decodes side info.
 """
 
 from __future__ import annotations
@@ -63,6 +71,7 @@ from .seeding import child_seeds
 
 __all__ = [
     "MAGIC",
+    "MAX_VOTES",
     "SPARSIFY_EPSILON",
     "CompressedSample",
     "SchemeReport",
@@ -81,8 +90,11 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-MAGIC = b"VCSC01"
+MAGIC = b"VCSC02"
 SPARSIFY_EPSILON = 0.125
+# The most votes a container may cast: keeps every vote tally, and twice it,
+# inside int64.
+MAX_VOTES = 1 << 32
 
 
 def _vote_ceiling(dual_dimension: int) -> int:
@@ -135,48 +147,69 @@ def _varint_length(value: int) -> int:
     return len(encode_varint(value))
 
 
+# -- bit strings ----------------------------------------------------------------
+
+
+def _pack_bits(bits: int, width: int) -> bytes:
+    """The low ``width`` bits of ``bits``, LSB first, in ceil(width / 8) bytes."""
+    return bits.to_bytes((width + 7) // 8, "little")
+
+
+def _unpack_bits(data: bytes, pos: int, width: int, what: str) -> tuple[int, int]:
+    """Strict inverse of _pack_bits at ``pos``: the bits and the offset just
+    past them; truncation and nonzero padding are DecodeErrors."""
+    end = pos + (width + 7) // 8
+    if end > len(data):
+        raise DecodeError(f"{what} truncated", pos)
+    bits = int.from_bytes(data[pos:end], "little")
+    if bits >> width:
+        raise DecodeError(f"nonzero padding in {what}", pos)
+    return bits, end
+
+
 # -- side information ---------------------------------------------------------
 
 
-def encode_side_info(position_subsets: Sequence[Sequence[int]]) -> bytes:
-    """Subset count, then each subset as a length-prefixed ascending position
-    list, all varints; a little-endian CRC-32 of that payload is appended."""
-    if not position_subsets:
-        raise ValueError("side info needs at least one subset")
-    payload = bytearray(encode_varint(len(position_subsets)))
-    for subset in position_subsets:
+def encode_side_info(runs: Sequence[tuple[Sequence[int], int]], kernel_size: int) -> bytes:
+    """The run count R as a varint; for R >= 2, each run's subset as a
+    ``kernel_size``-bit LSB-first mask, then its count as a varint.  A lone
+    run must be the whole kernel voting once, and R is all it spells."""
+    if not runs:
+        raise ValueError("side info needs at least one run")
+    out = bytearray(encode_varint(len(runs)))
+    if len(runs) == 1:
+        subset, count = runs[0]
+        if tuple(subset) != tuple(range(kernel_size)) or count != 1:
+            raise ValueError("a lone run must be the whole kernel, voting once")
+        return bytes(out)
+    for subset, count in runs:
         positions = list(subset)
         if any(b <= a for a, b in zip(positions, positions[1:])):
             raise ValueError("subset positions must be strictly ascending")
-        payload += encode_varint(len(positions))
-        for position in positions:
-            payload += encode_varint(position)
-    return bytes(payload) + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
+        if positions and not (0 <= positions[0] and positions[-1] < kernel_size):
+            raise ValueError("subset positions must lie inside the kernel")
+        out += _pack_bits(sum(1 << i for i in positions), kernel_size)
+        out += encode_varint(count)
+    return bytes(out)
 
 
-def decode_side_info(data: bytes) -> tuple[tuple[int, ...], ...]:
+def decode_side_info(data: bytes, kernel_size: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Strict inverse of encode_side_info over the whole buffer."""
-    if len(data) < 5:
-        raise DecodeError("side info shorter than any valid encoding", 0)
-    payload, checksum = data[:-4], data[-4:]
-    if struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF) != checksum:
-        raise IntegrityError("side info failed its checksum")
-    count, pos = decode_varint(payload, 0)
-    if count < 1:
-        raise DecodeError("subset count must be at least 1", 0)
-    subsets = []
-    for _ in range(count):
-        length, pos = decode_varint(payload, pos)
-        positions = []
-        for _ in range(length):
-            position, pos = decode_varint(payload, pos)
-            if positions and position <= positions[-1]:
-                raise DecodeError("subset positions must be strictly ascending", pos)
-            positions.append(position)
-        subsets.append(tuple(positions))
-    if pos != len(payload):
-        raise DecodeError("trailing bytes after the last subset", pos)
-    return tuple(subsets)
+    run_count, pos = decode_varint(data, 0)
+    if run_count < 1:
+        raise DecodeError("run count must be at least 1", 0)
+    if run_count == 1:
+        runs = ((tuple(range(kernel_size)), 1),)
+    else:
+        runs = []
+        for _ in range(run_count):
+            mask, pos = _unpack_bits(data, pos, kernel_size, "subset mask")
+            count, pos = decode_varint(data, pos)
+            runs.append((tuple(i for i in range(kernel_size) if mask >> i & 1), count))
+        runs = tuple(runs)
+    if pos != len(data):
+        raise DecodeError("trailing bytes after the last run", pos)
+    return runs
 
 
 # -- containers ---------------------------------------------------------------
@@ -184,20 +217,24 @@ def decode_side_info(data: bytes) -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True)
 class CompressedSample:
-    """A labeled kernel plus the position subsets its side info names.
-    Valid by construction: the kernel points and labels are tuples of ints,
-    and the subsets are a nonempty tuple of tuples of strictly ascending
-    int kernel positions that jointly cover the kernel.
+    """A labeled kernel plus its votes as runs ``((subset, count), ...)``:
+    each subset a tuple of kernel positions whose ERM casts ``count``
+    votes, in vote order.  Valid by construction, and then canonical:
+    the kernel points and labels are tuples of ints; the runs are a
+    nonempty tuple of (subset, count) pairs whose subsets are distinct
+    tuples of strictly ascending int positions that jointly cover the
+    kernel, and whose counts are positive ints with a gcd of 1 summing to at
+    most MAX_VOTES.  So a lone run is the whole kernel voting once.
 
-    ``side_info``, the subsets' encoding, is computed once, on first read.
+    ``side_info``, the runs' encoding, is computed once, on first read.
     It is not a field: equality, hashing and the repr see the four fields
-    below, which on valid subsets compare as the bytes would (the encoding
+    below, which on valid runs compare as the bytes would (the encoding
     is a bijection)."""
 
     domain_size: int
     kernel_points: tuple[int, ...]
     kernel_labels: tuple[int, ...]
-    position_subsets: tuple[tuple[int, ...], ...]
+    runs: tuple[tuple[tuple[int, ...], int], ...]
 
     def __post_init__(self):
         if not isinstance(self.domain_size, int) or self.domain_size < 1:
@@ -216,26 +253,44 @@ class CompressedSample:
             raise ValueError("kernel labels must match kernel points")
         if not all(map((0, 1).__contains__, labels)):
             raise ValueError("kernel labels must be 0 or 1")
-        if not (isinstance(self.position_subsets, tuple) and self.position_subsets):
-            raise ValueError("position subsets must be a nonempty tuple")
-        covered = set()
-        for subset in self.position_subsets:
-            if not isinstance(subset, tuple) or not all(map(operator.lt, subset, subset[1:])):
+        runs = self.runs
+        if not (isinstance(runs, tuple) and runs):
+            raise ValueError("runs must be a nonempty tuple of (subset, count) pairs")
+        covered, subsets, gcd, total = set(), set(), 0, 0
+        for run in runs:
+            if not (isinstance(run, tuple) and len(run) == 2):
+                raise ValueError("each run must be a (subset, count) pair")
+            subset, count = run
+            if not isinstance(subset, tuple):
                 raise ValueError("each subset must be a tuple of strictly ascending positions")
+            if not all(map(int.__instancecheck__, subset)):
+                raise ValueError("subset positions must be integers")
+            if not all(map(operator.lt, subset, subset[1:])):
+                raise ValueError("each subset must be a tuple of strictly ascending positions")
+            if not (isinstance(count, int) and count >= 1):
+                raise ValueError("run counts must be positive integers")
             covered.update(subset)
-        if not all(map(int.__instancecheck__, covered)):
-            raise ValueError("subset positions must be integers")
+            subsets.add(subset)
+            gcd = math.gcd(gcd, count)
+            total += count
         # no position outside the kernel and every kernel position named
         if covered != set(range(len(pts))):
             raise ValueError("the subsets' positions must be exactly the kernel positions")
+        if len(subsets) != len(runs):
+            raise ValueError("run subsets must be distinct")
+        if gcd != 1:
+            raise ValueError("run counts must have a gcd of 1")
+        if total > MAX_VOTES:
+            raise ValueError(f"runs must cast at most {MAX_VOTES} votes")
 
     @functools.cached_property
     def side_info(self) -> bytes:
-        return encode_side_info(self.position_subsets)
+        return encode_side_info(self.runs, len(self.kernel_points))
 
     @property
     def subset_count(self) -> int:
-        return len(self.position_subsets)
+        """The votes cast: each run's subset counted ``count`` times."""
+        return sum(count for _, count in self.runs)
 
     @property
     def kernel_size(self) -> int:
@@ -245,7 +300,9 @@ class CompressedSample:
 @dataclass(frozen=True)
 class SchemeReport:
     """Size accounting for one compression.  scheme_size = kernel points plus
-    encoded side-information bits; details carries the run's diagnostics
+    ``info_bits``, the side info's bits and the container CRC's 32 (the
+    CRC guards the side info along with the rest); ``subset_count`` is
+    the votes cast, the run counts' sum.  details carries the run's diagnostics
     (dimensions, vote multiset, certified agreement (the learner game's
     exact value, correctly rounded to a float), majority margin, and how a
     mixture's votes were found).  The majority margin is the votes'
@@ -477,29 +534,26 @@ def compress(
             draw_details["votes_from"],
         )
 
-    total_votes = sum(mult for _, mult in votes)
-
+    # a hypothesis's provenance is a subset whose ERM it is, so distinct
+    # voters have distinct subsets: one run per (concept, count) vote
     provenance_of = dict(zip(hypothesis_set.hypotheses, hypothesis_set.provenance))
     kernel_points = sorted({x for concept, _ in votes for x in provenance_of[concept]})
     position_of = {x: i for i, x in enumerate(kernel_points)}
     labels_by_point = dict(sample.label_items)
     kernel_labels = tuple(labels_by_point[x] for x in kernel_points)
-    position_subsets = []
-    for concept, mult in votes:
-        subset = tuple(sorted(position_of[x] for x in provenance_of[concept]))
-        position_subsets.extend([subset] * mult)
+    runs = tuple(
+        (tuple(sorted(position_of[x] for x in provenance_of[concept])), count)
+        for concept, count in votes
+    )
 
     compressed = CompressedSample(
-        concept_class.domain_size,
-        tuple(kernel_points),
-        kernel_labels,
-        tuple(position_subsets),
+        concept_class.domain_size, tuple(kernel_points), kernel_labels, runs
     )
-    info_bits = len(compressed.side_info) * 8
+    info_bits = 8 * (len(compressed.side_info) + 4)
     report = SchemeReport(
         kernel_size=len(kernel_points),
         info_bits=info_bits,
-        subset_count=total_votes,
+        subset_count=compressed.subset_count,
         scheme_size=len(kernel_points) + info_bits,
         subset_budget=hypothesis_set.budget,
         known_details={
@@ -524,52 +578,59 @@ def reconstruct(concept_class: ConceptClass, compressed: CompressedSample) -> np
     return _majority_vote(concept_class, _subset_erms(concept_class, compressed))
 
 
-def _majority_vote(concept_class: ConceptClass, voters: list[int]) -> np.ndarray:
-    """Each point's strict majority label over the voting concepts (ties to
-    0).  Each distinct voter's row is read once and weighted by its count,
-    so memory is bounded by the class, however often a container repeats a
-    subset."""
-    if len(set(voters)) == 1:
+def _majority_vote(concept_class: ConceptClass, votes: Sequence[tuple[int, int]]) -> np.ndarray:
+    """Each point's strict majority label over (concept, count) votes (ties
+    to 0).  The counts of a concept that several runs learned are added
+    first, so each distinct voter's row is read once and memory is bounded
+    by the class, however many votes or runs a container names."""
+    tally: dict[int, int] = {}
+    for concept, count in votes:
+        tally[concept] = tally.get(concept, 0) + count
+    if len(tally) == 1:
         # every vote is the same row, so the majority is that row
-        return concept_class.matrix[voters[0]].copy()
-    tally = collections.Counter(voters)
+        return concept_class.matrix[next(iter(tally))].copy()
     counts = np.fromiter(tally.values(), dtype=np.int64, count=len(tally))
-    votes = counts @ concept_class.matrix[list(tally)]
-    return (2 * votes > len(voters)).astype(np.uint8)
+    sums = counts @ concept_class.matrix[list(tally)]
+    return (2 * sums > counts.sum()).astype(np.uint8)
 
 
-def _subset_erms(concept_class: ConceptClass, compressed: CompressedSample) -> list[int]:
-    """The ERM concept of each side-info subset, in side-info order, once the
-    container's domain matches the class; each distinct subset is learned
-    once."""
+def _subset_erms(
+    concept_class: ConceptClass, compressed: CompressedSample
+) -> tuple[tuple[int, int], ...]:
+    """(ERM concept, count) for each run, in run order, once the container's
+    domain matches the class; run subsets are distinct, so each subset is
+    learned once."""
     if compressed.domain_size != concept_class.domain_size:
         raise IntegrityError(
             f"compressed domain size {compressed.domain_size} does not match "
             f"the class domain {concept_class.domain_size}"
         )
-    learned: dict[tuple[int, ...], int] = {}
-    for subset in dict.fromkeys(compressed.position_subsets):
-        pairs = [(compressed.kernel_points[i], compressed.kernel_labels[i]) for i in subset]
+    points, labels = compressed.kernel_points, compressed.kernel_labels
+    votes = []
+    for subset, count in compressed.runs:
+        pairs = [(points[i], labels[i]) for i in subset]
         try:
-            learned[subset] = lowest_consistent_concept(concept_class, pairs)
+            votes.append((lowest_consistent_concept(concept_class, pairs), count))
         except UnrealizableError as exc:
             raise IntegrityError("a side-info subset is inconsistent with every concept") from exc
-    return [learned[subset] for subset in compressed.position_subsets]
+    return tuple(votes)
 
 
 def scheme_size_bound(vc_dim: int, dual_vc_dim: int, subset_budget: int) -> int:
-    """Worst-case scheme size (kernel points + encoded side-info bits) as a
-    function of the two dimensions and the subset budget alone — notably
-    independent of the sample length.  The vote count is at most the vote
-    ceiling T at d*; each vote's subset has at most subset_budget points."""
+    """Worst-case scheme size (kernel points + side-info bits + the 32 CRC
+    bits) as a function of the two dimensions and the subset budget alone,
+    notably independent of the sample length; ``vc_dim`` does not enter.
+    The votes, hence the runs, number at most the vote ceiling T at d*, and
+    each run's subset has at most subset_budget points, so the kernel has at
+    most K = T * subset_budget points.  The worst case is T runs, each a
+    ceil(K / 8)-byte mask plus a count of at most T: quadratic in T, where
+    position lists would be linear, though realized containers need only a
+    byte or two per run."""
     max_votes = _vote_ceiling(dual_vc_dim)
     max_kernel = max_votes * subset_budget
-    max_position = max(max_kernel - 1, 0)
-    payload_bytes = (
-        _varint_length(max_votes)
-        + max_votes * (_varint_length(subset_budget) + subset_budget * _varint_length(max_position))
-    )
-    return max_kernel + 8 * (payload_bytes + 4)
+    run_bytes = (max_kernel + 7) // 8 + _varint_length(max_votes)
+    side_info_bytes = _varint_length(max_votes) + max_votes * run_bytes
+    return max_kernel + 8 * (side_info_bytes + 4)
 
 
 def verify_round_trip(concept_class: ConceptClass, sample: LabeledSample) -> VerificationResult:
@@ -577,21 +638,19 @@ def verify_round_trip(concept_class: ConceptClass, sample: LabeledSample) -> Ver
     reproduce exactly on the sample, the decompressor's hypotheses are the
     very ones the compressor voted, and the size respects its bound at the
     report's ``subset_budget``, the budget the learner certified at.  Each
-    side-info subset is learned once, for both the vote and that check.
+    run's subset is learned once, for both the vote and that check.
 
     The bound is checked from below first.  It is nondecreasing in d*, so
     a size within the bound at d* = 0 is within the exact one.  Only a
     size above that is checked against the bound at the exact d*, which
     needs the dual and primal VC searches."""
     compressed, report = compress(concept_class, sample)
-    voters = _subset_erms(concept_class, compressed)
-    decoded = _majority_vote(concept_class, voters)
+    votes = _subset_erms(concept_class, compressed)
+    decoded = _majority_vote(concept_class, votes)
     mismatches = tuple(
         point for point, label in sample.label_items if int(decoded[point]) != label
     )
-    votes = report.known_details["vote_concepts"]
-    expected = [concept for concept, mult in votes for _ in range(mult)]
-    hypotheses_match = voters == expected
+    hypotheses_match = votes == report.known_details["vote_concepts"]
     size_within_bound = report.scheme_size <= scheme_size_bound(
         0, 0, report.subset_budget
     ) or report.scheme_size <= scheme_size_bound(
@@ -611,8 +670,8 @@ def verify_round_trip(concept_class: ConceptClass, sample: LabeledSample) -> Ver
 
 def serialize_compressed(compressed: CompressedSample) -> bytes:
     """Magic, domain size, kernel size, delta-coded kernel points, LSB-first
-    label bits, then the side info (which is CRC-terminated and runs to the
-    end of the buffer)."""
+    label bits, the side info, then a little-endian CRC-32 of every byte
+    after the magic."""
     out = bytearray(MAGIC)
     out += encode_varint(compressed.domain_size)
     out += encode_varint(len(compressed.kernel_points))
@@ -620,38 +679,38 @@ def serialize_compressed(compressed: CompressedSample) -> bytes:
     for point in compressed.kernel_points:
         out += encode_varint(point if previous is None else point - previous)
         previous = point
-    bits = 0
-    for i, label in enumerate(compressed.kernel_labels):
-        bits |= label << i
-    out += bits.to_bytes((len(compressed.kernel_labels) + 7) // 8, "little")
+    labels = sum(label << i for i, label in enumerate(compressed.kernel_labels))
+    out += _pack_bits(labels, len(compressed.kernel_labels))
     out += compressed.side_info
+    out += struct.pack("<I", zlib.crc32(out[len(MAGIC) :]))
     return bytes(out)
 
 
 def deserialize_compressed(data: bytes) -> CompressedSample:
     """Strict inverse of serialize_compressed; any deviation is a DecodeError
-    (structure) or IntegrityError (checksum).  The side info is decoded
-    here, once, and the container is built from its subsets; what its
-    constructor rejects (repeated kernel points, say) is a DecodeError."""
+    (structure) or IntegrityError (checksum).  The CRC is checked before
+    anything is parsed.  The side info is decoded here, once, and the
+    container is built from its runs; what its constructor rejects
+    (repeated kernel points, or a non-canonical run, say) is a
+    DecodeError."""
     if data[: len(MAGIC)] != MAGIC:
         raise DecodeError("bad magic", 0)
+    if len(data) < len(MAGIC) + 4:
+        raise DecodeError("container shorter than its checksum", len(MAGIC))
+    body, checksum = data[:-4], data[-4:]
+    if struct.pack("<I", zlib.crc32(body[len(MAGIC) :])) != checksum:
+        raise IntegrityError("container failed its checksum")
     pos = len(MAGIC)
-    domain_size, pos = decode_varint(data, pos)
-    kernel_size, pos = decode_varint(data, pos)
+    domain_size, pos = decode_varint(body, pos)
+    kernel_size, pos = decode_varint(body, pos)
     points = []
     for _ in range(kernel_size):
-        delta, pos = decode_varint(data, pos)
+        delta, pos = decode_varint(body, pos)
         points.append(points[-1] + delta if points else delta)
-    label_bytes = (kernel_size + 7) // 8
-    if len(data) - pos < label_bytes:
-        raise DecodeError("label bits truncated", pos)
-    packed = int.from_bytes(data[pos : pos + label_bytes], "little")
-    if packed >> kernel_size:
-        raise DecodeError("nonzero padding in label bits", pos)
+    packed, pos = _unpack_bits(body, pos, kernel_size, "label bits")
     labels = tuple((packed >> i) & 1 for i in range(kernel_size))
-    pos += label_bytes
-    position_subsets = decode_side_info(data[pos:])
+    runs = decode_side_info(body[pos:], kernel_size)
     try:
-        return CompressedSample(domain_size, tuple(points), labels, position_subsets)
+        return CompressedSample(domain_size, tuple(points), labels, runs)
     except ValueError as exc:
         raise DecodeError(str(exc), pos) from exc

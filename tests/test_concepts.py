@@ -188,6 +188,29 @@ def test_sample_from_concept_past_the_class_is_a_value_error():
         LabeledSample.from_concept(c, len(c), range(4))
 
 
+@pytest.mark.parametrize(
+    "points, message",
+    [
+        ([2, 6, 4], "point 6 outside domain of size 6"),
+        ([2, -1, 4], "point -1 outside domain of size 6"),
+        ([2, 7, 6], "point 7 outside domain of size 6"),  # the first one given
+        ([2, 2.5], "point 2.5 must be an integer"),
+    ],
+)
+def test_sample_from_concept_rejects_points_outside_the_domain(points, message):
+    with pytest.raises(ValueError, match=message):
+        LabeledSample.from_concept(intervals(6), 3, points)
+
+
+def test_sample_from_concept_reads_the_concept_row():
+    c = intervals(6)
+    points = [5, 0, 3, 3, 1, 5]
+    for concept in range(len(c)):
+        sample = LabeledSample.from_concept(c, concept, points)
+        assert sample.points == tuple(points)
+        assert sample.label_items == tuple((p, c.value(concept, p)) for p in sorted(set(points)))
+
+
 _TAKES_INTEGERS = {
     "from_pairs point": lambda x: LabeledSample.from_pairs([(x, 1), (5, 0)]),
     "from_pairs label": lambda x: LabeledSample.from_pairs([(2, 1), (5, x)]),

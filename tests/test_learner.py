@@ -472,7 +472,7 @@ def test_above_cap_learner_game_is_solved_exactly(monkeypatch):
     assert report.details["draw_count"] == 5
     blob = serialize_compressed(compressed)
     assert hashlib.sha256(blob).hexdigest() == (
-        "a873696dca6270eea0abdef2ea1891f1032178889f1f3bee9e8f03d0e631a78f"
+        "25d6845a73fe821a2da930a92ae9dab7357669c3decf58d854c5290d75dab5c1"
     )
     decoded = reconstruct(c, deserialize_compressed(blob))
     assert decoded.tolist() == c.matrix[785].tolist()
@@ -493,7 +493,7 @@ def test_learner_game_of_over_a_thousand_rows_is_solved_exactly(monkeypatch):
     assert report.details["min_majority_margin"] == 1
     blob = serialize_compressed(compressed)
     assert hashlib.sha256(blob).hexdigest() == (
-        "2eb860c6be32afcd7c76fa642dfdbd70bc53438ffbc1cc969cb14235969ae873"
+        "2f255a1ee0da4965fddee415c03d08106b4a35667581a1058ddf443bef4da2f7"
     )
     decoded = reconstruct(c, deserialize_compressed(blob))
     assert decoded.tolist() == c.matrix[3442].tolist()

@@ -38,6 +38,7 @@ from vccompress import approx, concepts, dual_class, game, generators, learner, 
 from vccompress.approx import approximation_size_bound
 from vccompress.scheme import (
     MAGIC,
+    MAX_VOTES,
     CompressedSample,
     decode_side_info,
     decode_varint,
@@ -53,6 +54,14 @@ def intervals_class(n):
         for b in range(a, n):
             rows.add(((1 << (b - a + 1)) - 1) << (n - 1 - b))
     return ConceptClass.from_row_ints(n, sorted(rows))
+
+
+def _counted_mixture_class():
+    """A class on 7 points whose concept 24, sampled everywhere, rounds to
+    the votes ((10, 2), (15, 1), (19, 1), (21, 1)): four runs, one voting
+    twice."""
+    rows = [6, 9, 20, 22, 40, 43, 48, 49, 53, 56, 60, 74, 75, 77, 84, 95, 101, 102, 103]
+    return ConceptClass.from_row_ints(7, rows + [106, 109, 112, 119, 121, 124, 126])
 
 
 # -- varints --
@@ -93,8 +102,9 @@ def test_varint_rejects_overlong_encodings():
     compressed, _ = compress(c, LabeledSample.from_concept(c, 3, range(10)), seed=0)
     data = serialize_compressed(compressed)
     assert data[len(MAGIC)] == 10
-    aliased = data[: len(MAGIC)] + b"\x8a\x00" + data[len(MAGIC) + 1 :]
-    with pytest.raises(DecodeError):
+    # (under a valid CRC, so that the varint is what gets rejected)
+    aliased = _seal(b"\x8a\x00" + data[len(MAGIC) + 1 : -4])
+    with pytest.raises(DecodeError, match="minimally"):
         deserialize_compressed(aliased)
 
 
@@ -108,40 +118,74 @@ def test_varint_round_trip(value):
 
 
 def test_side_info_round_trip_and_checksum():
-    subsets = [(0, 2, 5), (), (1,), (0, 2, 5)]
-    blob = encode_side_info(subsets)
-    assert decode_side_info(blob) == ((0, 2, 5), (), (1,), (0, 2, 5))
-    corrupted = bytearray(blob)
-    corrupted[2] ^= 0x01
-    with pytest.raises((DecodeError, IntegrityError)):
-        decode_side_info(bytes(corrupted))
+    # three runs over a 6-point kernel: the run count, then each run's subset
+    # as a one-byte LSB-first mask and its count
+    runs = (((0, 2, 5), 2), ((), 1), ((1, 3, 4), 3))
+    blob = encode_side_info(runs, 6)
+    assert blob == bytes([3, 0b100101, 2, 0, 1, 0b011010, 3])
+    assert decode_side_info(blob, 6) == runs
+    # a lone run is implied: the whole kernel, voting once
+    assert encode_side_info((((0, 1, 2), 1),), 3) == b"\x01"
+    assert decode_side_info(b"\x01", 3) == (((0, 1, 2), 1),)
+    # the container's CRC covers the side info: any flipped bit in it raises
+    c = CompressedSample(8, (1, 2, 3, 4, 5, 7), (1, 0, 1, 0, 1, 0), runs)
+    data = serialize_compressed(c)
+    side_start = len(data) - 4 - len(c.side_info)
+    for index in range(side_start, len(data) - 4):
+        for bit in range(8):
+            corrupted = bytearray(data)
+            corrupted[index] ^= 1 << bit
+            with pytest.raises(IntegrityError):
+                deserialize_compressed(bytes(corrupted))
 
 
-def _with_crc(payload):
-    return payload + struct.pack("<I", zlib.crc32(payload))
+def _seal(body):
+    """A container of ``body``, the bytes after the magic, under a valid CRC."""
+    return MAGIC + body + struct.pack("<I", zlib.crc32(body))
 
 
 def test_side_info_rejects_descending_positions_and_trailing_bytes():
-    with pytest.raises(ValueError):
-        encode_side_info([(2, 1)])
-    blob = encode_side_info([(0, 1)])
-    with pytest.raises(DecodeError):
-        decode_side_info(_with_crc(blob[:-4] + b"\x00"))
-    with pytest.raises((DecodeError, IntegrityError)):
-        decode_side_info(b"\x00\x01")
+    with pytest.raises(ValueError, match="strictly ascending"):
+        encode_side_info([((2, 1), 1), ((0,), 1)], 3)
+    with pytest.raises(ValueError, match="inside the kernel"):
+        encode_side_info([((0, 2), 1), ((1,), 1)], 2)
+    with pytest.raises(ValueError, match="lone run"):
+        encode_side_info([((0,), 1)], 2)
+    blob = encode_side_info([((0, 1), 1), ((), 1)], 2)
+    assert blob == b"\x02\x03\x01\x00\x01"
+    with pytest.raises(DecodeError, match="trailing"):
+        decode_side_info(blob + b"\x00", 2)
+    with pytest.raises(DecodeError, match="trailing"):
+        decode_side_info(b"\x01\x03\x01", 2)  # a lone run spells no subset
+    with pytest.raises(DecodeError, match="at least 1"):
+        decode_side_info(b"\x00", 2)
+    with pytest.raises(DecodeError, match="truncated"):
+        decode_side_info(blob[:-1], 2)
+    with pytest.raises(DecodeError, match="nonzero padding"):
+        decode_side_info(b"\x02\x07\x01\x00\x01", 2)
 
 
-@given(
-    st.lists(
-        st.lists(st.integers(min_value=0, max_value=200), max_size=6).map(
-            lambda xs: tuple(sorted(set(xs)))
-        ),
-        min_size=1,
-        max_size=8,
+@st.composite
+def side_info_runs(draw):
+    """A kernel size and two or more runs over it, subsets drawn as masks
+    and counts up to 2^40; not necessarily canonical, since the side-info
+    codec leaves that to the container."""
+    k = draw(st.integers(min_value=0, max_value=20))
+    subset = st.lists(st.booleans(), min_size=k, max_size=k).map(
+        lambda bits: tuple(i for i, bit in enumerate(bits) if bit)
     )
-)
-def test_side_info_round_trip_any_subsets(subsets):
-    assert decode_side_info(encode_side_info(subsets)) == tuple(subsets)
+    count = st.integers(min_value=1, max_value=2**40)
+    return k, tuple(draw(st.lists(st.tuples(subset, count), min_size=2, max_size=8)))
+
+
+@given(side_info_runs())
+def test_side_info_round_trip_any_subsets(case):
+    k, runs = case
+    blob = encode_side_info(runs, k)
+    assert len(blob) == 1 + sum((k + 7) // 8 + len(encode_varint(n)) for _, n in runs)
+    assert decode_side_info(blob, k) == runs
+    lone = ((tuple(range(k)), 1),)
+    assert decode_side_info(encode_side_info(lone, k), k) == lone
 
 
 # -- compress / reconstruct --
@@ -272,7 +316,7 @@ def test_reconstruct_rejects_mismatched_domains():
 
 def test_reconstruct_rejects_inconsistent_subsets():
     c = ConceptClass.from_rows([[0, 1], [1, 0]])
-    bad = CompressedSample(2, (0, 1), (1, 1), ((0, 1),))
+    bad = CompressedSample(2, (0, 1), (1, 1), (((0, 1), 1),))
     with pytest.raises(IntegrityError):
         reconstruct(c, bad)
 
@@ -299,17 +343,20 @@ def test_deserialize_rejects_bad_magic_and_trailing_bytes():
         deserialize_compressed(blob + b"\x00")
 
 
+# `subsets` holds each case's runs: one (subset, count) pair per voter
 @pytest.mark.parametrize(
     "subsets,message",
     [
         ((), "nonempty tuple"),
-        ([(0, 1)], "nonempty tuple"),
-        (((0,), [1]), "tuple of strictly ascending"),
-        (((1, 0),), "tuple of strictly ascending"),
-        (((0, 0, 1),), "tuple of strictly ascending"),
-        (((-1, 0, 1),), "exactly the kernel positions"),
-        (((0, 1, 2),), "exactly the kernel positions"),
-        (((0,), (0,)), "exactly the kernel positions"),
+        ([((0, 1), 1)], "nonempty tuple"),
+        ((((0,), 1), ([1], 1)), "tuple of strictly ascending"),
+        ((((1, 0), 1),), "tuple of strictly ascending"),
+        ((((0, 0, 1), 1),), "tuple of strictly ascending"),
+        ((((-1, 0, 1), 1),), "exactly the kernel positions"),
+        ((((0, 1, 2), 1),), "exactly the kernel positions"),
+        ((((0,), 1), ((), 1)), "exactly the kernel positions"),
+        ((((0, 1),),), "a \\(subset, count\\) pair"),
+        ((((0, 1), 1), 1), "a \\(subset, count\\) pair"),
     ],
 )
 def test_container_rejects_invalid_position_subsets(subsets, message):
@@ -321,12 +368,13 @@ def test_container_rejects_invalid_position_subsets(subsets, message):
 @pytest.mark.parametrize(
     "fields,message",
     [
-        ((4, [1, 3], (1, 0), ((0, 1),)), "kernel points must be a tuple of integers"),
-        ((4, (1.0, 3), (1, 0), ((0, 1),)), "kernel points must be a tuple of integers"),
-        ((4, (1, 3), (1.0, 0), ((0, 1),)), "kernel labels must be a tuple of integers"),
-        ((4, (1, 3), [1, 0], ((0, 1),)), "kernel labels must be a tuple of integers"),
-        ((4, (1, 3), (1, 0), ((0.0, 1),)), "subset positions must be integers"),
-        ((4.5, (1, 3), (1, 0), ((0, 1),)), "domain size must be a positive integer"),
+        ((4, [1, 3], (1, 0), (((0, 1), 1),)), "kernel points must be a tuple of integers"),
+        ((4, (1.0, 3), (1, 0), (((0, 1), 1),)), "kernel points must be a tuple of integers"),
+        ((4, (1, 3), (1.0, 0), (((0, 1), 1),)), "kernel labels must be a tuple of integers"),
+        ((4, (1, 3), [1, 0], (((0, 1), 1),)), "kernel labels must be a tuple of integers"),
+        ((4, (1, 3), (1, 0), (((0.0, 1), 1),)), "subset positions must be integers"),
+        ((4.5, (1, 3), (1, 0), (((0, 1), 1),)), "domain size must be a positive integer"),
+        ((4, (1, 3), (1, 0), (((0, 1), 1.0),)), "run counts must be positive integers"),
     ],
 )
 def test_container_requires_tuples_of_integers(fields, message):
@@ -336,50 +384,99 @@ def test_container_requires_tuples_of_integers(fields, message):
 
 
 def test_container_accepts_bools_as_the_integers_they_equal():
-    ints = CompressedSample(4, (1, 3), (1, 0), ((0, 1),))
-    bools = CompressedSample(4, (True, 3), (True, False), ((False, True),))
+    ints = CompressedSample(4, (1, 3), (1, 0), (((0, 1), 1),))
+    bools = CompressedSample(4, (True, 3), (True, False), (((False, True), True),))
     assert bools == ints
     assert serialize_compressed(bools) == serialize_compressed(ints)
 
 
 def test_deserialize_reports_invalid_containers_as_decode_errors():
-    valid = CompressedSample(4, (1, 3), (1, 0), ((0, 1),))
+    valid = CompressedSample(4, (1, 3), (1, 0), (((0, 1), 1),))
     blob = serialize_compressed(valid)
-    header = blob[: len(blob) - len(valid.side_info)]
+    assert blob == _seal(bytes([4, 2, 1, 2, 0b01, 1]))
+    header = bytes([4, 2, 1, 2, 0b01])
     for side_info in (
-        _with_crc(b"\x00"),  # no subset
-        _with_crc(b"\x01\x02\x01\x00"),  # descending positions
-        encode_side_info([(0, 1, 2)]),  # a position past the kernel
-        encode_side_info([(0,), (0,)]),  # kernel position 1 left uncovered
+        b"\x00",  # no run
+        b"\x02\x01\x01\x00\x01",  # kernel position 1 left uncovered
+        b"\x01\x01\x01",  # a lone run spelled out
     ):
         with pytest.raises(DecodeError):
-            deserialize_compressed(header + side_info)
-    assert deserialize_compressed(header + valid.side_info) == valid
+            deserialize_compressed(_seal(header + side_info))
     # kernel points 1, 1: a zero delta, rejected by the constructor
-    repeated = MAGIC + bytes([4, 2, 1, 0, 0b01]) + valid.side_info
     with pytest.raises(DecodeError, match="strictly ascending"):
-        deserialize_compressed(repeated)
+        deserialize_compressed(_seal(bytes([4, 2, 1, 0, 0b01, 1])))
+    # a container too short to hold its CRC
+    with pytest.raises(DecodeError, match="shorter than its checksum"):
+        deserialize_compressed(MAGIC + b"\x00\x00\x00")
+
+
+# Each non-canonical form, as runs over the kernel (1, 3) of domain 4 and as
+# the side info that would spell it; the bytes fail only on canonical form.
+NON_CANONICAL = [
+    ("repeated run subsets", (((0, 1), 1), ((0, 1), 1)), b"\x02\x03\x01\x03\x01", "distinct"),
+    ("a count of 0", (((0, 1), 1), ((0,), 0)), b"\x02\x03\x01\x01\x00", "positive"),
+    ("counts with a gcd above 1", (((0, 1), 2), ((0,), 4)), b"\x02\x03\x02\x01\x04", "gcd"),
+    ("a lone run voting twice", (((0, 1), 2),), b"\x01\x03\x02", "gcd"),
+    ("mask bits past k", (((0, 1, 2), 1), ((0,), 1)), b"\x02\x07\x01\x01\x01", "kernel positions"),
+    (
+        "over 2^32 votes",
+        (((0, 1), 1 << 31), ((0,), (1 << 31) + 1)),
+        b"\x02\x03" + encode_varint(1 << 31) + b"\x01" + encode_varint((1 << 31) + 1),
+        "at most",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "runs,side_info,message",
+    [case[1:] for case in NON_CANONICAL],
+    ids=[case[0] for case in NON_CANONICAL],
+)
+def test_non_canonical_runs_are_refused(runs, side_info, message):
+    with pytest.raises(ValueError, match=message) as exc:
+        CompressedSample(4, (1, 3), (1, 0), runs)
+    assert not isinstance(exc.value, (DecodeError, IntegrityError))
+    with pytest.raises(DecodeError):
+        deserialize_compressed(_seal(bytes([4, 2, 1, 2, 0b01]) + side_info))
+
+
+def test_the_vote_cap_admits_exactly_2_to_the_32_votes():
+    at_cap = CompressedSample(4, (1, 3), (1, 0), (((0, 1), 1 << 31), ((0,), (1 << 31) - 1)))
+    assert at_cap.subset_count == MAX_VOTES - 1
+    assert deserialize_compressed(serialize_compressed(at_cap)) == at_cap
+    full = CompressedSample(4, (1, 3), (1, 0), (((0, 1), (1 << 32) - 1), ((0,), 1)))
+    assert full.subset_count == MAX_VOTES == 1 << 32
 
 
 @given(
-    st.lists(st.sets(st.integers(min_value=0, max_value=40), max_size=6), min_size=1, max_size=8),
+    st.lists(
+        st.sets(st.integers(min_value=0, max_value=40), max_size=6),
+        min_size=1,
+        max_size=8,
+        unique_by=frozenset,
+    ),
+    st.lists(st.integers(min_value=1, max_value=2**20), min_size=8, max_size=8),
     st.randoms(use_true_random=False),
 )
-def test_any_valid_container_encodes_its_subsets_and_round_trips(raw, rnd):
+def test_any_valid_container_encodes_its_subsets_and_round_trips(raw, counts, rnd):
     # the positions are ranks in the union of the drawn sets, which is also
-    # the kernel, so the subsets cover it
+    # the kernel, so the distinct subsets cover it; counts divided by their
+    # gcd make the runs canonical (a lone run votes once)
     kernel = sorted(set().union(*raw))
     rank = {x: i for i, x in enumerate(kernel)}
-    subsets = tuple(tuple(sorted(rank[x] for x in s)) for s in raw)
+    g = math.gcd(*counts[: len(raw)])
+    runs = tuple((tuple(sorted(rank[x] for x in s)), n // g) for s, n in zip(raw, counts))
     labels = tuple(rnd.randint(0, 1) for _ in kernel)
-    c = CompressedSample(41, tuple(kernel), labels, subsets)
-    assert c.side_info == encode_side_info(c.position_subsets)
+    c = CompressedSample(41, tuple(kernel), labels, runs)
+    assert c.side_info == encode_side_info(c.runs, len(kernel))
     assert deserialize_compressed(serialize_compressed(c)) == c
 
 
 @settings(max_examples=60)
 @given(st.integers(min_value=0, max_value=2**32), st.data())
 def test_deserialize_survives_single_byte_corruption(seed, data):
+    # the CRC covers every byte after the magic, so no single-byte change
+    # anywhere decodes
     c = intervals_class(8)
     sample = LabeledSample.from_concept(c, seed % len(c.rows), range(8))
     compressed, _ = compress(c, sample, seed=0)
@@ -387,14 +484,42 @@ def test_deserialize_survives_single_byte_corruption(seed, data):
     index = data.draw(st.integers(min_value=0, max_value=len(blob) - 1))
     flip = data.draw(st.integers(min_value=1, max_value=255))
     blob[index] ^= flip
-    try:
-        decoded = deserialize_compressed(bytes(blob))
-    except (DecodeError, IntegrityError, ValueError):
-        return
-    # a mutation may still parse (e.g. inside kernel points), but then it
-    # must differ from the original object — silent aliasing is the one
-    # unacceptable outcome
-    assert decoded != compressed
+    with pytest.raises((DecodeError, IntegrityError)):
+        deserialize_compressed(bytes(blob))
+
+
+def _flip_containers():
+    """The golden containers and a mixture whose runs have counts 2, 1, 1, 1."""
+    containers = []
+    for _, make, concept, points, seed, *_ in GOLDEN_CONTAINERS:
+        c = make()
+        if concept is None:
+            sample = LabeledSample.from_pairs([])
+        else:
+            sample = LabeledSample.from_concept(c, concept, points)
+        containers.append(compress(c, sample, seed=seed)[0])
+    c = _counted_mixture_class()
+    containers.append(compress(c, LabeledSample.from_concept(c, 24, range(7)), seed=0)[0])
+    return containers
+
+
+def test_every_flipped_byte_of_golden_containers_raises():
+    # each byte XORed with 0x01, 0x80 and 0xFF: a checksum over the side
+    # info alone let such flips of kernel points or labels decode to
+    # containers that voted wrong labels
+    containers = _flip_containers()
+    assert max(len(c.runs) for c in containers) == 4
+    mutants = 0
+    for compressed in containers:
+        blob = serialize_compressed(compressed)
+        for index in range(len(blob)):
+            for mask in (0x01, 0x80, 0xFF):
+                mutant = bytearray(blob)
+                mutant[index] ^= mask
+                with pytest.raises((DecodeError, IntegrityError)):
+                    deserialize_compressed(bytes(mutant))
+                mutants += 1
+    assert mutants == 3 * sum(len(serialize_compressed(c)) for c in containers)
 
 
 def test_fresh_process_reconstruction(tmp_path):
@@ -437,6 +562,9 @@ def test_fresh_process_reconstruction(tmp_path):
 # double oracle used to find, with the teaching-subset search, and the two
 # mixtures with the rounding of the learner's exact weights that keeps the
 # first N = 1, 2, ... votes winning every sampled point (3 votes each).
+# The digests were re-recorded when containers became VCSC02 (runs, an
+# implied lone run, one CRC over the container); every kernel, label and
+# vote stayed as it was.
 GOLDEN_CONTAINERS = [
     (
         "empty sample",
@@ -444,7 +572,7 @@ GOLDEN_CONTAINERS = [
         None,
         [],
         0,
-        "191af80bb29706b689336e859d50b16297b34d12db78eb9033088064dc7c14bd",
+        "17d7ca108b1df413fd50c40a5e70bda80a4de17d021550fe3db4c0439e5df385",
         ((0, 1),),
         1,
     ),
@@ -454,7 +582,7 @@ GOLDEN_CONTAINERS = [
         17,
         list(range(10)),
         1,
-        "f688d9f7c5de66610423d7c0a024bff65587b63297e04602846038c2403cd576",
+        "de14d47f2d9469130d532d88a813f8ee255fa7582f196942022e3cd1988a4265",
         ((17, 1),),
         1,
     ),
@@ -464,7 +592,7 @@ GOLDEN_CONTAINERS = [
         30,
         [9, 3, 8, 2, 4, 2],
         1,
-        "6978f58bb985219f5e44e4a2bb9ef338ccf34e2c8a09fac4e6e2475a904aa2c8",
+        "4e89e216431f7dea43a563ef16c83d9968cea384909fce4a85f993baf24c30e1",
         ((2, 1), (7, 1), (16, 1)),
         1,
     ),
@@ -474,7 +602,7 @@ GOLDEN_CONTAINERS = [
         158,
         [0, 3, 4, 1, 4, 2, 6, 7],
         102,
-        "d9516a924af26ddd598bb30f9f206c477ab6e5eae92dc3f2be85406d6b1158bd",
+        "b9673aba9719c451634560c466ea47949dd87fae98b85f72549f67c49603a837",
         ((83, 1), (120, 1), (136, 1)),
         1,
     ),
@@ -484,7 +612,7 @@ GOLDEN_CONTAINERS = [
         7,
         [(7 * i) % 64 for i in range(60)],
         3,
-        "cfe05713f6c1ad73bd0de7a87f5f0001e0ec41d259d9f0b88632caffc5a6e7a2",
+        "cde61e348d941c1b11fa053bc06d4337f139872502c49b7f2ee9c7f902147759",
         ((7, 1),),
         1,
     ),
@@ -494,7 +622,7 @@ GOLDEN_CONTAINERS = [
         400,
         list(range(30)),
         1,
-        "723e67f0752c7cfe396d1609091cd1a06bdf0b7d5b965c798c7c1e6b38ee85cd",
+        "a812beab685b5f8cda4b1b10f9abd763cffb2894b39c3b3029fbee5f52cdc011",
         ((400, 1),),
         1,
     ),
@@ -559,8 +687,9 @@ def _golden_ops(classes):
 def test_golden_digest_over_the_roster():
     # one digest over the containers, vote multisets and margins of 48 ops,
     # re-recorded when mixtures' votes came to be rounded from the exact
-    # weights (the point masses' containers kept every byte); any change to
-    # compress that moves a byte of them fails here
+    # weights (the point masses' containers kept every byte), and when
+    # containers became VCSC02 (no kernel, label or vote moved); any change
+    # to compress that moves a byte of them fails here
     classes = [make(*args) for make, args in GOLDEN_ROSTER]
     digest = hashlib.sha256()
     mixtures = 0
@@ -573,7 +702,7 @@ def test_golden_digest_over_the_roster():
     # the guard keeps covering the learner's game and the rounding
     assert mixtures >= 3
     assert digest.hexdigest() == (
-        "c100a3a8c4d6560729c0cddfcfe5a76350893dbfc06f7c3d918ccd65554f9a13"
+        "173f6e48956b6564d40e41e699e8e606b5e51954740a7d656b5527eb2406a952"
     )
 
 
@@ -663,19 +792,17 @@ def test_report_reads_the_dimension_the_learner_proved(caplog):
 
 
 def test_reconstruct_learns_each_distinct_subset_once(monkeypatch):
-    # a mixture whose rounding gives concept 10 two of its five votes, so
-    # one side-info subset is named twice
-    rows = [6, 9, 20, 22, 40, 43, 48, 49, 53, 56, 60, 74, 75, 77, 84, 95, 101, 102, 103]
-    c = ConceptClass.from_row_ints(7, rows + [106, 109, 112, 119, 121, 124, 126])
+    # a mixture whose rounding gives concept 10 two of its five votes: one
+    # run per distinct voter, the first counting 2
+    c = _counted_mixture_class()
     sample = LabeledSample.from_concept(c, 24, range(7))
     compressed, report = compress(c, sample, seed=0)
     assert report.details["vote_concepts"] == ((10, 2), (15, 1), (19, 1), (21, 1))
-    distinct = set(compressed.position_subsets)
-    assert len(distinct) == len(report.details["vote_concepts"]) > 1
-    assert compressed.subset_count > len(distinct)
+    assert [count for _, count in compressed.runs] == [2, 1, 1, 1]
+    assert compressed.subset_count == report.subset_count == 5
     erms = _counting(monkeypatch, "lowest_consistent_concept")
     labels = reconstruct(c, compressed)
-    assert len(erms) == len(distinct)
+    assert len(erms) == len(compressed.runs)
     assert all(int(labels[p]) == label for p, label in sample.label_items)
 
 
@@ -692,7 +819,7 @@ def test_verify_learns_each_distinct_subset_once(monkeypatch):
         erms = _counting(monkeypatch, "lowest_consistent_concept")
         result = verify_round_trip(c, sample)
         assert result.passed and result.hypotheses_match
-        assert len(erms) == len(set(compressed.position_subsets))
+        assert len(erms) == len(compressed.runs)
 
 
 def test_losing_vote_multiset_is_rejected(monkeypatch):
@@ -716,8 +843,8 @@ def test_losing_vote_multiset_is_rejected(monkeypatch):
 
 def test_sampler_is_the_fallback_past_the_vote_ceiling(monkeypatch, caplog):
     # with a vote ceiling of 2, below 6s, no rounding up to it wins, so the
-    # seeded sampler draws the votes; its containers are the ones it drew
-    # before mixtures were rounded.  Only compress sees that ceiling: the
+    # seeded sampler draws the votes; its votes are the ones it drew before
+    # mixtures were rounded.  Only compress sees that ceiling: the
     # report's T and the size bound are the class's own
     certificates = []
     sparsify = scheme.sparsify_mixture
@@ -730,11 +857,11 @@ def test_sampler_is_the_fallback_past_the_vote_ceiling(monkeypatch, caplog):
     cases = [
         (
             generators.random_vc_capped(12, 3, 60), 30, [9, 3, 8, 2, 4, 2], 1,
-            "4a042b93b92f1e9d09a4297495a57097a0a4152c2b2e3c415ccb5f514cb06852",
+            "7d031effb3d6bf69df55b99eb8e137b5982c75a58370279a24a435eca758ec2f",
         ),
         (
             generators.k_interval_unions(8, 2), 158, [0, 3, 4, 1, 4, 2, 6, 7], 102,
-            "feaa4cb33960d37a7150f9fac1d6719cde2c858d8d3d0ba75adeca0e7f0407b7",
+            "57654dfa974db0f30bb61b6b8883766da11259277fd48fca94b3fcaf6d501808",
         ),
     ]
     for c, target, points, seed, digest in cases:
@@ -926,7 +1053,7 @@ def _round_trip_every_sample(monkeypatch, n, masks, repeats):
                     details = report.known_details
                     assert result.passed, (c.rows, concept, points)
                     assert report.subset_count <= ceiling
-                    assert max(map(len, compressed.position_subsets)) <= report.subset_budget
+                    assert max(len(subset) for subset, _ in compressed.runs) <= report.subset_budget
                     assert details.get("votes_from", "rounding") == "rounding"
                     digest.update(serialize_compressed(compressed))
                     digest.update(repr(details["vote_concepts"]).encode())
@@ -960,9 +1087,9 @@ def test_every_sample_on_three_points_round_trips(monkeypatch):
     # the largest kernel exceeds d on 47 classes, always as d + 1 (the
     # paper promises no kernel of d points)
     assert kernel_excess == {0: 208, 1: 47}
-    # the containers and vote multisets, as recorded before the report's
-    # subset budget became the learner's
-    assert digest == "3f43fb5e64d8ff5f61b707061e6371daea338aae7225659b7258e141e578ddeb"
+    # the containers and vote multisets, re-recorded when containers became
+    # VCSC02 (no kernel, label or vote moved)
+    assert digest == "afbc815eb8fa2f1edcef30ca4a0ee067d51ec676c954c5777afb69d69cc8db13"
 
 
 def test_seeded_slice_of_the_four_point_classes_round_trips(monkeypatch):
@@ -973,7 +1100,7 @@ def test_seeded_slice_of_the_four_point_classes_round_trips(monkeypatch):
     assert counts == (14832, 121, 1)
     # the largest kernel reaches d + 2 on nine classes, all at d = 2
     assert kernel_excess == {0: 84, 1: 27, 2: 9}
-    assert digest == "3486fb8e7dfd27a27b2a24c8def07d80904032d2f85b78ff3f96a15ace340ee4"
+    assert digest == "7c768b076409aa16e3645f77066f84d5f1cd26fd57a09d54e5ce021dcf1d0832"
 
 
 def test_taught_point_masses_share_one_solution(monkeypatch):
@@ -1057,47 +1184,56 @@ def test_size_bound_is_nondecreasing_in_the_dual_dimension_and_the_budget(d, d_s
 
 
 @st.composite
-def voters_over_classes(draw):
-    """A random class and a list of voting concept indices, repeats allowed."""
+def votes_over_classes(draw):
+    """A random class and (concept, count) votes over it, a concept possibly
+    in several votes (as when distinct subsets learn one concept), with
+    counts up to 2^31, so that totals pass 2^32."""
     n = draw(st.integers(min_value=1, max_value=12))
     rows = draw(st.sets(st.integers(min_value=0, max_value=(1 << n) - 1), min_size=1, max_size=20))
     c = ConceptClass.from_row_ints(n, rows)
     concept = st.integers(min_value=0, max_value=len(c) - 1)
-    voters = draw(st.lists(concept, min_size=1, max_size=40))
-    return c, voters
+    count = st.integers(min_value=1, max_value=2**31)
+    votes = draw(st.lists(st.tuples(concept, count), min_size=1, max_size=40))
+    return c, votes
 
 
 @settings(max_examples=300, deadline=None)
-@given(voters_over_classes())
+@given(votes_over_classes())
 def test_majority_vote_matches_the_row_sum_formula(case):
-    c, voters = case
-    labels = scheme._majority_vote(c, voters)
-    expected = (2 * c.matrix[voters].sum(axis=0) > len(voters)).astype(np.uint8)
+    # the oracle sums the rows in Python integers, so no overflow hides
+    c, votes = case
+    labels = scheme._majority_vote(c, votes)
+    total = sum(count for _, count in votes)
+    sums = [sum(count * c.value(k, x) for k, count in votes) for x in range(c.domain_size)]
+    expected = np.array([2 * v > total for v in sums], dtype=np.uint8)
     assert labels.dtype == np.uint8
     assert np.array_equal(labels, expected)
 
 
 def test_hostile_repeated_subsets_reconstruct_in_memory_bounded_by_the_class():
-    # a 100 KB container naming 60,000 subsets, (0,) twice then (), over a
-    # two-concept class on 20,000 points; one row copy per vote would need
-    # 1.2 GB, past the 512 MiB address-space cap the child sets itself
+    # a 13-byte side info casting 2^32 - 1 votes in two runs, (0,) 2^31
+    # times and () 2^31 - 1 times, over a two-concept class on 20,000
+    # points; one row copy per vote would need 86 TB, past the 512 MiB
+    # address-space cap the child sets itself, and concept 1 wins point 0
+    # by a single vote
     script = """
 import resource, sys
-from vccompress import ConceptClass, reconstruct
+from vccompress import ConceptClass, deserialize_compressed, reconstruct, serialize_compressed
 from vccompress.scheme import CompressedSample
 n = 20_000
 c = ConceptClass.from_row_ints(n, [0, 1 << (n - 1)])
-compressed = CompressedSample(n, (0,), (1,), ((0,), (0,), ()) * 20_000)
+compressed = CompressedSample(n, (0,), (1,), (((0,), 1 << 31), ((), (1 << 31) - 1)))
+assert deserialize_compressed(serialize_compressed(compressed)) == compressed
 cap = 512 << 20
 resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 labels = reconstruct(c, compressed)
-print(len(compressed.side_info), labels.tolist() == c.matrix[1].tolist())
+print(len(compressed.side_info), compressed.subset_count, labels.tolist() == c.matrix[1].tolist())
 """
     out = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, check=True
     )
-    size, exact = out.stdout.split()
-    assert (int(size), exact) == (100_007, "True")
+    size, votes, exact = out.stdout.split()
+    assert (int(size), int(votes), exact) == (13, 2**32 - 1, "True")
 
 
 def test_one_distinct_voter_reconstructs_a_fresh_row():
@@ -1106,19 +1242,23 @@ def test_one_distinct_voter_reconstructs_a_fresh_row():
     point_mass, _ = compress(c, LabeledSample.from_concept(c, 17, range(10)), seed=0)
     cases = [
         (c, point_mass),
-        # one subset named twice
-        (cube_ends, CompressedSample(3, (0, 2), (1, 1), ((0, 1), (0, 1)))),
-        # two distinct subsets whose ERM is the same concept
-        (cube_ends, CompressedSample(3, (0, 1, 2), (1, 1, 1), ((0,), (1, 2)))),
+        # a lone run over two kernel points
+        (cube_ends, CompressedSample(3, (0, 2), (1, 1), (((0, 1), 1),))),
+        # distinct subsets whose ERM is the same concept, voting once each
+        (cube_ends, CompressedSample(3, (0, 1, 2), (1, 1, 1), (((0,), 1), ((1, 2), 1)))),
+        # ... and with counts
+        (cube_ends, CompressedSample(3, (0, 1, 2), (1, 1, 1), (((0,), 2), ((1, 2), 3)))),
     ]
     for cls, compressed in cases:
-        voters = scheme._subset_erms(cls, compressed)
-        assert len(set(voters)) == 1
+        votes = scheme._subset_erms(cls, compressed)
+        assert len({concept for concept, _ in votes}) == 1
         labels = reconstruct(cls, compressed)
         assert labels.dtype == np.uint8
         assert labels.flags.writeable
         assert not np.shares_memory(labels, cls.matrix)
-        general = (2 * cls.matrix[voters].sum(axis=0) > len(voters)).astype(np.uint8)
+        concepts_, counts = zip(*votes)
+        sums = np.array(counts) @ cls.matrix[list(concepts_)]
+        general = (2 * sums > sum(counts)).astype(np.uint8)
         assert np.array_equal(labels, general)
 
 

@@ -1,0 +1,65 @@
+"""The benchmark's containers, pinned byte for byte.
+
+``perfbench`` reports ``scheme_bits_mean`` and a digest of every container
+it writes, but only when the benchmark runs.  This test compresses one
+seed-2 round of each workload, built by ``perfbench/workloads.py`` (read,
+never changed), and pins the SHA-256 of the serialized containers and
+their summed ``scheme_size``.  So a change that moves a container's bytes,
+or the size the benchmark reports, fails the test suite, and is re-recorded
+here on purpose.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+SCRIPT = """
+import hashlib, itertools, json, sys
+sys.path[:0] = sys.argv[1:]
+import workloads
+from vccompress import ConceptClass, compress, serialize_compressed
+roster = workloads.build_roster()
+rounds = {}
+for name in ("roundtrip_short", "roundtrip_long"):
+    ops = workloads.roundtrip_ops(name, 2, roster)
+    rounds[name] = list(itertools.islice(ops, len(workloads.design(name, roster))))
+rounds["cold_class"] = workloads.cold_ops(2, len(workloads.COLD_ROUND))
+out = {}
+for name, ops in rounds.items():
+    digest, bits = hashlib.sha256(), []
+    for op in ops:
+        cls = op.concept_class or ConceptClass.from_row_ints(op.domain_size, op.rows)
+        compressed, report = compress(cls, op.sample, op.seed)
+        digest.update(serialize_compressed(compressed))
+        bits.append(report.scheme_size)
+    out[name] = [digest.hexdigest(), len(bits), sum(bits), max(bits)]
+print(json.dumps(out))
+"""
+
+# workload -> (containers' SHA-256, ops, summed scheme_size, largest
+# scheme_size); the means are 41.5, 43.4 and 41.6 bits.
+PINNED = {
+    "roundtrip_short": (
+        "5724a4881622c6a653a653061dcad0ae7cd849623651b28c8d036fef00d2351d", 349, 14477, 91
+    ),
+    "roundtrip_long": (
+        "ebadba5fd0e09f7f91aae04a0d5adf865722c4b6a72fb4a4c31eaa3fc6763a34", 144, 6256, 93
+    ),
+    "cold_class": (
+        "d9aaf31bec544b8c1ac07237f1a768161fe3285c1da34e954371e0593e5e852a", 18, 748, 43
+    ),
+}
+
+
+def test_one_round_of_each_workload_keeps_its_bytes():
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT, str(ROOT / "src"), str(ROOT / "perfbench")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    measured = json.loads(proc.stdout.splitlines()[-1])
+    assert {name: tuple(values) for name, values in measured.items()} == PINNED
