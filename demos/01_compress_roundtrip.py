@@ -2,9 +2,10 @@
 
 The compressor never stores the sample itself.  It keeps a handful of kernel
 points with their labels plus a short side-info string saying which kernel
-subsets to feed back into the learner, and how many votes each one's
-hypothesis casts (one run per subset); majority vote over the rebuilt
-hypotheses reproduces every sample label exactly.
+subsets to feed back into the learner, each a bit mask over the kernel
+positions, and how many votes each one's hypothesis casts (one run per
+subset); majority vote over the rebuilt hypotheses reproduces every sample
+label exactly.
 """
 
 from vccompress import (
@@ -29,7 +30,10 @@ compressed, report = compress(cls, sample)
 print()
 print(f"kernel points : {compressed.kernel_points}")
 print(f"kernel labels : {compressed.kernel_labels}")
-print(f"vote runs     : {compressed.runs}  (kernel positions, votes)")
+# each run is a (mask, count) pair: bit i of the mask names kernel position i
+for mask, count in compressed.runs:
+    bits = "".join(str(mask >> i & 1) for i in range(compressed.kernel_size))
+    print(f"vote run      : mask {bits} (kernel position 0 first), {count} vote(s)")
 print(f"kernel size {report.kernel_size}, side info and CRC {report.info_bits} bits, "
       f"scheme size {report.scheme_size}")
 

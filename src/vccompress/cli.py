@@ -279,7 +279,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_class_options(p):
         p.add_argument("--class-file", help="concept class in the text format")
-        p.add_argument("--class-spec", help='generator spec JSON, e.g. {"kind": "intervals", "n": 10}')
+        p.add_argument(
+            "--class-spec", help='generator spec JSON, e.g. {"kind": "intervals", "n": 10}'
+        )
 
     def add_common(p):
         p.add_argument("--seed", type=int, default=0)

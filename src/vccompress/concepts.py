@@ -88,19 +88,20 @@ class ConceptClass:
     rows: tuple[int, ...]
 
     def __post_init__(self):
-        n = self.domain_size
+        n, rows = self.domain_size, self.rows
         if not isinstance(n, int) or n < 1:
             raise ValueError(f"domain_size must be a positive integer, got {n!r}")
-        if not self.rows:
+        # a list would fail to hash in the dimension caches
+        if not (isinstance(rows, tuple) and all(map(int.__instancecheck__, rows))):
+            raise ValueError("rows must be a tuple of integers")
+        if not rows:
             raise ValueError("a concept class must contain at least one concept")
+        if not all(map(operator.lt, rows, rows[1:])):
+            raise ValueError("rows must be strictly increasing (distinct, canonical order)")
         limit = 1 << n
-        prev = -1
-        for r in self.rows:
-            if not isinstance(r, int) or not (0 <= r < limit):
-                raise ValueError(f"row {r!r} does not fit domain size {n}")
-            if r <= prev:
-                raise ValueError("rows must be strictly increasing (distinct, canonical order)")
-            prev = r
+        if rows[0] < 0 or rows[-1] >= limit:
+            r = next(r for r in rows if not 0 <= r < limit)
+            raise ValueError(f"row {r!r} does not fit domain size {n}")
 
     # -- constructors ------------------------------------------------------
 
@@ -201,7 +202,9 @@ class LabeledSample:
         return cls(tuple(pts), tuple(sorted(labels.items())))
 
     @classmethod
-    def from_concept(cls, concept_class: ConceptClass, concept: int, points: Iterable[int]) -> "LabeledSample":
+    def from_concept(
+        cls, concept_class: ConceptClass, concept: int, points: Iterable[int]
+    ) -> "LabeledSample":
         """Sample labeled by a concept of the class (realizable by construction).
         The concept and each distinct point are checked once, in order, and
         each label is read straight from the concept's row."""

@@ -231,6 +231,7 @@ def build_hypothesis_set(
     # at size k all k points teach c0, so only a broken search gets here
     raise WeakLearningError(f"no subset of the {k} distinct points teaches c0 = {consistent}")
 
+
 def _erm_image(cls, points, labels_by_point, budget):
     """Every concept that is the ERM of some subset of at most `budget` of
     `points`, ascending, with the shortest such subset of each (first in

@@ -35,18 +35,18 @@ row once, weighted by its count, so its memory is bounded by the class and
 not by the vote count; a single distinct voter returns a copy of that
 concept's row, which is its own majority.
 
-A container holds its votes as runs: one (subset of kernel positions,
-count) pair per distinct voter, in vote order, exactly the reduced votes.
-Its wire format spells only what a decoder cannot infer: unsigned LEB128
-varints, delta-coded kernel points, LSB-first label bits, then the side
-info, the run count R and, for R >= 2, each run's subset as a k-bit
-LSB-first mask over the k kernel positions with its count.  A lone run is
-implied (the whole kernel, voting once), so R = 1 is all it spells.  One
-trailing CRC-32 covers every byte after the magic, so every single-byte
-corruption is detected before anything is parsed.  Decoders reject
-trailing garbage, nonzero padding and every non-canonical form, so bytes
-and containers are in bijection.  A container keeps its runs and encodes
-them once; only deserialize_compressed decodes side info.
+A container holds its votes as runs: one (mask, count) pair per distinct
+voter, in vote order, exactly the reduced votes; bit i of a mask is kernel
+position i.  Its wire format spells only what a decoder cannot infer:
+unsigned LEB128 varints, delta-coded kernel points, LSB-first label bits,
+then the side info, the run count R and, for R >= 2, each run's k-bit
+LSB-first mask with its count.  A lone run is implied (the whole kernel,
+voting once), so R = 1 is all it spells.  One trailing CRC-32 covers every
+byte after the magic, so every single-byte corruption is detected before
+anything is parsed.  Decoders reject trailing garbage, nonzero padding and
+every non-canonical form, so bytes and containers are in bijection.  A
+container keeps its runs and encodes them once; only deserialize_compressed
+decodes side info.
 """
 
 from __future__ import annotations
@@ -170,46 +170,42 @@ def _unpack_bits(data: bytes, pos: int, width: int, what: str) -> tuple[int, int
 # -- side information ---------------------------------------------------------
 
 
-def encode_side_info(runs: Sequence[tuple[Sequence[int], int]], kernel_size: int) -> bytes:
-    """The run count R as a varint; for R >= 2, each run's subset as a
-    ``kernel_size``-bit LSB-first mask, then its count as a varint.  A lone
+def encode_side_info(runs: Sequence[tuple[int, int]], kernel_size: int) -> bytes:
+    """The run count R as a varint; for R >= 2, each run's mask as
+    ``kernel_size`` LSB-first bits, then its count as a varint.  A lone
     run must be the whole kernel voting once, and R is all it spells."""
     if not runs:
         raise ValueError("side info needs at least one run")
+    full = (1 << kernel_size) - 1
     out = bytearray(encode_varint(len(runs)))
     if len(runs) == 1:
-        subset, count = runs[0]
-        if tuple(subset) != tuple(range(kernel_size)) or count != 1:
+        if tuple(runs[0]) != (full, 1):
             raise ValueError("a lone run must be the whole kernel, voting once")
         return bytes(out)
-    for subset, count in runs:
-        positions = list(subset)
-        if any(b <= a for a, b in zip(positions, positions[1:])):
-            raise ValueError("subset positions must be strictly ascending")
-        if positions and not (0 <= positions[0] and positions[-1] < kernel_size):
-            raise ValueError("subset positions must lie inside the kernel")
-        out += _pack_bits(sum(1 << i for i in positions), kernel_size)
+    for mask, count in runs:
+        if not 0 <= mask <= full:
+            raise ValueError(f"run masks must fit the {kernel_size} kernel positions")
+        out += _pack_bits(mask, kernel_size)
         out += encode_varint(count)
     return bytes(out)
 
 
-def decode_side_info(data: bytes, kernel_size: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+def decode_side_info(data: bytes, kernel_size: int) -> tuple[tuple[int, int], ...]:
     """Strict inverse of encode_side_info over the whole buffer."""
     run_count, pos = decode_varint(data, 0)
     if run_count < 1:
         raise DecodeError("run count must be at least 1", 0)
     if run_count == 1:
-        runs = ((tuple(range(kernel_size)), 1),)
+        runs = [((1 << kernel_size) - 1, 1)]
     else:
         runs = []
         for _ in range(run_count):
             mask, pos = _unpack_bits(data, pos, kernel_size, "subset mask")
             count, pos = decode_varint(data, pos)
-            runs.append((tuple(i for i in range(kernel_size) if mask >> i & 1), count))
-        runs = tuple(runs)
+            runs.append((mask, count))
     if pos != len(data):
         raise DecodeError("trailing bytes after the last run", pos)
-    return runs
+    return tuple(runs)
 
 
 # -- containers ---------------------------------------------------------------
@@ -217,14 +213,14 @@ def decode_side_info(data: bytes, kernel_size: int) -> tuple[tuple[tuple[int, ..
 
 @dataclass(frozen=True)
 class CompressedSample:
-    """A labeled kernel plus its votes as runs ``((subset, count), ...)``:
-    each subset a tuple of kernel positions whose ERM casts ``count``
-    votes, in vote order.  Valid by construction, and then canonical:
-    the kernel points and labels are tuples of ints; the runs are a
-    nonempty tuple of (subset, count) pairs whose subsets are distinct
-    tuples of strictly ascending int positions that jointly cover the
-    kernel, and whose counts are positive ints with a gcd of 1 summing to at
-    most MAX_VOTES.  So a lone run is the whole kernel voting once.
+    """A labeled kernel plus its votes as runs ``((mask, count), ...)``:
+    each mask a subset of the k kernel positions, bit i for position i,
+    whose ERM casts ``count`` votes, in vote order.  Valid by construction,
+    and then canonical: the kernel points and labels are tuples of ints;
+    the runs are a nonempty tuple of (mask, count) pairs whose masks are
+    distinct nonnegative ints that OR to exactly (1 << k) - 1, and whose
+    counts are positive ints with a gcd of 1 summing to at most MAX_VOTES.
+    So a lone run is the whole kernel voting once.
 
     ``side_info``, the runs' encoding, is computed once, on first read.
     It is not a field: equality, hashing and the repr see the four fields
@@ -234,7 +230,7 @@ class CompressedSample:
     domain_size: int
     kernel_points: tuple[int, ...]
     kernel_labels: tuple[int, ...]
-    runs: tuple[tuple[tuple[int, ...], int], ...]
+    runs: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
         if not isinstance(self.domain_size, int) or self.domain_size < 1:
@@ -256,28 +252,23 @@ class CompressedSample:
         runs = self.runs
         if not (isinstance(runs, tuple) and runs):
             raise ValueError("runs must be a nonempty tuple of (subset, count) pairs")
-        covered, subsets, gcd, total = set(), set(), 0, 0
+        covered, gcd, total = 0, 0, 0
         for run in runs:
             if not (isinstance(run, tuple) and len(run) == 2):
                 raise ValueError("each run must be a (subset, count) pair")
-            subset, count = run
-            if not isinstance(subset, tuple):
-                raise ValueError("each subset must be a tuple of strictly ascending positions")
-            if not all(map(int.__instancecheck__, subset)):
-                raise ValueError("subset positions must be integers")
-            if not all(map(operator.lt, subset, subset[1:])):
-                raise ValueError("each subset must be a tuple of strictly ascending positions")
+            mask, count = run
+            if not (isinstance(mask, int) and mask >= 0):
+                raise ValueError("run masks must be nonnegative integers")
             if not (isinstance(count, int) and count >= 1):
                 raise ValueError("run counts must be positive integers")
-            covered.update(subset)
-            subsets.add(subset)
+            covered |= mask
             gcd = math.gcd(gcd, count)
             total += count
-        # no position outside the kernel and every kernel position named
-        if covered != set(range(len(pts))):
-            raise ValueError("the subsets' positions must be exactly the kernel positions")
-        if len(subsets) != len(runs):
-            raise ValueError("run subsets must be distinct")
+        # no bit past the kernel and every kernel position named
+        if covered != (1 << len(pts)) - 1:
+            raise ValueError("the run masks must cover exactly the kernel positions")
+        if len({mask for mask, _ in runs}) != len(runs):
+            raise ValueError("run masks must be distinct")
         if gcd != 1:
             raise ValueError("run counts must have a gcd of 1")
         if total > MAX_VOTES:
@@ -542,7 +533,7 @@ def compress(
     labels_by_point = dict(sample.label_items)
     kernel_labels = tuple(labels_by_point[x] for x in kernel_points)
     runs = tuple(
-        (tuple(sorted(position_of[x] for x in provenance_of[concept])), count)
+        (sum(1 << position_of[x] for x in provenance_of[concept]), count)
         for concept, count in votes
     )
 
@@ -598,7 +589,7 @@ def _subset_erms(
     concept_class: ConceptClass, compressed: CompressedSample
 ) -> tuple[tuple[int, int], ...]:
     """(ERM concept, count) for each run, in run order, once the container's
-    domain matches the class; run subsets are distinct, so each subset is
+    domain matches the class; run masks are distinct, so each subset is
     learned once."""
     if compressed.domain_size != concept_class.domain_size:
         raise IntegrityError(
@@ -607,8 +598,8 @@ def _subset_erms(
         )
     points, labels = compressed.kernel_points, compressed.kernel_labels
     votes = []
-    for subset, count in compressed.runs:
-        pairs = [(points[i], labels[i]) for i in subset]
+    for mask, count in compressed.runs:
+        pairs = [(points[i], labels[i]) for i in range(len(points)) if mask >> i & 1]
         try:
             votes.append((lowest_consistent_concept(concept_class, pairs), count))
         except UnrealizableError as exc:

@@ -365,10 +365,7 @@ def _random_runs(rng, kernel_size: int) -> tuple:
     masks[-1] |= full & ~functools.reduce(operator.or_, masks)
     counts = [int(rng.integers(1, 1 << int(rng.integers(1, 21)))) for _ in masks]
     g = math.gcd(*counts)
-    return tuple(
-        (tuple(i for i in range(kernel_size) if mask >> i & 1), count // g)
-        for mask, count in zip(masks, counts)
-    )
+    return tuple((mask, count // g) for mask, count in zip(masks, counts))
 
 
 def _random_compressed_sample(rng) -> CompressedSample:
@@ -453,11 +450,11 @@ def _criterion_codec(seed: int, margins: list[int]):
         check_mutant(sample, blob + b"\x00", False)
         spot += 1
 
-    # valid but hostile: concept 1's subset casts 2^31 votes and the empty
-    # subset, concept 0's, 2^31 - 1; it must survive its round trip and
-    # vote concept 1's row
+    # valid but hostile: concept 1's subset, mask 1, casts 2^31 votes and the
+    # empty subset, concept 0's, 2^31 - 1; it must survive its round trip
+    # and vote concept 1's row
     pair = ConceptClass.from_row_ints(2, [0, 0b10])
-    hostile = CompressedSample(2, (0,), (1,), (((0,), 1 << 31), ((), (1 << 31) - 1)))
+    hostile = CompressedSample(2, (0,), (1,), ((1, 1 << 31), (0, (1 << 31) - 1)))
     if deserialize_compressed(serialize_compressed(hostile)) != hostile:
         failures["hostile_container"] += 1
     if not np.array_equal(reconstruct(pair, hostile), pair.matrix[1]):

@@ -96,6 +96,21 @@ def test_empty_class_rejected():
 def test_row_out_of_range_rejected():
     with pytest.raises(ValueError):
         ConceptClass(2, (4,))
+    # the message names the first row that does not fit
+    with pytest.raises(ValueError, match="row 4 does not fit domain size 2"):
+        ConceptClass(2, (1, 4, 5))
+    with pytest.raises(ValueError, match="row -1 does not fit domain size 2"):
+        ConceptClass(2, (-1, 1))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        ConceptClass(2, (2, 1))
+
+
+def test_rows_must_be_a_tuple_of_integers():
+    # list rows once constructed, then failed to hash in the dimension caches
+    for rows in ([0, 1, 2], (0, 1.0), (0, np.int64(1))):
+        with pytest.raises(ValueError, match="rows must be a tuple of integers"):
+            ConceptClass(3, rows)
+    assert ConceptClass(3, (0, True, 2)).rows == (0, 1, 2)
 
 
 def test_from_rows_rejects_entries_other_than_zero_and_one():

@@ -28,6 +28,7 @@ from vccompress import (
     vc_dimension,
 )
 from vccompress import game
+from vccompress.seeding import child_seeds, make_rng
 from vccompress.approx import approximation_size_bound
 
 CYCLIC = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
@@ -352,6 +353,21 @@ def test_mw_rejects_nonpositive_target():
 
 
 # -- sparse equilibria --
+
+
+@pytest.mark.parametrize("seed", [1.5, "3", np.int64(3)], ids=["float", "str", "np.int64"])
+def test_seeds_must_be_integers(seed):
+    # int(seed) once made seed 1.5 draw as seed 1 and parsed "3" as 3
+    if isinstance(seed, np.integer):
+        assert child_seeds(seed, 2) == child_seeds(3, 2)
+        assert make_rng(seed).integers(1 << 30) == make_rng(3).integers(1 << 30)
+        eq, same = (sparse_epsilon_nash(IDENTITY, 0.3, s) for s in (seed, 3))
+        assert (eq.row_multiset, eq.col_multiset) == (same.row_multiset, same.col_multiset)
+        return
+    uses = (make_rng, lambda s: child_seeds(s, 2), lambda s: sparse_epsilon_nash(IDENTITY, 0.3, s))
+    for use in uses:
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            use(seed)
 
 
 def test_sparse_nash_identity_sizes_match_dimension_bound():

@@ -118,15 +118,15 @@ def test_varint_round_trip(value):
 
 
 def test_side_info_round_trip_and_checksum():
-    # three runs over a 6-point kernel: the run count, then each run's subset
-    # as a one-byte LSB-first mask and its count
-    runs = (((0, 2, 5), 2), ((), 1), ((1, 3, 4), 3))
+    # three runs over a 6-point kernel: the run count, then each run's mask
+    # (bit i for kernel position i) as one LSB-first byte and its count
+    runs = ((0b100101, 2), (0, 1), (0b011010, 3))
     blob = encode_side_info(runs, 6)
     assert blob == bytes([3, 0b100101, 2, 0, 1, 0b011010, 3])
     assert decode_side_info(blob, 6) == runs
     # a lone run is implied: the whole kernel, voting once
-    assert encode_side_info((((0, 1, 2), 1),), 3) == b"\x01"
-    assert decode_side_info(b"\x01", 3) == (((0, 1, 2), 1),)
+    assert encode_side_info(((0b111, 1),), 3) == b"\x01"
+    assert decode_side_info(b"\x01", 3) == ((0b111, 1),)
     # the container's CRC covers the side info: any flipped bit in it raises
     c = CompressedSample(8, (1, 2, 3, 4, 5, 7), (1, 0, 1, 0, 1, 0), runs)
     data = serialize_compressed(c)
@@ -144,14 +144,16 @@ def _seal(body):
     return MAGIC + body + struct.pack("<I", zlib.crc32(body))
 
 
-def test_side_info_rejects_descending_positions_and_trailing_bytes():
-    with pytest.raises(ValueError, match="strictly ascending"):
-        encode_side_info([((2, 1), 1), ((0,), 1)], 3)
-    with pytest.raises(ValueError, match="inside the kernel"):
-        encode_side_info([((0, 2), 1), ((1,), 1)], 2)
-    with pytest.raises(ValueError, match="lone run"):
-        encode_side_info([((0,), 1)], 2)
-    blob = encode_side_info([((0, 1), 1), ((), 1)], 2)
+def test_side_info_rejects_masks_past_the_kernel_and_trailing_bytes():
+    # without the checks, a mask wider than the kernel would escape
+    # to_bytes as an OverflowError
+    for mask in (0b100, -1):
+        with pytest.raises(ValueError, match="fit the 2 kernel positions"):
+            encode_side_info([(mask, 1), (0b01, 1)], 2)
+    for lone in ((0b01, 1), (0b11, 2), (0b111, 1)):
+        with pytest.raises(ValueError, match="lone run"):
+            encode_side_info([lone], 2)
+    blob = encode_side_info([(0b11, 1), (0, 1)], 2)
     assert blob == b"\x02\x03\x01\x00\x01"
     with pytest.raises(DecodeError, match="trailing"):
         decode_side_info(blob + b"\x00", 2)
@@ -167,15 +169,13 @@ def test_side_info_rejects_descending_positions_and_trailing_bytes():
 
 @st.composite
 def side_info_runs(draw):
-    """A kernel size and two or more runs over it, subsets drawn as masks
-    and counts up to 2^40; not necessarily canonical, since the side-info
-    codec leaves that to the container."""
+    """A kernel size and two or more runs over it, with k-bit masks and
+    counts up to 2^40; not necessarily canonical, since the side-info codec
+    leaves that to the container."""
     k = draw(st.integers(min_value=0, max_value=20))
-    subset = st.lists(st.booleans(), min_size=k, max_size=k).map(
-        lambda bits: tuple(i for i, bit in enumerate(bits) if bit)
-    )
+    mask = st.integers(min_value=0, max_value=(1 << k) - 1)
     count = st.integers(min_value=1, max_value=2**40)
-    return k, tuple(draw(st.lists(st.tuples(subset, count), min_size=2, max_size=8)))
+    return k, tuple(draw(st.lists(st.tuples(mask, count), min_size=2, max_size=8)))
 
 
 @given(side_info_runs())
@@ -184,7 +184,7 @@ def test_side_info_round_trip_any_subsets(case):
     blob = encode_side_info(runs, k)
     assert len(blob) == 1 + sum((k + 7) // 8 + len(encode_varint(n)) for _, n in runs)
     assert decode_side_info(blob, k) == runs
-    lone = ((tuple(range(k)), 1),)
+    lone = (((1 << k) - 1, 1),)
     assert decode_side_info(encode_side_info(lone, k), k) == lone
 
 
@@ -316,7 +316,7 @@ def test_reconstruct_rejects_mismatched_domains():
 
 def test_reconstruct_rejects_inconsistent_subsets():
     c = ConceptClass.from_rows([[0, 1], [1, 0]])
-    bad = CompressedSample(2, (0, 1), (1, 1), (((0, 1), 1),))
+    bad = CompressedSample(2, (0, 1), (1, 1), ((0b11, 1),))
     with pytest.raises(IntegrityError):
         reconstruct(c, bad)
 
@@ -343,20 +343,21 @@ def test_deserialize_rejects_bad_magic_and_trailing_bytes():
         deserialize_compressed(blob + b"\x00")
 
 
-# `subsets` holds each case's runs: one (subset, count) pair per voter
+# `subsets` holds each case's runs over the kernel (1, 3): one (mask, count)
+# pair per voter, bit i of the mask for kernel position i
 @pytest.mark.parametrize(
     "subsets,message",
     [
         ((), "nonempty tuple"),
-        ([((0, 1), 1)], "nonempty tuple"),
-        ((((0,), 1), ([1], 1)), "tuple of strictly ascending"),
-        ((((1, 0), 1),), "tuple of strictly ascending"),
-        ((((0, 0, 1), 1),), "tuple of strictly ascending"),
-        ((((-1, 0, 1), 1),), "exactly the kernel positions"),
-        ((((0, 1, 2), 1),), "exactly the kernel positions"),
-        ((((0,), 1), ((), 1)), "exactly the kernel positions"),
-        ((((0, 1),),), "a \\(subset, count\\) pair"),
-        ((((0, 1), 1), 1), "a \\(subset, count\\) pair"),
+        ([(0b11, 1)], "nonempty tuple"),
+        (((0b10, 1), (1.0, 1)), "nonnegative integers"),
+        (((-1, 1),), "nonnegative integers"),
+        (((0b01, 1), (-0b10, 1)), "nonnegative integers"),
+        (((0b111, 1),), "exactly the kernel positions"),
+        (((0b01, 1), (0b100, 1)), "exactly the kernel positions"),
+        (((0b01, 1), (0, 1)), "exactly the kernel positions"),
+        (((0b11,),), "a \\(subset, count\\) pair"),
+        (((0b11, 1), 1), "a \\(subset, count\\) pair"),
     ],
 )
 def test_container_rejects_invalid_position_subsets(subsets, message):
@@ -368,13 +369,13 @@ def test_container_rejects_invalid_position_subsets(subsets, message):
 @pytest.mark.parametrize(
     "fields,message",
     [
-        ((4, [1, 3], (1, 0), (((0, 1), 1),)), "kernel points must be a tuple of integers"),
-        ((4, (1.0, 3), (1, 0), (((0, 1), 1),)), "kernel points must be a tuple of integers"),
-        ((4, (1, 3), (1.0, 0), (((0, 1), 1),)), "kernel labels must be a tuple of integers"),
-        ((4, (1, 3), [1, 0], (((0, 1), 1),)), "kernel labels must be a tuple of integers"),
-        ((4, (1, 3), (1, 0), (((0.0, 1), 1),)), "subset positions must be integers"),
-        ((4.5, (1, 3), (1, 0), (((0, 1), 1),)), "domain size must be a positive integer"),
-        ((4, (1, 3), (1, 0), (((0, 1), 1.0),)), "run counts must be positive integers"),
+        ((4, [1, 3], (1, 0), ((0b11, 1),)), "kernel points must be a tuple of integers"),
+        ((4, (1.0, 3), (1, 0), ((0b11, 1),)), "kernel points must be a tuple of integers"),
+        ((4, (1, 3), (1.0, 0), ((0b11, 1),)), "kernel labels must be a tuple of integers"),
+        ((4, (1, 3), [1, 0], ((0b11, 1),)), "kernel labels must be a tuple of integers"),
+        ((4, (1, 3), (1, 0), ((3.0, 1),)), "run masks must be nonnegative"),
+        ((4.5, (1, 3), (1, 0), ((0b11, 1),)), "domain size must be a positive integer"),
+        ((4, (1, 3), (1, 0), ((0b11, 1.0),)), "run counts must be positive integers"),
     ],
 )
 def test_container_requires_tuples_of_integers(fields, message):
@@ -384,14 +385,14 @@ def test_container_requires_tuples_of_integers(fields, message):
 
 
 def test_container_accepts_bools_as_the_integers_they_equal():
-    ints = CompressedSample(4, (1, 3), (1, 0), (((0, 1), 1),))
-    bools = CompressedSample(4, (True, 3), (True, False), (((False, True), True),))
+    ints = CompressedSample(4, (1, 3), (1, 0), ((1, 1), (2, 1)))
+    bools = CompressedSample(4, (True, 3), (True, False), ((True, True), (2, True)))
     assert bools == ints
     assert serialize_compressed(bools) == serialize_compressed(ints)
 
 
 def test_deserialize_reports_invalid_containers_as_decode_errors():
-    valid = CompressedSample(4, (1, 3), (1, 0), (((0, 1), 1),))
+    valid = CompressedSample(4, (1, 3), (1, 0), ((0b11, 1),))
     blob = serialize_compressed(valid)
     assert blob == _seal(bytes([4, 2, 1, 2, 0b01, 1]))
     header = bytes([4, 2, 1, 2, 0b01])
@@ -413,14 +414,14 @@ def test_deserialize_reports_invalid_containers_as_decode_errors():
 # Each non-canonical form, as runs over the kernel (1, 3) of domain 4 and as
 # the side info that would spell it; the bytes fail only on canonical form.
 NON_CANONICAL = [
-    ("repeated run subsets", (((0, 1), 1), ((0, 1), 1)), b"\x02\x03\x01\x03\x01", "distinct"),
-    ("a count of 0", (((0, 1), 1), ((0,), 0)), b"\x02\x03\x01\x01\x00", "positive"),
-    ("counts with a gcd above 1", (((0, 1), 2), ((0,), 4)), b"\x02\x03\x02\x01\x04", "gcd"),
-    ("a lone run voting twice", (((0, 1), 2),), b"\x01\x03\x02", "gcd"),
-    ("mask bits past k", (((0, 1, 2), 1), ((0,), 1)), b"\x02\x07\x01\x01\x01", "kernel positions"),
+    ("repeated run subsets", ((0b11, 1), (0b11, 1)), b"\x02\x03\x01\x03\x01", "distinct"),
+    ("a count of 0", ((0b11, 1), (0b01, 0)), b"\x02\x03\x01\x01\x00", "positive"),
+    ("counts with a gcd above 1", ((0b11, 2), (0b01, 4)), b"\x02\x03\x02\x01\x04", "gcd"),
+    ("a lone run voting twice", ((0b11, 2),), b"\x01\x03\x02", "gcd"),
+    ("mask bits past k", ((0b111, 1), (0b01, 1)), b"\x02\x07\x01\x01\x01", "kernel positions"),
     (
         "over 2^32 votes",
-        (((0, 1), 1 << 31), ((0,), (1 << 31) + 1)),
+        ((0b11, 1 << 31), (0b01, (1 << 31) + 1)),
         b"\x02\x03" + encode_varint(1 << 31) + b"\x01" + encode_varint((1 << 31) + 1),
         "at most",
     ),
@@ -441,10 +442,10 @@ def test_non_canonical_runs_are_refused(runs, side_info, message):
 
 
 def test_the_vote_cap_admits_exactly_2_to_the_32_votes():
-    at_cap = CompressedSample(4, (1, 3), (1, 0), (((0, 1), 1 << 31), ((0,), (1 << 31) - 1)))
+    at_cap = CompressedSample(4, (1, 3), (1, 0), ((0b11, 1 << 31), (0b01, (1 << 31) - 1)))
     assert at_cap.subset_count == MAX_VOTES - 1
     assert deserialize_compressed(serialize_compressed(at_cap)) == at_cap
-    full = CompressedSample(4, (1, 3), (1, 0), (((0, 1), (1 << 32) - 1), ((0,), 1)))
+    full = CompressedSample(4, (1, 3), (1, 0), ((0b11, (1 << 32) - 1), (0b01, 1)))
     assert full.subset_count == MAX_VOTES == 1 << 32
 
 
@@ -459,13 +460,13 @@ def test_the_vote_cap_admits_exactly_2_to_the_32_votes():
     st.randoms(use_true_random=False),
 )
 def test_any_valid_container_encodes_its_subsets_and_round_trips(raw, counts, rnd):
-    # the positions are ranks in the union of the drawn sets, which is also
-    # the kernel, so the distinct subsets cover it; counts divided by their
+    # the mask bits are ranks in the union of the drawn sets, which is also
+    # the kernel, so the distinct masks cover it; counts divided by their
     # gcd make the runs canonical (a lone run votes once)
     kernel = sorted(set().union(*raw))
     rank = {x: i for i, x in enumerate(kernel)}
     g = math.gcd(*counts[: len(raw)])
-    runs = tuple((tuple(sorted(rank[x] for x in s)), n // g) for s, n in zip(raw, counts))
+    runs = tuple((sum(1 << rank[x] for x in s), n // g) for s, n in zip(raw, counts))
     labels = tuple(rnd.randint(0, 1) for _ in kernel)
     c = CompressedSample(41, tuple(kernel), labels, runs)
     assert c.side_info == encode_side_info(c.runs, len(kernel))
@@ -1053,7 +1054,7 @@ def _round_trip_every_sample(monkeypatch, n, masks, repeats):
                     details = report.known_details
                     assert result.passed, (c.rows, concept, points)
                     assert report.subset_count <= ceiling
-                    assert max(len(subset) for subset, _ in compressed.runs) <= report.subset_budget
+                    assert max(m.bit_count() for m, _ in compressed.runs) <= report.subset_budget
                     assert details.get("votes_from", "rounding") == "rounding"
                     digest.update(serialize_compressed(compressed))
                     digest.update(repr(details["vote_concepts"]).encode())
@@ -1211,18 +1212,18 @@ def test_majority_vote_matches_the_row_sum_formula(case):
 
 
 def test_hostile_repeated_subsets_reconstruct_in_memory_bounded_by_the_class():
-    # a 13-byte side info casting 2^32 - 1 votes in two runs, (0,) 2^31
-    # times and () 2^31 - 1 times, over a two-concept class on 20,000
-    # points; one row copy per vote would need 86 TB, past the 512 MiB
-    # address-space cap the child sets itself, and concept 1 wins point 0
-    # by a single vote
+    # a 13-byte side info casting 2^32 - 1 votes in two runs, mask 1 (the
+    # kernel point) 2^31 times and mask 0 2^31 - 1 times, over a
+    # two-concept class on 20,000 points; one row copy per vote would need
+    # 86 TB, past the 512 MiB address-space cap the child sets itself, and
+    # concept 1 wins point 0 by a single vote
     script = """
 import resource, sys
 from vccompress import ConceptClass, deserialize_compressed, reconstruct, serialize_compressed
 from vccompress.scheme import CompressedSample
 n = 20_000
 c = ConceptClass.from_row_ints(n, [0, 1 << (n - 1)])
-compressed = CompressedSample(n, (0,), (1,), (((0,), 1 << 31), ((), (1 << 31) - 1)))
+compressed = CompressedSample(n, (0,), (1,), ((1, 1 << 31), (0, (1 << 31) - 1)))
 assert deserialize_compressed(serialize_compressed(compressed)) == compressed
 cap = 512 << 20
 resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
@@ -1243,11 +1244,11 @@ def test_one_distinct_voter_reconstructs_a_fresh_row():
     cases = [
         (c, point_mass),
         # a lone run over two kernel points
-        (cube_ends, CompressedSample(3, (0, 2), (1, 1), (((0, 1), 1),))),
+        (cube_ends, CompressedSample(3, (0, 2), (1, 1), ((0b11, 1),))),
         # distinct subsets whose ERM is the same concept, voting once each
-        (cube_ends, CompressedSample(3, (0, 1, 2), (1, 1, 1), (((0,), 1), ((1, 2), 1)))),
+        (cube_ends, CompressedSample(3, (0, 1, 2), (1, 1, 1), ((0b001, 1), (0b110, 1)))),
         # ... and with counts
-        (cube_ends, CompressedSample(3, (0, 1, 2), (1, 1, 1), (((0,), 2), ((1, 2), 3)))),
+        (cube_ends, CompressedSample(3, (0, 1, 2), (1, 1, 1), ((0b001, 2), (0b110, 3)))),
     ]
     for cls, compressed in cases:
         votes = scheme._subset_erms(cls, compressed)
