@@ -36,10 +36,7 @@ from .scheme import (
     VerificationResult,
     compress,
     decode_side_info,
-    decode_varint,
     deserialize_compressed,
-    encode_side_info,
-    encode_varint,
     reconstruct,
     scheme_size_bound,
     serialize_compressed,

@@ -107,10 +107,8 @@ class ConceptClass:
 
     @classmethod
     def from_row_ints(cls, domain_size: int, values: Iterable[int]) -> "ConceptClass":
-        vals = list(values)
-        if len(set(vals)) != len(vals):
-            raise ValueError("duplicate concept rows")
-        return cls(domain_size, tuple(sorted(vals)))
+        # sorted, a repeated row fails the constructor's strictly-increasing check
+        return cls(domain_size, tuple(sorted(values)))
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]]) -> "ConceptClass":
@@ -225,13 +223,6 @@ class LabeledSample:
     def size(self) -> int:
         return len(self.points)
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.points
-
-    def label_vector(self) -> np.ndarray:
-        return np.array([lbl for _, lbl in self.label_items], dtype=np.uint8)
-
 
 @dataclass(frozen=True)
 class ShatterWitness:
@@ -261,30 +252,25 @@ def shatters(concept_class: ConceptClass, points: Sequence[int]) -> ShatterWitne
     pts = [_integer(p, "point") for p in points]
     if len(set(pts)) != len(pts):
         raise ValueError("points must be distinct")
-    for p in pts:
-        concept_class._check_point(p)
-    masks = concept_class.point_masks
-    full = (1 << len(concept_class)) - 1
     witnesses = []
-    for pattern in range(1 << len(pts)):
-        cell = full
-        for j, x in enumerate(pts):
-            cell &= masks[x] if (pattern >> j) & 1 else full ^ masks[x]
-            if not cell:
-                return None
+    for pattern in range(1 << len(pts)):  # pattern 0 checks every point
+        cell = _consistent_mask(concept_class, [(x, pattern >> j & 1) for j, x in enumerate(pts)])
+        if not cell:
+            return None
         witnesses.append((cell & -cell).bit_length() - 1)  # lowest concept index
     return ShatterWitness(tuple(pts), tuple(witnesses))
 
 
-@functools.lru_cache(maxsize=CLASS_CACHE_SIZE)
+@functools.lru_cache(maxsize=CLASS_CACHE_SIZE, typed=True)
 def vc_dimension(concept_class: ConceptClass, ceiling: int | None = None) -> int:
     """Exact VC dimension d, or min(d, ceiling) when a ceiling is given, by
     one depth-first search over point columns.  A capped call answers "is
     d >= ceiling?" and stops at the first shattered set of that size.  A
     search that proves d (uncapped, or below its ceiling) keeps it on the
     class, and every later call on that class reads it there.  The cache
-    keys on the arguments as passed, so a result at its ceiling never
-    answers an uncapped call.
+    keys on the arguments as passed, types included, so a result at its
+    ceiling never answers an uncapped call, and a call at 2 never answers
+    one at 2.0, which must fail the ceiling's integer check.
 
     The candidates are the nontrivial columns (point masks), one per class of
     equal or complementary columns.  This loses nothing: a shattered set
@@ -304,7 +290,7 @@ def vc_dimension(concept_class: ConceptClass, ceiling: int | None = None) -> int
     time, smallest cell first: a column stays while it splits each cell into
     two halves of at least 2^(best - k) concepts.
     """
-    if ceiling is not None and ceiling < 0:
+    if ceiling is not None and _integer(ceiling, "ceiling") < 0:
         raise ValueError(f"ceiling must be nonnegative, got {ceiling}")
     known = vars(concept_class).get("_vc_dimension")
     if known is not None:
@@ -375,18 +361,28 @@ def dual_class(concept_class: ConceptClass) -> ConceptClass:
 # -- consistency -----------------------------------------------------------
 
 
+def _consistent_mask(
+    concept_class: ConceptClass, labeled_points: Iterable[tuple[int, int]]
+) -> int:
+    """Bitset of the concepts agreeing with every (point, label) pair, bit c
+    for concept c: the AND of each point's agreeing concepts from
+    ``point_masks``.  The ERM, ``consistent_concepts`` and ``shatters`` all
+    fold it.  Every point is checked, even once the bitset is 0: ValueError
+    for a point outside the domain."""
+    masks = concept_class.point_masks
+    n = concept_class.domain_size
+    full = alive = (1 << len(concept_class.rows)) - 1
+    for point, label in labeled_points:
+        if not 0 <= point < n:
+            raise ValueError(f"point {point!r} outside domain of size {n}")
+        alive &= masks[point] if label else full ^ masks[point]
+    return alive
+
+
 def consistent_concepts(concept_class: ConceptClass, sample: LabeledSample) -> list[int]:
     """Indices of all concepts agreeing with the sample, ascending (not used by compress)."""
-    if sample.is_empty:
-        return list(range(len(concept_class)))
-    pts = np.array(sample.distinct_points, dtype=np.int64)
-    if pts.max() >= concept_class.domain_size:
-        raise ValueError(
-            f"sample point {int(pts.max())} outside domain of size {concept_class.domain_size}"
-        )
-    wanted = sample.label_vector()
-    hits = (concept_class.matrix[:, pts] == wanted[None, :]).all(axis=1)
-    return [int(i) for i in np.flatnonzero(hits)]
+    bits = format(_consistent_mask(concept_class, sample.label_items), "b")
+    return [c for c, bit in enumerate(reversed(bits)) if bit == "1"]
 
 
 # -- text format -----------------------------------------------------------

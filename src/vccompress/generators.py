@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .concepts import ConceptClass, _row_ints, vc_dimension
+from .concepts import ConceptClass, _integer, _row_ints, vc_dimension
 from .errors import ConfigError
 from .seeding import make_rng
 
@@ -36,6 +36,7 @@ def intervals(n: int) -> ConceptClass:
     concept: n(n+1)/2 + 1 concepts of VC dimension 2 (for n >= 2).  n is
     capped at 361, the largest n with at most 2^16 concepts, the most rows
     k_interval_unions enumerates."""
+    n = _integer(n, "domain size")
     if n < 1:
         raise ValueError("domain size must be positive")
     if n > 361:
@@ -50,6 +51,7 @@ def intervals(n: int) -> ConceptClass:
 def k_interval_unions(n: int, k: int) -> ConceptClass:
     """Unions of at most k intervals: every 0/1 row with at most k maximal
     runs of 1s.  Enumerates all 2^n rows, so n is capped at 16."""
+    n, k = _integer(n, "domain size"), _integer(k, "union count")
     if n < 1 or k < 1:
         raise ValueError("domain size and union count must be positive")
     if n > 16:
@@ -61,6 +63,7 @@ def k_interval_unions(n: int, k: int) -> ConceptClass:
 
 def full_cube(n: int) -> ConceptClass:
     """Every labeling of n points (VC dimension n); n capped at 12."""
+    n = _integer(n, "domain size")
     if n < 1:
         raise ValueError("domain size must be positive")
     if n > 12:
@@ -78,6 +81,7 @@ def halfspaces_grid(side: int, dim: int, count: int = 64, seed: int = 0) -> Conc
     labelings collapse, so the class is usually much smaller than `count`.
     The count * side**dim float64 margins are admitted up to 2**24 of them.
     """
+    side, dim, count = _integer(side, "side"), _integer(dim, "dim"), _integer(count, "count")
     if side < 2 or dim < 1:
         raise ValueError("grid needs side >= 2 and dim >= 1")
     n = side**dim
@@ -103,6 +107,8 @@ def random_vc_capped(n: int, vc_cap: int, max_concepts: int, seed: int = 0) -> C
     max_concepts rows or after _TRIES_PER_CONCEPT candidates per requested
     concept.
     """
+    n, vc_cap = _integer(n, "domain size"), _integer(vc_cap, "vc_cap")
+    max_concepts = _integer(max_concepts, "max_concepts")
     if n < 1 or vc_cap < 0 or max_concepts < 1:
         raise ValueError("need n >= 1, vc_cap >= 0, max_concepts >= 1")
     rng = make_rng(seed)

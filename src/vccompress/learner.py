@@ -51,7 +51,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .concepts import ConceptClass, LabeledSample, vc_dimension
+from .concepts import ConceptClass, LabeledSample, _consistent_mask, vc_dimension
 from .errors import UnrealizableError, WeakLearningError
 from .game import GameSolution, _exact_solution
 
@@ -105,19 +105,13 @@ def lowest_consistent_concept(
     """Index of the lowest concept consistent with every (point, label) pair.
 
     This is the tie-breaking rule that makes ERM a pure function of its
-    input subset.  Raises ValueError for a point outside the domain and
-    UnrealizableError when nothing is consistent.
+    input subset.  The concepts left are ``concepts._consistent_mask``'s
+    fold, which checks every point: ValueError for any point outside the
+    domain, and otherwise UnrealizableError when nothing is consistent.
     """
-    masks = concept_class.point_masks
-    n = concept_class.domain_size
-    full = (1 << len(concept_class.rows)) - 1
-    alive = full
-    for point, label in labeled_points:
-        if not 0 <= point < n:
-            raise ValueError(f"point {point!r} outside domain of size {n}")
-        alive &= masks[point] if label else ~masks[point] & full
-        if not alive:
-            raise UnrealizableError("the labeled points are not realizable by the class")
+    alive = _consistent_mask(concept_class, labeled_points)
+    if not alive:
+        raise UnrealizableError("the labeled points are not realizable by the class")
     return (alive & -alive).bit_length() - 1
 
 

@@ -45,8 +45,9 @@ voting once), so R = 1 is all it spells.  One trailing CRC-32 covers every
 byte after the magic, so every single-byte corruption is detected before
 anything is parsed.  Decoders reject trailing garbage, nonzero padding and
 every non-canonical form, so bytes and containers are in bijection.  A
-container keeps its runs and encodes them once; only deserialize_compressed
-decodes side info.
+container keeps its runs and encodes them once.  Its constructor alone
+judges canonical runs, and serialize_compressed is the one public encoder;
+only deserialize_compressed decodes side info.
 """
 
 from __future__ import annotations
@@ -76,9 +77,6 @@ __all__ = [
     "CompressedSample",
     "SchemeReport",
     "VerificationResult",
-    "encode_varint",
-    "decode_varint",
-    "encode_side_info",
     "decode_side_info",
     "compress",
     "reconstruct",
@@ -106,7 +104,7 @@ def _vote_ceiling(dual_dimension: int) -> int:
 # -- varints -----------------------------------------------------------------
 
 
-def encode_varint(value: int) -> bytes:
+def _encode_varint(value: int) -> bytes:
     """Unsigned LEB128."""
     if value < 0:
         raise ValueError("varints are unsigned")
@@ -121,7 +119,7 @@ def encode_varint(value: int) -> bytes:
             return bytes(out)
 
 
-def decode_varint(data: bytes, offset: int = 0) -> tuple[int, int]:
+def _decode_varint(data: bytes, offset: int) -> tuple[int, int]:
     """Value and the offset just past it; strict about truncation/overlength.
     Only the minimal encoding is accepted: a zero final byte after a
     continuation byte would give a second spelling of the same value."""
@@ -144,7 +142,7 @@ def decode_varint(data: bytes, offset: int = 0) -> tuple[int, int]:
 
 
 def _varint_length(value: int) -> int:
-    return len(encode_varint(value))
+    return len(_encode_varint(value))
 
 
 # -- bit strings ----------------------------------------------------------------
@@ -170,29 +168,22 @@ def _unpack_bits(data: bytes, pos: int, width: int, what: str) -> tuple[int, int
 # -- side information ---------------------------------------------------------
 
 
-def encode_side_info(runs: Sequence[tuple[int, int]], kernel_size: int) -> bytes:
+def _encode_side_info(runs: Sequence[tuple[int, int]], kernel_size: int) -> bytes:
     """The run count R as a varint; for R >= 2, each run's mask as
-    ``kernel_size`` LSB-first bits, then its count as a varint.  A lone
-    run must be the whole kernel voting once, and R is all it spells."""
-    if not runs:
-        raise ValueError("side info needs at least one run")
-    full = (1 << kernel_size) - 1
-    out = bytearray(encode_varint(len(runs)))
-    if len(runs) == 1:
-        if tuple(runs[0]) != (full, 1):
-            raise ValueError("a lone run must be the whole kernel, voting once")
-        return bytes(out)
-    for mask, count in runs:
-        if not 0 <= mask <= full:
-            raise ValueError(f"run masks must fit the {kernel_size} kernel positions")
-        out += _pack_bits(mask, kernel_size)
-        out += encode_varint(count)
+    ``kernel_size`` LSB-first bits, then its count as a varint.  The runs
+    are a container's, so a lone run is the whole kernel voting once, and
+    R is all it spells."""
+    out = bytearray(_encode_varint(len(runs)))
+    if len(runs) > 1:
+        for mask, count in runs:
+            out += _pack_bits(mask, kernel_size)
+            out += _encode_varint(count)
     return bytes(out)
 
 
 def decode_side_info(data: bytes, kernel_size: int) -> tuple[tuple[int, int], ...]:
-    """Strict inverse of encode_side_info over the whole buffer."""
-    run_count, pos = decode_varint(data, 0)
+    """Strict inverse of ``_encode_side_info`` over the whole buffer."""
+    run_count, pos = _decode_varint(data, 0)
     if run_count < 1:
         raise DecodeError("run count must be at least 1", 0)
     if run_count == 1:
@@ -201,7 +192,7 @@ def decode_side_info(data: bytes, kernel_size: int) -> tuple[tuple[int, int], ..
         runs = []
         for _ in range(run_count):
             mask, pos = _unpack_bits(data, pos, kernel_size, "subset mask")
-            count, pos = decode_varint(data, pos)
+            count, pos = _decode_varint(data, pos)
             runs.append((mask, count))
     if pos != len(data):
         raise DecodeError("trailing bytes after the last run", pos)
@@ -220,7 +211,8 @@ class CompressedSample:
     the runs are a nonempty tuple of (mask, count) pairs whose masks are
     distinct nonnegative ints that OR to exactly (1 << k) - 1, and whose
     counts are positive ints with a gcd of 1 summing to at most MAX_VOTES.
-    So a lone run is the whole kernel voting once.
+    So a lone run is the whole kernel voting once.  The constructor is the
+    only judge of canonical runs: the side-info encoder trusts it.
 
     ``side_info``, the runs' encoding, is computed once, on first read.
     It is not a field: equality, hashing and the repr see the four fields
@@ -276,7 +268,7 @@ class CompressedSample:
 
     @functools.cached_property
     def side_info(self) -> bytes:
-        return encode_side_info(self.runs, len(self.kernel_points))
+        return _encode_side_info(self.runs, len(self.kernel_points))
 
     @property
     def subset_count(self) -> int:
@@ -664,11 +656,11 @@ def serialize_compressed(compressed: CompressedSample) -> bytes:
     label bits, the side info, then a little-endian CRC-32 of every byte
     after the magic."""
     out = bytearray(MAGIC)
-    out += encode_varint(compressed.domain_size)
-    out += encode_varint(len(compressed.kernel_points))
+    out += _encode_varint(compressed.domain_size)
+    out += _encode_varint(len(compressed.kernel_points))
     previous = None
     for point in compressed.kernel_points:
-        out += encode_varint(point if previous is None else point - previous)
+        out += _encode_varint(point if previous is None else point - previous)
         previous = point
     labels = sum(label << i for i, label in enumerate(compressed.kernel_labels))
     out += _pack_bits(labels, len(compressed.kernel_labels))
@@ -692,11 +684,11 @@ def deserialize_compressed(data: bytes) -> CompressedSample:
     if struct.pack("<I", zlib.crc32(body[len(MAGIC) :])) != checksum:
         raise IntegrityError("container failed its checksum")
     pos = len(MAGIC)
-    domain_size, pos = decode_varint(body, pos)
-    kernel_size, pos = decode_varint(body, pos)
+    domain_size, pos = _decode_varint(body, pos)
+    kernel_size, pos = _decode_varint(body, pos)
     points = []
     for _ in range(kernel_size):
-        delta, pos = decode_varint(body, pos)
+        delta, pos = _decode_varint(body, pos)
         points.append(points[-1] + delta if points else delta)
     packed, pos = _unpack_bits(body, pos, kernel_size, "label bits")
     labels = tuple((packed >> i) & 1 for i in range(kernel_size))

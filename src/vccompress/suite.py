@@ -51,9 +51,9 @@ from .generators import (
 )
 from .scheme import (
     CompressedSample,
+    _encode_side_info,
     decode_side_info,
     deserialize_compressed,
-    encode_side_info,
     reconstruct,
     scheme_size_bound,
     serialize_compressed,
@@ -396,7 +396,7 @@ def _criterion_codec(seed: int, margins: list[int]):
     for _ in range(10_000):
         kernel_size = int(rng.integers(0, 65))
         runs = _random_runs(rng, kernel_size)
-        if decode_side_info(encode_side_info(runs, kernel_size), kernel_size) != runs:
+        if decode_side_info(_encode_side_info(runs, kernel_size), kernel_size) != runs:
             failures["side_info_round_trip"] += 1
 
     originals = []

@@ -237,6 +237,14 @@ def test_unknown_generator_kind_exits_two(capsys):
     assert "unknown class kind" in err
 
 
+def test_non_integer_generator_size_exits_two(capsys):
+    # k = 1.5 once built the k = 1 class unnoticed
+    spec = '{"kind": "k_interval_unions", "n": 6, "k": 1.5}'
+    code, _, err = run_cli(capsys, "vc", "--class-spec", spec)
+    assert code == 2
+    assert "union count 1.5 must be an integer" in err
+
+
 def test_oversized_generator_exits_two_before_enumerating(capsys):
     # intervals(3000) would enumerate 4.5 million concepts
     start = time.perf_counter()

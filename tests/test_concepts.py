@@ -22,7 +22,7 @@ from vccompress import (
 )
 from vccompress import concepts
 from vccompress.concepts import consistent_concepts
-from vccompress.errors import ParseError
+from vccompress.errors import ParseError, UnrealizableError
 from vccompress.generators import (
     full_cube,
     halfspaces_grid,
@@ -30,6 +30,7 @@ from vccompress.generators import (
     k_interval_unions,
     random_vc_capped,
 )
+from vccompress.learner import lowest_consistent_concept
 
 
 # --- oracles ---------------------------------------------------------------
@@ -82,6 +83,9 @@ def test_rows_are_canonically_sorted():
 def test_duplicate_rows_rejected():
     with pytest.raises(ValueError):
         ConceptClass.from_rows([[0, 1], [0, 1]])
+    # sorted, a repeated row fails the constructor's own check
+    with pytest.raises(ValueError, match=r"strictly increasing \(distinct"):
+        ConceptClass.from_row_ints(2, [1, 0, 1])
     with pytest.raises(ValueError, match="nonempty"):
         ConceptClass.from_rows([])
     with pytest.raises(ValueError, match="equal length"):
@@ -179,7 +183,7 @@ def test_sample_accepts_bool_labels():
 
 def test_empty_sample():
     s = LabeledSample.from_pairs([])
-    assert s.is_empty
+    assert s.size == 0
     c = ConceptClass.from_rows([[0, 1], [1, 0]])
     assert consistent_concepts(c, s) == [0, 1]
 
@@ -457,6 +461,18 @@ def test_capped_search_on_the_known_value_classes():
         vc_dimension(intervals_fixture(4), -1)
 
 
+def test_capped_search_refuses_a_non_integer_ceiling():
+    # a ceiling of 1.5 once capped the search above it, at 2; and a cache
+    # keyed by value alone would answer 2.0 from the call at 2, unchecked
+    vc_dimension.cache_clear()
+    cls = intervals(6)
+    assert vc_dimension(cls, 2) == 2
+    for ceiling in (1.5, 2.0):
+        with pytest.raises(ValueError, match=f"ceiling {ceiling} must be an integer"):
+            vc_dimension(cls, ceiling)
+    assert vc_dimension(cls, np.int64(1)) == vc_dimension(cls, True) == 1
+
+
 def test_capped_search_logs_its_ceiling_and_never_answers_an_uncapped_call(caplog):
     # a fresh class: no search has kept its d yet
     cls = halfspaces_grid(6, 2)
@@ -558,6 +574,47 @@ def test_consistent_concepts_point_out_of_range():
     c = ConceptClass.from_rows([[0, 1], [1, 0]])
     with pytest.raises(ValueError):
         consistent_concepts(c, LabeledSample.from_pairs([(5, 1)]))
+
+
+def _numpy_consistent(cls, sample):
+    """The numpy scan consistent_concepts once ran, kept as the fold's oracle."""
+    pts = np.array(sample.distinct_points, dtype=np.intp)
+    labels = np.array([label for _, label in sample.label_items], dtype=np.uint8)
+    return np.flatnonzero((cls.matrix[:, pts] == labels).all(axis=1)).tolist()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=1, max_value=9), st.data())
+def test_consistency_matches_the_numpy_scan(n, data):
+    rows = data.draw(st.sets(st.integers(0, (1 << n) - 1), min_size=1, max_size=40))
+    cls = ConceptClass.from_row_ints(n, rows)
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, 1)), max_size=6))
+    sample = LabeledSample.from_pairs(dict(pairs).items())
+    expected = _numpy_consistent(cls, sample)
+    assert consistent_concepts(cls, sample) == expected
+    if expected:
+        assert lowest_consistent_concept(cls, sample.label_items) == expected[0]
+    else:
+        with pytest.raises(UnrealizableError):
+            lowest_consistent_concept(cls, sample.label_items)
+
+
+def test_consistency_checks_every_point():
+    c = intervals(5)
+    empty = LabeledSample.from_pairs([])
+    assert consistent_concepts(c, empty) == _numpy_consistent(c, empty) == list(range(len(c)))
+    assert lowest_consistent_concept(c, empty.label_items) == 0
+    # unrealizable by point 3 (no interval labels 0, 2, 3 as 1, 0, 1), then
+    # a point outside the domain: the domain error wins in both
+    pairs = [(0, 1), (2, 0), (3, 1), (7, 1)]
+    assert _numpy_consistent(c, LabeledSample.from_pairs(pairs[:3])) == []
+    for check in (
+        lambda: lowest_consistent_concept(c, pairs),
+        lambda: consistent_concepts(c, LabeledSample.from_pairs(pairs)),
+    ):
+        with pytest.raises(ValueError, match="point 7 outside") as exc:
+            check()
+        assert not isinstance(exc.value, UnrealizableError)
 
 
 # --- text format ---------------------------------------------------------------

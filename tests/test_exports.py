@@ -20,6 +20,10 @@ passed, by keyword or by position, by some call in those directories.
 Nor is any private helper dead: every private function, class or assigned
 name at the top level of a module in ``src/`` must be read by some other
 top-level statement of ``src/``.
+
+And the public surface is pinned: the names ``vccompress/__init__.py``
+imports must equal a literal list, so adding or removing a public name takes
+a deliberate edit here.
 """
 
 import ast
@@ -80,6 +84,69 @@ def exported_class_members():
                     and not item.name.startswith("_")
                 }
     return members
+
+
+PUBLIC_SURFACE = [
+    "ApproximationBudgetError",
+    "ApproximationCertificate",
+    "BudgetExceededError",
+    "CompressedSample",
+    "ConceptClass",
+    "ConfigError",
+    "ConvergenceError",
+    "DecodeError",
+    "ExactSolverCapError",
+    "ExperimentReport",
+    "GameSolution",
+    "HypothesisSet",
+    "IntegrityError",
+    "LabeledSample",
+    "ParseError",
+    "ProbabilityVector",
+    "SchemeReport",
+    "ShatterWitness",
+    "SparseEquilibrium",
+    "UnrealizableError",
+    "VerificationResult",
+    "WEAK_AGREEMENT",
+    "WeakLearningError",
+    "approximation_deviation",
+    "approximation_size_bound",
+    "build_hypothesis_set",
+    "compress",
+    "decode_side_info",
+    "deserialize_compressed",
+    "dual_class",
+    "epsilon_approximation",
+    "escalate_budget",
+    "full_cube",
+    "generalization_experiment",
+    "halfspaces_grid",
+    "intervals",
+    "k_interval_unions",
+    "lowest_consistent_concept",
+    "make_concept_class",
+    "parse_concept_class",
+    "parse_payoff_matrix",
+    "random_vc_capped",
+    "reconstruct",
+    "required_sample_size",
+    "run_suite",
+    "scheme_size_bound",
+    "serialize_compressed",
+    "serialize_concept_class",
+    "shatters",
+    "solve_exact",
+    "solve_mw",
+    "sparse_epsilon_nash",
+    "sparsify_mixture",
+    "vc_dimension",
+    "verify_round_trip",
+]
+
+
+def test_public_surface_is_pinned():
+    assert sorted(exported_names()) == PUBLIC_SURFACE
 
 
 def test_every_export_is_referenced_outside_the_tests():

@@ -8,6 +8,7 @@ are also checked against entry-by-entry scalar oracles.
 
 import math
 
+import numpy as np
 import pytest
 
 from vccompress import ConfigError, vc_dimension
@@ -171,3 +172,35 @@ def test_make_concept_class_dispatch():
 def test_make_concept_class_rejects_bad_specs(spec):
     with pytest.raises(ConfigError):
         make_concept_class(spec)
+
+
+@pytest.mark.parametrize(
+    "generator,params,name",
+    [
+        (intervals, {"n": 2.5}, "domain size"),
+        (full_cube, {"n": 2.5}, "domain size"),
+        (k_interval_unions, {"n": 6.0, "k": 1}, "domain size"),
+        (k_interval_unions, {"n": 6, "k": 1.5}, "union count"),
+        (halfspaces_grid, {"side": 2.5, "dim": 2}, "side"),
+        (halfspaces_grid, {"side": 3, "dim": 2.0}, "dim"),
+        (halfspaces_grid, {"side": 3, "dim": 2, "count": 4.5}, "count"),
+        (random_vc_capped, {"n": 5.5, "vc_cap": 2, "max_concepts": 10}, "domain size"),
+        (random_vc_capped, {"n": 5, "vc_cap": 1.5, "max_concepts": 10}, "vc_cap"),
+        (random_vc_capped, {"n": 5, "vc_cap": 1, "max_concepts": 10.0}, "max_concepts"),
+    ],
+)
+def test_generators_refuse_non_integer_sizes(generator, params, name):
+    # each once escaped as a raw TypeError or was truncated (k = 1.5 built
+    # the k = 1 class, vc_cap = 1.5 capped at 1)
+    with pytest.raises(ValueError, match=f"{name} .* must be an integer"):
+        generator(**params)
+    with pytest.raises(ConfigError, match="must be an integer"):
+        make_concept_class({"kind": generator.__name__, **params})
+
+
+def test_generators_accept_bools_and_numpy_integers():
+    assert intervals(np.int64(5)) == intervals(5)
+    assert full_cube(True) == full_cube(1)
+    assert k_interval_unions(np.int32(6), np.int64(2)) == k_interval_unions(6, 2)
+    assert halfspaces_grid(np.int64(3), 2, count=np.int64(8)) == halfspaces_grid(3, 2, count=8)
+    assert random_vc_capped(5, np.int64(1), 6, seed=1) == random_vc_capped(5, 1, 6, seed=1)

@@ -40,10 +40,10 @@ from vccompress.scheme import (
     MAGIC,
     MAX_VOTES,
     CompressedSample,
+    _decode_varint,
+    _encode_side_info,
+    _encode_varint,
     decode_side_info,
-    decode_varint,
-    encode_side_info,
-    encode_varint,
     scheme_size_bound,
 )
 
@@ -79,24 +79,24 @@ def _counted_mixture_class():
     ],
 )
 def test_varint_known_encodings(value, encoded):
-    assert encode_varint(value) == encoded
-    assert decode_varint(encoded) == (value, len(encoded))
+    assert _encode_varint(value) == encoded
+    assert _decode_varint(encoded, 0) == (value, len(encoded))
 
 
 def test_varint_rejects_truncation_and_overlength():
     with pytest.raises(DecodeError):
-        decode_varint(b"\x80")
+        _decode_varint(b"\x80", 0)
     with pytest.raises(DecodeError):
-        decode_varint(b"\x80" * 11)
+        _decode_varint(b"\x80" * 11, 0)
     with pytest.raises(ValueError):
-        encode_varint(-1)
+        _encode_varint(-1)
 
 
 def test_varint_rejects_overlong_encodings():
     # a zero final byte after a continuation byte spells a value a second way
     for overlong in (b"\x80\x00", b"\xff\x00", b"\xac\x82\x00", b"\x80\x80\x00"):
         with pytest.raises(DecodeError):
-            decode_varint(overlong)
+            _decode_varint(overlong, 0)
     # so a container cannot alias another through its domain-size varint
     c = intervals_class(10)
     compressed, _ = compress(c, LabeledSample.from_concept(c, 3, range(10)), seed=0)
@@ -110,8 +110,8 @@ def test_varint_rejects_overlong_encodings():
 
 @given(st.integers(min_value=0, max_value=2**63))
 def test_varint_round_trip(value):
-    encoded = encode_varint(value)
-    assert decode_varint(encoded) == (value, len(encoded))
+    encoded = _encode_varint(value)
+    assert _decode_varint(encoded, 0) == (value, len(encoded))
 
 
 # -- side info --
@@ -121,11 +121,11 @@ def test_side_info_round_trip_and_checksum():
     # three runs over a 6-point kernel: the run count, then each run's mask
     # (bit i for kernel position i) as one LSB-first byte and its count
     runs = ((0b100101, 2), (0, 1), (0b011010, 3))
-    blob = encode_side_info(runs, 6)
+    blob = _encode_side_info(runs, 6)
     assert blob == bytes([3, 0b100101, 2, 0, 1, 0b011010, 3])
     assert decode_side_info(blob, 6) == runs
     # a lone run is implied: the whole kernel, voting once
-    assert encode_side_info(((0b111, 1),), 3) == b"\x01"
+    assert _encode_side_info(((0b111, 1),), 3) == b"\x01"
     assert decode_side_info(b"\x01", 3) == ((0b111, 1),)
     # the container's CRC covers the side info: any flipped bit in it raises
     c = CompressedSample(8, (1, 2, 3, 4, 5, 7), (1, 0, 1, 0, 1, 0), runs)
@@ -145,15 +145,9 @@ def _seal(body):
 
 
 def test_side_info_rejects_masks_past_the_kernel_and_trailing_bytes():
-    # without the checks, a mask wider than the kernel would escape
-    # to_bytes as an OverflowError
-    for mask in (0b100, -1):
-        with pytest.raises(ValueError, match="fit the 2 kernel positions"):
-            encode_side_info([(mask, 1), (0b01, 1)], 2)
-    for lone in ((0b01, 1), (0b11, 2), (0b111, 1)):
-        with pytest.raises(ValueError, match="lone run"):
-            encode_side_info([lone], 2)
-    blob = encode_side_info([(0b11, 1), (0, 1)], 2)
+    # the encoder sees only a container's runs, whose constructor refuses
+    # masks past the kernel and any lone run but the whole kernel voting once
+    blob = _encode_side_info([(0b11, 1), (0, 1)], 2)
     assert blob == b"\x02\x03\x01\x00\x01"
     with pytest.raises(DecodeError, match="trailing"):
         decode_side_info(blob + b"\x00", 2)
@@ -181,11 +175,11 @@ def side_info_runs(draw):
 @given(side_info_runs())
 def test_side_info_round_trip_any_subsets(case):
     k, runs = case
-    blob = encode_side_info(runs, k)
-    assert len(blob) == 1 + sum((k + 7) // 8 + len(encode_varint(n)) for _, n in runs)
+    blob = _encode_side_info(runs, k)
+    assert len(blob) == 1 + sum((k + 7) // 8 + len(_encode_varint(n)) for _, n in runs)
     assert decode_side_info(blob, k) == runs
     lone = (((1 << k) - 1, 1),)
-    assert decode_side_info(encode_side_info(lone, k), k) == lone
+    assert decode_side_info(_encode_side_info(lone, k), k) == lone
 
 
 # -- compress / reconstruct --
@@ -376,6 +370,7 @@ def test_container_rejects_invalid_position_subsets(subsets, message):
         ((4, (1, 3), (1, 0), ((3.0, 1),)), "run masks must be nonnegative"),
         ((4.5, (1, 3), (1, 0), ((0b11, 1),)), "domain size must be a positive integer"),
         ((4, (1, 3), (1, 0), ((0b11, 1.0),)), "run counts must be positive integers"),
+        ((4, (1, 3), (1, 0), ((1.0, 1), (2, 1))), "run masks must be nonnegative"),
     ],
 )
 def test_container_requires_tuples_of_integers(fields, message):
@@ -422,7 +417,7 @@ NON_CANONICAL = [
     (
         "over 2^32 votes",
         ((0b11, 1 << 31), (0b01, (1 << 31) + 1)),
-        b"\x02\x03" + encode_varint(1 << 31) + b"\x01" + encode_varint((1 << 31) + 1),
+        b"\x02\x03" + _encode_varint(1 << 31) + b"\x01" + _encode_varint((1 << 31) + 1),
         "at most",
     ),
 ]
@@ -469,7 +464,7 @@ def test_any_valid_container_encodes_its_subsets_and_round_trips(raw, counts, rn
     runs = tuple((sum(1 << rank[x] for x in s), n // g) for s, n in zip(raw, counts))
     labels = tuple(rnd.randint(0, 1) for _ in kernel)
     c = CompressedSample(41, tuple(kernel), labels, runs)
-    assert c.side_info == encode_side_info(c.runs, len(kernel))
+    assert c.side_info == _encode_side_info(c.runs, len(kernel))
     assert deserialize_compressed(serialize_compressed(c)) == c
 
 
@@ -919,7 +914,8 @@ def _numpy_majority_margin(concept_class, votes, sample):
     concepts_, mults = np.array(votes, dtype=np.int64).T
     total_votes = int(mults.sum())
     points = sample.distinct_points
-    agreement = concept_class.matrix[np.ix_(concepts_, points)] == sample.label_vector()
+    labels = np.array([label for _, label in sample.label_items], dtype=np.uint8)
+    agreement = concept_class.matrix[np.ix_(concepts_, points)] == labels
     margins = 2 * (mults @ agreement) - total_votes
     failing = np.flatnonzero(margins <= 0)
     if failing.size:
