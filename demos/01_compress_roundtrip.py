@@ -18,6 +18,12 @@ from vccompress import (
     verify_round_trip,
 )
 
+
+def bit_string(mask, k):
+    """A k-bit mask as k characters, bit 0 first."""
+    return "".join(str(mask >> i & 1) for i in range(k))
+
+
 cls = intervals(30)
 print(f"concept class: {len(cls.rows)} interval concepts on {cls.domain_size} points")
 
@@ -29,11 +35,12 @@ print(f"sample: {sample.size} labeled points ({len(sample.distinct_points)} dist
 compressed, report = compress(cls, sample)
 print()
 print(f"kernel points : {compressed.kernel_points}")
-print(f"kernel labels : {compressed.kernel_labels}")
-# each run is a (mask, count) pair: bit i of the mask names kernel position i
+# the labels are one mask, bit i the label of kernel point i; each run is a
+# (mask, count) pair, bit i of its mask naming kernel position i
+k = compressed.kernel_size
+print(f"kernel labels : {bit_string(compressed.kernel_labels, k)} (kernel point 0 first)")
 for mask, count in compressed.runs:
-    bits = "".join(str(mask >> i & 1) for i in range(compressed.kernel_size))
-    print(f"vote run      : mask {bits} (kernel position 0 first), {count} vote(s)")
+    print(f"vote run      : mask {bit_string(mask, k)} (kernel position 0 first), {count} vote(s)")
 print(f"kernel size {report.kernel_size}, side info and CRC {report.info_bits} bits, "
       f"scheme size {report.scheme_size}")
 

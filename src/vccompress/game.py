@@ -400,4 +400,4 @@ def parse_payoff_matrix(text: str) -> np.ndarray:
     then m rows of n characters), but rows are positional strategies: the
     read-only uint8 matrix keeps their order and their duplicates."""
     rows = _bit_rows(text, "num_columns num_rows", "matrix dimensions", "matrix")
-    return _bit_matrix([[int(ch) for ch in row] for _, row in rows], "payoff matrix")
+    return _bit_matrix(np.array([list(row) for _, row in rows], dtype=np.uint8), "payoff matrix")

@@ -45,7 +45,7 @@ def intervals(n: int) -> ConceptClass:
     for first in range(n):
         for last in range(first, n):
             rows.add(((1 << (last - first + 1)) - 1) << (n - 1 - last))
-    return ConceptClass.from_row_ints(n, sorted(rows))
+    return ConceptClass.from_row_ints(n, rows)
 
 
 def k_interval_unions(n: int, k: int) -> ConceptClass:
@@ -95,7 +95,7 @@ def halfspaces_grid(side: int, dim: int, count: int = 64, seed: int = 0) -> Conc
     weights = make_rng(seed).normal(size=(count, dim + 1))
     # not a matrix product, which leaves summation order and FMA use to BLAS
     margin = sum(w[:, None] * c for w, c in zip(weights.T, coords)) + weights[:, dim:]
-    return ConceptClass.from_row_ints(n, sorted(set(_row_ints(margin > 0))))
+    return ConceptClass.from_row_ints(n, set(_row_ints(margin > 0)))
 
 
 def random_vc_capped(n: int, vc_cap: int, max_concepts: int, seed: int = 0) -> ConceptClass:
@@ -119,10 +119,10 @@ def random_vc_capped(n: int, vc_cap: int, max_concepts: int, seed: int = 0) -> C
         candidate = _row_ints(rng.integers(0, 2, size=(1, n)))[0]
         if candidate in rows:
             continue
-        tentative = ConceptClass.from_row_ints(n, sorted(rows | {candidate}))
+        tentative = ConceptClass.from_row_ints(n, rows | {candidate})
         if _uncached_vc_dimension(tentative, vc_cap + 1) <= vc_cap:
             rows.add(candidate)
-    return ConceptClass.from_row_ints(n, sorted(rows))
+    return ConceptClass.from_row_ints(n, rows)
 
 
 _GENERATORS = {

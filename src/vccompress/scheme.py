@@ -45,9 +45,11 @@ voting once), so R = 1 is all it spells.  One trailing CRC-32 covers every
 byte after the magic, so every single-byte corruption is detected before
 anything is parsed.  Decoders reject trailing garbage, nonzero padding and
 every non-canonical form, so bytes and containers are in bijection.  A
-container keeps its runs and encodes them once.  Its constructor alone
-judges canonical runs, and serialize_compressed is the one public encoder;
-only deserialize_compressed decodes side info.
+container is exactly its four wire fields: the domain size, the kernel
+points, the kernel labels as the k-bit mask the bytes hold, and the runs.
+Its constructor alone judges canonical runs; serialize_compressed, the one
+public encoder, encodes the side info where it writes it, and only
+deserialize_compressed decodes side info.
 """
 
 from __future__ import annotations
@@ -204,24 +206,23 @@ def decode_side_info(data: bytes, kernel_size: int) -> tuple[tuple[int, int], ..
 
 @dataclass(frozen=True)
 class CompressedSample:
-    """A labeled kernel plus its votes as runs ``((mask, count), ...)``:
-    each mask a subset of the k kernel positions, bit i for position i,
-    whose ERM casts ``count`` votes, in vote order.  Valid by construction,
-    and then canonical: the kernel points and labels are tuples of ints;
-    the runs are a nonempty tuple of (mask, count) pairs whose masks are
-    distinct nonnegative ints that OR to exactly (1 << k) - 1, and whose
-    counts are positive ints with a gcd of 1 summing to at most MAX_VOTES.
-    So a lone run is the whole kernel voting once.  The constructor is the
-    only judge of canonical runs: the side-info encoder trusts it.
-
-    ``side_info``, the runs' encoding, is computed once, on first read.
-    It is not a field: equality, hashing and the repr see the four fields
-    below, which on valid runs compare as the bytes would (the encoding
-    is a bijection)."""
+    """A labeled kernel plus its votes as runs ``((mask, count), ...)``,
+    exactly the four fields the container writes.  ``kernel_labels`` is one
+    k-bit mask, bit i the label of kernel point i; each run's mask is a
+    subset of the k kernel positions, bit i for position i, whose ERM casts
+    ``count`` votes, in vote order.  Valid by construction, and then
+    canonical: the kernel points are a tuple of ints; the labels an int in
+    [0, 2^k); the runs a nonempty tuple of (mask, count) pairs whose masks
+    are distinct nonnegative ints that OR to exactly (1 << k) - 1, and
+    whose counts are positive ints with a gcd of 1 summing to at most
+    MAX_VOTES.  So a lone run is the whole kernel voting once, and equal
+    containers are equal bytes (the encoding is a bijection).  The
+    constructor is the only judge of canonical runs: the side-info encoder
+    trusts it."""
 
     domain_size: int
     kernel_points: tuple[int, ...]
-    kernel_labels: tuple[int, ...]
+    kernel_labels: int
     runs: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
@@ -235,12 +236,8 @@ class CompressedSample:
             raise ValueError("kernel points must be strictly ascending")
         if pts and not (0 <= pts[0] and pts[-1] < self.domain_size):
             raise ValueError("kernel points must lie inside the domain")
-        if not (isinstance(labels, tuple) and all(map(int.__instancecheck__, labels))):
-            raise ValueError("kernel labels must be a tuple of integers")
-        if len(labels) != len(pts):
-            raise ValueError("kernel labels must match kernel points")
-        if not all(map((0, 1).__contains__, labels)):
-            raise ValueError("kernel labels must be 0 or 1")
+        if not (isinstance(labels, int) and 0 <= labels < 1 << len(pts)):
+            raise ValueError("kernel labels must be an integer mask of k bits")
         runs = self.runs
         if not (isinstance(runs, tuple) and runs):
             raise ValueError("runs must be a nonempty tuple of (subset, count) pairs")
@@ -265,10 +262,6 @@ class CompressedSample:
             raise ValueError("run counts must have a gcd of 1")
         if total > MAX_VOTES:
             raise ValueError(f"runs must cast at most {MAX_VOTES} votes")
-
-    @functools.cached_property
-    def side_info(self) -> bytes:
-        return _encode_side_info(self.runs, len(self.kernel_points))
 
     @property
     def subset_count(self) -> int:
@@ -523,7 +516,7 @@ def compress(
     kernel_points = sorted({x for concept, _ in votes for x in provenance_of[concept]})
     position_of = {x: i for i, x in enumerate(kernel_points)}
     labels_by_point = dict(sample.label_items)
-    kernel_labels = tuple(labels_by_point[x] for x in kernel_points)
+    kernel_labels = sum(labels_by_point[x] << i for i, x in enumerate(kernel_points))
     runs = tuple(
         (sum(1 << position_of[x] for x in provenance_of[concept]), count)
         for concept, count in votes
@@ -532,7 +525,7 @@ def compress(
     compressed = CompressedSample(
         concept_class.domain_size, tuple(kernel_points), kernel_labels, runs
     )
-    info_bits = 8 * (len(compressed.side_info) + 4)
+    info_bits = 8 * (len(_encode_side_info(runs, len(kernel_points))) + 4)
     report = SchemeReport(
         kernel_size=len(kernel_points),
         info_bits=info_bits,
@@ -591,7 +584,7 @@ def _subset_erms(
     points, labels = compressed.kernel_points, compressed.kernel_labels
     votes = []
     for mask, count in compressed.runs:
-        pairs = [(points[i], labels[i]) for i in range(len(points)) if mask >> i & 1]
+        pairs = [(points[i], labels >> i & 1) for i in range(len(points)) if mask >> i & 1]
         try:
             votes.append((lowest_consistent_concept(concept_class, pairs), count))
         except UnrealizableError as exc:
@@ -662,9 +655,8 @@ def serialize_compressed(compressed: CompressedSample) -> bytes:
     for point in compressed.kernel_points:
         out += _encode_varint(point if previous is None else point - previous)
         previous = point
-    labels = sum(label << i for i, label in enumerate(compressed.kernel_labels))
-    out += _pack_bits(labels, len(compressed.kernel_labels))
-    out += compressed.side_info
+    out += _pack_bits(compressed.kernel_labels, len(compressed.kernel_points))
+    out += _encode_side_info(compressed.runs, len(compressed.kernel_points))
     out += struct.pack("<I", zlib.crc32(out[len(MAGIC) :]))
     return bytes(out)
 
@@ -690,8 +682,7 @@ def deserialize_compressed(data: bytes) -> CompressedSample:
     for _ in range(kernel_size):
         delta, pos = _decode_varint(body, pos)
         points.append(points[-1] + delta if points else delta)
-    packed, pos = _unpack_bits(body, pos, kernel_size, "label bits")
-    labels = tuple((packed >> i) & 1 for i in range(kernel_size))
+    labels, pos = _unpack_bits(body, pos, kernel_size, "label bits")
     runs = decode_side_info(body[pos:], kernel_size)
     try:
         return CompressedSample(domain_size, tuple(points), labels, runs)

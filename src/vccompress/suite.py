@@ -372,7 +372,7 @@ def _random_compressed_sample(rng) -> CompressedSample:
     domain = int(rng.integers(8, 41))
     kernel_size = int(rng.integers(0, min(11, domain + 1)))
     points = tuple(sorted(rng.choice(domain, size=kernel_size, replace=False).tolist()))
-    labels = tuple(int(b) for b in rng.integers(0, 2, size=kernel_size))
+    labels = sum(int(b) << i for i, b in enumerate(rng.integers(0, 2, size=kernel_size)))
     return CompressedSample(domain, points, labels, _random_runs(rng, kernel_size))
 
 
@@ -454,7 +454,7 @@ def _criterion_codec(seed: int, margins: list[int]):
     # empty subset, concept 0's, 2^31 - 1; it must survive its round trip
     # and vote concept 1's row
     pair = ConceptClass.from_row_ints(2, [0, 0b10])
-    hostile = CompressedSample(2, (0,), (1,), ((1, 1 << 31), (0, (1 << 31) - 1)))
+    hostile = CompressedSample(2, (0,), 1, ((1, 1 << 31), (0, (1 << 31) - 1)))
     if deserialize_compressed(serialize_compressed(hostile)) != hostile:
         failures["hostile_container"] += 1
     if not np.array_equal(reconstruct(pair, hostile), pair.matrix[1]):

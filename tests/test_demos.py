@@ -1,7 +1,7 @@
-"""Smoke tests for the scripts in demos/: each runs as a fresh process
-against the package sources and must exit 0 with some output."""
+"""Smoke tests for the scripts in demos/ and the README's quick start: each
+runs as a fresh process against the package sources and must exit 0 with
+the output it promises."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -21,16 +21,23 @@ def test_every_demo_is_collected():
     ]
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=[demo.stem for demo in DEMOS])
-def test_demo_runs(demo):
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+def _run_python(*args: str) -> str:
+    """Stdout of a fresh interpreter run from the repository root; conftest
+    puts the package sources on its path."""
     proc = subprocess.run(
-        [sys.executable, str(demo)],
-        capture_output=True,
-        text=True,
-        cwd=ROOT,
-        env={**os.environ, "PYTHONPATH": path},
-        timeout=120,
+        [sys.executable, *args], capture_output=True, text=True, cwd=ROOT, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip()
+    return proc.stdout
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[demo.stem for demo in DEMOS])
+def test_demo_runs(demo):
+    assert _run_python(str(demo)).strip()
+
+
+def test_readme_quick_start_prints_what_its_comments_promise():
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    assert "# (8, 19)" in block and "# 42:" in block
+    assert _run_python("-c", block).splitlines() == ["(8, 19)", "42"]

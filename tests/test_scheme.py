@@ -128,9 +128,9 @@ def test_side_info_round_trip_and_checksum():
     assert _encode_side_info(((0b111, 1),), 3) == b"\x01"
     assert decode_side_info(b"\x01", 3) == ((0b111, 1),)
     # the container's CRC covers the side info: any flipped bit in it raises
-    c = CompressedSample(8, (1, 2, 3, 4, 5, 7), (1, 0, 1, 0, 1, 0), runs)
+    c = CompressedSample(8, (1, 2, 3, 4, 5, 7), 0b010101, runs)
     data = serialize_compressed(c)
-    side_start = len(data) - 4 - len(c.side_info)
+    side_start = len(data) - 4 - len(blob)
     for index in range(side_start, len(data) - 4):
         for bit in range(8):
             corrupted = bytearray(data)
@@ -203,8 +203,8 @@ def test_kernel_is_a_labeled_subsample():
     sample = LabeledSample.from_concept(c, 17, range(10))
     compressed, _ = compress(c, sample, seed=1)
     labels = dict(sample.label_items)
-    for point, label in zip(compressed.kernel_points, compressed.kernel_labels):
-        assert labels[point] == label
+    for i, point in enumerate(compressed.kernel_points):
+        assert labels[point] == compressed.kernel_labels >> i & 1
 
 
 def test_singleton_sample_compresses_to_one_vote():
@@ -310,7 +310,7 @@ def test_reconstruct_rejects_mismatched_domains():
 
 def test_reconstruct_rejects_inconsistent_subsets():
     c = ConceptClass.from_rows([[0, 1], [1, 0]])
-    bad = CompressedSample(2, (0, 1), (1, 1), ((0b11, 1),))
+    bad = CompressedSample(2, (0, 1), 0b11, ((0b11, 1),))
     with pytest.raises(IntegrityError):
         reconstruct(c, bad)
 
@@ -325,6 +325,8 @@ def test_serialized_container_round_trips():
     blob = serialize_compressed(compressed)
     assert blob.startswith(MAGIC)
     assert deserialize_compressed(blob) == compressed
+    # a container is its four wire fields and caches nothing beside them
+    assert vars(compressed).keys() == {"domain_size", "kernel_points", "kernel_labels", "runs"}
 
 
 def test_deserialize_rejects_bad_magic_and_trailing_bytes():
@@ -356,38 +358,41 @@ def test_deserialize_rejects_bad_magic_and_trailing_bytes():
 )
 def test_container_rejects_invalid_position_subsets(subsets, message):
     with pytest.raises(ValueError, match=message) as exc:
-        CompressedSample(4, (1, 3), (1, 0), subsets)
+        CompressedSample(4, (1, 3), 0b01, subsets)
     assert not isinstance(exc.value, (DecodeError, IntegrityError))
 
 
 @pytest.mark.parametrize(
     "fields,message",
     [
-        ((4, [1, 3], (1, 0), ((0b11, 1),)), "kernel points must be a tuple of integers"),
-        ((4, (1.0, 3), (1, 0), ((0b11, 1),)), "kernel points must be a tuple of integers"),
-        ((4, (1, 3), (1.0, 0), ((0b11, 1),)), "kernel labels must be a tuple of integers"),
-        ((4, (1, 3), [1, 0], ((0b11, 1),)), "kernel labels must be a tuple of integers"),
-        ((4, (1, 3), (1, 0), ((3.0, 1),)), "run masks must be nonnegative"),
-        ((4.5, (1, 3), (1, 0), ((0b11, 1),)), "domain size must be a positive integer"),
-        ((4, (1, 3), (1, 0), ((0b11, 1.0),)), "run counts must be positive integers"),
-        ((4, (1, 3), (1, 0), ((1.0, 1), (2, 1))), "run masks must be nonnegative"),
+        ((4, [1, 3], 0b01, ((0b11, 1),)), "kernel points must be a tuple of integers"),
+        ((4, (1.0, 3), 0b01, ((0b11, 1),)), "kernel points must be a tuple of integers"),
+        ((4, (1, 3), 1.0, ((0b11, 1),)), "kernel labels must be an integer mask of k bits"),
+        ((4, (1, 3), (1, 0), ((0b11, 1),)), "kernel labels must be an integer mask of k bits"),
+        ((4, (1, 3), 0b01, ((3.0, 1),)), "run masks must be nonnegative"),
+        ((4.5, (1, 3), 0b01, ((0b11, 1),)), "domain size must be a positive integer"),
+        ((4, (1, 3), 0b01, ((0b11, 1.0),)), "run counts must be positive integers"),
+        ((4, (1, 3), 0b01, ((1.0, 1), (2, 1))), "run masks must be nonnegative"),
+        ((4, (1, 3), -1, ((0b11, 1),)), "kernel labels must be an integer mask of k bits"),
+        ((4, (1, 3), 0b100, ((0b11, 1),)), "kernel labels must be an integer mask of k bits"),
     ],
 )
 def test_container_requires_tuples_of_integers(fields, message):
-    # each of these once constructed, then failed to hash, compare or encode
+    # without these checks each would construct, then fail to hash, compare,
+    # encode or round-trip
     with pytest.raises(ValueError, match=message):
         CompressedSample(*fields)
 
 
 def test_container_accepts_bools_as_the_integers_they_equal():
-    ints = CompressedSample(4, (1, 3), (1, 0), ((1, 1), (2, 1)))
-    bools = CompressedSample(4, (True, 3), (True, False), ((True, True), (2, True)))
+    ints = CompressedSample(4, (1, 3), 1, ((1, 1), (2, 1)))
+    bools = CompressedSample(4, (True, 3), True, ((True, True), (2, True)))
     assert bools == ints
     assert serialize_compressed(bools) == serialize_compressed(ints)
 
 
 def test_deserialize_reports_invalid_containers_as_decode_errors():
-    valid = CompressedSample(4, (1, 3), (1, 0), ((0b11, 1),))
+    valid = CompressedSample(4, (1, 3), 0b01, ((0b11, 1),))
     blob = serialize_compressed(valid)
     assert blob == _seal(bytes([4, 2, 1, 2, 0b01, 1]))
     header = bytes([4, 2, 1, 2, 0b01])
@@ -430,17 +435,17 @@ NON_CANONICAL = [
 )
 def test_non_canonical_runs_are_refused(runs, side_info, message):
     with pytest.raises(ValueError, match=message) as exc:
-        CompressedSample(4, (1, 3), (1, 0), runs)
+        CompressedSample(4, (1, 3), 0b01, runs)
     assert not isinstance(exc.value, (DecodeError, IntegrityError))
     with pytest.raises(DecodeError):
         deserialize_compressed(_seal(bytes([4, 2, 1, 2, 0b01]) + side_info))
 
 
 def test_the_vote_cap_admits_exactly_2_to_the_32_votes():
-    at_cap = CompressedSample(4, (1, 3), (1, 0), ((0b11, 1 << 31), (0b01, (1 << 31) - 1)))
+    at_cap = CompressedSample(4, (1, 3), 0b01, ((0b11, 1 << 31), (0b01, (1 << 31) - 1)))
     assert at_cap.subset_count == MAX_VOTES - 1
     assert deserialize_compressed(serialize_compressed(at_cap)) == at_cap
-    full = CompressedSample(4, (1, 3), (1, 0), ((0b11, (1 << 32) - 1), (0b01, 1)))
+    full = CompressedSample(4, (1, 3), 0b01, ((0b11, (1 << 32) - 1), (0b01, 1)))
     assert full.subset_count == MAX_VOTES == 1 << 32
 
 
@@ -462,10 +467,12 @@ def test_any_valid_container_encodes_its_subsets_and_round_trips(raw, counts, rn
     rank = {x: i for i, x in enumerate(kernel)}
     g = math.gcd(*counts[: len(raw)])
     runs = tuple((sum(1 << rank[x] for x in s), n // g) for s, n in zip(raw, counts))
-    labels = tuple(rnd.randint(0, 1) for _ in kernel)
+    labels = sum(rnd.randint(0, 1) << i for i in range(len(kernel)))
     c = CompressedSample(41, tuple(kernel), labels, runs)
-    assert c.side_info == _encode_side_info(c.runs, len(kernel))
-    assert deserialize_compressed(serialize_compressed(c)) == c
+    data = serialize_compressed(c)
+    side_info = _encode_side_info(runs, len(kernel))
+    assert data[-4 - len(side_info) : -4] == side_info
+    assert deserialize_compressed(data) == c
 
 
 @settings(max_examples=60)
@@ -1216,15 +1223,15 @@ def test_hostile_repeated_subsets_reconstruct_in_memory_bounded_by_the_class():
     script = """
 import resource, sys
 from vccompress import ConceptClass, deserialize_compressed, reconstruct, serialize_compressed
-from vccompress.scheme import CompressedSample
+from vccompress.scheme import CompressedSample, _encode_side_info
 n = 20_000
 c = ConceptClass.from_row_ints(n, [0, 1 << (n - 1)])
-compressed = CompressedSample(n, (0,), (1,), ((1, 1 << 31), (0, (1 << 31) - 1)))
+compressed = CompressedSample(n, (0,), 1, ((1, 1 << 31), (0, (1 << 31) - 1)))
 assert deserialize_compressed(serialize_compressed(compressed)) == compressed
 cap = 512 << 20
 resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 labels = reconstruct(c, compressed)
-print(len(compressed.side_info), compressed.subset_count, labels.tolist() == c.matrix[1].tolist())
+print(len(_encode_side_info(compressed.runs, 1)), compressed.subset_count, labels.tolist() == c.matrix[1].tolist())
 """
     out = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, check=True
@@ -1240,11 +1247,11 @@ def test_one_distinct_voter_reconstructs_a_fresh_row():
     cases = [
         (c, point_mass),
         # a lone run over two kernel points
-        (cube_ends, CompressedSample(3, (0, 2), (1, 1), ((0b11, 1),))),
+        (cube_ends, CompressedSample(3, (0, 2), 0b11, ((0b11, 1),))),
         # distinct subsets whose ERM is the same concept, voting once each
-        (cube_ends, CompressedSample(3, (0, 1, 2), (1, 1, 1), ((0b001, 1), (0b110, 1)))),
+        (cube_ends, CompressedSample(3, (0, 1, 2), 0b111, ((0b001, 1), (0b110, 1)))),
         # ... and with counts
-        (cube_ends, CompressedSample(3, (0, 1, 2), (1, 1, 1), ((0b001, 2), (0b110, 3)))),
+        (cube_ends, CompressedSample(3, (0, 1, 2), 0b111, ((0b001, 2), (0b110, 3)))),
     ]
     for cls, compressed in cases:
         votes = scheme._subset_erms(cls, compressed)
