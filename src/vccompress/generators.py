@@ -8,9 +8,11 @@ grow exponentially.  Rows are int bitsets or numpy 0/1 arrays packed by
 
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 
-from .concepts import ConceptClass, _integer, _row_ints, vc_dimension
+from .concepts import ConceptClass, _integer, _row_ints, _vc_search
 from .errors import ConfigError
 from .seeding import make_rng
 
@@ -26,9 +28,7 @@ __all__ = [
 # random_vc_capped draws at most this many candidate rows per requested concept
 _TRIES_PER_CONCEPT = 50
 
-# random_vc_capped's throwaway classes bypass the vc_dimension cache; bound at
-# import, before anything can rebind the name vc_dimension
-_uncached_vc_dimension = vc_dimension.__wrapped__
+logger = logging.getLogger(__name__)
 
 
 def intervals(n: int) -> ConceptClass:
@@ -102,27 +102,69 @@ def random_vc_capped(n: int, vc_cap: int, max_concepts: int, seed: int = 0) -> C
     """Greedily grown random class whose VC dimension never exceeds vc_cap.
 
     Candidate rows are drawn uniformly; one is kept only if adding it leaves
-    the dimension within the cap, which the uncached search, capped one
-    above it, answers without computing d.  Stops at
-    max_concepts rows or after _TRIES_PER_CONCEPT candidates per requested
-    concept.
+    no shattered k-set, k = vc_cap + 1.  Stops at max_concepts rows or after
+    _TRIES_PER_CONCEPT candidates per requested concept.
+
+    A candidate is first checked against the remembered sets: the witnesses
+    of earlier rejections, each with the one pattern the kept rows lacked on
+    it.  A candidate showing that pattern on its set is rejected with no
+    search.  Any other candidate gets one search, capped at k, over the
+    tentative class (``_vc_search``, uncached: the class is thrown away).
+    A result below k keeps it; a result of k remembers the witness.  This
+    decides exactly what the search alone would: the kept rows C0 never
+    shatter a k-set, so when C0 plus a rejected r0 shattered S, C0 showed
+    every pattern on S but r0's; every later class C contains C0 and still
+    shatters no k-set, so it still lacks that one pattern, and a candidate
+    showing it would make C shatter S.
+
+    Candidates are drawn in blocks of at most 2^16 entries, one
+    ``rng.integers`` call each.  Every entry takes the same draw from the
+    Philox stream as it would one row at a time, so the rows do not depend
+    on the block size.
     """
     n, vc_cap = _integer(n, "domain size"), _integer(vc_cap, "vc_cap")
     max_concepts = _integer(max_concepts, "max_concepts")
     if n < 1 or vc_cap < 0 or max_concepts < 1:
         raise ValueError("need n >= 1, vc_cap >= 0, max_concepts >= 1")
-    rng = make_rng(seed)
+    k = vc_cap + 1
+    # one remembered k-set per row, and the pattern the kept rows lack on it;
+    # no k-set exists when k > n, and the arrays stay empty
+    sets = np.empty((0, min(k, n)), dtype=np.intp)
+    missing = np.empty((0, min(k, n)), dtype=np.int64)
     rows: set[int] = set()
-    for _ in range(_TRIES_PER_CONCEPT * max_concepts):
+    duplicates = remembered = kept = rejected = 0
+    for bits, candidate in _draws(make_rng(seed), n, _TRIES_PER_CONCEPT * max_concepts):
         if len(rows) >= max_concepts:
             break
-        candidate = _row_ints(rng.integers(0, 2, size=(1, n)))[0]
         if candidate in rows:
-            continue
-        tentative = ConceptClass.from_row_ints(n, rows | {candidate})
-        if _uncached_vc_dimension(tentative, vc_cap + 1) <= vc_cap:
-            rows.add(candidate)
+            duplicates += 1
+        elif (bits[sets] == missing).all(axis=1).any():
+            remembered += 1
+        else:
+            dimension, witness = _vc_search(ConceptClass.from_row_ints(n, rows | {candidate}), k)
+            if dimension < k:
+                rows.add(candidate)
+                kept += 1
+            else:
+                sets = np.vstack([sets, witness])
+                missing = np.vstack([missing, bits[list(witness)]])
+                rejected += 1
+    logger.debug(
+        "random_vc_capped(%d, %d, %d): %d distinct candidates, %d duplicates; "
+        "%d rejected by a remembered set, %d searches kept a row, %d rejected one",
+        n, vc_cap, max_concepts, remembered + kept + rejected, duplicates,
+        remembered, kept, rejected,
+    )
     return ConceptClass.from_row_ints(n, rows)
+
+
+def _draws(rng: np.random.Generator, n: int, count: int):
+    """`count` uniform 0/1 rows of length n, each with its row int, drawn in
+    blocks of at most max(n, 2^16) entries."""
+    block = max(1, 2**16 // n)
+    for start in range(0, count, block):
+        bits = rng.integers(0, 2, size=(min(block, count - start), n))
+        yield from zip(bits, _row_ints(bits))
 
 
 _GENERATORS = {

@@ -132,11 +132,14 @@ def _certify_mixture(agreement: np.ndarray) -> GameSolution | None:
 
     Duplicate point columns are collapsed before solving (they cannot change
     the game), so the solution is that of the game over the distinct
-    agreement patterns.
+    agreement patterns, in the lexicographic column order of
+    ``np.unique(agreement, axis=1)``: for 0/1 bytes, the order of the
+    columns' bytes.
     """
-    # an unused return_index keeps np.unique from calling np.ma.is_masked,
-    # whose first call imports numpy.ma (tens of ms and about 1 MB per process)
-    patterns, _ = np.unique(agreement, axis=1, return_index=True)
+    m = len(agreement)
+    data = agreement.T.tobytes()  # column after column, m bytes each
+    keys = sorted({data[i : i + m] for i in range(0, len(data), m)})
+    patterns = np.frombuffer(b"".join(keys), dtype=np.uint8).reshape(len(keys), m).T
     solution = _exact_solution(patterns)
     return solution if solution.exact_value >= WEAK_AGREEMENT else None
 

@@ -350,10 +350,9 @@ def test_vc_both_code_paths_agree():
     assert vc_dimension(c) == oracle_vc(c)
 
 
-@pytest.mark.parametrize("seed", range(12))
-def test_vc_agrees_with_oracle_on_repeated_and_complementary_columns(seed):
-    # the search keeps one column per equal-or-complementary pair and drops
-    # constant columns; widen a small class with all four kinds
+def widened_class(seed):
+    """A small random class widened to 8-11 points with repeated,
+    complementary and constant columns."""
     rng = random.Random(seed)
     n = rng.randint(4, 6)
     base = random_class(n, rng.randint(2, 1 << n), seed).matrix
@@ -367,7 +366,14 @@ def test_vc_agrees_with_oracle_on_repeated_and_complementary_columns(seed):
         np.ones(len(base), np.uint8),
     ]
     rng.shuffle(columns)
-    c = ConceptClass.from_rows(np.column_stack(columns))
+    return ConceptClass.from_rows(np.column_stack(columns))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_vc_agrees_with_oracle_on_repeated_and_complementary_columns(seed):
+    # the search keeps one column per equal-or-complementary pair and drops
+    # constant columns; widen a small class with all four kinds
+    c = widened_class(seed)
     assert 8 <= c.domain_size <= 11
     assert vc_dimension(c) == oracle_vc(c)
 
@@ -510,6 +516,33 @@ def test_capped_search_below_its_ceiling_keeps_d(caplog):
         assert [line.partition(":")[0] for line in lines] == [
             f"vc dimension 3 (ceiling {min(ceiling, 5)})"
         ]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        *(pytest.param(lambda s=s: widened_class(s), id=f"widened-{s}") for s in range(12)),
+        *(pytest.param(lambda s=s: random_class(7, 30, s), id=f"random-{s}") for s in range(6)),
+        pytest.param(lambda: intervals(9), id="intervals-9"),
+        pytest.param(lambda: k_interval_unions(8, 2), id="k_interval_unions-8-2"),
+        pytest.param(lambda: full_cube(4), id="full_cube-4"),
+        pytest.param(lambda: ConceptClass.from_row_ints(4, [5]), id="singleton"),
+    ],
+)
+def test_search_at_its_ceiling_returns_a_shattered_witness(make):
+    # the witness columns map back to points through equal or complementary
+    # columns; either choice must give a set the class shatters
+    cls = make()
+    d = oracle_vc(cls)
+    for ceiling in range(cls.domain_size + 2):
+        best, witness = concepts._vc_search(cls, ceiling)
+        assert best == min(d, ceiling)
+        if best == ceiling:
+            assert len(witness) == ceiling and list(witness) == sorted(set(witness))
+            assert shatters(cls, witness) is not None
+        else:
+            assert witness == ()
+    assert concepts._vc_search(cls, None) == (d, ())
 
 
 # --- dual class ---------------------------------------------------------------

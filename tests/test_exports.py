@@ -241,7 +241,7 @@ def test_every_optional_parameter_of_an_export_is_set_outside_the_tests():
 
 def module_level_private_definitions():
     """(module, name) for every private function, class or assigned name
-    (a constant, or an alias such as ``_uncached_vc_dimension``) defined at
+    (a constant such as ``_TRIES_PER_CONCEPT``, or an alias) defined at
     the top level of a module in ``src/vccompress``."""
     found = set()
     for path in sorted((ROOT / "src" / "vccompress").glob("*.py")):

@@ -6,14 +6,17 @@ even-sized subsets of n+1 gap positions.  Union rows and halfspace labels
 are also checked against entry-by-entry scalar oracles.
 """
 
+import hashlib
+import logging
 import math
 
 import numpy as np
 import pytest
 
-from vccompress import ConfigError, vc_dimension
-from vccompress.concepts import ConceptClass
+from vccompress import ConfigError, generators, vc_dimension
+from vccompress.concepts import ConceptClass, _row_ints, serialize_concept_class
 from vccompress.generators import (
+    _draws,
     full_cube,
     halfspaces_grid,
     intervals,
@@ -21,7 +24,7 @@ from vccompress.generators import (
     make_concept_class,
     random_vc_capped,
 )
-from vccompress.seeding import make_rng
+from vccompress.seeding import child_seeds, make_rng
 
 
 def union_count_oracle(n, k):
@@ -148,6 +151,107 @@ def test_random_vc_capped_singleton():
     c = random_vc_capped(6, 0, 1, seed=1)
     assert len(c.rows) == 1
     assert vc_dimension(c) == 0
+
+
+def replayed_vc_capped(n, vc_cap, max_concepts, seed):
+    """The class grown with no remembered sets: one row drawn per call, and
+    one capped search over every distinct candidate's tentative class.
+    Returns the rows and the number of candidates drawn."""
+    rng = make_rng(seed)
+    rows, draws = set(), 0
+    for _ in range(50 * max_concepts):
+        if len(rows) >= max_concepts:
+            break
+        draws += 1
+        candidate = _row_ints(rng.integers(0, 2, size=(1, n)))[0]
+        if candidate in rows:
+            continue
+        if vc_dimension(ConceptClass.from_row_ints(n, rows | {candidate}), vc_cap + 1) <= vc_cap:
+            rows.add(candidate)
+    return ConceptClass.from_row_ints(n, rows), draws
+
+
+@pytest.mark.parametrize(
+    "n, vc_cap, max_concepts, seed",
+    [
+        (7, 2, 24, 5),
+        (10, 2, 40, 1),
+        (12, 3, 60, 0),
+        (6, 0, 1, 0),  # vc_cap = 0
+        (5, 1, 6, 1),
+        (9, 1, 20, 2),
+        (6, 6, 64, 1),  # vc_cap + 1 > n: nothing is ever rejected
+        (1, 0, 2, 0),  # n = 1
+    ],
+)
+def test_random_vc_capped_replays_the_search_only_growth(n, vc_cap, max_concepts, seed):
+    grown, _ = replayed_vc_capped(n, vc_cap, max_concepts, seed)
+    assert random_vc_capped(n, vc_cap, max_concepts, seed) == grown
+
+
+@pytest.mark.parametrize("n, count", [(1, 70_000), (7, 20_000), (3000, 50), (70_000, 3)])
+def test_block_draws_take_the_stream_of_one_row_per_call(n, count):
+    # blocks of max(1, 2**16 // n) rows: 65,536 and 9,362 rows, 21 rows, 1 row
+    rng = make_rng(3)
+    drawn = list(_draws(make_rng(3), n, count))
+    assert len(drawn) == count
+    one_by_one = np.vstack([rng.integers(0, 2, size=(1, n)) for _ in range(count)])
+    np.testing.assert_array_equal(np.vstack([bits for bits, _ in drawn]), one_by_one)
+    assert [candidate for _, candidate in drawn] == _row_ints(one_by_one)
+
+
+def test_random_vc_capped_logs_its_counts(caplog, monkeypatch):
+    searches = []
+    search = generators._vc_search
+
+    def recorded(cls, ceiling):
+        searches.append(search(cls, ceiling))
+        return searches[-1]
+
+    monkeypatch.setattr(generators, "_vc_search", recorded)
+    with caplog.at_level(logging.DEBUG, logger="vccompress.generators"):
+        c = random_vc_capped(12, 3, 60, seed=0)
+    [record] = [r for r in caplog.records if r.name == "vccompress.generators"]
+    candidates, duplicates, remembered, kept, rejected = record.args[3:]
+    _, draws = replayed_vc_capped(12, 3, 60, 0)
+    assert candidates + duplicates == draws
+    assert remembered + kept + rejected == candidates
+    assert kept == len(c) == 60
+    # one search per candidate no remembered set decides; each rejecting
+    # search remembers its witness
+    assert len(searches) == kept + rejected
+    assert sum(best == 4 for best, _ in searches) == rejected
+    assert all(len(witness) == 4 for best, witness in searches if best == 4)
+    assert remembered > candidates / 2
+    assert record.getMessage().startswith(
+        f"random_vc_capped(12, 3, 60): {candidates} distinct candidates, {duplicates} duplicates; "
+    )
+
+
+# sha256 of the serialized rows of every parameter set the package, the
+# demos, the benchmark and the tests grow, as the search-only growth made them
+SUITE_4, SUITE_3 = child_seeds(0, 4), child_seeds(0, 3)  # run_suite(0)'s seeds
+PINNED_ROWS = [
+    ((7, 2, 24, SUITE_4[1]), "abe7282b2fcd872f3aba711a1763c0358132deaf022c8770f6428d457fb88cb6"),
+    ((6, 0, 1, SUITE_4[2]), "9ace69f7b365b57868dbe643e537e4317dc480db67a73611a009468e40deed0d"),
+    ((10, 2, 40, SUITE_3[1]), "288ca464f90d04a4a777de962d6a077ef0c9d4c9c9c00779ea6c29d77a4d320f"),
+    ((12, 3, 60, SUITE_3[2]), "abfe91d4da64f2de69472b5ff094cae0d60177db32b2606d72e91e703ad6cd2c"),
+    ((12, 2, 30, 5), "c5d784a243dd3a6cfd5a972a996ca856172317a2829796bf4752ee00748372e1"),
+    ((10, 2, 40, 3), "15da310654148370ccb5eeebd3be968dd3cfbd5b662a920381b3fc10ff53f45a"),
+    ((12, 3, 60, 0), "4451e67d42c0a5f62e851ad45efb1483492125d1eca60636c09804a0c0ed4054"),
+    ((8, 2, 24, 1), "96ff8a7a0cceb26d43dad7b714170f4ed444100e896e07aa27c1f3e363fa018d"),
+    ((7, 2, 24, 5), "4ec15eabcb41ee090eb4d2cd17b67d4b73909b09b5036393e44784c42054628a"),
+    ((6, 0, 1, 1), "7845bab0b4a747e82a035d8126b3f188f2b0d608d14fd7427dbc29eeaf12bf8e"),
+    ((5, 1, 6, 1), "e32f082d4331fdd0a042155c2c92aa00ab58919cbb9f376c2f2785537bcf2ee7"),
+]
+
+
+@pytest.mark.parametrize(
+    "args, digest", PINNED_ROWS, ids=["-".join(map(str, args)) for args, _ in PINNED_ROWS]
+)
+def test_random_vc_capped_rows_are_pinned(args, digest):
+    text = serialize_concept_class(random_vc_capped(*args))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_make_concept_class_dispatch():

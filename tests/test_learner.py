@@ -10,6 +10,7 @@ import hashlib
 import itertools
 import logging
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -134,6 +135,27 @@ def test_escalate_budget_doubles_and_caps():
 
 
 # -- hypothesis sets --
+
+
+def test_certify_mixture_collapses_columns_as_np_unique_does(monkeypatch):
+    # the game solved is over the distinct columns in np.unique's order,
+    # which for 0/1 bytes is the order of the columns' bytes
+    games, solved = [], SimpleNamespace(exact_value=Fraction(1))
+    monkeypatch.setattr(learner, "_exact_solution", lambda patterns: games.append(patterns) or solved)
+    rng = np.random.default_rng(35)
+    shapes = [(1, 1), (1, 9), (9, 1), (81, 48)]
+    shapes += [tuple(rng.integers(1, 12, size=2)) for _ in range(300)]
+    for m, k in shapes:
+        cases = [
+            rng.integers(0, 2, size=(m, k), dtype=np.uint8),
+            np.repeat(rng.integers(0, 2, size=(m, 1), dtype=np.uint8), k, axis=1),
+            rng.integers(0, 2, size=(m, 3), dtype=np.uint8)[:, rng.integers(0, 3, size=k)],
+        ]
+        for agreement in cases:
+            assert learner._certify_mixture(agreement) is solved
+            patterns = games.pop()
+            assert patterns.dtype == np.uint8
+            np.testing.assert_array_equal(patterns, np.unique(agreement, axis=1))
 
 
 def test_top_of_the_cube_needs_pairs_for_a_weak_majority():
