@@ -265,47 +265,25 @@ def shatters(concept_class: ConceptClass, points: Sequence[int]) -> ShatterWitne
 @functools.lru_cache(maxsize=CLASS_CACHE_SIZE, typed=True)
 def vc_dimension(concept_class: ConceptClass, ceiling: int | None = None) -> int:
     """Exact VC dimension d, or min(d, ceiling) when a ceiling is given, by
-    one search (``_vc_search``).  A capped call answers "is d >= ceiling?"
-    and stops at the first shattered set of that size.  A search that proves
-    d (uncapped, or below its ceiling) keeps it on the class, and every later
-    call on that class reads it there.  The cache keys on the arguments as
-    passed, types included, so a result at its ceiling never answers an
-    uncapped call, and a call at 2 never answers one at 2.0, which must fail
-    the ceiling's integer check.
-    """
-    if ceiling is not None and _integer(ceiling, "ceiling") < 0:
-        raise ValueError(f"ceiling must be nonnegative, got {ceiling}")
-    known = vars(concept_class).get("_vc_dimension")
-    if known is not None:
-        return known if ceiling is None else min(known, ceiling)
-    best, _ = _vc_search(concept_class, ceiling)
-    if ceiling is None or best < ceiling:  # below the ceiling asked for, best is d
-        object.__setattr__(concept_class, "_vc_dimension", best)
-    return best
-
-
-def _vc_search(concept_class: ConceptClass, ceiling: int | None) -> tuple[int, tuple[int, ...]]:
-    """min(d, ceiling) by one depth-first search over point columns, plus
-    its witness: when the search meets the ceiling, the shattered set it
-    found (``ceiling`` points, ascending); below the ceiling, ().  The
-    ceiling is taken as given, with no checks and no cache, so the caller
-    owns both: ``vc_dimension``, and ``random_vc_capped`` for its throwaway
-    classes.
+    one depth-first search over point columns.  A capped call answers "is
+    d >= ceiling?" and stops at the first shattered set of that size.  A
+    search that proves d (uncapped, or below its ceiling) keeps it on the
+    class, and every later call on that class reads it there.  The cache
+    keys on the arguments as passed, types included, so a result at its
+    ceiling never answers an uncapped call, and a call at 2 never answers
+    one at 2.0, which must fail the ceiling's integer check.
 
     The candidates are the nontrivial columns (point masks), one per class of
     equal or complementary columns.  This loses nothing: a shattered set
     holds no two equal columns (no concept labels them 0, 1) and no two
     complementary ones (none labels them 0, 0), and swapping a column for
-    its complement maps shattered sets to shattered sets.  So a witness
-    column maps back to any point whose mask is that column or its
-    complement.
+    its complement maps shattered sets to shattered sets.
 
     A node is a shattered set plus its cells: for each label pattern, the
     bitset of the concepts realizing it.  Its children extend it by one later
     column that splits every cell, which loses nothing: every subset of a
     shattered set is shattered.  Only the current path and its pending
-    siblings are held; once a node meets the cap, each level appends its
-    column as it returns.  The search returns at its cap, the least of
+    siblings are held.  The search returns at its cap, the least of
     `ceiling`, n and floor(log2 m), and prunes what cannot beat the best
     size found: a child whose size plus its remaining candidates is no
     larger, and a set of size k whose cells cannot all hold 2^(best + 1 - k)
@@ -313,6 +291,11 @@ def _vc_search(concept_class: ConceptClass, ceiling: int | None) -> tuple[int, t
     time, smallest cell first: a column stays while it splits each cell into
     two halves of at least 2^(best - k) concepts.
     """
+    if ceiling is not None and _integer(ceiling, "ceiling") < 0:
+        raise ValueError(f"ceiling must be nonnegative, got {ceiling}")
+    known = vars(concept_class).get("_vc_dimension")
+    if known is not None:
+        return known if ceiling is None else min(known, ceiling)
     m = len(concept_class)
     full = (1 << m) - 1
     cap = min(concept_class.domain_size, m.bit_length() - 1)  # d is at most this
@@ -321,7 +304,6 @@ def _vc_search(concept_class: ConceptClass, ceiling: int | None) -> tuple[int, t
     columns = [c for c in concept_class.point_masks if 0 < c < full]
     reduced = list(dict.fromkeys(min(c, full ^ c) for c in columns))
     best = nodes = 0
-    path: list[int] = []  # the met set's columns, deepest first
 
     def extend(size: int, cells: list[int], candidates: list[int]) -> bool:
         """Search above a shattered `size`-set; True once the cap is met."""
@@ -337,7 +319,6 @@ def _vc_search(concept_class: ConceptClass, ceiling: int | None) -> tuple[int, t
             child = sorted(halves, key=int.bit_count)
             best = max(best, size + 1)
             if best == cap:
-                path.append(one)
                 return True
             if child[0].bit_count() < 1 << (best - size):
                 continue
@@ -352,7 +333,6 @@ def _vc_search(concept_class: ConceptClass, ceiling: int | None) -> tuple[int, t
                     top = cell.bit_count() - need
                     later = [y for y in later if need <= (cell & y).bit_count() <= top]
             if size + 1 + len(later) > best and extend(size + 1, child, later):
-                path.append(one)
                 return True
         return False
 
@@ -363,12 +343,9 @@ def _vc_search(concept_class: ConceptClass, ceiling: int | None) -> tuple[int, t
         "equal and complementary ones, %d nodes extended",
         best, cap, len(columns), len(reduced), nodes,
     )
-    if best != ceiling:
-        return best, ()
-    point_of: dict[int, int] = {}
-    for x, c in enumerate(concept_class.point_masks):
-        point_of.setdefault(min(c, full ^ c), x)
-    return best, tuple(sorted(point_of[one] for one in path))
+    if ceiling is None or best < ceiling:  # below the ceiling asked for, best is d
+        object.__setattr__(concept_class, "_vc_dimension", best)
+    return best
 
 
 # -- dual class ------------------------------------------------------------

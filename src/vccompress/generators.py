@@ -4,15 +4,18 @@ Every generator is deterministic given its arguments (randomized ones take a
 seed), returns a canonical ConceptClass, and guards the enumerations that
 grow exponentially.  Rows are int bitsets or numpy 0/1 arrays packed by
 ``concepts``' row packer, never built entry by entry in Python.
+``random_vc_capped`` judges its candidates with a search of its own, for a
+set a candidate would complete, not with the general VC search.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 
 import numpy as np
 
-from .concepts import ConceptClass, _integer, _row_ints, _vc_search
+from .concepts import ConceptClass, _integer, _row_ints
 from .errors import ConfigError
 from .seeding import make_rng
 
@@ -102,20 +105,24 @@ def random_vc_capped(n: int, vc_cap: int, max_concepts: int, seed: int = 0) -> C
     """Greedily grown random class whose VC dimension never exceeds vc_cap.
 
     Candidate rows are drawn uniformly; one is kept only if adding it leaves
-    no shattered k-set, k = vc_cap + 1.  Stops at max_concepts rows or after
-    _TRIES_PER_CONCEPT candidates per requested concept.
+    no shattered k-set, k = vc_cap + 1.  Stops at max_concepts rows, at the
+    Sauer-Shelah bound sum_{i <= vc_cap} C(n, i) (no class of VC dimension
+    at most vc_cap has more rows, so no later candidate could be kept), or
+    after _TRIES_PER_CONCEPT candidates per requested concept.  A greedy
+    class can get stuck below the bound, with every row outside it
+    completing some k-set; it then runs all its draws.
 
-    A candidate is first checked against the remembered sets: the witnesses
-    of earlier rejections, each with the one pattern the kept rows lacked on
-    it.  A candidate showing that pattern on its set is rejected with no
-    search.  Any other candidate gets one search, capped at k, over the
-    tentative class (``_vc_search``, uncached: the class is thrown away).
-    A result below k keeps it; a result of k remembers the witness.  This
-    decides exactly what the search alone would: the kept rows C0 never
-    shatter a k-set, so when C0 plus a rejected r0 shattered S, C0 showed
-    every pattern on S but r0's; every later class C contains C0 and still
-    shatters no k-set, so it still lacks that one pattern, and a candidate
-    showing it would make C shatter S.
+    The kept rows C0 never shatter a k-set, so C0 plus a candidate r
+    shatters S exactly when C0 shows every pattern on S but r's (Sauer 1972,
+    Shelah 1972).  A candidate is first checked against the remembered sets:
+    the sets earlier rejections completed, each with the one pattern the
+    kept rows lacked on it.  Every later class contains C0 and still
+    shatters no k-set, so it still lacks that pattern, and a candidate
+    showing it is rejected with no search.  Any other candidate gets one
+    ``_completed_set`` search over int bitsets of the kept rows: none found
+    keeps it, a set found is remembered.  No tentative class is built, and
+    the rows are those of the growth that runs ``vc_dimension`` over every
+    candidate's tentative class.
 
     Candidates are drawn in blocks of at most 2^16 entries, one
     ``rng.integers`` call each.  Every entry takes the same draw from the
@@ -126,45 +133,107 @@ def random_vc_capped(n: int, vc_cap: int, max_concepts: int, seed: int = 0) -> C
     max_concepts = _integer(max_concepts, "max_concepts")
     if n < 1 or vc_cap < 0 or max_concepts < 1:
         raise ValueError("need n >= 1, vc_cap >= 0, max_concepts >= 1")
-    k = vc_cap + 1
-    # one remembered k-set per row, and the pattern the kept rows lack on it;
-    # no k-set exists when k > n, and the arrays stay empty
-    sets = np.empty((0, min(k, n)), dtype=np.intp)
-    missing = np.empty((0, min(k, n)), dtype=np.int64)
-    rows: set[int] = set()
-    duplicates = remembered = kept = rejected = 0
-    for bits, candidate in _draws(make_rng(seed), n, _TRIES_PER_CONCEPT * max_concepts):
-        if len(rows) >= max_concepts:
-            break
-        if candidate in rows:
+    k = min(vc_cap, n) + 1  # no set past n points exists to shatter
+    bound = sum(math.comb(n, i) for i in range(k))
+    rows: list[int] = []  # the kept rows; row i is bit i of each column
+    columns = [0] * n  # per row-int bit, the kept rows holding a 1 there
+    kept: set[int] = set()
+    remembered: list[tuple[int, int]] = []  # (set mask, the pattern the kept rows lack)
+    duplicates = by_memory = nodes = 0
+    for candidate in _draws(make_rng(seed), n, _TRIES_PER_CONCEPT * max_concepts):
+        if candidate in kept:
             duplicates += 1
-        elif (bits[sets] == missing).all(axis=1).any():
-            remembered += 1
+        elif any(candidate & mask == missing for mask, missing in remembered):
+            by_memory += 1
         else:
-            dimension, witness = _vc_search(ConceptClass.from_row_ints(n, rows | {candidate}), k)
-            if dimension < k:
-                rows.add(candidate)
-                kept += 1
-            else:
-                sets = np.vstack([sets, witness])
-                missing = np.vstack([missing, bits[list(witness)]])
-                rejected += 1
+            found, visited = _completed_set(candidate, rows, columns, k)
+            nodes += visited
+            if found:
+                remembered.append((found, candidate & found))
+                continue
+            for b, digit in enumerate(bin(candidate)[:1:-1]):
+                if digit == "1":
+                    columns[b] |= 1 << len(rows)
+            rows.append(candidate)
+            kept.add(candidate)
+            if len(rows) in (max_concepts, bound):
+                break
+    stop = (
+        "at max_concepts" if len(rows) == max_concepts
+        else "at the Sauer-Shelah bound" if len(rows) == bound
+        else "with its draws exhausted"
+    )
     logger.debug(
         "random_vc_capped(%d, %d, %d): %d distinct candidates, %d duplicates; "
-        "%d rejected by a remembered set, %d searches kept a row, %d rejected one",
-        n, vc_cap, max_concepts, remembered + kept + rejected, duplicates,
-        remembered, kept, rejected,
+        "%d rejected by a remembered set, %d searches kept a row, %d rejected one "
+        "(%d nodes); stopped %s",
+        n, vc_cap, max_concepts, by_memory + len(rows) + len(remembered), duplicates,
+        by_memory, len(rows), len(remembered), nodes, stop,
     )
     return ConceptClass.from_row_ints(n, rows)
 
 
+def _completed_set(candidate: int, rows: list[int], columns: list[int], k: int) -> tuple[int, int]:
+    """A k-set the candidate would complete, as a mask over row-int bits, or 0
+    if there is none; and the number of search nodes visited.
+
+    `rows` are the kept rows, which shatter no k-set, and columns[b] is the
+    bitset of the rows with bit b set (row i as bit i).  The candidate
+    completes S exactly when the kept rows show every pattern on S but its
+    own.  The search grows S point by point and holds the kept rows' cells,
+    one per pattern on S; the own cell holds the rows that agree with the
+    candidate on S.  Every kept row must differ from the candidate somewhere
+    on S, so a node branches on the free points where the row of its own
+    cell with the fewest of them differs, and each branch also leaves out
+    the points its earlier siblings took.  At j points every other cell must
+    still hold 2^(k-j) rows and the own cell 2^(k-j) - 1, enough for each to
+    show its patterns on the k-set, all but the candidate's; so the own cell
+    never empties before S has k points.
+    """
+    nodes = 0
+
+    def extend(chosen: int, size: int, own: int, cells: list[int], free: int) -> int:
+        nonlocal nodes
+        nodes += 1
+        if size == k:
+            return chosen
+        need = 1 << (k - size - 1)
+        differences = [
+            (row ^ candidate) & free for row, bit in zip(rows, bin(own)[:1:-1]) if bit == "1"
+        ]
+        branch = min(differences, key=int.bit_count)
+        while branch:
+            point = branch & -branch
+            branch ^= point
+            free ^= point
+            column = columns[point.bit_length() - 1]
+            same = own & column if candidate & point else own & ~column
+            other = own ^ same
+            if same.bit_count() < need - 1 or other.bit_count() < need:
+                continue
+            halves = [other]
+            for cell in cells:
+                half = cell & column
+                if half.bit_count() < need or (cell ^ half).bit_count() < need:
+                    break
+                halves += (half, cell ^ half)
+            else:
+                found = extend(chosen | point, size + 1, same, halves, free)
+                if found:
+                    return found
+        return 0
+
+    if len(rows) < (1 << k) - 1:
+        return 0, 0
+    return extend(0, 0, (1 << len(rows)) - 1, [], (1 << len(columns)) - 1), nodes
+
+
 def _draws(rng: np.random.Generator, n: int, count: int):
-    """`count` uniform 0/1 rows of length n, each with its row int, drawn in
-    blocks of at most max(n, 2^16) entries."""
+    """`count` uniform 0/1 rows of length n as row ints, drawn in blocks of
+    at most max(n, 2^16) entries."""
     block = max(1, 2**16 // n)
     for start in range(0, count, block):
-        bits = rng.integers(0, 2, size=(min(block, count - start), n))
-        yield from zip(bits, _row_ints(bits))
+        yield from _row_ints(rng.integers(0, 2, size=(min(block, count - start), n)))
 
 
 _GENERATORS = {

@@ -1,8 +1,8 @@
 """Acceptance checks, one test per criterion.
 
-The whole battery runs off a single seeded suite execution (26 to 32 s on a
-shared 2-core machine at load average 1); each test prints its own PASS/FAIL line, so run with ``-s`` to see
-them as they land:
+The whole battery runs off a single seeded suite execution (12 to 23 s on a
+shared 2-core machine); each test prints its own PASS/FAIL line, so run with
+``-s`` to see them as they land:
 
     pytest tests/test_acceptance.py -v -s
 """

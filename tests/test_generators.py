@@ -7,6 +7,7 @@ are also checked against entry-by-entry scalar oracles.
 """
 
 import hashlib
+import itertools
 import logging
 import math
 
@@ -14,8 +15,9 @@ import numpy as np
 import pytest
 
 from vccompress import ConfigError, generators, vc_dimension
-from vccompress.concepts import ConceptClass, _row_ints, serialize_concept_class
+from vccompress.concepts import ConceptClass, _row_ints, serialize_concept_class, shatters
 from vccompress.generators import (
+    _completed_set,
     _draws,
     full_cube,
     halfspaces_grid,
@@ -194,38 +196,88 @@ def test_block_draws_take_the_stream_of_one_row_per_call(n, count):
     # blocks of max(1, 2**16 // n) rows: 65,536 and 9,362 rows, 21 rows, 1 row
     rng = make_rng(3)
     drawn = list(_draws(make_rng(3), n, count))
-    assert len(drawn) == count
     one_by_one = np.vstack([rng.integers(0, 2, size=(1, n)) for _ in range(count)])
-    np.testing.assert_array_equal(np.vstack([bits for bits, _ in drawn]), one_by_one)
-    assert [candidate for _, candidate in drawn] == _row_ints(one_by_one)
+    assert drawn == _row_ints(one_by_one)
+
+
+def kept_columns(n, rows):
+    """random_vc_capped's columns, bit by bit: per row-int bit, the rows
+    holding a 1 there, row i as bit i."""
+    return [sum(1 << i for i, row in enumerate(rows) if row >> b & 1) for b in range(n)]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("vc_cap", range(4))
+def test_completed_set_agrees_with_brute_force(n, vc_cap):
+    # kept classes from the replayed growth, cut at several sizes; every row
+    # not kept is a candidate
+    k = vc_cap + 1
+    for max_concepts, seed in [(3, 0), (9, 1), (40, 0), (40, 2)]:
+        grown, _ = replayed_vc_capped(n, vc_cap, max_concepts, seed)
+        rows, kept = list(grown.rows), ConceptClass.from_row_ints(n, grown.rows)
+        columns = kept_columns(n, rows)
+        for candidate in sorted(set(range(1 << n)) - set(rows)):
+            tentative = ConceptClass.from_row_ints(n, [*rows, candidate])
+            completed = [s for s in itertools.combinations(range(n), k) if shatters(tentative, s)]
+            found, _ = _completed_set(candidate, rows, columns, k)
+            assert bool(found) == bool(completed), (max_concepts, seed, candidate)
+            if found:
+                points = tuple(x for x in range(n) if found >> (n - 1 - x) & 1)
+                assert found < 1 << n and len(points) == k
+                assert points in completed and shatters(kept, points) is None
 
 
 def test_random_vc_capped_logs_its_counts(caplog, monkeypatch):
     searches = []
-    search = generators._vc_search
+    search = generators._completed_set
 
-    def recorded(cls, ceiling):
-        searches.append(search(cls, ceiling))
+    def recorded(candidate, rows, columns, k):
+        searches.append(search(candidate, rows, columns, k))
         return searches[-1]
 
-    monkeypatch.setattr(generators, "_vc_search", recorded)
+    monkeypatch.setattr(generators, "_completed_set", recorded)
     with caplog.at_level(logging.DEBUG, logger="vccompress.generators"):
         c = random_vc_capped(12, 3, 60, seed=0)
     [record] = [r for r in caplog.records if r.name == "vccompress.generators"]
-    candidates, duplicates, remembered, kept, rejected = record.args[3:]
+    candidates, duplicates, remembered, kept, rejected, nodes, stop = record.args[3:]
     _, draws = replayed_vc_capped(12, 3, 60, 0)
     assert candidates + duplicates == draws
     assert remembered + kept + rejected == candidates
     assert kept == len(c) == 60
-    # one search per candidate no remembered set decides; each rejecting
-    # search remembers its witness
+    # one search per candidate no remembered set decides; each set found is
+    # a 4-set, remembered
     assert len(searches) == kept + rejected
-    assert sum(best == 4 for best, _ in searches) == rejected
-    assert all(len(witness) == 4 for best, witness in searches if best == 4)
+    assert sum(found != 0 for found, _ in searches) == rejected
+    assert all(found.bit_count() == 4 for found, _ in searches if found)
+    assert nodes == sum(visited for _, visited in searches) > 0
+    assert stop == "at max_concepts"
     assert remembered > candidates / 2
     assert record.getMessage().startswith(
         f"random_vc_capped(12, 3, 60): {candidates} distinct candidates, {duplicates} duplicates; "
     )
+
+
+@pytest.mark.parametrize(
+    "args, replayed_max, stop",
+    [
+        ((4, 1, 10_000, 0), 5, "at the Sauer-Shelah bound"),  # C(4, 0) + C(4, 1) rows
+        ((6, 7, 100, 1), 64, "at the Sauer-Shelah bound"),  # vc_cap > n: all 2^6 rows
+        ((5, 3, 27, 1), 27, "with its draws exhausted"),  # stuck at 25 of the bound's 26
+        ((7, 2, 24, 5), 24, "at max_concepts"),
+    ],
+)
+def test_random_vc_capped_stops_at_the_sauer_shelah_bound(caplog, args, replayed_max, stop):
+    # the bound's stop keeps the rows and draws no candidate after the last
+    # row it keeps; without it (4, 1, 10_000) drew 500,000
+    n, vc_cap, _, seed = args
+    with caplog.at_level(logging.DEBUG, logger="vccompress.generators"):
+        c = random_vc_capped(*args)
+    [record] = [r for r in caplog.records if r.name == "vccompress.generators"]
+    candidates, duplicates = record.args[3:5]
+    grown, draws = replayed_vc_capped(n, vc_cap, replayed_max, seed)
+    assert c == grown
+    assert candidates + duplicates == draws
+    assert record.getMessage().endswith(f"stopped {stop}")
 
 
 # sha256 of the serialized rows of every parameter set the package, the
