@@ -17,15 +17,20 @@ hypothesis consistent with the whole sample) votes once; the empty sample
 is one, on concept 0, taught by the empty subset.  A larger mixture's exact rational
 weights p are rounded to N = 1, 2, ... votes: each hypothesis gets the
 floor of N*p and the largest remainders (ties to the lower pool index) one
-vote more.  The first N whose votes win every point is kept.  p gives
-every point's label mass at least 2/3 and each count moves by less than 1,
-so the majority is strict from N = 6s on, s being p's support size, and no
-seed or draw is needed.  The search stops at the paper's vote ceiling
-T (``_vote_ceiling``, the sparsifier's size at d* and 1/8), computing d*
-only past T's least value 1024; when 6s exceeds T and no N up to T wins,
-the seeded 1/8-sparsifier (approx) draws the votes instead.  Rounded and
-drawn counts alike are divided by their gcd (majorities are
-scale-invariant) by one reducer.
+vote more.  The first N whose votes win every point is kept.
+
+One margin carries every vote count.  p gives every sampled point's label
+mass at least a = ``WEAK_AGREEMENT`` = 2/3, and rounding moves each of
+p's s support counts by less than 1, so the label gets more than N*a - s
+of N votes: a strict majority once N*(a - 1/2) >= s.  The least such N,
+6s at a = 2/3, is the sure count, so rounding needs no seed or draw.  The
+search stops at the paper's vote ceiling T (``_vote_ceiling``, the
+sparsifier's size at d* and 1/8), computing d* only past T's least value
+1024.  When the sure count exceeds T and no N up to T wins, the seeded
+1/8-sparsifier (approx) draws the votes instead: its draws move every
+point's label mass by at most ``SPARSIFY_EPSILON`` = 1/8 < a - 1/2, so they
+keep a strict majority too.  Rounded and drawn counts alike are divided by
+their gcd (majorities are scale-invariant) by one reducer.
 
 The majority re-check reads the class's packed integer rows, independently
 of the learner's point bitsets: each vote's wrong points are one bitset
@@ -69,7 +74,7 @@ import numpy as np
 from .approx import ProbabilityVector, approximation_size_bound, sparsify_mixture
 from .concepts import ConceptClass, LabeledSample, dual_class, vc_dimension
 from .errors import DecodeError, IntegrityError, UnrealizableError
-from .learner import build_hypothesis_set, lowest_consistent_concept
+from .learner import WEAK_AGREEMENT, build_hypothesis_set, lowest_consistent_concept
 from .seeding import child_seeds
 
 __all__ = [
@@ -141,10 +146,6 @@ def _decode_varint(data: bytes, offset: int) -> tuple[int, int]:
                 raise DecodeError("varint not minimally encoded", offset)
             return result, pos
         shift += 7
-
-
-def _varint_length(value: int) -> int:
-    return len(_encode_varint(value))
 
 
 # -- bit strings ----------------------------------------------------------------
@@ -278,34 +279,28 @@ class SchemeReport:
     """Size accounting for one compression.  scheme_size = kernel points plus
     ``info_bits``, the side info's bits and the container CRC's 32 (the
     CRC guards the side info along with the rest); ``subset_count`` is
-    the votes cast, the run counts' sum.  details carries the run's diagnostics
-    (dimensions, vote multiset, certified agreement (the learner game's
-    exact value, correctly rounded to a float), majority margin, and how a
-    mixture's votes were found).  The majority margin is the votes'
-    certificate.  A mixture's ``votes_from`` is "rounding" or "sampler",
-    and its ``draw_count`` is the number N of votes rounded or drawn before
-    the gcd reduction, next to ``draw_ceiling``, the paper's vote count
-    T = ceil(16 (d*+1) / epsilon^2).  Rounding keeps the first N up to T
-    whose votes win every sampled point; the sampler fallback returns the
-    first certified draw of 1, 2, 4, ... votes below T, else of T, and
-    only it reports a ``sparsification_deviation``.  A point mass, the
-    empty sample's included, is neither rounded nor drawn: its one vote is
-    the mixture, its certified agreement 1.0 and its draw_count 0.
+    the votes cast, the run counts' sum; ``subset_budget`` is the budget
+    the learner certified at (``HypothesisSet.budget``): no side-info
+    subset has more points, so the size is within ``scheme_size_bound``
+    at it.
 
-    ``subset_budget`` is the budget the learner certified at
-    (``HypothesisSet.budget``): no side-info subset has more points, so
-    the size is within ``scheme_size_bound`` at it.
+    ``known_details`` holds what ``compress`` knew: ``epsilon``, ``seed``,
+    ``vote_concepts`` (the reduced (concept, count) votes),
+    ``min_majority_margin`` (the votes' certificate),
+    ``certified_agreement`` (the learner game's exact value, correctly
+    rounded to a float) and ``draw_count``, the N votes rounded or drawn
+    before the gcd reduction (0 for a point mass, whose one vote is the
+    mixture, at certified agreement 1.0).  A mixture adds ``votes_from``,
+    "rounding" or "sampler", and only the sampler a
+    ``sparsification_deviation``.
 
-    Only the sampler needs the dual VC dimension d*, and rounding only past
-    N = 1024, so ``compress`` leaves ``dual_vc_dimension`` and
-    ``draw_ceiling`` out of ``known_details``; a taught point mass needs d
-    only as far as its teaching set, so ``vc_dimension`` stays out too.
-    ``details`` fills the three in on first read, from the class kept in
-    ``concept_class`` (a mixture's d is read where the learner's capped
-    search left it), and returns a plain dict.  Being a property, it is
-    not a dataclass field: ``dataclasses.asdict`` shows ``known_details``
-    instead, and ``==`` compares report contents, not the class or its
-    dimensions."""
+    ``details`` is ``known_details`` plus ``vc_dimension``,
+    ``dual_vc_dimension`` and ``draw_ceiling``, the vote ceiling
+    T = ceil(16 (d*+1) / epsilon^2),
+    computed on first read from the class kept in ``concept_class``.  Being
+    a property, it is not a dataclass field: ``dataclasses.asdict`` shows
+    ``known_details`` instead, and ``==`` compares report contents, not
+    the class or its dimensions."""
 
     kernel_size: int
     info_bits: int
@@ -405,20 +400,14 @@ def _round_mixture(concept_class, hypotheses, p, label_items):
     """(N, votes, margin) for the first N = 1, 2, ... whose
     ``_rounded_votes`` of the exact mixture p over ``hypotheses`` pass
     ``_majority_margin``, with that margin; None when no N up to the vote
-    ceiling T does.
-
-    Every sampled point's label mass under p is at least 2/3, and rounding
-    moves each of the s support counts by less than 1, so from N = 6s on
-    the votes for the label exceed 2N/3 - s >= N/2: the majority is strict.
-    A failure at N = 6s means p is no certificate, and its IntegrityError
-    propagates.  d* is computed, for T, only once N passes 1024, T's least
-    value (each later N reads it from the dimension caches); only a support
-    with 6s > T can exhaust the search."""
+    ceiling T does.  A failure at the sure count (the module docstring)
+    means p is no certificate, and its IntegrityError propagates."""
     support = [(concept, x) for concept, x in zip(hypotheses, p) if x]
     concepts = [concept for concept, _ in support]
     denominator = math.lcm(*(x.denominator for _, x in support))
     numerators = [x.numerator * (denominator // x.denominator) for _, x in support]
-    certain = 6 * len(support)
+    # the least N with N * (WEAK_AGREEMENT - 1/2) >= s
+    certain = math.ceil(2 * len(support) / (2 * WEAK_AGREEMENT - 1))
     least = _vote_ceiling(0)  # T at d* = 0, the least of any class
     for n in range(1, certain + 1):
         if n > least and n > _vote_ceiling(vc_dimension(dual_class(concept_class))):
@@ -438,40 +427,21 @@ def compress(
     sample: LabeledSample,
     seed: int = 0,
 ) -> tuple[CompressedSample, SchemeReport]:
-    """Compress a realizable labeled sample to a kernel and side info.
+    """Compress a realizable labeled sample to a kernel and side info, by
+    the vote pipeline of the module docstring.
 
-    The kernel is the union of the provenance subsets behind the voting
-    hypotheses; its size is governed by the class's VC dimension d (each
-    subset has at most the learner's subset budget, max(1, d) unless the
-    learner escalated it) and
-    the dual VC dimension (ceiling on the vote count), never by the sample
-    length.  Every sampled point's majority is re-verified as a
-    strict integer inequality before encoding.
-
-    Every sample, the empty one included, goes through the learner.  A
-    taught point mass votes once, and its ``draw_count`` is 0; the empty
-    sample's is concept 0 with an empty kernel.  A larger certified
-    mixture's votes round its exact weights: the first N = 1, 2, ... votes
-    whose largest-remainder rounding wins every sampled point, found by
-    N = 6s for a support of s hypotheses; the report's ``votes_from`` is
-    "rounding" and ``draw_count`` N.  Only when 6s exceeds the vote ceiling
-    T and no N up to T wins does the seeded 1/8-sparsifier draw the votes
-    ("sampler").  Each vote multiset tried is majority-checked once, and
-    the accepted one's margin is reported.
-
-    The seed feeds only that sampler fallback: the hypothesis pool, its
-    certificate and the rounding are deterministic.
+    The kernel is the union of the subsets behind the voting hypotheses,
+    each of at most the learner's subset budget: its size is governed by
+    the class's VC dimension and the dual VC dimension, never by the
+    sample length.  Every sampled point's majority is verified as a strict
+    integer inequality before encoding.  The seed feeds only the sampler
+    fallback: the hypothesis pool, its certificate and the rounding are
+    deterministic.  compress computes no VC dimension of its own (the
+    report's ``details`` does, when read).
 
     Only the learner's ERM (``lowest_consistent_concept``) checks the
     sample: ValueError for a point outside the domain, UnrealizableError
     for an unrealizable sample.
-
-    compress computes no VC dimension itself.  The learner asks for d only
-    as far as the subset budget needs it (a taught point mass of t points,
-    only whether d >= t), and the dual VC dimension d* is computed only for
-    T, by a rounding that passes N = 1024 or by the sampler.  The report's
-    ``subset_budget`` is the learner's; it computes d, d* and
-    ``draw_ceiling`` = T when they are first read.
     """
     hypothesis_set, solution = build_hypothesis_set(concept_class, sample)
 
@@ -604,8 +574,9 @@ def scheme_size_bound(vc_dim: int, dual_vc_dim: int, subset_budget: int) -> int:
     byte or two per run."""
     max_votes = _vote_ceiling(dual_vc_dim)
     max_kernel = max_votes * subset_budget
-    run_bytes = (max_kernel + 7) // 8 + _varint_length(max_votes)
-    side_info_bytes = _varint_length(max_votes) + max_votes * run_bytes
+    count_bytes = len(_encode_varint(max_votes))
+    run_bytes = (max_kernel + 7) // 8 + count_bytes
+    side_info_bytes = count_bytes + max_votes * run_bytes
     return max_kernel + 8 * (side_info_bytes + 4)
 
 
@@ -619,7 +590,7 @@ def verify_round_trip(concept_class: ConceptClass, sample: LabeledSample) -> Ver
     The bound is checked from below first.  It is nondecreasing in d*, so
     a size within the bound at d* = 0 is within the exact one.  Only a
     size above that is checked against the bound at the exact d*, which
-    needs the dual and primal VC searches."""
+    needs the dual VC search; the bound ignores d, so d is not computed."""
     compressed, report = compress(concept_class, sample)
     votes = _subset_erms(concept_class, compressed)
     decoded = _majority_vote(concept_class, votes)
@@ -630,7 +601,7 @@ def verify_round_trip(concept_class: ConceptClass, sample: LabeledSample) -> Ver
     size_within_bound = report.scheme_size <= scheme_size_bound(
         0, 0, report.subset_budget
     ) or report.scheme_size <= scheme_size_bound(
-        report.details["vc_dimension"], report.details["dual_vc_dimension"], report.subset_budget
+        0, vc_dimension(dual_class(concept_class)), report.subset_budget
     )
     return VerificationResult(
         passed=not mismatches and hypotheses_match and size_within_bound,

@@ -70,7 +70,7 @@ _RUNTIME_CAPS = {1: 300.0, 5: 60.0, 8: 120.0}
 def _verified(concept_class, sample, margins):
     """verify_round_trip, logging the run's majority margin for criterion 7."""
     result = verify_round_trip(concept_class, sample)
-    margins.append(result.report.details["min_majority_margin"])
+    margins.append(result.report.known_details["min_majority_margin"])
     return result
 
 
@@ -80,46 +80,40 @@ def _criterion_round_trips(seed: int, margins: list[int]):
     bound.  Exhaustive over all (concept, point-subset) pairs for small
     classes, and over seeded random samples for two larger ones."""
     seeds = child_seeds(seed, 4)
-    exhaustive_roster = [
-        ("intervals-5", intervals(5)),
-        ("interval-pairs-5", k_interval_unions(5, 2)),
-        ("full-cube-3", full_cube(3)),
-        ("halfspaces-2x2", halfspaces_grid(2, 2, count=32, seed=int(seeds[0]))),
-        ("random-vc2-7", random_vc_capped(7, 2, 24, seed=int(seeds[1]))),
-        ("singleton-6", random_vc_capped(6, 0, 1, seed=int(seeds[2]))),
-        ("intervals-8", intervals(8)),
+    rng = make_rng(seed)
+
+    def every_sample(cls):
+        n = cls.domain_size
+        for concept in range(len(cls.rows)):
+            for pattern in range(1 << n):
+                points = [x for x in range(n) if (pattern >> x) & 1]
+                yield LabeledSample.from_concept(cls, concept, points)
+
+    def random_samples(cls):
+        for _ in range(1000):
+            concept = int(rng.integers(0, len(cls.rows)))
+            size = int(rng.integers(1, 31))
+            points = rng.integers(0, cls.domain_size, size=size).tolist()
+            yield LabeledSample.from_concept(cls, concept, points)
+
+    roster = [
+        ("intervals-5", intervals(5), every_sample),
+        ("interval-pairs-5", k_interval_unions(5, 2), every_sample),
+        ("full-cube-3", full_cube(3), every_sample),
+        ("halfspaces-2x2", halfspaces_grid(2, 2, count=32, seed=int(seeds[0])), every_sample),
+        ("random-vc2-7", random_vc_capped(7, 2, 24, seed=int(seeds[1])), every_sample),
+        ("singleton-6", random_vc_capped(6, 0, 1, seed=int(seeds[2])), every_sample),
+        ("intervals-8", intervals(8), every_sample),
+        ("intervals-10", intervals(10), random_samples),
+        ("halfspaces-5x5", halfspaces_grid(5, 2, count=64, seed=int(seeds[3])), random_samples),
     ]
     total = 0
     mismatched = 0
     all_verified = True
     per_class = {}
-    for name, cls in exhaustive_roster:
-        n = cls.domain_size
+    for name, cls, samples in roster:
         runs = 0
-        for concept in range(len(cls.rows)):
-            for pattern in range(1 << n):
-                points = [x for x in range(n) if (pattern >> x) & 1]
-                sample = LabeledSample.from_concept(cls, concept, points)
-                result = _verified(cls, sample, margins)
-                mismatched += len(result.mismatches)
-                all_verified = all_verified and result.passed
-                runs += 1
-        per_class[name] = runs
-        total += runs
-
-    random_roster = [
-        ("intervals-10", intervals(10)),
-        ("halfspaces-5x5", halfspaces_grid(5, 2, count=64, seed=int(seeds[3]))),
-    ]
-    rng = make_rng(seed)
-    for name, cls in random_roster:
-        n = cls.domain_size
-        runs = 0
-        for _ in range(1000):
-            concept = int(rng.integers(0, len(cls.rows)))
-            size = int(rng.integers(1, 31))
-            points = rng.integers(0, n, size=size).tolist()
-            sample = LabeledSample.from_concept(cls, concept, points)
+        for sample in samples(cls):
             result = _verified(cls, sample, margins)
             mismatched += len(result.mismatches)
             all_verified = all_verified and result.passed
@@ -489,10 +483,11 @@ def run_suite(seed: int = 0, criteria=None, echo: bool = False) -> dict:
     `criteria` selects a subset by number (all nine by default).  The report
     is reproducible for a fixed seed except for the runtime fields.
     """
-    wanted = set(range(1, 10)) if criteria is None else set(criteria)
+    numbers = {number for number, _, _ in CRITERIA}
+    wanted = numbers if criteria is None else set(criteria)
     if not wanted:
         raise ConfigError("no criteria selected")
-    unknown = wanted - {number for number, _, _ in CRITERIA}
+    unknown = wanted - numbers
     if unknown:
         raise ConfigError(f"unknown criteria: {sorted(unknown)}")
     margins = []

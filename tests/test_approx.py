@@ -157,6 +157,62 @@ def test_deviation_rejects_non_integer_multisets():
         sparsification_deviation(c, ProbabilityVector.uniform(len(c)), [0.5])
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: ProbabilityVector.uniform(0), "size must be positive", id="uniform-0"),
+        pytest.param(
+            lambda: ProbabilityVector.point_mass(3, 3), "index out of range", id="point-mass-3-of-3"
+        ),
+        pytest.param(
+            lambda: ProbabilityVector.point_mass(3, -1), "index out of range", id="point-mass--1"
+        ),
+        pytest.param(
+            lambda: ApproximationCertificate((), max_deviation=0.0, epsilon=0.25, size_bound=4),
+            "multiset cannot be empty",
+            id="empty-certificate",
+        ),
+        pytest.param(
+            lambda: ApproximationCertificate((0,), max_deviation=0.0, epsilon=0.0, size_bound=4),
+            "epsilon must be positive",
+            id="certificate-at-epsilon-0",
+        ),
+        pytest.param(
+            lambda: approximation_size_bound(1, 0.0),
+            r"epsilon must be in \(0, 1\]",
+            id="bound-at-epsilon-0",
+        ),
+        pytest.param(
+            lambda: approximation_size_bound(1, 1.5),
+            r"epsilon must be in \(0, 1\]",
+            id="bound-at-epsilon-1.5",
+        ),
+        pytest.param(
+            lambda: approximation_size_bound(-1, 0.5),
+            "dimension must be nonnegative",
+            id="bound-at-dimension--1",
+        ),
+        pytest.param(
+            lambda: approximation_deviation(
+                intervals_fixture(4), ProbabilityVector.uniform(4), [0, 4]
+            ),
+            "multiset points out of range",
+            id="deviation-past-the-domain",
+        ),
+        pytest.param(
+            lambda: approximation_deviation(
+                intervals_fixture(4), ProbabilityVector.uniform(4), [-1, 2]
+            ),
+            "multiset points out of range",
+            id="deviation-below-the-domain",
+        ),
+    ],
+)
+def test_out_of_range_arguments_are_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_mu_length_checked():
     c = intervals_fixture(4)
     with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import resource
 import subprocess
@@ -11,6 +12,7 @@ from vccompress import cli
 from vccompress.cli import main
 from vccompress.concepts import parse_concept_class, serialize_concept_class
 from vccompress.errors import ConvergenceError
+from vccompress.experiment import generalization_experiment
 from vccompress.generators import intervals
 
 
@@ -76,6 +78,15 @@ def test_dual_emits_parseable_class(capsys, class_file):
     assert len(dual.rows) == 10
 
 
+def test_dual_out_flag_writes_the_class(capsys, class_file, tmp_path):
+    out = tmp_path / "dual.txt"
+    code, stdout, _ = run_cli(capsys, "dual", "--class-file", class_file, "--out", str(out))
+    assert code == 0
+    assert stdout == ""
+    dual = parse_concept_class(out.read_text())
+    assert (dual.domain_size, len(dual.rows)) == (56, 10)
+
+
 def test_approx_certificate_fields(capsys, class_file):
     payload = run_json(
         capsys, "approx", "--class-file", class_file, "--epsilon", "0.25", "--seed", "5"
@@ -97,6 +108,23 @@ def test_approx_point_mass_distribution(capsys, class_file):
         "point:3",
     )
     assert set(payload["multiset"]) == {3}
+
+
+def test_approx_comma_separated_distribution(capsys, class_file):
+    # all the mass on points 3 and 4: every draw is one of them
+    weights = ",".join(["0"] * 3 + ["0.5", "0.5"] + ["0"] * 5)
+    payload = run_json(
+        capsys,
+        "approx",
+        "--class-file",
+        class_file,
+        "--epsilon",
+        "0.5",
+        "--distribution",
+        weights,
+    )
+    assert set(payload["multiset"]) <= {3, 4}
+    assert payload["max_deviation"] <= 0.5
 
 
 def test_game_exact_cyclic(capsys, matrix_file):
@@ -262,6 +290,52 @@ def test_bad_sample_label_exits_two(capsys, class_file, tmp_path):
     )
     assert code == 2
     assert "line 1" in err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("2 0\n3 1 0\n", "line 2: expected 'point label'"),
+        ("2 0\n# a comment\n3\n", "line 3: expected 'point label'"),
+        ("2 0\nthree 1\n", "line 2: point and label must be integers"),
+        ("2 0.5\n", "line 1: point and label must be integers"),
+    ],
+)
+def test_malformed_sample_line_exits_two_naming_the_line(
+    capsys, class_file, tmp_path, text, message
+):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    code, out, err = run_cli(
+        capsys, "verify", "--class-file", class_file, "--sample-file", str(bad)
+    )
+    assert code == 2
+    assert out == ""
+    assert err.strip() == f"error: {message}"
+
+
+def test_missing_class_exits_two(capsys, sample_file, tmp_path):
+    blob = tmp_path / "x.bin"
+    code, out, err = run_cli(capsys, "compress", "--sample-file", sample_file, "--out", str(blob))
+    assert code == 2
+    assert out == ""
+    assert err.strip() == "error: provide --class-file or --class-spec"
+    assert not blob.exists()
+
+
+def test_experiment_reports_the_library_run(capsys):
+    spec = '{"kind": "intervals", "n": 6}'
+    argv = ["--class-spec", spec, "--trials", "5", "--pilot-runs", "4", "--seed", "3"]
+    payload = run_json(capsys, "experiment", *argv)
+    report = generalization_experiment(intervals(6), trials=5, seed=3, pilot_runs=4)
+    assert payload == json.loads(json.dumps(dataclasses.asdict(report)))
+    assert (payload["trials"], payload["seed"]) == (5, 3)
+    assert payload["required_size"] > 0
+    assert 0 <= payload["failures"] <= 5
+    assert payload["failure_fraction"] == payload["failures"] / 5
+    # within_tolerance is a property, so the JSON leaves it out
+    assert "within_tolerance" not in payload
+    assert report.within_tolerance is (payload["failure_fraction"] <= payload["delta"])
 
 
 def test_unrealizable_sample_exits_two(capsys, class_file, tmp_path):

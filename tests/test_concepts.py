@@ -92,6 +92,44 @@ def test_duplicate_rows_rejected():
         ConceptClass.from_rows([[0, 1], [1]])
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        pytest.param(
+            lambda: ConceptClass(0, (0,)), "domain_size must be a positive integer", id="domain-0"
+        ),
+        pytest.param(
+            lambda: ConceptClass(2.0, (0,)),
+            "domain_size must be a positive integer",
+            id="domain-2.0",
+        ),
+        pytest.param(
+            lambda: LabeledSample((1, 2), ((2, 0), (1, 1))),
+            "label_items must be sorted with distinct points",
+            id="unsorted-labels",
+        ),
+        pytest.param(
+            lambda: LabeledSample((1,), ((1, 0), (1, 1))),
+            "label_items must be sorted with distinct points",
+            id="repeated-labels",
+        ),
+        pytest.param(
+            lambda: LabeledSample((-1,), ((-1, 0),)),
+            "point -1 must be a nonnegative integer",
+            id="negative-point",
+        ),
+        pytest.param(
+            lambda: LabeledSample((1,), ((1, 0), (2, 1))),
+            "points and label_items must cover the same distinct points",
+            id="unsampled-label",
+        ),
+    ],
+)
+def test_constructors_refuse_malformed_fields(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 def test_empty_class_rejected():
     with pytest.raises(ValueError):
         ConceptClass(3, ())
@@ -311,6 +349,14 @@ def test_shatters_rejects_bad_points():
 def test_witness_shape_validated():
     with pytest.raises(ValueError):
         ShatterWitness((0, 1), (0,))
+
+
+def test_witness_with_a_wrong_pattern_fails_verification():
+    # concept 1 of intervals(2), row 01, labels point 0 with 0, not pattern
+    # 1's 1; concept 2, row 10, labels it 1
+    c = intervals(2)
+    assert ShatterWitness((0,), (0, 2)).verify(c)
+    assert not ShatterWitness((0,), (0, 1)).verify(c)
 
 
 def test_witness_with_negative_concept_is_rejected():
@@ -663,6 +709,12 @@ def test_parse_duplicate_row_reports_line():
         parse_concept_class("2 3\n01\n10\n01\n")
     assert exc.value.line == 4
     assert "duplicate" in str(exc.value)
+
+
+def test_parse_non_integer_header_reports_line():
+    with pytest.raises(ParseError, match="line 2: header must contain two integers") as exc:
+        parse_concept_class("\n2 x\n01\n")
+    assert exc.value.line == 2
 
 
 def test_parse_errors():

@@ -354,6 +354,29 @@ def test_generators_refuse_non_integer_sizes(generator, params, name):
         make_concept_class({"kind": generator.__name__, **params})
 
 
+@pytest.mark.parametrize(
+    "generator, params, message",
+    [
+        (k_interval_unions, {"n": 0, "k": 1}, "domain size and union count must be positive"),
+        (k_interval_unions, {"n": 6, "k": 0}, "domain size and union count must be positive"),
+        (full_cube, {"n": 0}, "domain size must be positive"),
+        (halfspaces_grid, {"side": 1, "dim": 2}, "grid needs side >= 2 and dim >= 1"),
+        (halfspaces_grid, {"side": 3, "dim": 0}, "grid needs side >= 2 and dim >= 1"),
+        (halfspaces_grid, {"side": 65, "dim": 2}, r"grid too large; side\*\*dim must be <= 4096"),
+        (halfspaces_grid, {"side": 3, "dim": 2, "count": 0}, "count must be positive"),
+        (random_vc_capped, {"n": 0, "vc_cap": 1, "max_concepts": 5}, "need n >= 1"),
+        (random_vc_capped, {"n": 5, "vc_cap": -1, "max_concepts": 5}, "vc_cap >= 0"),
+        (random_vc_capped, {"n": 5, "vc_cap": 1, "max_concepts": 0}, "max_concepts >= 1"),
+    ],
+)
+def test_generators_refuse_sizes_out_of_range(generator, params, message):
+    with pytest.raises(ValueError, match=message) as exc:
+        generator(**params)
+    assert not isinstance(exc.value, ConfigError)
+    with pytest.raises(ConfigError, match=message):
+        make_concept_class({"kind": generator.__name__, **params})
+
+
 def test_generators_accept_bools_and_numpy_integers():
     assert intervals(np.int64(5)) == intervals(5)
     assert full_cube(True) == full_cube(1)

@@ -375,6 +375,7 @@ def test_container_rejects_invalid_position_subsets(subsets, message):
         ((4, (1, 3), 0b01, ((1.0, 1), (2, 1))), "run masks must be nonnegative"),
         ((4, (1, 3), -1, ((0b11, 1),)), "kernel labels must be an integer mask of k bits"),
         ((4, (1, 3), 0b100, ((0b11, 1),)), "kernel labels must be an integer mask of k bits"),
+        ((4, (1, 4), 0b01, ((0b11, 1),)), "kernel points must lie inside the domain"),
     ],
 )
 def test_container_requires_tuples_of_integers(fields, message):
@@ -406,6 +407,9 @@ def test_deserialize_reports_invalid_containers_as_decode_errors():
     # kernel points 1, 1: a zero delta, rejected by the constructor
     with pytest.raises(DecodeError, match="strictly ascending"):
         deserialize_compressed(_seal(bytes([4, 2, 1, 0, 0b01, 1])))
+    # kernel points 1, 3 with their label byte cut off, under a valid CRC
+    with pytest.raises(DecodeError, match="label bits truncated"):
+        deserialize_compressed(_seal(bytes([4, 2, 1, 2])))
     # a container too short to hold its CRC
     with pytest.raises(DecodeError, match="shorter than its checksum"):
         deserialize_compressed(MAGIC + b"\x00\x00\x00")
@@ -1022,6 +1026,37 @@ def test_rounding_at_six_s_keeps_every_majority_strict(case):
     assert margin == scheme._majority_margin(c, rounded, [(j, 1) for j in range(m)]) > 0
 
 
+@pytest.mark.parametrize("agreement, votes_per_hypothesis", [("2/3", 6), ("3/4", 4)])
+def test_sure_count_is_the_least_n_the_margin_makes_strict(
+    monkeypatch, agreement, votes_per_hypothesis
+):
+    # the least N with N * (a - 1/2) >= s: with every rounding refused, the
+    # search tries N = 1, 2, ... and re-raises at that N
+    monkeypatch.setattr(scheme, "WEAK_AGREEMENT", Fraction(agreement))
+    tried = []
+
+    def recorded(concepts, numerators, denominator, n):
+        tried.append(n)
+        return ((concepts[0], 1),)
+
+    def refused(*args):
+        raise IntegrityError("no strict majority")
+
+    monkeypatch.setattr(scheme, "_rounded_votes", recorded)
+    monkeypatch.setattr(scheme, "_majority_margin", refused)
+    p = [Fraction(1, 2), Fraction(0), Fraction(1, 4), Fraction(1, 4)]  # s = 3
+    with pytest.raises(IntegrityError, match="no strict majority"):
+        scheme._round_mixture(intervals_class(4), [0, 1, 2, 3], p, [])
+    assert tried == list(range(1, 3 * votes_per_hypothesis + 1))
+
+
+def test_the_sparsifier_keeps_the_weak_margin_strict():
+    # a draw within 1/8 of every point's label mass of at least 2/3 leaves
+    # the label more than half of the votes
+    assert scheme.WEAK_AGREEMENT is learner.WEAK_AGREEMENT
+    assert Fraction(scheme.SPARSIFY_EPSILON) < learner.WEAK_AGREEMENT - Fraction(1, 2)
+
+
 def _round_trip_every_sample(monkeypatch, n, masks, repeats):
     """verify_round_trip on every concept and every point subset (the empty
     one too) of each class on n points whose rows are the set bits of a
@@ -1167,10 +1202,15 @@ def test_verify_checks_the_exact_bound_only_when_the_lower_one_fails(monkeypatch
         bounds.append(args)
         return -1 if args[:2] == (0, 0) else scheme_size_bound(*args)
 
+    # the fallback asks for d* alone (the bound ignores d), so no uncapped
+    # search of the primal class runs
+    dimensions = _counting_everywhere(monkeypatch, concepts.vc_dimension)
     monkeypatch.setattr(scheme, "scheme_size_bound", failing_at_zero)
     result = verify_round_trip(c, sample)
     assert result.passed and result.size_within_bound
-    assert bounds == [(0, 0, 2), (2, 2, 2)]
+    assert bounds == [(0, 0, 2), (0, 2, 2)]
+    assert (c,) not in dimensions
+    assert [args for args in dimensions if len(args) == 1] == [(dual_class(c),)]
 
 
 @settings(max_examples=200, deadline=None)

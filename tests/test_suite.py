@@ -96,6 +96,24 @@ def test_seedless_round_trips_keep_the_reported_sizes_and_margins():
     assert margins == {"compressions_observed": 300, "min_margin": 1, "all_integer": True}
 
 
+def test_margin_criterion_alone_runs_its_own_round_trips(monkeypatch):
+    # with no earlier criterion to log margins, criterion 7 verifies every
+    # concept of intervals(9) on all nine points
+    verify = suite.verify_round_trip
+    classes = []
+
+    def recorded(cls, sample):
+        classes.append((cls, sample.distinct_points))
+        return verify(cls, sample)
+
+    monkeypatch.setattr(suite, "verify_round_trip", recorded)
+    [entry] = run_suite(0, criteria=[7])["results"]
+    assert entry["passed"] is True
+    assert entry["details"] == {"compressions_observed": 46, "min_margin": 1, "all_integer": True}
+    assert len(classes) == 46
+    assert all(cls == suite.intervals(9) and points == tuple(range(9)) for cls, points in classes)
+
+
 @pytest.mark.parametrize("fault", ["budget above max(1, d)", "size above the ceiling"])
 def test_size_criterion_fails_on_one_run_past_the_ceiling(monkeypatch, fault):
     # intervals(10) has d = 2 and a ceiling of 18,929,712; one run that verifies
