@@ -101,11 +101,24 @@ def _parse_sample_text(text: str) -> LabeledSample:
 
 
 def _parse_distribution(spec: str, size: int) -> ProbabilityVector:
+    """The --distribution option: 'uniform', 'point:IDX' or comma-separated
+    weights; ConfigError, naming the option, when IDX or a weight is not a
+    number."""
     if spec == "uniform":
         return ProbabilityVector.uniform(size)
-    if spec.startswith("point:"):
-        return ProbabilityVector.point_mass(size, int(spec.split(":", 1)[1]))
-    weights = [float(part) for part in spec.split(",")]
+    point_mass = spec.startswith("point:")
+    try:
+        if point_mass:
+            index = int(spec.split(":", 1)[1])
+        else:
+            weights = [float(part) for part in spec.split(",")]
+    except ValueError:
+        raise ConfigError(
+            f"--distribution needs 'uniform', 'point:IDX' or comma-separated weights, "
+            f"got {spec!r}"
+        ) from None
+    if point_mass:
+        return ProbabilityVector.point_mass(size, index)
     return ProbabilityVector(weights)
 
 
@@ -251,7 +264,7 @@ def _cmd_experiment(args) -> int:
         seed=args.seed,
         pilot_runs=args.pilot_runs,
     )
-    _emit(dataclasses.asdict(report), args.out)
+    _emit({**dataclasses.asdict(report), "within_tolerance": report.within_tolerance}, args.out)
     return 0
 
 

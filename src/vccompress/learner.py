@@ -10,10 +10,12 @@ a mixture that agrees with the sample's labels on every point with mass at
 least 2/3, certified in exact arithmetic.  That margin survives a later
 1/8-sparsification with a strict integer majority to spare.
 
-One search builds every pool.  Concept c is the ERM of a labeled subset
-exactly when c labels the subset correctly and the subset kills every
-concept below c, so finding c's shortest such subset is a teaching-set
-search (Goldman & Kearns 1995) over the points c labels correctly.
+Concept c is the ERM of a labeled subset exactly when c labels the subset
+correctly and the subset kills every concept below c, so finding c's
+shortest such subset is a teaching-set search (Goldman & Kearns 1995) over
+the points c labels correctly.  c0, the lowest concept consistent with the
+whole sample, gets that search; every other hypothesis comes from one walk
+over the sample's subsets that keeps each ERM's first shortest subset.
 
 The subset budget is the learner's own: max(1, d), d the class's VC
 dimension, capped at the sample's k distinct points, and one loop decides
@@ -24,22 +26,30 @@ each size:
    size whether d >= size.  The first size refused gives d exactly (the
    search keeps it on the class), and the budget becomes min(max(1, d), k).
 2. Once the budget is known, a size above it first tries the ERM image at
-   the budget: every concept that is the ERM of some subset within budget,
-   found by one search per concept that errs on some sampled point.  Its
-   agreement game has one row per hypothesis and one column per distinct
-   agreement pattern, and the game module's one exact path solves it at any
-   size (tall games are cheap for the exact simplex).  A value of at least
-   2/3 returns that mixture; otherwise the budget doubles and the image is
-   tried again, until the size fits the budget.
+   the budget: every concept other than c0 that is the ERM of some subset
+   within budget, found by one depth-first walk over the subsets, one size
+   at a time.  The game is played on the image's undominated hypotheses:
+   a hypothesis whose agreed points are a strict subset of another's never
+   helps the row player (elimination of strictly dominated strategies; von
+   Neumann & Morgenstern 1944), so dropping it keeps the game value, and
+   an optimal strategy of the smaller game, padded with zeros, is optimal
+   in the full one.  That game has one row per undominated hypothesis and
+   one column per distinct agreement pattern, and the game module's one
+   exact path solves it at any size.  A value of at least 2/3 returns that
+   mixture over the undominated hypotheses; otherwise the budget doubles
+   and the image is tried again, until the size fits the budget.
 3. It searches for a subset of that size whose ERM is c0, the lowest concept
    consistent with the whole sample.  A hit returns the point mass on c0:
    the consistent-hypothesis case (Littlestone & Warmuth 1986), certified
    at value exactly 1 by the shared solution of the 1x1 game [[1]].
 
 So a sample taught within max(1, d) solves no game and never computes d.
-No step draws random numbers.  At size k the whole sample teaches c0, so
-termination never depends on luck.  The empty sample needs no case of its
-own: c0 is concept 0, the ERM of the empty subset, taught at size 0.
+A certified mixture holds at least two hypotheses: one row reaches 2/3
+only by agreeing with every label, and c0, the only such concept an ERM
+can be, is never in the image.  No step draws random numbers.  At size k
+the whole sample teaches c0, so termination never depends on luck.  The
+empty sample needs no case of its own: c0 is concept 0, the ERM of the
+empty subset, taught at size 0.
 """
 
 from __future__ import annotations
@@ -51,7 +61,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .concepts import ConceptClass, LabeledSample, _consistent_mask, vc_dimension
+from .concepts import ConceptClass, LabeledSample, _column_ints, _consistent_mask, vc_dimension
 from .errors import UnrealizableError, WeakLearningError
 from .game import GameSolution, _exact_solution
 
@@ -68,7 +78,8 @@ logger = logging.getLogger(__name__)
 WEAK_AGREEMENT = Fraction(2, 3)
 
 # Prefixes one size of a teaching-set search may visit before it settles
-# for all of its points (or gives up when they exceed the budget).
+# for all of its points; one size of the ERM image's walk may visit this
+# many per concept it still seeks before it ends with what it has found.
 _PREFIX_CAP = 20_000
 
 
@@ -160,10 +171,10 @@ def build_hypothesis_set(
 
     Returns the pool and a GameSolution whose row strategy weights the
     hypotheses (in pool order), whose column strategy is the adversarial
-    distribution over the distinct agreement patterns of the sample's
-    points (points on which every hypothesis agrees or errs alike share one
-    column), whose exact_value is the exact game value (at least 2/3), and
-    whose value_estimate is float(exact_value).  The exact simplex certifies
+    distribution over the pool's distinct agreement patterns on the
+    sample's points (points on which every hypothesis agrees or errs alike
+    share one column), whose exact_value is the exact game value (at least
+    2/3), and whose value_estimate is float(exact_value).  The exact simplex certifies
     optimality in integers against every column, so no float recheck
     follows.  The empty sample is accepted: its c0 is concept 0, taught by
     the empty subset, with the shared point-mass certificate.
@@ -181,9 +192,10 @@ def build_hypothesis_set(
     teaching points, or at the escalated budget.  Its certificate is one
     module-level constant, frozen with read-only weight arrays (exact_value
     1, value_estimate 1.0, exploitability 0, both strategies [1.0]).  A
-    mixture's pool is the ERM image at its budget (``_erm_image``), each
-    hypothesis with its shortest subset.  EXACT_ENTRY_CAP is a policy of
-    solve_exact and sparse_epsilon_nash only, never of the learner.
+    mixture's pool is the undominated part (``_undominated``) of the ERM
+    image at its budget (``_erm_image``), each hypothesis with its shortest
+    subset.  EXACT_ENTRY_CAP is a policy of solve_exact and
+    sparse_epsilon_nash only, never of the learner.
     """
     points = sample.distinct_points
     labels_by_point = dict(sample.label_items)
@@ -198,17 +210,20 @@ def build_hypothesis_set(
                 budget = min(max(1, dimension), k)
         while budget is not None and budget < size:
             hypotheses, provenance, agreement = _erm_image(
-                concept_class, points, labels_by_point, budget
+                concept_class, points, labels_by_point, budget, consistent
             )
-            solution = _certify_mixture(agreement)
+            pool = _undominated(agreement)
+            solution = _certify_mixture(agreement[pool])
             if solution is not None:
                 logger.debug(
-                    "certified %d hypotheses by the ERM image at budget %d "
-                    "(agreement %.4f; d = %d from the search capped at %d)",
-                    len(hypotheses), budget, solution.value_estimate, dimension,
+                    "certified %d undominated of %d hypotheses in the ERM image at "
+                    "budget %d (agreement %.4f; d = %d from the search capped at %d)",
+                    len(pool), len(hypotheses), budget, solution.value_estimate, dimension,
                     max(2, dimension + 1),
                 )
-                return HypothesisSet(tuple(hypotheses), tuple(provenance), budget), solution
+                return HypothesisSet(
+                    tuple(hypotheses[i] for i in pool), tuple(provenance[i] for i in pool), budget
+                ), solution
             budget = escalate_budget(budget, k)
         teaching = next(teaching_sizes)
         if teaching is not None:
@@ -229,63 +244,108 @@ def build_hypothesis_set(
     raise WeakLearningError(f"no subset of the {k} distinct points teaches c0 = {consistent}")
 
 
-def _erm_image(cls, points, labels_by_point, budget):
-    """Every concept that is the ERM of some subset of at most `budget` of
-    `points`, ascending, with the shortest such subset of each (first in
-    combinations order), and the image's uint8 agreement rows over `points`.
+def _erm_image(cls, points, labels_by_point, budget, c0):
+    """Every concept other than c0 that is the ERM of some subset of at most
+    `budget` of `points`, ascending, with the shortest such subset of each
+    (first in combinations order), and the image's uint8 agreement rows over
+    `points`; c0 is the lowest concept consistent with all of `points`.
 
-    A subset's ERM is c exactly when c labels all of it correctly and it
-    kills every concept below c, so each concept's entry is a teaching-set
-    search over the points c labels correctly.  Restricting the points keeps
-    their combinations order, so the subset found is the first shortest one
-    over all of `points`.  Concepts that agree with every point are skipped:
-    above c0, the lowest of them, none is an ERM, since c0 survives every
-    subset, and ``build_hypothesis_set`` asks only for budgets within which
+    One depth-first walk over the subsets, one size at a time and each size
+    in combinations order, keeps the first subset that reaches each concept.
+    No subset's ERM lies above c0, which survives every subset, and c0 is
+    left out: ``build_hypothesis_set`` asks only for budgets within which
     c0's own search has failed.  So concept 0, the ERM of the empty subset,
-    is in the image unless it is c0.
+    is in the image unless it is c0.  A subtree is pruned when none of its
+    reachable ERMs is still unfound: a completion's ERM is a concept the
+    prefix keeps, at most the lowest concept that the prefix and every
+    remaining point keep.  A size that visits more than _PREFIX_CAP
+    prefixes per concept still sought ends the walk, and the image keeps
+    what it has found.
     """
+    universe = (2 << c0) - 1  # c0 and every concept below it
+    masks = cls.point_masks
+    cons = [masks[x] & universe if labels_by_point[x] else ~masks[x] & universe for x in points]
+    k = len(cons)
+    suffix_and = [universe] * (k + 1)  # concepts that points[j:] all keep
+    for j in range(k - 1, -1, -1):
+        suffix_and[j] = suffix_and[j + 1] & cons[j]
+    first = {0: ()} if c0 else {}  # concept 0 is the ERM of the empty subset
+    unfound = (1 << c0) - 2 if c0 else 0  # every concept below c0 other than 0
+    for size in range(1, min(budget, k) + 1):
+        if not unfound:
+            break
+        cap = _PREFIX_CAP * unfound.bit_count()
+        nodes = 0
+        chosen: list[int] = []
+        alive = [universe]  # alive[t]: concepts that chosen[:t] keeps
+        j = 0
+        while nodes <= cap:
+            keep = alive[-1]
+            if len(chosen) == size - 1:
+                # the last point: each choice is a subset, whose ERM is the
+                # lowest concept it keeps
+                for j in range(j, k):
+                    nodes += 1
+                    if nodes > cap:
+                        break
+                    left = keep & cons[j]
+                    low = left & -left
+                    if low & unfound:
+                        unfound ^= low
+                        subset = tuple(points[i] for i in chosen) + (points[j],)
+                        first[low.bit_length() - 1] = subset
+            elif j <= k - size + len(chosen):
+                nodes += 1
+                left = keep & cons[j]
+                reach = left & suffix_and[j + 1]
+                if left & unfound & (((reach & -reach) << 1) - 1):
+                    chosen.append(j)
+                    alive.append(left)
+                j += 1
+                continue
+            if not chosen:
+                break
+            j = chosen.pop() + 1
+            alive.pop()
+        if nodes > cap:
+            break
+    hypotheses = sorted(first)
     labels = np.array([labels_by_point[x] for x in points], dtype=np.uint8)
-    agrees = cls.matrix[:, np.asarray(points, dtype=np.intp)] == labels
-    hypotheses, provenance = [], []
-    for c in np.flatnonzero(~agrees.all(axis=1)).tolist():
-        kept = [x for x, agree in zip(points, agrees[c]) if agree]
-        subset = _teaching_subset(cls, kept, labels_by_point, budget, c)
-        if subset is not None:
-            hypotheses.append(c)
-            provenance.append(subset)
-    return hypotheses, provenance, agrees[hypotheses].astype(np.uint8)
+    rows = cls.matrix[np.ix_(hypotheses, np.asarray(points, dtype=np.intp))]
+    return hypotheses, [first[c] for c in hypotheses], (rows == labels).astype(np.uint8)
 
 
-def _teaching_subset(cls, points, labels_by_point, budget, c0):
-    """The shortest subset of `points` (first in combinations order) whose
-    ERM is c0, or None when no subset of at most `budget` points has it;
-    ``_teaching_search`` up to size `budget`."""
-    search = _teaching_search(cls, points, labels_by_point, c0)
-    for _, subset in zip(range(budget + 1), search):
-        if subset is not None:
-            return subset
-    return None
+def _undominated(agreement: np.ndarray) -> list[int]:
+    """The rows, ascending, that no other row strictly dominates: no row
+    agrees on a strict superset of their points.  A dominated row is
+    dominated by an undominated one, which has more ones, so each row is
+    checked, in order of falling ones, against the rows kept so far."""
+    agreed = _column_ints(agreement.T)
+    kept: list[int] = []
+    for i in sorted(range(len(agreed)), key=lambda i: -agreed[i].bit_count()):
+        a = agreed[i]
+        if not any(a & agreed[h] == a != agreed[h] for h in kept):
+            kept.append(i)
+    return sorted(kept)
 
 
 def _teaching_search(cls, points, labels_by_point, c0):
     """For size 0, 1, ... in turn, the first subset of that many of `points`
     (in combinations order) whose ERM is c0, or None when there is none;
-    it ends after the first hit, or at once when nothing teaches c0.  Each
-    size is searched only when asked for.
+    it ends after the first hit.  Each size is searched only when asked for.
 
-    c0 must label every point of `points` correctly.  A subset's ERM is then
-    c0 exactly when the subset kills every concept below c0: a hitting set
-    over the point_masks bitsets (a teaching set, Goldman & Kearns 1995).
-    When some concept below c0 survives all of `points`, no subset teaches
-    c0 and the search ends at once.  Otherwise each size is a depth-first
+    c0 is the lowest concept consistent with all of `points`.  A subset's
+    ERM is then c0 exactly when the subset kills every concept below c0: a
+    hitting set over the point_masks bitsets (a teaching set, Goldman &
+    Kearns 1995), which all of `points` is.  Each size is a depth-first
     search in combinations order; a branch is pruned when some live concept
-    survives every point still available to it.  A size that visits more
-    than _PREFIX_CAP prefixes ends the search of shorter subsets: the sizes
-    left below len(points) yield None and that size yields all of `points`,
-    which teach c0.  So when c0 is the lowest concept consistent with all of
-    `points`, the search yields a subset by size len(points).  The search
-    keeps an explicit stack, so its depth is not bounded by the recursion
-    limit.
+    survives every point still available to it, and the last point of a
+    subset is scanned in a tight loop, one prefix per candidate.  A size
+    that visits more than _PREFIX_CAP prefixes ends the search of shorter
+    subsets: the sizes left below len(points) yield None and that size
+    yields all of `points`.  So the search yields a subset by size
+    len(points).  The search keeps an explicit stack, so its depth is not
+    bounded by the recursion limit.
     """
     below = (1 << c0) - 1
     if not below:
@@ -297,8 +357,6 @@ def _teaching_search(cls, points, labels_by_point, c0):
     suffix_and = [below] * (k + 1)  # concepts below c0 that points[j:] all keep
     for j in range(k - 1, -1, -1):
         suffix_and[j] = suffix_and[j + 1] & cons[j]
-    if suffix_and[0]:
-        return
     yield None  # the empty subset keeps every concept below c0
     for size in range(1, k + 1):
         nodes = 0
@@ -306,25 +364,30 @@ def _teaching_search(cls, points, labels_by_point, c0):
         alive = [below]  # alive[t]: concepts below c0 that chosen[:t] keeps
         j = 0
         while True:
-            remaining = size - len(chosen)
-            if j <= k - remaining and not alive[-1] & suffix_and[j]:
+            keep = alive[-1]
+            if len(chosen) == size - 1:
+                # the last point, one node per candidate in a tight loop
+                while j < k and not keep & suffix_and[j]:
+                    nodes += 1
+                    if nodes > _PREFIX_CAP:
+                        break
+                    if not keep & cons[j]:
+                        yield tuple(points[i] for i in chosen) + (points[j],)
+                        return
+                    j += 1
+            elif j <= k - size + len(chosen) and not keep & suffix_and[j]:
                 nodes += 1
-                if nodes > _PREFIX_CAP:
-                    for _ in range(size, k):
-                        yield None
-                    yield tuple(points)
-                    return
-                left = alive[-1] & cons[j]
-                if remaining > 1:
+                if nodes <= _PREFIX_CAP:
                     chosen.append(j)
-                    alive.append(left)
-                elif not left:
-                    yield tuple(points[i] for i in chosen) + (points[j],)
-                    return
-                j += 1
-            elif chosen:
-                j = chosen.pop() + 1
-                alive.pop()
-            else:
+                    alive.append(keep & cons[j])
+                    j += 1
+                    continue
+            if nodes > _PREFIX_CAP:
+                yield from [None] * (k - size)
+                yield tuple(points)
+                return
+            if not chosen:
                 break
+            j = chosen.pop() + 1
+            alive.pop()
         yield None

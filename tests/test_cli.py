@@ -127,6 +127,19 @@ def test_approx_comma_separated_distribution(capsys, class_file):
     assert payload["max_deviation"] <= 0.5
 
 
+@pytest.mark.parametrize("spec", ["0.5,x,0.5,0", "point:x"])
+def test_approx_malformed_distribution_exits_two_naming_the_option(capsys, class_file, spec):
+    code, out, err = run_cli(
+        capsys, "approx", "--class-file", class_file, "--epsilon", "0.5", "--distribution", spec
+    )
+    assert code == 2
+    assert out == ""
+    assert err.strip() == (
+        "error: --distribution needs 'uniform', 'point:IDX' or comma-separated weights, "
+        f"got {spec!r}"
+    )
+
+
 def test_game_exact_cyclic(capsys, matrix_file):
     payload = run_json(capsys, "game", "--matrix-file", matrix_file)
     assert payload["method"] == "exact"
@@ -328,13 +341,13 @@ def test_experiment_reports_the_library_run(capsys):
     argv = ["--class-spec", spec, "--trials", "5", "--pilot-runs", "4", "--seed", "3"]
     payload = run_json(capsys, "experiment", *argv)
     report = generalization_experiment(intervals(6), trials=5, seed=3, pilot_runs=4)
+    # the report's fields, and its within_tolerance property beside them
+    assert payload.pop("within_tolerance") is report.within_tolerance
     assert payload == json.loads(json.dumps(dataclasses.asdict(report)))
     assert (payload["trials"], payload["seed"]) == (5, 3)
     assert payload["required_size"] > 0
     assert 0 <= payload["failures"] <= 5
     assert payload["failure_fraction"] == payload["failures"] / 5
-    # within_tolerance is a property, so the JSON leaves it out
-    assert "within_tolerance" not in payload
     assert report.within_tolerance is (payload["failure_fraction"] <= payload["delta"])
 
 

@@ -279,6 +279,6 @@ def test_every_private_helper_has_a_caller_in_src():
                 if name != own:
                     used.add(name)
     private = module_level_private_definitions()
-    assert ("learner", "_teaching_subset") in private  # the walk sees the helpers
+    assert ("learner", "_undominated") in private  # the walk sees the helpers
     assert ("game", "_INT64_SAFE_ENTRY") in private  # and the constants
     assert sorted(f"{m}.{n}" for m, n in private if n not in used) == []

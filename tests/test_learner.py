@@ -36,7 +36,8 @@ from vccompress.game import EXACT_ENTRY_CAP
 from vccompress.learner import (
     WEAK_AGREEMENT,
     _erm_image,
-    _teaching_subset,
+    _teaching_search,
+    _undominated,
 )
 
 
@@ -120,8 +121,9 @@ def test_erm_enforces_the_subset_budget():
     hs, _ = build_hypothesis_set(c, sample)
     assert (hs.hypotheses, hs.provenance, hs.budget) == ((5,), ((0, 2),), 2)
     labels = dict(sample.label_items)
-    assert _teaching_subset(c, sample.distinct_points, labels, 1, 5) is None
-    _, provenance, _ = _erm_image(c, sample.distinct_points, labels, 1)
+    search = _teaching_search(c, sample.distinct_points, labels, 5)
+    assert list(itertools.islice(search, 2)) == [None, None]  # sizes 0 and 1
+    _, provenance, _ = _erm_image(c, sample.distinct_points, labels, 1, 5)
     assert max(map(len, provenance)) == 1
 
 
@@ -158,13 +160,42 @@ def test_certify_mixture_collapses_columns_as_np_unique_does(monkeypatch):
             np.testing.assert_array_equal(patterns, np.unique(agreement, axis=1))
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=8).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(min_value=0, max_value=1), min_size=n, max_size=n),
+            min_size=1,
+            max_size=14,
+        )
+    )
+)
+def test_undominated_rows_keep_the_game_value(rows):
+    # dropping strictly dominated rows keeps the exact value, and the pruned
+    # game's optimal strategy, padded with zeros, secures that value against
+    # every column of the full game
+    agreement = np.array(rows, dtype=np.uint8)
+    kept = _undominated(agreement)
+    ones = [set(np.flatnonzero(row).tolist()) for row in agreement]
+    assert kept == [i for i, a in enumerate(ones) if not any(a < b for b in ones)]
+    full_value, _, _ = game._exact_minimax(agreement)
+    value, p, _ = game._exact_minimax(agreement[kept])
+    assert value == full_value
+    padded = [Fraction(0)] * len(agreement)
+    for i, x in zip(kept, p):
+        padded[i] = x
+    assert sum(padded) == 1
+    for column in agreement.T.tolist():
+        assert sum(x * a for x, a in zip(padded, column)) >= value
+
+
 def test_top_of_the_cube_needs_pairs_for_a_weak_majority():
     # the four concepts of the 3-cube with at least two ones: d = 1, and
     # the all-ones sample's c0 needs all three points to teach it
     c = ConceptClass.from_row_ints(3, [0b011, 0b101, 0b110, 0b111])
     sample = LabeledSample.from_pairs([(0, 1), (1, 1), (2, 1)])
     labels = dict(sample.label_items)
-    _, _, agreement = _erm_image(c, sample.distinct_points, labels, 1)
+    _, _, agreement = _erm_image(c, sample.distinct_points, labels, 1, 3)
     assert learner._certify_mixture(agreement) is None
     hs, solution = build_hypothesis_set(c, sample)
     # the budget max(1, d) = 1 falls short of 2/3, so the builder must have
@@ -231,7 +262,7 @@ small_class_and_points = st.integers(min_value=1, max_value=6).flatmap(
     st.integers(min_value=0, max_value=10**6),
     st.integers(min_value=1, max_value=3),
 )
-def test_teaching_subset_matches_a_brute_force_scan(spec, target, budget):
+def test_teaching_search_matches_a_brute_force_scan(spec, target, budget):
     n, rows, points = spec
     c = ConceptClass.from_row_ints(n, sorted(rows))
     sample = LabeledSample.from_concept(c, target % len(c.rows), points)
@@ -249,7 +280,14 @@ def test_teaching_subset_matches_a_brute_force_scan(spec, target, budget):
         ),
         None,
     )
-    assert _teaching_subset(c, distinct, labels, budget, consistent) == first
+    # one yield per size: None below the first hit, then the hit, which ends
+    # the search
+    search = _teaching_search(c, distinct, labels, consistent)
+    yields = list(itertools.islice(search, budget + 1))
+    if first is None:
+        assert yields == [None] * (budget + 1)
+    else:
+        assert yields == [None] * len(first) + [first]
 
 
 @settings(max_examples=80, deadline=None)
@@ -273,7 +311,7 @@ def test_point_mass_matches_the_full_pool(spec, target):
     image = [concept for concept in concepts if concept != consistent]
     provenance = [first_subset[concept] for concept in image]
     hypotheses, provenance_found, agreement = _erm_image(
-        c, distinct, labels, min(budget, len(distinct))
+        c, distinct, labels, min(budget, len(distinct)), consistent
     )
     assert (hypotheses, provenance_found) == (image, provenance)
     label_vector = np.array([labels[x] for x in distinct], dtype=np.uint8)
@@ -323,7 +361,7 @@ def test_taught_samples_solve_no_game(monkeypatch):
     c = generators.k_interval_unions(8, 2)
     sample = LabeledSample.from_concept(c, 30, range(8))
     labels = dict(sample.label_items)
-    hypotheses, _, agreement = _erm_image(c, sample.distinct_points, labels, 3)
+    hypotheses, _, agreement = _erm_image(c, sample.distinct_points, labels, 3, 30)
     assert hypotheses == list(range(15)) + list(range(16, 26)) + [27]
     assert learner._certify_mixture(agreement).exact_value == Fraction(2, 3)
     assert len(games) == 1
@@ -345,6 +383,48 @@ def test_prefix_cap_still_ends_the_escalation(monkeypatch):
     assert (hs.hypotheses, hs.provenance) == ((52,), ((0, 1, 2, 3, 4, 5, 6, 7),))
     assert hs.budget == 8
     assert solution.exact_value == Fraction(1)
+
+
+@pytest.mark.parametrize(
+    "cap, expected",
+    [
+        (50, "2192f644519df7c230a6b311063137fc071d1276ab1a808c5648ea85075aab30"),
+        (3, "8e49545b5961ded44785a735bba038907ce6a96f1a8924b27c72daf0fc21f933"),
+    ],
+)
+def test_prefix_cap_cuts_each_search_at_the_same_prefix(monkeypatch, cap, expected):
+    # the sha256 of every search's yields, for every target of three classes
+    # on all points, recorded before the last point was scanned in a tight
+    # loop: a search counts its prefixes as it did, so a small cap cuts it
+    # at the same size
+    monkeypatch.setattr(learner, "_PREFIX_CAP", cap)
+    digest = hashlib.sha256()
+    for c in (
+        generators.k_interval_unions(8, 2),
+        generators.intervals(10),
+        generators.random_vc_capped(12, 3, 60),
+    ):
+        for target in range(len(c)):
+            sample = LabeledSample.from_concept(c, target, range(c.domain_size))
+            labels = dict(sample.label_items)
+            search = _teaching_search(c, sample.distinct_points, labels, target)
+            digest.update(repr(list(search)).encode())
+    assert digest.hexdigest() == expected
+
+
+def test_capped_walk_keeps_what_it_found(monkeypatch):
+    # a walk cut by the prefix cap returns part of the image, each concept
+    # with the subset the full walk gives it
+    c = generators.k_interval_unions(8, 2)
+    sample = LabeledSample.from_concept(c, 52, range(8))
+    labels = dict(sample.label_items)
+    hypotheses, provenance, agreement = _erm_image(c, sample.distinct_points, labels, 4, 52)
+    full = dict(zip(hypotheses, provenance))
+    monkeypatch.setattr(learner, "_PREFIX_CAP", 1)
+    hypotheses, provenance, agreement = _erm_image(c, sample.distinct_points, labels, 4, 52)
+    assert 0 < len(hypotheses) < len(full)
+    assert all(full[h] == subset for h, subset in zip(hypotheses, provenance))
+    assert agreement.shape == (len(hypotheses), 8)
 
 
 def _recording_searches(monkeypatch):
@@ -373,8 +453,8 @@ def _recording_searches(monkeypatch):
 def test_teaching_search_stays_within_the_budget_and_runs_once(monkeypatch):
     # every sample of every concept on all points: c0's search enters each
     # size at most once and none above max(1, d) unless the budget escalated;
-    # a mixture runs it once, plus one search per concept other than c0 (the
-    # only one that agrees with every point) for its ERM image
+    # it is the only teaching-set search, since a mixture's ERM image is one
+    # walk over the subsets
     searches, ceilings = _recording_searches(monkeypatch)
     escalations = []
     escalate = learner.escalate_budget
@@ -397,15 +477,13 @@ def test_teaching_search_stays_within_the_budget_and_runs_once(monkeypatch):
                 continue
             ops += 1
             assert max(sizes) <= max(1, d)
+            assert len(searches) == 1
             if len(hs) == 1:
-                assert len(searches) == 1
                 assert sizes[-1] == len(hs.provenance[0])
             else:
                 mixtures += 1
                 assert sizes == list(range(max(1, d) + 1))
                 assert ceilings[-1] == (d + 1,)
-                assert len(searches) == len(c)
-                assert c0 not in [concept for concept, _ in searches[1:]]
     assert (ops, mixtures) == (235, 25)  # every op, none escalated
 
 
@@ -435,14 +513,14 @@ def test_learner_logs_the_path_that_certified(caplog):
         (
             unions,
             LabeledSample.from_concept(unions, 30, range(8)),
-            "certified 30 hypotheses by the ERM image at budget 4 (agreement 0.8000; "
-            "d = 4 from the search capped at 5)",
+            "certified 5 undominated of 30 hypotheses in the ERM image at budget 4 "
+            "(agreement 0.8000; d = 4 from the search capped at 5)",
         ),
         (
             mixed,
             LabeledSample.from_concept(mixed, 3, range(4)),
-            "certified 3 hypotheses by the ERM image at budget 2 (agreement 0.6667; "
-            "d = 1 from the search capped at 2)",
+            "certified 3 undominated of 3 hypotheses in the ERM image at budget 2 "
+            "(agreement 0.6667; d = 1 from the search capped at 2)",
         ),
     ]
     for c, sample, expected in cases:
@@ -477,15 +555,29 @@ def _compress_recording_the_game(monkeypatch, c, sample):
     return compressed, report, builds, shapes
 
 
+def _full_pattern_game(c, sample, budget):
+    """The ERM image's game at `budget` before its dominated rows go: one
+    row per hypothesis, one column per distinct agreement pattern."""
+    labels = dict(sample.label_items)
+    c0 = lowest_consistent_concept(c, sample.label_items)
+    _, _, agreement = _erm_image(c, sample.distinct_points, labels, budget, c0)
+    return np.unique(agreement, axis=1)
+
+
 def test_above_cap_learner_game_is_solved_exactly(monkeypatch):
-    # the learner's pattern game here has more than EXACT_ENTRY_CAP entries,
-    # and the exact simplex solves it all the same
+    # the ERM image's full pattern game here has more than EXACT_ENTRY_CAP
+    # entries; the learner plays its 13 undominated rows, a game of the
+    # same exact value as the full game's exact solve
     c = generators.k_interval_unions(12, 2)
     sample = LabeledSample.from_concept(c, 785, range(12))
+    full = _full_pattern_game(c, sample, 4)
+    assert full.shape == (396, 12) and full.size > EXACT_ENTRY_CAP
+    full_value, _, _ = game._exact_minimax(full)
     compressed, report, builds, shapes = _compress_recording_the_game(monkeypatch, c, sample)
-    assert any(m * n > EXACT_ENTRY_CAP for m, n in shapes)
+    assert shapes == [(13, 12)]
     [(hs, solution)] = builds
-    assert solution.exact_value == Fraction(8, 11)
+    assert hs.budget == 4
+    assert solution.exact_value == full_value == Fraction(8, 11)
     assert solution.value_estimate == pytest.approx(8 / 11)
     assert report.details["certified_agreement"] == solution.value_estimate
     recheck_certificate(c, sample, hs, solution, tolerance=0.0)
@@ -501,15 +593,20 @@ def test_above_cap_learner_game_is_solved_exactly(monkeypatch):
 
 
 def test_learner_game_of_over_a_thousand_rows_is_solved_exactly(monkeypatch):
-    # 1,069 hypotheses against 13 point patterns, one of the few learner
-    # games past a thousand rows in k_interval_unions(12..14, 2..3) with
-    # every point sampled; it solves in well under a second
+    # an ERM image of 1,069 hypotheses against 13 point patterns, one of the
+    # few past a thousand rows in k_interval_unions(12..14, 2..3) with every
+    # point sampled; 13 rows are undominated, and their game has the value
+    # of the full game's exact solve
     c = generators.k_interval_unions(13, 3)
     sample = LabeledSample.from_concept(c, 3442, range(13))
+    full = _full_pattern_game(c, sample, 6)
+    assert full.shape == (1069, 13)
+    full_value, _, _ = game._exact_minimax(full)
     compressed, report, builds, shapes = _compress_recording_the_game(monkeypatch, c, sample)
-    assert shapes == [(1069, 13)]
+    assert shapes == [(13, 13)]
     [(hs, solution)] = builds
-    assert solution.exact_value == Fraction(14, 17)
+    assert hs.budget == 6
+    assert solution.exact_value == full_value == Fraction(14, 17)
     recheck_certificate(c, sample, hs, solution, tolerance=0.0)
     assert report.details["vote_concepts"] == ((1856, 1), (2880, 1), (3274, 1))
     assert report.details["min_majority_margin"] == 1

@@ -30,9 +30,9 @@ def test_tracer_counts_point_masses_and_pool_sizes():
     # the tracer reads the pool size and the point-mass flag from
     # build_hypothesis_set's result; a taught point mass, a mixture and
     # the empty sample (a point mass on concept 0) must each count once,
-    # and the mixture's one pattern game (6 hypotheses by 5 distinct
-    # agreement patterns) must reach the wrapped exact solver, which the
-    # learner calls only through game
+    # and the mixture's one pattern game (its 4 undominated hypotheses by
+    # their 4 distinct agreement patterns) must reach the wrapped exact
+    # solver, which the learner calls only through game
     script = """
 import json, sys
 sys.path[:0] = sys.argv[1:]
@@ -65,7 +65,7 @@ print(json.dumps({"counts": tracer.counts, "pools": pools}))
     assert counts["game.point_masses"] == 2
     assert counts["learner.pool_size"] == sum(pools)
     assert counts["game.exact"] == 1
-    assert counts["game.exact_entries"] == 30
+    assert counts["game.exact_entries"] == 16
 
 
 def test_worker_runs_one_op_of_each_workload():
