@@ -213,7 +213,7 @@ def _cmd_compress(args) -> int:
         "subset_count": report.subset_count,
         "subset_budget": report.subset_budget,
         "scheme_size": report.scheme_size,
-        "details": report.details,
+        "details": report.known_details,
     }
     _emit(payload, args.report)
     return 0
@@ -247,7 +247,7 @@ def _cmd_verify(args) -> int:
             "size_within_bound": result.size_within_bound,
             "kernel_size": result.report.kernel_size,
             "scheme_size": result.report.scheme_size,
-            "details": result.report.details,
+            "details": result.report.known_details,
         },
         args.out,
     )

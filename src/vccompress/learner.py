@@ -13,9 +13,15 @@ least 2/3, certified in exact arithmetic.  That margin survives a later
 Concept c is the ERM of a labeled subset exactly when c labels the subset
 correctly and the subset kills every concept below c, so finding c's
 shortest such subset is a teaching-set search (Goldman & Kearns 1995) over
-the points c labels correctly.  c0, the lowest concept consistent with the
-whole sample, gets that search; every other hypothesis comes from one walk
-over the sample's subsets that keeps each ERM's first shortest subset.
+the points c labels correctly.  One walk over the sample's subsets,
+``_first_subsets``, runs that search for a whole set of sought concepts at
+once: sizes 0, 1, ..., each in combinations order, keeping the first subset
+that reaches each sought concept.  Its one prune: a prefix's scan of
+candidates stops at the first one from which some concept below the lowest
+sought concept the prefix keeps survives every remaining point, since every
+completion from there on has an unsought ERM.  c0, the lowest concept
+consistent with the whole sample, is sought alone; the ERM image seeks
+every concept below c0.
 
 The subset budget is the learner's own: max(1, d), d the class's VC
 dimension, capped at the sample's k distinct points, and one loop decides
@@ -27,8 +33,8 @@ each size:
    search keeps it on the class), and the budget becomes min(max(1, d), k).
 2. Once the budget is known, a size above it first tries the ERM image at
    the budget: every concept other than c0 that is the ERM of some subset
-   within budget, found by one depth-first walk over the subsets, one size
-   at a time.  The game is played on the image's undominated hypotheses:
+   within budget, found by the walk that seeks every concept below c0, up
+   to the budget.  The game is played on the image's undominated hypotheses:
    a hypothesis whose agreed points are a strict subset of another's never
    helps the row player (elimination of strictly dominated strategies; von
    Neumann & Morgenstern 1944), so dropping it keeps the game value, and
@@ -38,8 +44,8 @@ each size:
    exact path solves it at any size.  A value of at least 2/3 returns that
    mixture over the undominated hypotheses; otherwise the budget doubles
    and the image is tried again, until the size fits the budget.
-3. It searches for a subset of that size whose ERM is c0, the lowest concept
-   consistent with the whole sample.  A hit returns the point mass on c0:
+3. c0's walk goes through that size, looking for a subset of it whose ERM
+   is c0.  A hit returns the point mass on c0:
    the consistent-hypothesis case (Littlestone & Warmuth 1986), certified
    at value exactly 1 by the shared solution of the 1x1 game [[1]].
 
@@ -47,13 +53,15 @@ So a sample taught within max(1, d) solves no game and never computes d.
 A certified mixture holds at least two hypotheses: one row reaches 2/3
 only by agreeing with every label, and c0, the only such concept an ERM
 can be, is never in the image.  No step draws random numbers.  At size k
-the whole sample teaches c0, so termination never depends on luck.  The
+the learner takes the whole sample, which teaches c0, so termination never
+depends on luck, nor on a walk that a cap ended early.  The
 empty sample needs no case of its own: c0 is concept 0, the ERM of the
 empty subset, taught at size 0.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
@@ -62,7 +70,7 @@ from typing import Iterable
 import numpy as np
 
 from .concepts import ConceptClass, LabeledSample, _column_ints, _consistent_mask, vc_dimension
-from .errors import UnrealizableError, WeakLearningError
+from .errors import UnrealizableError
 from .game import GameSolution, _exact_solution
 
 __all__ = [
@@ -77,9 +85,8 @@ logger = logging.getLogger(__name__)
 
 WEAK_AGREEMENT = Fraction(2, 3)
 
-# Prefixes one size of a teaching-set search may visit before it settles
-# for all of its points; one size of the ERM image's walk may visit this
-# many per concept it still seeks before it ends with what it has found.
+# Prefixes one size of the subset walk may visit per concept it still seeks;
+# a size that visits more ends the walk with what it has found.
 _PREFIX_CAP = 20_000
 
 
@@ -201,7 +208,7 @@ def build_hypothesis_set(
     labels_by_point = dict(sample.label_items)
     k = len(points)
     consistent = lowest_consistent_concept(concept_class, sample.label_items)
-    teaching_sizes = _teaching_search(concept_class, points, labels_by_point, consistent)
+    walk = _first_subsets(concept_class, points, labels_by_point, consistent, 1 << consistent)
     dimension = budget = None  # unknown until a capped search refuses its ceiling
     for size in range(k + 1):
         if size >= 2 and budget is None:
@@ -225,8 +232,9 @@ def build_hypothesis_set(
                     tuple(hypotheses[i] for i in pool), tuple(provenance[i] for i in pool), budget
                 ), solution
             budget = escalate_budget(budget, k)
-        teaching = next(teaching_sizes)
-        if teaching is not None:
+        first = next(walk, {})  # {} once a cap has ended the walk
+        if consistent in first or size == k:  # all k points teach c0
+            teaching = first.get(consistent, tuple(points))
             if budget is None:
                 budget = min(max(1, size), k)
                 logger.debug(
@@ -240,75 +248,23 @@ def build_hypothesis_set(
                     consistent, size, budget, dimension,
                 )
             return HypothesisSet((consistent,), (teaching,), budget), _POINT_MASS
-    # at size k all k points teach c0, so only a broken search gets here
-    raise WeakLearningError(f"no subset of the {k} distinct points teaches c0 = {consistent}")
 
 
 def _erm_image(cls, points, labels_by_point, budget, c0):
     """Every concept other than c0 that is the ERM of some subset of at most
-    `budget` of `points`, ascending, with the shortest such subset of each
-    (first in combinations order), and the image's uint8 agreement rows over
-    `points`; c0 is the lowest concept consistent with all of `points`.
+    `budget` of `points`, ascending, with its first shortest subset, and the
+    image's uint8 agreement rows over `points`; c0 is the lowest concept
+    consistent with all of `points`.
 
-    One depth-first walk over the subsets, one size at a time and each size
-    in combinations order, keeps the first subset that reaches each concept.
-    No subset's ERM lies above c0, which survives every subset, and c0 is
-    left out: ``build_hypothesis_set`` asks only for budgets within which
-    c0's own search has failed.  So concept 0, the ERM of the empty subset,
-    is in the image unless it is c0.  A subtree is pruned when none of its
-    reachable ERMs is still unfound: a completion's ERM is a concept the
-    prefix keeps, at most the lowest concept that the prefix and every
-    remaining point keep.  A size that visits more than _PREFIX_CAP
-    prefixes per concept still sought ends the walk, and the image keeps
-    what it has found.
+    The walk seeks every concept below c0: no subset's ERM lies above c0,
+    which survives every subset, and c0 is left out, since
+    ``build_hypothesis_set`` asks only for budgets within which c0's own
+    walk has failed.  So concept 0, the ERM of the empty subset, is in the
+    image unless it is c0.  A walk that a size's cap ends before the budget
+    keeps what it has found: the image is the walk's last yield either way.
     """
-    universe = (2 << c0) - 1  # c0 and every concept below it
-    masks = cls.point_masks
-    cons = [masks[x] & universe if labels_by_point[x] else ~masks[x] & universe for x in points]
-    k = len(cons)
-    suffix_and = [universe] * (k + 1)  # concepts that points[j:] all keep
-    for j in range(k - 1, -1, -1):
-        suffix_and[j] = suffix_and[j + 1] & cons[j]
-    first = {0: ()} if c0 else {}  # concept 0 is the ERM of the empty subset
-    unfound = (1 << c0) - 2 if c0 else 0  # every concept below c0 other than 0
-    for size in range(1, min(budget, k) + 1):
-        if not unfound:
-            break
-        cap = _PREFIX_CAP * unfound.bit_count()
-        nodes = 0
-        chosen: list[int] = []
-        alive = [universe]  # alive[t]: concepts that chosen[:t] keeps
-        j = 0
-        while nodes <= cap:
-            keep = alive[-1]
-            if len(chosen) == size - 1:
-                # the last point: each choice is a subset, whose ERM is the
-                # lowest concept it keeps
-                for j in range(j, k):
-                    nodes += 1
-                    if nodes > cap:
-                        break
-                    left = keep & cons[j]
-                    low = left & -left
-                    if low & unfound:
-                        unfound ^= low
-                        subset = tuple(points[i] for i in chosen) + (points[j],)
-                        first[low.bit_length() - 1] = subset
-            elif j <= k - size + len(chosen):
-                nodes += 1
-                left = keep & cons[j]
-                reach = left & suffix_and[j + 1]
-                if left & unfound & (((reach & -reach) << 1) - 1):
-                    chosen.append(j)
-                    alive.append(left)
-                j += 1
-                continue
-            if not chosen:
-                break
-            j = chosen.pop() + 1
-            alive.pop()
-        if nodes > cap:
-            break
+    walk = _first_subsets(cls, points, labels_by_point, c0, (1 << c0) - 1)
+    *_, first = itertools.islice(walk, budget + 1)
     hypotheses = sorted(first)
     labels = np.array([labels_by_point[x] for x in points], dtype=np.uint8)
     rows = cls.matrix[np.ix_(hypotheses, np.asarray(points, dtype=np.intp))]
@@ -329,65 +285,92 @@ def _undominated(agreement: np.ndarray) -> list[int]:
     return sorted(kept)
 
 
-def _teaching_search(cls, points, labels_by_point, c0):
-    """For size 0, 1, ... in turn, the first subset of that many of `points`
-    (in combinations order) whose ERM is c0, or None when there is none;
-    it ends after the first hit.  Each size is searched only when asked for.
+def _first_subsets(cls, points, labels_by_point, c0, sought):
+    """Walk the subsets of `points` by size 0, 1, ..., each size in
+    combinations order, and after each size yield one dict, the same each
+    time: every concept of the bitset `sought` found so far, with the first
+    subset of least size whose ERM it is.  c0 is the lowest concept
+    consistent with all of `points`, and `sought` holds only concepts up to
+    c0, since no subset's ERM lies above it.  The walk ends once nothing is
+    sought, after size len(points), or after a size that visits more than
+    _PREFIX_CAP prefixes per concept still sought; that size logs one debug
+    line and still yields what it found.  The learner's two searches are
+    this walk: c0's teaching set seeks c0 alone, the ERM image every concept
+    below c0.
 
-    c0 is the lowest concept consistent with all of `points`.  A subset's
-    ERM is then c0 exactly when the subset kills every concept below c0: a
-    hitting set over the point_masks bitsets (a teaching set, Goldman &
-    Kearns 1995), which all of `points` is.  Each size is a depth-first
-    search in combinations order; a branch is pruned when some live concept
-    survives every point still available to it, and the last point of a
-    subset is scanned in a tight loop, one prefix per candidate.  A size
-    that visits more than _PREFIX_CAP prefixes ends the search of shorter
-    subsets: the sizes left below len(points) yield None and that size
-    yields all of `points`.  So the search yields a subset by size
-    len(points).  The search keeps an explicit stack, so its depth is not
-    bounded by the recursion limit.
+    Each size is a depth-first search that keeps, per prefix, `keep` (the
+    concepts up to c0 that the prefix keeps), t (the lowest sought concept
+    in `keep` when the prefix was entered) and bar = keep & (t - 1).  A
+    completion's ERM is the lowest concept it keeps, so a prefix's scan of
+    candidates stops at the first j from which some concept of `bar`
+    survives every point (suffix_and[j]): every completion from j on then
+    has an ERM below t, which is not sought, and suffix_and only grows with
+    j.  Once t is found below the prefix, the prefix's t is only a lower
+    bound on its lowest sought concept, which keeps the prune sound; each
+    new prefix takes a fresh t.  The last point of a subset is scanned in a
+    tight loop, one prefix per candidate.  The search keeps an explicit
+    stack, so its depth is not bounded by the recursion limit.
     """
-    below = (1 << c0) - 1
-    if not below:
-        yield ()
+    first = {0: ()} if sought & 1 else {}  # concept 0 is the ERM of the empty subset
+    sought &= ~1
+    yield first
+    if not sought:
         return
+    universe = (2 << c0) - 1  # c0 and every concept below it
     masks = cls.point_masks
-    cons = [masks[x] & below if labels_by_point[x] else ~masks[x] & below for x in points]
+    cons = [masks[x] & universe if labels_by_point[x] else ~masks[x] & universe for x in points]
     k = len(cons)
-    suffix_and = [below] * (k + 1)  # concepts below c0 that points[j:] all keep
+    suffix_and = [universe] * (k + 1)  # concepts that points[j:] all keep
     for j in range(k - 1, -1, -1):
         suffix_and[j] = suffix_and[j + 1] & cons[j]
-    yield None  # the empty subset keeps every concept below c0
     for size in range(1, k + 1):
+        cap = _PREFIX_CAP * sought.bit_count()
         nodes = 0
         chosen: list[int] = []
-        alive = [below]  # alive[t]: concepts below c0 that chosen[:t] keeps
+        t = sought & -sought
+        stack = [(universe, t, universe & (t - 1))]  # (keep, t, bar) per prefix
         j = 0
         while True:
-            keep = alive[-1]
+            keep, t, bar = stack[-1]
             if len(chosen) == size - 1:
                 # the last point, one node per candidate in a tight loop
-                while j < k and not keep & suffix_and[j]:
+                while j < k and not bar & suffix_and[j]:
                     nodes += 1
-                    if nodes > _PREFIX_CAP:
+                    if nodes > cap:
                         break
-                    if not keep & cons[j]:
-                        yield tuple(points[i] for i in chosen) + (points[j],)
-                        return
+                    if not bar & cons[j]:  # the subset's ERM is t or above
+                        left = keep & cons[j]
+                        low = left & -left
+                        if low & sought:
+                            sought ^= low
+                            subset = tuple(points[i] for i in chosen) + (points[j],)
+                            first[low.bit_length() - 1] = subset
+                            if not sought:
+                                yield first
+                                return
                     j += 1
-            elif j <= k - size + len(chosen) and not keep & suffix_and[j]:
+            elif j <= k - size + len(chosen) and not bar & suffix_and[j]:
                 nodes += 1
-                if nodes <= _PREFIX_CAP:
+                if nodes <= cap:
                     chosen.append(j)
-                    alive.append(keep & cons[j])
+                    left = keep & cons[j]
+                    if left & t & sought:
+                        stack.append((left, t, bar & cons[j]))
+                    else:  # t was found, or the child lost it
+                        live = left & sought
+                        low = live & -live
+                        stack.append((left, low, left & (low - 1)))
                     j += 1
                     continue
-            if nodes > _PREFIX_CAP:
-                yield from [None] * (k - size)
-                yield tuple(points)
-                return
-            if not chosen:
+            if nodes > cap or not chosen:
                 break
             j = chosen.pop() + 1
-            alive.pop()
-        yield None
+            stack.pop()
+        if nodes > cap:
+            logger.debug(
+                "subset walk cut at size %d after %d prefixes, %d concepts still sought",
+                size, nodes, sought.bit_count(),
+            )
+            yield first
+            return
+        yield first

@@ -219,9 +219,36 @@ def test_compress_report_file(capsys, class_file, sample_file, tmp_path):
     assert out == ""
     payload = json.loads(report.read_text())
     assert payload["subset_count"] >= 1
-    # the report fills these in lazily; they must still reach the file
-    assert payload["details"]["dual_vc_dimension"] == 2
-    assert payload["details"]["draw_ceiling"] == 3072
+    # what compress knew, and no dimension search run only to print it
+    assert payload["details"] == {
+        "epsilon": 0.125,
+        "seed": 0,
+        "vote_concepts": [[23, 1]],
+        "min_majority_margin": 1,
+        "certified_agreement": 1.0,
+        "draw_count": 0,
+    }
+
+
+@pytest.mark.parametrize("command", ["compress", "verify"])
+def test_report_runs_no_dimension_search(command, tmp_path):
+    # d* of intervals(120) takes minutes to search, but a 3-point sample is
+    # taught by a point mass at once, and the CLI prints what compress knew
+    sample = tmp_path / "sample.txt"
+    sample.write_text("3 1\n50 1\n90 0\n")
+    argv = ["--class-spec", '{"kind": "intervals", "n": 120}', "--sample-file", str(sample)]
+    if command == "compress":
+        argv += ["--out", str(tmp_path / "blob.bin")]
+    proc = subprocess.run(
+        [sys.executable, "-m", "vccompress.cli", command, *argv],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    details = json.loads(proc.stdout)["details"]
+    assert details["draw_count"] == 0
+    assert "vc_dimension" not in details and "dual_vc_dimension" not in details
 
 
 def test_reconstruct_rejects_corrupt_blob(capsys, class_file, sample_file, tmp_path):

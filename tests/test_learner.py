@@ -36,9 +36,22 @@ from vccompress.game import EXACT_ENTRY_CAP
 from vccompress.learner import (
     WEAK_AGREEMENT,
     _erm_image,
-    _teaching_search,
+    _first_subsets,
     _undominated,
 )
+
+
+def teaching_search(cls, points, labels_by_point, c0):
+    """c0's walk as the learner reads it, one yield per size: None below the
+    first subset whose ERM is c0, then that subset; a walk that a cap ended
+    leaves c0 to all of `points` at size len(points)."""
+    walk = _first_subsets(cls, points, labels_by_point, c0, 1 << c0)
+    for size in range(len(points) + 1):
+        first = next(walk, {})
+        if c0 in first or size == len(points):
+            yield first.get(c0, tuple(points))
+            return
+        yield None
 
 
 def cube(n):
@@ -121,7 +134,7 @@ def test_erm_enforces_the_subset_budget():
     hs, _ = build_hypothesis_set(c, sample)
     assert (hs.hypotheses, hs.provenance, hs.budget) == ((5,), ((0, 2),), 2)
     labels = dict(sample.label_items)
-    search = _teaching_search(c, sample.distinct_points, labels, 5)
+    search = teaching_search(c, sample.distinct_points, labels, 5)
     assert list(itertools.islice(search, 2)) == [None, None]  # sizes 0 and 1
     _, provenance, _ = _erm_image(c, sample.distinct_points, labels, 1, 5)
     assert max(map(len, provenance)) == 1
@@ -282,7 +295,7 @@ def test_teaching_search_matches_a_brute_force_scan(spec, target, budget):
     )
     # one yield per size: None below the first hit, then the hit, which ends
     # the search
-    search = _teaching_search(c, distinct, labels, consistent)
+    search = teaching_search(c, distinct, labels, consistent)
     yields = list(itertools.islice(search, budget + 1))
     if first is None:
         assert yields == [None] * (budget + 1)
@@ -407,7 +420,7 @@ def test_prefix_cap_cuts_each_search_at_the_same_prefix(monkeypatch, cap, expect
         for target in range(len(c)):
             sample = LabeledSample.from_concept(c, target, range(c.domain_size))
             labels = dict(sample.label_items)
-            search = _teaching_search(c, sample.distinct_points, labels, target)
+            search = teaching_search(c, sample.distinct_points, labels, target)
             digest.update(repr(list(search)).encode())
     assert digest.hexdigest() == expected
 
@@ -427,25 +440,75 @@ def test_capped_walk_keeps_what_it_found(monkeypatch):
     assert agreement.shape == (len(hypotheses), 8)
 
 
-def _recording_searches(monkeypatch):
-    """Wrap the learner's teaching-set search and its VC queries: returns
-    the list of (c0, sizes searched) of every search and the list of the
-    ceilings of every vc_dimension call the learner makes."""
-    searches, ceilings = [], []
-    search, dimension = learner._teaching_search, learner.vc_dimension
+def test_a_size_cut_by_the_cap_logs_one_line(monkeypatch, caplog):
+    # the cut names its size, the prefixes it visited and what is still
+    # sought; c0's walk for target 52 is cut at size 1, and the image's
+    # walk, seeking every concept below 52, at size 3, where 36 are left
+    monkeypatch.setattr(learner, "_PREFIX_CAP", 1)
+    c = generators.k_interval_unions(8, 2)
+    sample = LabeledSample.from_concept(c, 52, range(8))
+    labels = dict(sample.label_items)
+    with caplog.at_level(logging.DEBUG, logger="vccompress.learner"):
+        assert len(list(_first_subsets(c, sample.distinct_points, labels, 52, 1 << 52))) == 2
+        _erm_image(c, sample.distinct_points, labels, 4, 52)
+    lines = [r.getMessage() for r in caplog.records if r.name == "vccompress.learner"]
+    assert lines == [
+        "subset walk cut at size 1 after 2 prefixes, 1 concepts still sought",
+        "subset walk cut at size 3 after 37 prefixes, 33 concepts still sought",
+    ]
 
-    def recorded_search(cls, points, labels_by_point, c0):
+
+@settings(max_examples=200, deadline=None)
+@given(
+    small_class_and_points,
+    st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=0, max_value=2**24 - 1),
+)
+def test_walk_matches_a_brute_force_scan_for_any_sought_set(spec, target, bits):
+    # after each size, every sought concept found so far with its first
+    # subset of least size; the walk ends once nothing is left to seek
+    n, rows, points = spec
+    c = ConceptClass.from_row_ints(n, sorted(rows))
+    sample = LabeledSample.from_concept(c, target % len(c.rows), points)
+    labels = dict(sample.label_items)
+    consistent = lowest_consistent_concept(c, sample.label_items)
+    distinct = sample.distinct_points
+    sought = bits & ((2 << consistent) - 1)  # no subset's ERM lies above c0
+    expected, found, left = [], {}, sought
+    for size in range(len(distinct) + 1):
+        if size and not left:
+            break
+        for subset in itertools.combinations(distinct, size):
+            concept = lowest_consistent_concept(c, [(x, labels[x]) for x in subset])
+            if left >> concept & 1:
+                found[concept] = subset
+                left ^= 1 << concept
+        expected.append(dict(found))
+    walk = _first_subsets(c, distinct, labels, consistent, sought)
+    assert [dict(first) for first in walk] == expected
+
+
+def _recording_searches(monkeypatch):
+    """Wrap the learner's subset walk and its VC queries: returns the list
+    of (concept sought, sizes walked) of every walk that seeks one concept,
+    a teaching-set search, and the list of the ceilings of every
+    vc_dimension call the learner makes."""
+    searches, ceilings = [], []
+    walk, dimension = learner._first_subsets, learner.vc_dimension
+
+    def recorded_search(cls, points, labels_by_point, c0, sought):
         sizes = []
-        searches.append((c0, sizes))
-        for size, subset in enumerate(search(cls, points, labels_by_point, c0)):
+        if not sought & (sought - 1):
+            searches.append((sought.bit_length() - 1, sizes))
+        for size, first in enumerate(walk(cls, points, labels_by_point, c0, sought)):
             sizes.append(size)
-            yield subset
+            yield first
 
     def recorded_dimension(*args):
         ceilings.append(args[1:])
         return dimension(*args)
 
-    monkeypatch.setattr(learner, "_teaching_search", recorded_search)
+    monkeypatch.setattr(learner, "_first_subsets", recorded_search)
     monkeypatch.setattr(learner, "vc_dimension", recorded_dimension)
     return searches, ceilings
 

@@ -6,7 +6,9 @@ seed-2 round of each workload, built by ``perfbench/workloads.py`` (read,
 never changed), and pins the SHA-256 of the serialized containers and
 their summed ``scheme_size``.  So a change that moves a container's bytes,
 or the size the benchmark reports, fails the test suite, and is re-recorded
-here on purpose.
+here on purpose.  The same round also pins that no size of the learner's
+subset walk hits its prefix cap: a cut walk logs one debug line, and none
+may appear.
 """
 
 import json
@@ -14,13 +16,21 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 SCRIPT = """
-import hashlib, itertools, json, sys
+import hashlib, itertools, json, logging, sys
 sys.path[:0] = sys.argv[1:]
 import workloads
 from vccompress import ConceptClass, compress, serialize_compressed
+messages = []
+handler = logging.Handler()
+handler.emit = lambda record: messages.append(record.getMessage())
+logger = logging.getLogger("vccompress.learner")
+logger.setLevel(logging.DEBUG)
+logger.addHandler(handler)
 roster = workloads.build_roster()
 rounds = {}
 for name in ("roundtrip_short", "roundtrip_long"):
@@ -36,7 +46,8 @@ for name, ops in rounds.items():
         digest.update(serialize_compressed(compressed))
         bits.append(report.scheme_size)
     out[name] = [digest.hexdigest(), len(bits), sum(bits), max(bits)]
-print(json.dumps(out))
+cuts = [message for message in messages if message.startswith("subset walk cut")]
+print(json.dumps({"containers": out, "cuts": cuts}))
 """
 
 # workload -> (containers' SHA-256, ops, summed scheme_size, largest
@@ -54,12 +65,21 @@ PINNED = {
 }
 
 
-def test_one_round_of_each_workload_keeps_its_bytes():
+@pytest.fixture(scope="module")
+def seed_2_round():
     proc = subprocess.run(
         [sys.executable, "-c", SCRIPT, str(ROOT / "src"), str(ROOT / "perfbench")],
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    measured = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_one_round_of_each_workload_keeps_its_bytes(seed_2_round):
+    measured = seed_2_round["containers"]
     assert {name: tuple(values) for name, values in measured.items()} == PINNED
+
+
+def test_no_subset_walk_of_the_round_hits_its_cap(seed_2_round):
+    assert seed_2_round["cuts"] == []
