@@ -28,7 +28,6 @@ from .errors import (
     IntegrityError,
     ParseError,
     UnrealizableError,
-    WeakLearningError,
 )
 from .scheme import (
     CompressedSample,

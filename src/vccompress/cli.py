@@ -16,8 +16,7 @@ Classes come from a text file (--class-file) or an inline generator spec
 "point label" lines.  Results are JSON on stdout; exact rationals are printed
 as fraction strings.  Exit codes: 0 success, 1 a verification or suite run
 failed or a solver ran out of budget (ApproximationBudgetError,
-ConvergenceError, WeakLearningError), 2 bad input or configuration, or
-memory ran out.
+ConvergenceError), 2 bad input or configuration, or memory ran out.
 """
 
 from __future__ import annotations
@@ -37,13 +36,7 @@ from .concepts import (
     serialize_concept_class,
     vc_dimension,
 )
-from .errors import (
-    ApproximationBudgetError,
-    ConfigError,
-    ConvergenceError,
-    ParseError,
-    WeakLearningError,
-)
+from .errors import ApproximationBudgetError, ConfigError, ConvergenceError, ParseError
 from .experiment import generalization_experiment
 from .game import EXACT_ENTRY_CAP, parse_payoff_matrix, solve_exact, solve_mw, sparse_epsilon_nash
 from .generators import make_concept_class
@@ -377,7 +370,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ApproximationBudgetError, ConvergenceError, WeakLearningError) as exc:
+    except (ApproximationBudgetError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:

@@ -57,13 +57,5 @@ class ConvergenceError(RuntimeError):
         self.last_exploitability = last_exploitability
 
 
-class WeakLearningError(RuntimeError):
-    """No subset budget up to the escalation cap produced a certified mixture.
-
-    Mathematically unreachable for realizable samples (at full budget the
-    consistent hypothesis agrees everywhere); raised only to surface bugs.
-    """
-
-
 class ConfigError(ValueError):
     """Invalid harness configuration."""

@@ -278,10 +278,13 @@ def solve_mw(matrix, target_exploitability: float = 0.01) -> GameSolution:
     sqrt(ln(m)/T) over a planned horizon T; the column player best-responds
     each round.  Averaged strategies are certified periodically and returned
     as soon as they pass; hitting MW_ITERATION_CAP raises ConvergenceError
-    carrying the last certified exploitability.
+    carrying the last certified exploitability.  A target that is not a
+    finite positive number raises ValueError.
     """
-    if target_exploitability <= 0:
-        raise ValueError("target exploitability must be positive")
+    if not 0 < target_exploitability < math.inf:  # NaN fails both
+        raise ValueError(
+            f"target exploitability must be a finite positive number, got {target_exploitability}"
+        )
     iteration_cap = MW_ITERATION_CAP
     m = _bit_matrix(matrix, "payoff matrix")
     rows, cols = m.shape

@@ -47,7 +47,9 @@ each size:
 3. c0's walk goes through that size, looking for a subset of it whose ERM
    is c0.  A hit returns the point mass on c0:
    the consistent-hypothesis case (Littlestone & Warmuth 1986), certified
-   at value exactly 1 by the shared solution of the 1x1 game [[1]].
+   at value exactly 1 by the shared solution of the 1x1 game [[1]].  Its
+   budget is its teaching set's size, min(max(1, t), k) for t points,
+   whether or not the budget escalated first.
 
 So a sample taught within max(1, d) solves no game and never computes d.
 A certified mixture holds at least two hypotheses: one row reaches 2/3
@@ -93,12 +95,11 @@ _PREFIX_CAP = 20_000
 @dataclass(frozen=True)
 class HypothesisSet:
     """Hypotheses (concept indices, ascending) with the labeled-subset
-    provenance that regenerates each one via ERM, plus the budget that was
-    finally sufficient: for a point mass taught within max(1, d), the
-    teaching set's size min(max(1, t), k) at which it was certified, which
-    is at most the subset budget min(max(1, d), k); otherwise the subset
-    budget itself, escalations included.  No provenance subset has more
-    points, and ``compress`` reports this budget as the report's
+    provenance that regenerates each one via ERM, plus the budget they were
+    certified at: a point mass reports its teaching set's size,
+    min(max(1, t), k) for t teaching points of the sample's k, and a mixture
+    reports the image budget its game certified at.  No provenance subset
+    has more points, and ``compress`` reports this budget as the report's
     ``subset_budget``."""
 
     hypotheses: tuple[int, ...]
@@ -195,8 +196,9 @@ def build_hypothesis_set(
     c0.  A size s >= 2 is searched only once the capped search
     ``vc_dimension(concept_class, s)`` has returned s, or once the budget
     has escalated to at least s.  A point mass keeps its teaching set as
-    its one provenance and is certified at budget min(max(1, t), k) for t
-    teaching points, or at the escalated budget.  Its certificate is one
+    its one provenance and reports its size, min(max(1, t), k) for t
+    teaching points, as its budget; a mixture reports the image budget its
+    game certified at.  A point mass's certificate is one
     module-level constant, frozen with read-only weight arrays (exact_value
     1, value_estimate 1.0, exploitability 0, both strategies [1.0]).  A
     mixture's pool is the undominated part (``_undominated``) of the ERM
@@ -235,19 +237,11 @@ def build_hypothesis_set(
         first = next(walk, {})  # {} once a cap has ended the walk
         if consistent in first or size == k:  # all k points teach c0
             teaching = first.get(consistent, tuple(points))
-            if budget is None:
-                budget = min(max(1, size), k)
-                logger.debug(
-                    "taught point mass: c0 = %d by %d points (ceilings queried: %s)",
-                    consistent, size, list(range(2, size + 1)),
-                )
-            else:
-                logger.debug(
-                    "taught point mass: c0 = %d by %d points after escalating to "
-                    "budget %d (d = %d)",
-                    consistent, size, budget, dimension,
-                )
-            return HypothesisSet((consistent,), (teaching,), budget), _POINT_MASS
+            logger.debug(
+                "taught point mass: c0 = %d by %d points (search budget %s)",
+                consistent, size, budget,
+            )
+            return HypothesisSet((consistent,), (teaching,), min(max(1, size), k)), _POINT_MASS
 
 
 def _erm_image(cls, points, labels_by_point, budget, c0):

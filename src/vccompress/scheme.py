@@ -20,17 +20,20 @@ floor of N*p and the largest remainders (ties to the lower pool index) one
 vote more.  The first N whose votes win every point is kept.
 
 One margin carries every vote count.  p gives every sampled point's label
-mass at least a = ``WEAK_AGREEMENT`` = 2/3, and rounding moves each of
-p's s support counts by less than 1, so the label gets more than N*a - s
-of N votes: a strict majority once N*(a - 1/2) >= s.  The least such N,
-6s at a = 2/3, is the sure count, so rounding needs no seed or draw.  The
-search stops at the paper's vote ceiling T (``_vote_ceiling``, the
-sparsifier's size at d* and 1/8), computing d* only past T's least value
-1024.  When the sure count exceeds T and no N up to T wins, the seeded
-1/8-sparsifier (approx) draws the votes instead: its draws move every
-point's label mass by at most ``SPARSIFY_EPSILON`` = 1/8 < a - 1/2, so they
-keep a strict majority too.  Rounded and drawn counts alike are divided by
-their gcd (majorities are scale-invariant) by one reducer.
+mass at least a = ``WEAK_AGREEMENT`` = 2/3.  Rounding moves each of p's s
+support counts by less than 1 and keeps their sum N, so the label's count,
+summed over the set A of hypotheses that agree, moves by less than both
+|A| and s - |A| (not at all when A is the whole support), hence by less
+than s/2.  The label then gets more than N*a - s/2 of N votes: a strict
+majority once N*(2a - 1) >= s.  The least such N, 3s at a = 2/3, is the
+sure count, so rounding needs no seed or draw.  The search stops at the
+paper's vote ceiling T (``_vote_ceiling``, the sparsifier's size at d* and
+1/8), computing d* only past T's least value 1024.  When the sure count
+exceeds T and no N up to T wins, the seeded 1/8-sparsifier (approx) draws
+the votes instead: its draws move every point's label mass by at most
+``SPARSIFY_EPSILON`` = 1/8 < a - 1/2, so they keep a strict majority too.
+Rounded and drawn counts alike are divided by their gcd (majorities are
+scale-invariant) by one reducer.
 
 The majority re-check reads the class's packed integer rows, independently
 of the learner's point bitsets: each vote's wrong points are one bitset
@@ -280,9 +283,9 @@ class SchemeReport:
     ``info_bits``, the side info's bits and the container CRC's 32 (the
     CRC guards the side info along with the rest); ``subset_count`` is
     the votes cast, the run counts' sum; ``subset_budget`` is the budget
-    the learner certified at (``HypothesisSet.budget``): no side-info
-    subset has more points, so the size is within ``scheme_size_bound``
-    at it.
+    the learner certified at (``HypothesisSet.budget``), a point mass's
+    teaching-set size or a mixture's image budget: no side-info subset has
+    more points, so the size is within ``scheme_size_bound`` at it.
 
     ``known_details`` holds what ``compress`` knew: ``epsilon``, ``seed``,
     ``vote_concepts`` (the reduced (concept, count) votes),
@@ -406,8 +409,8 @@ def _round_mixture(concept_class, hypotheses, p, label_items):
     concepts = [concept for concept, _ in support]
     denominator = math.lcm(*(x.denominator for _, x in support))
     numerators = [x.numerator * (denominator // x.denominator) for _, x in support]
-    # the least N with N * (WEAK_AGREEMENT - 1/2) >= s
-    certain = math.ceil(2 * len(support) / (2 * WEAK_AGREEMENT - 1))
+    # the least N with N * (2 * WEAK_AGREEMENT - 1) >= s
+    certain = math.ceil(len(support) / (2 * WEAK_AGREEMENT - 1))
     least = _vote_ceiling(0)  # T at d* = 0, the least of any class
     for n in range(1, certain + 1):
         if n > least and n > _vote_ceiling(vc_dimension(dual_class(concept_class))):

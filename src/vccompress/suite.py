@@ -13,7 +13,8 @@ Criteria:
  4. epsilon-approximation sizes within ceil(16 (d+1) / eps^2)
  5. exact and iterative game solvers agree (cyclic value exactly 2/3)
  6. sparse equilibrium supports unaffected by duplicate padding
- 7. every compressed point wins a strict integer majority
+ 7. every point of intervals(9)'s full samples wins a strict integer
+    majority (criteria 1 and 2 report the least margin of their own runs)
  8. generalization: failure fraction within delta (+0.1 sampling slack)
  9. codec round trips, detection of every single-byte corruption, and a
     valid but hostile container
@@ -67,14 +68,7 @@ __all__ = ["CRITERIA", "run_suite"]
 _RUNTIME_CAPS = {1: 300.0, 5: 60.0, 8: 120.0}
 
 
-def _verified(concept_class, sample, margins):
-    """verify_round_trip, logging the run's majority margin for criterion 7."""
-    result = verify_round_trip(concept_class, sample)
-    margins.append(result.report.known_details["min_majority_margin"])
-    return result
-
-
-def _criterion_round_trips(seed: int, margins: list[int]):
+def _criterion_round_trips(seed: int):
     """Every realizable sample must verify: its labels reconstruct exactly,
     the decompressor relearns the voted hypotheses, and the size keeps its
     bound.  Exhaustive over all (concept, point-subset) pairs for small
@@ -109,13 +103,15 @@ def _criterion_round_trips(seed: int, margins: list[int]):
     ]
     total = 0
     mismatched = 0
+    least_margin = math.inf
     all_verified = True
     per_class = {}
     for name, cls, samples in roster:
         runs = 0
         for sample in samples(cls):
-            result = _verified(cls, sample, margins)
+            result = verify_round_trip(cls, sample)
             mismatched += len(result.mismatches)
+            least_margin = min(least_margin, result.report.known_details["min_majority_margin"])
             all_verified = all_verified and result.passed
             runs += 1
         per_class[name] = runs
@@ -124,11 +120,12 @@ def _criterion_round_trips(seed: int, margins: list[int]):
     return all_verified, {
         "compressions": total,
         "mismatched_points": mismatched,
+        "min_margin": least_margin,
         "per_class": per_class,
     }
 
 
-def _criterion_size_independence(seed: int, margins: list[int]):
+def _criterion_size_independence(seed: int):
     """Compression size must be governed by the class, not the sample: one
     ceiling, the bound at the class's own d and d* and the budget max(1, d),
     serves every sample-length tier.  Every run verifies (labels,
@@ -141,6 +138,7 @@ def _criterion_size_independence(seed: int, margins: list[int]):
     rng = make_rng(seed)
     measured = {}
     budgets = set()
+    least_margin = math.inf
     within = True
     all_verified = True
     for tier in tiers:
@@ -150,9 +148,10 @@ def _criterion_size_independence(seed: int, margins: list[int]):
             concept = int(rng.integers(0, len(cls.rows)))
             points = rng.integers(0, cls.domain_size, size=tier).tolist()
             sample = LabeledSample.from_concept(cls, concept, points)
-            result = _verified(cls, sample, margins)
+            result = verify_round_trip(cls, sample)
             report = result.report
             budgets.add(report.subset_budget)
+            least_margin = min(least_margin, report.known_details["min_majority_margin"])
             within = within and report.scheme_size <= ceiling
             all_verified = all_verified and result.passed
             max_scheme = max(max_scheme, report.scheme_size)
@@ -162,11 +161,12 @@ def _criterion_size_independence(seed: int, margins: list[int]):
         "tiers": measured,
         "shared_bound": [ceiling],
         "subset_budgets": sorted(budgets),
+        "min_margin": least_margin,
         "all_within_bound": within,
     }
 
 
-def _criterion_dual_bound(seed: int, margins: list[int]):
+def _criterion_dual_bound(seed: int):
     """The dual dimension stays below 2^(d+1) on every roster class, with
     both dimensions computed by exhaustive search."""
     seeds = child_seeds(seed, 3)
@@ -192,7 +192,7 @@ def _criterion_dual_bound(seed: int, margins: list[int]):
     return passed, {"classes": rows}
 
 
-def _criterion_approximation_sizes(seed: int, margins: list[int]):
+def _criterion_approximation_sizes(seed: int):
     """Certified approximations at eps 1/4 and 1/8 stay within the
     ceil(16 (d+1)/eps^2) size ceiling and their deviations re-verify."""
     seeds = child_seeds(seed, 8)
@@ -232,7 +232,7 @@ def _criterion_approximation_sizes(seed: int, margins: list[int]):
     return passed, {"checks": checks, "worst_deviation": worst}
 
 
-def _criterion_game_solvers(seed: int, margins: list[int]):
+def _criterion_game_solvers(seed: int):
     """Exact simplex and multiplicative weights agree within 0.01 on fifty
     random matrices; the cyclic 3x3 game solves to exactly 2/3; the exact
     solutions have (float) exploitability below 1e-9."""
@@ -262,7 +262,7 @@ def _criterion_game_solvers(seed: int, margins: list[int]):
     }
 
 
-def _criterion_sparse_supports(seed: int, margins: list[int]):
+def _criterion_sparse_supports(seed: int):
     """Sparse equilibrium supports are a function of the strategy structure:
     padding a matrix with duplicated rows and columns changes neither the
     support ceilings nor the drawn multisets."""
@@ -301,14 +301,15 @@ def _criterion_sparse_supports(seed: int, margins: list[int]):
     return passed, {"epsilon": epsilon, "matrices": rows}
 
 
-def _criterion_majority_margins(seed: int, margins: list[int]):
-    """Every point of every compressed sample in this suite run must have won
-    its vote by a strict integer margin (an odd 2*agree - total >= 1)."""
-    if not margins:
-        cls = intervals(9)
-        for concept in range(len(cls.rows)):
-            sample = LabeledSample.from_concept(cls, concept, range(9))
-            _verified(cls, sample, margins)
+def _criterion_majority_margins(seed: int):
+    """Every point of every concept of intervals(9), sampled on all nine
+    points, must win its vote by a strict integer margin (an odd
+    2*agree - total >= 1)."""
+    cls = intervals(9)
+    margins = []
+    for concept in range(len(cls.rows)):
+        result = verify_round_trip(cls, LabeledSample.from_concept(cls, concept, range(9)))
+        margins.append(result.report.known_details["min_majority_margin"])
     integral = all(isinstance(m, int) for m in margins)
     passed = integral and min(margins) >= 1
     return passed, {
@@ -318,7 +319,7 @@ def _criterion_majority_margins(seed: int, margins: list[int]):
     }
 
 
-def _criterion_generalization(seed: int, margins: list[int]):
+def _criterion_generalization(seed: int):
     """Samples of the derived size generalize: at eps = delta = 1/3 over 200
     trials, the failure fraction stays within delta plus 0.1 of sampling
     slack."""
@@ -370,7 +371,7 @@ def _random_compressed_sample(rng) -> CompressedSample:
     return CompressedSample(domain, points, labels, _random_runs(rng, kernel_size))
 
 
-def _criterion_codec(seed: int, margins: list[int]):
+def _criterion_codec(seed: int):
     """Codec round trips never lose information and corruption never passes
     silently: random side info and containers decode back equal; every
     single-byte corruption raises (the container's CRC covers every byte
@@ -490,13 +491,12 @@ def run_suite(seed: int = 0, criteria=None, echo: bool = False) -> dict:
     unknown = wanted - numbers
     if unknown:
         raise ConfigError(f"unknown criteria: {sorted(unknown)}")
-    margins = []
     results = []
     for number, name, fn in CRITERIA:
         if number not in wanted:
             continue
         start = time.perf_counter()
-        passed, details = fn(seed, margins)
+        passed, details = fn(seed)
         runtime = time.perf_counter() - start
         cap = _RUNTIME_CAPS.get(number)
         if cap is not None:

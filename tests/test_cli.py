@@ -156,6 +156,17 @@ def test_game_mw_method(capsys, matrix_file):
     assert abs(payload["value"] - 2 / 3) <= 0.05
 
 
+@pytest.mark.parametrize("target", ["nan", "inf"])
+def test_game_mw_refuses_a_target_that_is_not_finite(capsys, matrix_file, target):
+    code, out, err = run_cli(
+        capsys, "game", "--matrix-file", matrix_file, "--method", "mw", "--target", target
+    )
+    assert (code, out) == (2, "")
+    assert err.strip() == (
+        f"error: target exploitability must be a finite positive number, got {target}"
+    )
+
+
 def test_nash_certified(capsys, matrix_file):
     payload = run_json(
         capsys, "nash", "--matrix-file", matrix_file, "--epsilon", "0.3", "--seed", "2"

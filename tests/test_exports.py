@@ -109,7 +109,6 @@ PUBLIC_SURFACE = [
     "UnrealizableError",
     "VerificationResult",
     "WEAK_AGREEMENT",
-    "WeakLearningError",
     "approximation_deviation",
     "approximation_size_bound",
     "build_hypothesis_set",

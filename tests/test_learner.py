@@ -561,17 +561,17 @@ def test_learner_logs_the_path_that_certified(caplog):
         (
             iv,
             LabeledSample.from_concept(iv, 30, range(12)),
-            "taught point mass: c0 = 30 by 2 points (ceilings queried: [2])",
+            "taught point mass: c0 = 30 by 2 points (search budget None)",
         ),
         (
             iv,
             LabeledSample.from_pairs([(3, 1), (5, 0)]),
-            "taught point mass: c0 = 37 by 1 points (ceilings queried: [])",
+            "taught point mass: c0 = 37 by 1 points (search budget None)",
         ),
         (
             escalated,
             LabeledSample.from_concept(escalated, 2, range(3)),
-            "taught point mass: c0 = 2 by 2 points after escalating to budget 2 (d = 1)",
+            "taught point mass: c0 = 2 by 2 points (search budget 2)",
         ),
         (
             unions,
@@ -593,6 +593,20 @@ def test_learner_logs_the_path_that_certified(caplog):
         lines = [r.getMessage() for r in caplog.records if r.name == "vccompress.learner"]
         assert lines == [expected]
     assert hs.budget == 2  # the last case's, escalated once from max(1, d)
+
+
+def test_point_mass_reports_its_teaching_set_size_after_an_escalation():
+    # d = 2, and c0 = concept 6 has no teaching set of two points: the image
+    # at budget 2 falls short, the budget escalates to 4, and c0 is taught
+    # by three points, which is the budget the point mass reports
+    c = ConceptClass.from_row_ints(4, [2, 5, 7, 11, 12, 13, 14])
+    assert vc_dimension(c) == 2
+    sample = LabeledSample.from_concept(c, 6, range(4))
+    hs, solution = build_hypothesis_set(c, sample)
+    assert hs == HypothesisSet((6,), ((0, 1, 2),), 3)
+    assert solution is learner._POINT_MASS
+    _, report = compress(c, sample)
+    assert report.subset_budget == 3
 
 
 def _compress_recording_the_game(monkeypatch, c, sample):

@@ -836,8 +836,8 @@ def test_losing_vote_multiset_is_rejected(monkeypatch):
     # concept 0 disagrees with the target at points 3, 4 and 9: it outvotes
     # the target 2 to 1 there
     assert [p for p, label in sample.label_items if c.value(0, p) != label] == [3, 4, 9]
-    # a rounding that returns this multiset at every N loses below 6s, so
-    # the search goes on, and at N = 6s, where a certified mixture's
+    # a rounding that returns this multiset at every N loses below 3s, so
+    # the search goes on, and at N = 3s, where a certified mixture's
     # majority is strict, the failure surfaces instead of the sampler
     losing = ((30, 1), (0, 2))
     monkeypatch.setattr(scheme, "_rounded_votes", lambda *args: losing)
@@ -849,7 +849,7 @@ def test_losing_vote_multiset_is_rejected(monkeypatch):
 
 
 def test_sampler_is_the_fallback_past_the_vote_ceiling(monkeypatch, caplog):
-    # with a vote ceiling of 2, below 6s, no rounding up to it wins, so the
+    # with a vote ceiling of 2, below 3s, no rounding up to it wins, so the
     # seeded sampler draws the votes; its votes are the ones it drew before
     # mixtures were rounded.  Only compress sees that ceiling: the
     # report's T and the size bound are the class's own
@@ -996,22 +996,22 @@ def certified_mixtures(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(certified_mixtures())
-def test_rounding_at_six_s_keeps_every_majority_strict(case):
+def test_rounding_at_three_s_keeps_every_majority_strict(case):
     p, columns = case
     s = len(p)
     denominator = math.lcm(*(x.denominator for x in p))
     numerators = [x.numerator * (denominator // x.denominator) for x in p]
-    votes = scheme._rounded_votes(range(s), numerators, denominator, 6 * s)
+    votes = scheme._rounded_votes(range(s), numerators, denominator, 3 * s)
     counts = dict(votes)
     total = sum(counts.values())
-    scale = 6 * s // total  # the gcd the counts were divided by
-    assert scale * total == 6 * s
+    scale = 3 * s // total  # the gcd the counts were divided by
+    assert scale * total == 3 * s
     assert math.gcd(*counts.values()) == 1
     # largest remainder moves each count by less than 1
-    assert all(abs(scale * counts.get(i, 0) - 6 * s * x) < 1 for i, x in enumerate(p))
+    assert all(abs(scale * counts.get(i, 0) - 3 * s * x) < 1 for i, x in enumerate(p))
     for column in columns:
         assert 2 * sum(counts.get(i, 0) for i in range(s) if column[i]) > total
-    # the search over N = 1, 2, ... stops by 6s on a class whose rows agree
+    # the search over N = 1, 2, ... stops by 3s on a class whose rows agree
     # with an all-ones sample as the columns say; a flag point per row keeps
     # the rows distinct
     m = len(columns)
@@ -1022,15 +1022,15 @@ def test_rounding_at_six_s_keeps_every_majority_strict(case):
     c = ConceptClass.from_row_ints(m + s, rows)
     hypotheses = [c.rows.index(row) for row in rows]
     n, rounded, margin = scheme._round_mixture(c, hypotheses, p, [(j, 1) for j in range(m)])
-    assert n <= 6 * s
+    assert n <= 3 * s
     assert margin == scheme._majority_margin(c, rounded, [(j, 1) for j in range(m)]) > 0
 
 
-@pytest.mark.parametrize("agreement, votes_per_hypothesis", [("2/3", 6), ("3/4", 4)])
+@pytest.mark.parametrize("agreement, votes_per_hypothesis", [("2/3", 3), ("3/4", 2)])
 def test_sure_count_is_the_least_n_the_margin_makes_strict(
     monkeypatch, agreement, votes_per_hypothesis
 ):
-    # the least N with N * (a - 1/2) >= s: with every rounding refused, the
+    # the least N with N * (2a - 1) >= s: with every rounding refused, the
     # search tries N = 1, 2, ... and re-raises at that N
     monkeypatch.setattr(scheme, "WEAK_AGREEMENT", Fraction(agreement))
     tried = []
@@ -1104,15 +1104,12 @@ def _round_trip_every_sample(monkeypatch, n, masks, repeats):
                         mixtures += 1
                         _, solution = learner.build_hypothesis_set(c, sample)
                         support = sum(1 for x in solution.exact_row_strategy if x)
-                        assert details["draw_count"] <= 6 * support
-                    elif report.kernel_size <= budget:
-                        # a point mass taught within the budget of d reports
-                        # the budget its teaching set was certified at
-                        assert report.subset_budget == min(max(1, report.kernel_size), k)
+                        assert details["draw_count"] <= 3 * support
                     else:
-                        # ... or only after its budget escalated
-                        escalated += 1
-                        assert budget < report.kernel_size <= report.subset_budget
+                        # a point mass reports its teaching set's size, also
+                        # when it was taught only after the budget escalated
+                        assert report.subset_budget == min(max(1, report.kernel_size), k)
+                        escalated += report.kernel_size > budget
         kernel_excess[largest_kernel - d] += 1
     return digest.hexdigest(), (runs, mixtures, escalated), dict(kernel_excess)
 
@@ -1120,7 +1117,7 @@ def _round_trip_every_sample(monkeypatch, n, masks, repeats):
 def test_every_sample_on_three_points_round_trips(monkeypatch):
     # all 255 classes on 3 points, every concept, every point subset (the
     # empty one too), each point once and twice: 16,384 round trips, 30 of
-    # them mixtures; every mixture is rounded, never sampled, by N = 6s
+    # them mixtures; every mixture is rounded, never sampled, by N = 3s
     digest, counts, kernel_excess = _round_trip_every_sample(monkeypatch, 3, range(1, 256), (1, 2))
     assert counts == (16384, 30, 170)
     # the largest kernel exceeds d on 47 classes, always as d + 1 (the
