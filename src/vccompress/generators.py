@@ -124,10 +124,11 @@ def random_vc_capped(n: int, vc_cap: int, max_concepts: int, seed: int = 0) -> C
     the rows are those of the growth that runs ``vc_dimension`` over every
     candidate's tentative class.
 
-    Candidates are drawn in blocks of at most 2^16 entries, one
-    ``rng.integers`` call each.  Every entry takes the same draw from the
-    Philox stream as it would one row at a time, so the rows do not depend
-    on the block size.
+    Candidates are drawn in blocks, one ``rng.integers`` call each, that
+    start at 2^10 entries and double up to 2^16, so a class that stops
+    early converts few rows it never reads.  Every entry takes the same draw
+    from the Philox stream as it would one row at a time, so the rows do not
+    depend on the block sizes.
     """
     n, vc_cap = _integer(n, "domain size"), _integer(vc_cap, "vc_cap")
     max_concepts = _integer(max_concepts, "max_concepts")
@@ -185,22 +186,25 @@ def _completed_set(candidate: int, rows: list[int], columns: list[int], k: int) 
     candidate on S.  Every kept row must differ from the candidate somewhere
     on S, so a node branches on the free points where the row of its own
     cell with the fewest of them differs, and each branch also leaves out
-    the points its earlier siblings took.  At j points every other cell must
-    still hold 2^(k-j) rows and the own cell 2^(k-j) - 1, enough for each to
-    show its patterns on the k-set, all but the candidate's; so the own cell
-    never empties before S has k points.
+    the points its earlier siblings took.  A node holds the own cell's
+    differences from the candidate, masked to its free points, as a list in
+    row order, so the first row with the fewest is the one taken; a child
+    keeps those of the rows that agree with the candidate on its new point.
+    At j points every other cell must still hold 2^(k-j) rows and the own
+    cell 2^(k-j) - 1, enough for each to show its patterns on the k-set, all
+    but the candidate's; so the own cell never empties before S has k
+    points.
     """
     nodes = 0
 
-    def extend(chosen: int, size: int, own: int, cells: list[int], free: int) -> int:
+    def extend(
+        chosen: int, size: int, own: int, differences: list[int], cells: list[int], free: int
+    ) -> int:
         nonlocal nodes
         nodes += 1
         if size == k:
             return chosen
         need = 1 << (k - size - 1)
-        differences = [
-            (row ^ candidate) & free for row, bit in zip(rows, bin(own)[:1:-1]) if bit == "1"
-        ]
         branch = min(differences, key=int.bit_count)
         while branch:
             point = branch & -branch
@@ -218,22 +222,27 @@ def _completed_set(candidate: int, rows: list[int], columns: list[int], k: int) 
                     break
                 halves += (half, cell ^ half)
             else:
-                found = extend(chosen | point, size + 1, same, halves, free)
+                agreeing = [d & free for d in differences if not d & point]
+                found = extend(chosen | point, size + 1, same, agreeing, halves, free)
                 if found:
                     return found
         return 0
 
     if len(rows) < (1 << k) - 1:
         return 0, 0
-    return extend(0, 0, (1 << len(rows)) - 1, [], (1 << len(columns)) - 1), nodes
+    differences = [row ^ candidate for row in rows]
+    return extend(0, 0, (1 << len(rows)) - 1, differences, [], (1 << len(columns)) - 1), nodes
 
 
 def _draws(rng: np.random.Generator, n: int, count: int):
     """`count` uniform 0/1 rows of length n as row ints, drawn in blocks of
-    at most max(n, 2^16) entries."""
-    block = max(1, 2**16 // n)
-    for start in range(0, count, block):
-        yield from _row_ints(rng.integers(0, 2, size=(min(block, count - start), n)))
+    at least one row that start at 2^10 entries and double up to 2^16, so a
+    class that stops early converts few rows it never reads."""
+    start, entries = 0, 2**10
+    while start < count:
+        block = min(max(1, entries // n), count - start)
+        yield from _row_ints(rng.integers(0, 2, size=(block, n)))
+        start, entries = start + block, min(2 * entries, 2**16)
 
 
 _GENERATORS = {

@@ -577,8 +577,7 @@ def test_capped_search_below_its_ceiling_keeps_d(caplog):
 )
 def test_search_at_its_ceiling_returns_a_shattered_witness(make):
     # every ceiling on a fresh class, past the cache, so no stored d answers
-    # it; the sets a search finds are checked with random_vc_capped's search
-    # in tests/test_generators.py
+    # it: the capped search reads min(d, ceiling)
     d = oracle_vc(make())
     for ceiling in [*range(make().domain_size + 2), None]:
         expected = d if ceiling is None else min(d, ceiling)

@@ -191,9 +191,15 @@ def test_random_vc_capped_replays_the_search_only_growth(n, vc_cap, max_concepts
     assert random_vc_capped(n, vc_cap, max_concepts, seed) == grown
 
 
-@pytest.mark.parametrize("n, count", [(1, 70_000), (7, 20_000), (3000, 50), (70_000, 3)])
+@pytest.mark.parametrize(
+    "n, count", [(1, 70_000), (7, 20_000), (12, 3000), (16, 10_000), (3000, 50), (70_000, 3)]
+)
 def test_block_draws_take_the_stream_of_one_row_per_call(n, count):
-    # blocks of max(1, 2**16 // n) rows: 65,536 and 9,362 rows, 21 rows, 1 row
+    # blocks of max(1, entries // n) rows, entries doubling from 2**10 to
+    # 2**16: n = 1 takes 1,024 rows, then 2,048, ... 65,536; n = 12 takes
+    # 85, 170, 341, 682, 1,365 and the last 357; n = 16 takes 64 to 4,096
+    # and the last 1,872; n = 3000 takes 1 row three times, then 2, 5, 10,
+    # 21 and the last 9; n = 70,000 always 1
     rng = make_rng(3)
     drawn = list(_draws(make_rng(3), n, count))
     one_by_one = np.vstack([rng.integers(0, 2, size=(1, n)) for _ in range(count)])
@@ -236,25 +242,36 @@ def test_random_vc_capped_logs_its_counts(caplog, monkeypatch):
         return searches[-1]
 
     monkeypatch.setattr(generators, "_completed_set", recorded)
-    with caplog.at_level(logging.DEBUG, logger="vccompress.generators"):
-        c = random_vc_capped(12, 3, 60, seed=0)
-    [record] = [r for r in caplog.records if r.name == "vccompress.generators"]
-    candidates, duplicates, remembered, kept, rejected, nodes, stop = record.args[3:]
-    _, draws = replayed_vc_capped(12, 3, 60, 0)
-    assert candidates + duplicates == draws
-    assert remembered + kept + rejected == candidates
-    assert kept == len(c) == 60
-    # one search per candidate no remembered set decides; each set found is
-    # a 4-set, remembered
-    assert len(searches) == kept + rejected
-    assert sum(found != 0 for found, _ in searches) == rejected
-    assert all(found.bit_count() == 4 for found, _ in searches if found)
-    assert nodes == sum(visited for _, visited in searches) > 0
-    assert stop == "at max_concepts"
-    assert remembered > candidates / 2
-    assert record.getMessage().startswith(
-        f"random_vc_capped(12, 3, 60): {candidates} distinct candidates, {duplicates} duplicates; "
-    )
+    # the exact counts pin the draw stream and the search tree: distinct
+    # candidates, duplicates, rejected by a remembered set, kept, rejected by
+    # a search, search nodes, stop; (16, 3, 200) runs all 10,000 draws, so
+    # it takes every block size
+    _, replayed_draws = replayed_vc_capped(12, 3, 60, 0)
+    builds = {
+        (12, 3, 60): (839, 6, 718, 60, 61, 875, "at max_concepts", replayed_draws),
+        (16, 3, 200): (9989, 11, 9720, 113, 156, 2507, "with its draws exhausted", 10_000),
+    }
+    for (n, vc_cap, max_concepts), (*counts, draws) in builds.items():
+        searches.clear()
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="vccompress.generators"):
+            c = random_vc_capped(n, vc_cap, max_concepts, seed=0)
+        [record] = [r for r in caplog.records if r.name == "vccompress.generators"]
+        assert list(record.args[3:]) == counts
+        candidates, duplicates, remembered, kept, rejected, nodes, _ = counts
+        assert candidates + duplicates == draws
+        assert remembered + kept + rejected == candidates
+        assert kept == len(c)
+        # one search per candidate no remembered set decides; each set found
+        # is a (vc_cap + 1)-set, remembered
+        assert len(searches) == kept + rejected
+        assert sum(found != 0 for found, _ in searches) == rejected
+        assert all(found.bit_count() == vc_cap + 1 for found, _ in searches if found)
+        assert nodes == sum(visited for _, visited in searches)
+        assert record.getMessage().startswith(
+            f"random_vc_capped({n}, {vc_cap}, {max_concepts}): {candidates} distinct candidates, "
+            f"{duplicates} duplicates; "
+        )
 
 
 @pytest.mark.parametrize(
