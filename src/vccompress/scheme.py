@@ -47,17 +47,19 @@ A container holds its votes as runs: one (mask, count) pair per distinct
 voter, in vote order, exactly the reduced votes; bit i of a mask is kernel
 position i.  Its wire format spells only what a decoder cannot infer:
 unsigned LEB128 varints, delta-coded kernel points, LSB-first label bits,
-then the side info, the run count R and, for R >= 2, each run's k-bit
-LSB-first mask with its count.  A lone run is implied (the whole kernel,
-voting once), so R = 1 is all it spells.  One trailing CRC-32 covers every
-byte after the magic, so every single-byte corruption is detected before
-anything is parsed.  Decoders reject trailing garbage, nonzero padding and
-every non-canonical form, so bytes and containers are in bijection.  A
-container is exactly its four wire fields: the domain size, the kernel
-points, the kernel labels as the k-bit mask the bytes hold, and the runs.
-Its constructor alone judges canonical runs; serialize_compressed, the one
-public encoder, encodes the side info where it writes it, and only
-deserialize_compressed decodes side info.
+then the side info: for R >= 2 runs, each run's k-bit LSB-first mask with
+its count, and no run count, since the CRC marks where the runs end.  A
+lone run is implied (the whole kernel, voting once), so it spells no side
+info at all, and a point mass's info bits are the CRC's 32 alone.  One
+trailing CRC-32 covers every byte after the magic, so every single-byte
+corruption is detected before anything is parsed.  Decoders reject
+truncation, nonzero padding, a spelled lone run and every non-canonical
+form, so bytes and containers are in bijection.  A container is exactly
+its four wire fields: the domain size, the kernel points, the kernel
+labels as the k-bit mask the bytes hold, and the runs.  Its constructor
+alone judges canonical runs; serialize_compressed, the one public encoder,
+encodes the side info where it writes it, and only deserialize_compressed
+decodes side info.
 """
 
 from __future__ import annotations
@@ -98,7 +100,7 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-MAGIC = b"VCSC02"
+MAGIC = b"VCSC03"
 SPARSIFY_EPSILON = 0.125
 # The most votes a container may cast: keeps every vote tally, and twice it,
 # inside int64.
@@ -175,33 +177,33 @@ def _unpack_bits(data: bytes, pos: int, width: int, what: str) -> tuple[int, int
 
 
 def _encode_side_info(runs: Sequence[tuple[int, int]], kernel_size: int) -> bytes:
-    """The run count R as a varint; for R >= 2, each run's mask as
-    ``kernel_size`` LSB-first bits, then its count as a varint.  The runs
-    are a container's, so a lone run is the whole kernel voting once, and
-    R is all it spells."""
-    out = bytearray(_encode_varint(len(runs)))
-    if len(runs) > 1:
-        for mask, count in runs:
-            out += _pack_bits(mask, kernel_size)
-            out += _encode_varint(count)
-    return bytes(out)
+    """Nothing for a lone run; for R >= 2 runs, each run's mask as
+    ``kernel_size`` LSB-first bits, then its count as a varint, with no run
+    count.  The runs are a container's, so a lone run is the whole kernel
+    voting once, which the decoder infers from the empty side info."""
+    if len(runs) == 1:
+        return b""
+    return b"".join(_pack_bits(mask, kernel_size) + _encode_varint(count) for mask, count in runs)
 
 
 def decode_side_info(data: bytes, kernel_size: int) -> tuple[tuple[int, int], ...]:
-    """Strict inverse of ``_encode_side_info`` over the whole buffer."""
-    run_count, pos = _decode_varint(data, 0)
-    if run_count < 1:
-        raise DecodeError("run count must be at least 1", 0)
-    if run_count == 1:
-        runs = [((1 << kernel_size) - 1, 1)]
-    else:
-        runs = []
-        for _ in range(run_count):
-            mask, pos = _unpack_bits(data, pos, kernel_size, "subset mask")
-            count, pos = _decode_varint(data, pos)
-            runs.append((mask, count))
-    if pos != len(data):
-        raise DecodeError("trailing bytes after the last run", pos)
+    """Strict inverse of ``_encode_side_info`` over the whole buffer: the
+    empty buffer is the lone run, and any other is (mask, count) runs up to
+    its end, which the container's CRC marks.  Each run takes at least its
+    count's byte, so the runs end even when a k = 0 kernel's masks take
+    none.  A buffer that spells exactly one run is refused here, not by the
+    container's constructor: the container it would build is the lone
+    run's, whose one spelling is the empty side info."""
+    if not data:
+        return (((1 << kernel_size) - 1, 1),)
+    runs = []
+    pos = 0
+    while pos < len(data):
+        mask, pos = _unpack_bits(data, pos, kernel_size, "subset mask")
+        count, pos = _decode_varint(data, pos)
+        runs.append((mask, count))
+    if len(runs) == 1:
+        raise DecodeError("a lone run is implied, never spelled", 0)
     return tuple(runs)
 
 
@@ -281,7 +283,8 @@ class CompressedSample:
 class SchemeReport:
     """Size accounting for one compression.  scheme_size = kernel points plus
     ``info_bits``, the side info's bits and the container CRC's 32 (the
-    CRC guards the side info along with the rest); ``subset_count`` is
+    CRC guards the side info along with the rest); a point mass's lone run
+    spells no side info, so its ``info_bits`` is 32.  ``subset_count`` is
     the votes cast, the run counts' sum; ``subset_budget`` is the budget
     the learner certified at (``HypothesisSet.budget``), a point mass's
     teaching-set size or a mixture's image budget: no side-info subset has
@@ -572,15 +575,13 @@ def scheme_size_bound(vc_dim: int, dual_vc_dim: int, subset_budget: int) -> int:
     The votes, hence the runs, number at most the vote ceiling T at d*, and
     each run's subset has at most subset_budget points, so the kernel has at
     most K = T * subset_budget points.  The worst case is T runs, each a
-    ceil(K / 8)-byte mask plus a count of at most T: quadratic in T, where
-    position lists would be linear, though realized containers need only a
-    byte or two per run."""
+    ceil(K / 8)-byte mask plus a count of at most T, with no run count:
+    quadratic in T, where position lists would be linear, though realized
+    containers need only a byte or two per run, and a lone run none."""
     max_votes = _vote_ceiling(dual_vc_dim)
     max_kernel = max_votes * subset_budget
-    count_bytes = len(_encode_varint(max_votes))
-    run_bytes = (max_kernel + 7) // 8 + count_bytes
-    side_info_bytes = count_bytes + max_votes * run_bytes
-    return max_kernel + 8 * (side_info_bytes + 4)
+    run_bytes = (max_kernel + 7) // 8 + len(_encode_varint(max_votes))
+    return max_kernel + 8 * (max_votes * run_bytes + 4)
 
 
 def verify_round_trip(concept_class: ConceptClass, sample: LabeledSample) -> VerificationResult:

@@ -1,12 +1,15 @@
 """Smoke tests for the scripts in demos/ and the README's quick start: each
 runs as a fresh process against the package sources and must exit 0 with
-the output it promises."""
+the output it promises.  The README's container format must name the
+magic the codec writes."""
 
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from vccompress.scheme import MAGIC
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -39,5 +42,12 @@ def test_demo_runs(demo):
 def test_readme_quick_start_prints_what_its_comments_promise():
     readme = (ROOT / "README.md").read_text()
     block = readme.split("## Quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
-    assert "# (8, 19)" in block and "# 42:" in block
-    assert _run_python("-c", block).splitlines() == ["(8, 19)", "42"]
+    assert "# (8, 19)" in block and "# 34:" in block
+    assert _run_python("-c", block).splitlines() == ["(8, 19)", "34"]
+
+
+def test_readme_container_format_names_the_current_magic():
+    # a format bump that leaves the README's table behind fails here
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Container format", 1)[1].split("\n## ", 1)[0]
+    assert f"magic `{MAGIC.decode()}`" in section

@@ -663,7 +663,7 @@ def test_above_cap_learner_game_is_solved_exactly(monkeypatch):
     assert report.details["draw_count"] == 5
     blob = serialize_compressed(compressed)
     assert hashlib.sha256(blob).hexdigest() == (
-        "25d6845a73fe821a2da930a92ae9dab7357669c3decf58d854c5290d75dab5c1"
+        "39d87bb3e091ac9eed4ad337ce6a60a73b40506eb45f4272d95cf3cf56616be0"
     )
     decoded = reconstruct(c, deserialize_compressed(blob))
     assert decoded.tolist() == c.matrix[785].tolist()
@@ -689,7 +689,7 @@ def test_learner_game_of_over_a_thousand_rows_is_solved_exactly(monkeypatch):
     assert report.details["min_majority_margin"] == 1
     blob = serialize_compressed(compressed)
     assert hashlib.sha256(blob).hexdigest() == (
-        "2f255a1ee0da4965fddee415c03d08106b4a35667581a1058ddf443bef4da2f7"
+        "a9c16a527b6976d3bc73bd51cc6856ec93a2f9e768b5a64eba4d4697049ba688"
     )
     decoded = reconstruct(c, deserialize_compressed(blob))
     assert decoded.tolist() == c.matrix[3442].tolist()

@@ -118,15 +118,15 @@ def test_varint_round_trip(value):
 
 
 def test_side_info_round_trip_and_checksum():
-    # three runs over a 6-point kernel: the run count, then each run's mask
+    # three runs over a 6-point kernel, with no run count: each run's mask
     # (bit i for kernel position i) as one LSB-first byte and its count
     runs = ((0b100101, 2), (0, 1), (0b011010, 3))
     blob = _encode_side_info(runs, 6)
-    assert blob == bytes([3, 0b100101, 2, 0, 1, 0b011010, 3])
+    assert blob == bytes([0b100101, 2, 0, 1, 0b011010, 3])
     assert decode_side_info(blob, 6) == runs
-    # a lone run is implied: the whole kernel, voting once
-    assert _encode_side_info(((0b111, 1),), 3) == b"\x01"
-    assert decode_side_info(b"\x01", 3) == ((0b111, 1),)
+    # a lone run is implied: the whole kernel, voting once, spelled by no byte
+    assert _encode_side_info(((0b111, 1),), 3) == b""
+    assert decode_side_info(b"", 3) == ((0b111, 1),)
     # the container's CRC covers the side info: any flipped bit in it raises
     c = CompressedSample(8, (1, 2, 3, 4, 5, 7), 0b010101, runs)
     data = serialize_compressed(c)
@@ -146,19 +146,25 @@ def _seal(body):
 
 def test_side_info_rejects_masks_past_the_kernel_and_trailing_bytes():
     # the encoder sees only a container's runs, whose constructor refuses
-    # masks past the kernel and any lone run but the whole kernel voting once
+    # masks past the kernel and any lone run but the whole kernel voting once;
+    # runs go on to the buffer's end, so a byte past the last run starts a run
     blob = _encode_side_info([(0b11, 1), (0, 1)], 2)
-    assert blob == b"\x02\x03\x01\x00\x01"
-    with pytest.raises(DecodeError, match="trailing"):
-        decode_side_info(blob + b"\x00", 2)
-    with pytest.raises(DecodeError, match="trailing"):
-        decode_side_info(b"\x01\x03\x01", 2)  # a lone run spells no subset
-    with pytest.raises(DecodeError, match="at least 1"):
-        decode_side_info(b"\x00", 2)
-    with pytest.raises(DecodeError, match="truncated"):
-        decode_side_info(blob[:-1], 2)
-    with pytest.raises(DecodeError, match="nonzero padding"):
-        decode_side_info(b"\x02\x07\x01\x00\x01", 2)
+    assert blob == b"\x03\x01\x00\x01"
+    wide = _encode_side_info([(0x1FF, 1), (0, 1)], 9)
+    assert wide == b"\xff\x01\x01\x00\x00\x01"
+    for data, k, message in (
+        (blob + b"\x00", 2, "varint truncated"),  # a mask past the last run, no count
+        (b"\x03\x01", 2, "implied"),  # a lone run spells no subset
+        (b"\x01\x01", 2, "implied"),  # ... nor does one run of part of the kernel
+        (b"\x03\x02", 2, "implied"),  # ... nor one run voting twice
+        (b"\x01", 0, "implied"),  # a k = 0 kernel's lone run, spelled by its count
+        (b"\x03\x01\x00", 2, "varint truncated"),  # a run cut before its count
+        (b"\x03\x01\x00\x81", 2, "varint truncated"),  # a run cut mid-count
+        (wide[:4], 9, "subset mask truncated"),  # a run cut mid-mask
+        (b"\x07\x01\x00\x01", 2, "nonzero padding"),
+    ):
+        with pytest.raises(DecodeError, match=message):
+            decode_side_info(data, k)
 
 
 @st.composite
@@ -176,10 +182,11 @@ def side_info_runs(draw):
 def test_side_info_round_trip_any_subsets(case):
     k, runs = case
     blob = _encode_side_info(runs, k)
-    assert len(blob) == 1 + sum((k + 7) // 8 + len(_encode_varint(n)) for _, n in runs)
+    assert len(blob) == sum((k + 7) // 8 + len(_encode_varint(n)) for _, n in runs)
     assert decode_side_info(blob, k) == runs
     lone = (((1 << k) - 1, 1),)
-    assert decode_side_info(_encode_side_info(lone, k), k) == lone
+    assert _encode_side_info(lone, k) == b""
+    assert decode_side_info(b"", k) == lone
 
 
 # -- compress / reconstruct --
@@ -395,18 +402,36 @@ def test_container_accepts_bools_as_the_integers_they_equal():
 def test_deserialize_reports_invalid_containers_as_decode_errors():
     valid = CompressedSample(4, (1, 3), 0b01, ((0b11, 1),))
     blob = serialize_compressed(valid)
-    assert blob == _seal(bytes([4, 2, 1, 2, 0b01, 1]))
+    # the lone run spells no side info: the labels are followed by the CRC
+    assert blob == _seal(bytes([4, 2, 1, 2, 0b01]))
     header = bytes([4, 2, 1, 2, 0b01])
-    for side_info in (
-        b"\x00",  # no run
-        b"\x02\x01\x01\x00\x01",  # kernel position 1 left uncovered
-        b"\x01\x01\x01",  # a lone run spelled out
+    for side_info, message in (
+        (b"\x01\x01\x00\x01", "cover exactly"),  # kernel position 1 left uncovered
+        (b"\x03\x01", "implied"),  # the lone run spelled out: the whole kernel voting once
+        (b"\x01\x01", "implied"),  # one spelled run of part of the kernel
+        (b"\x03\x01\x00", "varint truncated"),  # a run cut before its count
+        (b"\x03\x01\x01\x80", "varint truncated"),  # a run cut mid-count
     ):
-        with pytest.raises(DecodeError):
+        with pytest.raises(DecodeError, match=message):
             deserialize_compressed(_seal(header + side_info))
+    # a 9-point kernel's second run cut mid-mask
+    wide = serialize_compressed(CompressedSample(10, tuple(range(9)), 0, ((0x1FF, 1), (1, 1))))
+    assert wide[-10:-4] == b"\xff\x01\x01\x01\x00\x01"
+    with pytest.raises(DecodeError, match="subset mask truncated"):
+        deserialize_compressed(_seal(wide[len(MAGIC) : -6]))
+    # a k = 0 kernel decodes from no side info; a spelled run, or two, fail
+    empty_kernel = CompressedSample(4, (), 0, ((0, 1),))
+    assert serialize_compressed(empty_kernel) == _seal(bytes([4, 0]))
+    for side_info, message in ((b"\x01", "implied"), (b"\x01\x01", "distinct")):
+        with pytest.raises(DecodeError, match=message):
+            deserialize_compressed(_seal(bytes([4, 0]) + side_info))
+    # a VCSC02 container, under its own valid CRC
+    body = bytes([4, 2, 1, 2, 0b01, 1])
+    with pytest.raises(DecodeError, match="bad magic"):
+        deserialize_compressed(b"VCSC02" + body + struct.pack("<I", zlib.crc32(body)))
     # kernel points 1, 1: a zero delta, rejected by the constructor
     with pytest.raises(DecodeError, match="strictly ascending"):
-        deserialize_compressed(_seal(bytes([4, 2, 1, 0, 0b01, 1])))
+        deserialize_compressed(_seal(bytes([4, 2, 1, 0, 0b01])))
     # kernel points 1, 3 with their label byte cut off, under a valid CRC
     with pytest.raises(DecodeError, match="label bits truncated"):
         deserialize_compressed(_seal(bytes([4, 2, 1, 2])))
@@ -415,33 +440,40 @@ def test_deserialize_reports_invalid_containers_as_decode_errors():
         deserialize_compressed(MAGIC + b"\x00\x00\x00")
 
 
-# Each non-canonical form, as runs over the kernel (1, 3) of domain 4 and as
-# the side info that would spell it; the bytes fail only on canonical form.
+# Each non-canonical form, as runs over the kernel (1, 3) of domain 4, as
+# the side info that would spell it, and as the messages of the
+# constructor's and the decoder's refusals: the decoder refuses mask bits
+# past k as padding and a spelled lone run before the constructor sees
+# them, and every other form for the constructor's own reason.
 NON_CANONICAL = [
-    ("repeated run subsets", ((0b11, 1), (0b11, 1)), b"\x02\x03\x01\x03\x01", "distinct"),
-    ("a count of 0", ((0b11, 1), (0b01, 0)), b"\x02\x03\x01\x01\x00", "positive"),
-    ("counts with a gcd above 1", ((0b11, 2), (0b01, 4)), b"\x02\x03\x02\x01\x04", "gcd"),
-    ("a lone run voting twice", ((0b11, 2),), b"\x01\x03\x02", "gcd"),
-    ("mask bits past k", ((0b111, 1), (0b01, 1)), b"\x02\x07\x01\x01\x01", "kernel positions"),
+    ("repeated run subsets", ((0b11, 1), (0b11, 1)), b"\x03\x01\x03\x01", "distinct", "distinct"),
+    ("a count of 0", ((0b11, 1), (0b01, 0)), b"\x03\x01\x01\x00", "positive", "positive"),
+    ("counts with a gcd above 1", ((0b11, 2), (0b01, 4)), b"\x03\x02\x01\x04", "gcd", "gcd"),
+    ("a lone run voting twice", ((0b11, 2),), b"\x03\x02", "gcd", "implied"),
+    (
+        "mask bits past k",
+        ((0b111, 1), (0b01, 1)), b"\x07\x01\x01\x01", "kernel positions", "nonzero padding",
+    ),
     (
         "over 2^32 votes",
         ((0b11, 1 << 31), (0b01, (1 << 31) + 1)),
-        b"\x02\x03" + _encode_varint(1 << 31) + b"\x01" + _encode_varint((1 << 31) + 1),
+        b"\x03" + _encode_varint(1 << 31) + b"\x01" + _encode_varint((1 << 31) + 1),
+        "at most",
         "at most",
     ),
 ]
 
 
 @pytest.mark.parametrize(
-    "runs,side_info,message",
+    "runs,side_info,message,decode_message",
     [case[1:] for case in NON_CANONICAL],
     ids=[case[0] for case in NON_CANONICAL],
 )
-def test_non_canonical_runs_are_refused(runs, side_info, message):
+def test_non_canonical_runs_are_refused(runs, side_info, message, decode_message):
     with pytest.raises(ValueError, match=message) as exc:
         CompressedSample(4, (1, 3), 0b01, runs)
     assert not isinstance(exc.value, (DecodeError, IntegrityError))
-    with pytest.raises(DecodeError):
+    with pytest.raises(DecodeError, match=decode_message):
         deserialize_compressed(_seal(bytes([4, 2, 1, 2, 0b01]) + side_info))
 
 
@@ -570,8 +602,9 @@ def test_fresh_process_reconstruction(tmp_path):
 # mixtures with the rounding of the learner's exact weights that keeps the
 # first N = 1, 2, ... votes winning every sampled point (3 votes each).
 # The digests were re-recorded when containers became VCSC02 (runs, an
-# implied lone run, one CRC over the container); every kernel, label and
-# vote stayed as it was.
+# implied lone run, one CRC over the container), and again when they became
+# VCSC03 (no run count, so a lone run spells no side info); every kernel,
+# label and vote stayed as it was.
 GOLDEN_CONTAINERS = [
     (
         "empty sample",
@@ -579,7 +612,7 @@ GOLDEN_CONTAINERS = [
         None,
         [],
         0,
-        "17d7ca108b1df413fd50c40a5e70bda80a4de17d021550fe3db4c0439e5df385",
+        "f85e53bbbee1789a963721979d5cbbeb095b8bb19a48d0d9ba74947d15c0f3ec",
         ((0, 1),),
         1,
     ),
@@ -589,7 +622,7 @@ GOLDEN_CONTAINERS = [
         17,
         list(range(10)),
         1,
-        "de14d47f2d9469130d532d88a813f8ee255fa7582f196942022e3cd1988a4265",
+        "11dc90c00371e7555e098be6852f485d401851483f30faba6ae3cda9c9882e9b",
         ((17, 1),),
         1,
     ),
@@ -599,7 +632,7 @@ GOLDEN_CONTAINERS = [
         30,
         [9, 3, 8, 2, 4, 2],
         1,
-        "4e89e216431f7dea43a563ef16c83d9968cea384909fce4a85f993baf24c30e1",
+        "40022c4d643fa2176670e2098bb78855474e1a3dfc5e31bbc18cbdd7e77f506c",
         ((2, 1), (7, 1), (16, 1)),
         1,
     ),
@@ -609,7 +642,7 @@ GOLDEN_CONTAINERS = [
         158,
         [0, 3, 4, 1, 4, 2, 6, 7],
         102,
-        "b9673aba9719c451634560c466ea47949dd87fae98b85f72549f67c49603a837",
+        "c8960a212a7a99e5bd3e5be9e17f70aa52a38c35ba700b5cf52f9b5147193ef6",
         ((83, 1), (120, 1), (136, 1)),
         1,
     ),
@@ -619,7 +652,7 @@ GOLDEN_CONTAINERS = [
         7,
         [(7 * i) % 64 for i in range(60)],
         3,
-        "cde61e348d941c1b11fa053bc06d4337f139872502c49b7f2ee9c7f902147759",
+        "9b0d6013a52651bb1c61e6a670dd3d38aca00f506389059e7e5bfe28623833cd",
         ((7, 1),),
         1,
     ),
@@ -629,7 +662,7 @@ GOLDEN_CONTAINERS = [
         400,
         list(range(30)),
         1,
-        "a812beab685b5f8cda4b1b10f9abd763cffb2894b39c3b3029fbee5f52cdc011",
+        "a1f171c3288336b9d16137edcd353658e8407e4526c2771d507b13bd60c40e4a",
         ((400, 1),),
         1,
     ),
@@ -695,8 +728,8 @@ def test_golden_digest_over_the_roster():
     # one digest over the containers, vote multisets and margins of 48 ops,
     # re-recorded when mixtures' votes came to be rounded from the exact
     # weights (the point masses' containers kept every byte), and when
-    # containers became VCSC02 (no kernel, label or vote moved); any change
-    # to compress that moves a byte of them fails here
+    # containers became VCSC02 and VCSC03 (no kernel, label or vote moved);
+    # any change to compress that moves a byte of them fails here
     classes = [make(*args) for make, args in GOLDEN_ROSTER]
     digest = hashlib.sha256()
     mixtures = 0
@@ -709,7 +742,7 @@ def test_golden_digest_over_the_roster():
     # the guard keeps covering the learner's game and the rounding
     assert mixtures >= 3
     assert digest.hexdigest() == (
-        "173f6e48956b6564d40e41e699e8e606b5e51954740a7d656b5527eb2406a952"
+        "32c89c2b866c4c251476c85eaf6c550eb201edf11483ba4d0646e60979c50ec4"
     )
 
 
@@ -864,11 +897,11 @@ def test_sampler_is_the_fallback_past_the_vote_ceiling(monkeypatch, caplog):
     cases = [
         (
             generators.random_vc_capped(12, 3, 60), 30, [9, 3, 8, 2, 4, 2], 1,
-            "7d031effb3d6bf69df55b99eb8e137b5982c75a58370279a24a435eca758ec2f",
+            "5c4cadb25553238ee53ce6b54df6db9e8184b2df164d4fd98c1a6e22c3eb334c",
         ),
         (
             generators.k_interval_unions(8, 2), 158, [0, 3, 4, 1, 4, 2, 6, 7], 102,
-            "57654dfa974db0f30bb61b6b8883766da11259277fd48fca94b3fcaf6d501808",
+            "0d63f144beb6ddaec71bfcbc9ca339f2ecbae2a340a96f82c485ea1d6b825cd2",
         ),
     ]
     for c, target, points, seed, digest in cases:
@@ -1094,6 +1127,10 @@ def _round_trip_every_sample(monkeypatch, n, masks, repeats):
                     assert report.subset_count <= ceiling
                     assert max(m.bit_count() for m, _ in compressed.runs) <= report.subset_budget
                     assert details.get("votes_from", "rounding") == "rounding"
+                    if len(compressed.runs) == 1:
+                        # a lone run spells no side info: the CRC is all
+                        assert report.info_bits == 32
+                        assert report.scheme_size == report.kernel_size + 32
                     digest.update(serialize_compressed(compressed))
                     digest.update(repr(details["vote_concepts"]).encode())
                     runs += 1
@@ -1124,8 +1161,8 @@ def test_every_sample_on_three_points_round_trips(monkeypatch):
     # paper promises no kernel of d points)
     assert kernel_excess == {0: 208, 1: 47}
     # the containers and vote multisets, re-recorded when containers became
-    # VCSC02 (no kernel, label or vote moved)
-    assert digest == "afbc815eb8fa2f1edcef30ca4a0ee067d51ec676c954c5777afb69d69cc8db13"
+    # VCSC02 and VCSC03 (no kernel, label or vote moved)
+    assert digest == "6340b8e9b39d316d1dda57f4244a5c8a9f0e0388fc209ae67f5f0418086828dc"
 
 
 def test_seeded_slice_of_the_four_point_classes_round_trips(monkeypatch):
@@ -1136,7 +1173,7 @@ def test_seeded_slice_of_the_four_point_classes_round_trips(monkeypatch):
     assert counts == (14832, 121, 1)
     # the largest kernel reaches d + 2 on nine classes, all at d = 2
     assert kernel_excess == {0: 84, 1: 27, 2: 9}
-    assert digest == "7c768b076409aa16e3645f77066f84d5f1cd26fd57a09d54e5ce021dcf1d0832"
+    assert digest == "b56f88ddc2fa2b22e2af4e57e0df9efac416b3182b9d5fb439e5b476f47d4bc5"
 
 
 def test_taught_point_masses_share_one_solution(monkeypatch):
@@ -1252,7 +1289,7 @@ def test_majority_vote_matches_the_row_sum_formula(case):
 
 
 def test_hostile_repeated_subsets_reconstruct_in_memory_bounded_by_the_class():
-    # a 13-byte side info casting 2^32 - 1 votes in two runs, mask 1 (the
+    # a 12-byte side info casting 2^32 - 1 votes in two runs, mask 1 (the
     # kernel point) 2^31 times and mask 0 2^31 - 1 times, over a
     # two-concept class on 20,000 points; one row copy per vote would need
     # 86 TB, past the 512 MiB address-space cap the child sets itself, and
@@ -1274,7 +1311,7 @@ print(len(_encode_side_info(compressed.runs, 1)), compressed.subset_count, label
         [sys.executable, "-c", script], capture_output=True, text=True, check=True
     )
     size, votes, exact = out.stdout.split()
-    assert (int(size), int(votes), exact) == (13, 2**32 - 1, "True")
+    assert (int(size), int(votes), exact) == (12, 2**32 - 1, "True")
 
 
 def test_one_distinct_voter_reconstructs_a_fresh_row():

@@ -51,16 +51,16 @@ print(json.dumps({"containers": out, "cuts": cuts}))
 """
 
 # workload -> (containers' SHA-256, ops, summed scheme_size, largest
-# scheme_size); the means are 41.5, 43.4 and 41.6 bits.
+# scheme_size); the means are 33.5, 35.4 and 33.6 bits.
 PINNED = {
     "roundtrip_short": (
-        "5724a4881622c6a653a653061dcad0ae7cd849623651b28c8d036fef00d2351d", 349, 14477, 91
+        "700dabd5e0123031c6bdf8cb9c199f02bf612ec553e65d5ea35f28edaf78ca42", 349, 11685, 83
     ),
     "roundtrip_long": (
-        "ebadba5fd0e09f7f91aae04a0d5adf865722c4b6a72fb4a4c31eaa3fc6763a34", 144, 6256, 93
+        "d22c48c23f76f32501d8437161927a27d98b5462819c7a9315562b683946e305", 144, 5104, 85
     ),
     "cold_class": (
-        "d9aaf31bec544b8c1ac07237f1a768161fe3285c1da34e954371e0593e5e852a", 18, 748, 43
+        "4567f871bec90d214e1a22321680542814f86ac4385fc786c9695cbabab24b3f", 18, 604, 35
     ),
 }
 
