@@ -26,14 +26,18 @@ __all__ = [
 ]
 
 
+def _check_accuracy(epsilon: float, delta: float) -> None:
+    if not (0 < epsilon < 1) or not (0 < delta < 1):
+        raise ValueError("epsilon and delta must lie in (0, 1)")
+
+
 def required_sample_size(compression_size: int, epsilon: float, delta: float) -> int:
     """Sample size at which a size-k compression generalizes: with this many
     i.i.d. draws, the reconstruction errs more than epsilon with probability
     at most delta.  ceil(8 (k lg(2/eps) + lg(1/delta)) / eps), logs base 2."""
     if compression_size < 0:
         raise ValueError("compression size cannot be negative")
-    if not (0 < epsilon < 1) or not (0 < delta < 1):
-        raise ValueError("epsilon and delta must lie in (0, 1)")
+    _check_accuracy(epsilon, delta)
     needed = 8 * (compression_size * math.log2(2 / epsilon) + math.log2(1 / delta)) / epsilon
     return math.ceil(needed)
 
@@ -76,10 +80,12 @@ def generalization_experiment(
     label them with a target concept (rotating through
     the class), compress the distinct labeled points — duplicates cannot
     change the output — reconstruct, and integrate the error over the whole
-    domain.  A trial fails when its error exceeds epsilon.
+    domain.  A trial fails when its error exceeds epsilon.  Epsilon or
+    delta outside (0, 1) raises ValueError before any compression runs.
     """
     if trials < 1 or pilot_runs < 1:
         raise ValueError("trials and pilot_runs must be positive")
+    _check_accuracy(epsilon, delta)
     n = concept_class.domain_size
     m = len(concept_class.rows)
     weights = np.full(n, 1.0 / n)

@@ -18,9 +18,9 @@ player minimizes.  Three solvers:
   built.  The simplex itself is exact at any size, and the weak learner
   runs it uncapped; refusing games above EXACT_ENTRY_CAP entries is only
   the policy of ``solve_exact`` and ``sparse_epsilon_nash``.
-* ``solve_mw`` — multiplicative weights for the row player against exact
-  column best responses, with a post-hoc exploitability certificate; the
-  weak learner never uses it.
+* ``solve_mw`` — optimistic hedge for both players at one constant step,
+  with no planned horizon: the averaged strategies are certified by their
+  exploitability every 16 rounds; the weak learner never uses it.
 * ``sparse_epsilon_nash`` — small multisets of pure strategies whose uniform
   play is an epsilon-equilibrium: each is an ``epsilon_approximation`` of
   an exact or near-optimal mixed strategy over the class of the other
@@ -271,48 +271,65 @@ def solve_exact(matrix) -> GameSolution:
 # -- multiplicative weights ----------------------------------------------------
 
 
+# The step of both players' optimistic hedge, and how often the averages are
+# certified; see solve_mw for the derivation of the step.
+_MW_STEP = 0.5
+_MW_CHECK_EVERY = 16
+
+
+def _optimistic_hedge(payoffs: np.ndarray) -> np.ndarray:
+    """Exponential weights at step _MW_STEP on a player's cumulative payoffs
+    plus last round's, its prediction of the next."""
+    logits = _MW_STEP * payoffs
+    weights = np.exp(logits - logits.max())
+    return weights / weights.sum()
+
+
 def solve_mw(matrix, target_exploitability: float = 0.01) -> GameSolution:
     """Multiplicative-weights solution certified to the target exploitability.
 
-    The row player runs exponential weights with learning rate
-    sqrt(ln(m)/T) over a planned horizon T; the column player best-responds
-    each round.  Averaged strategies are certified periodically and returned
-    as soon as they pass; hitting MW_ITERATION_CAP raises ConvergenceError
-    carrying the last certified exploitability.  A target that is not a
-    finite positive number raises ValueError.
+    Both players run optimistic hedge (Rakhlin & Sridharan 2013) at one
+    constant step eta: each round, each plays exponential weights on its
+    cumulative payoffs so far plus last round's once more, its prediction of
+    the next round's.  The row player's payoffs are M q_t and the column
+    player's are -p_t M.  Both update at once, each from the other's
+    previous strategies, and the first round is uniform.
+
+    The step comes from the RVU bound of Syrgkanis, Agarwal, Luo & Schapire
+    (2015).  Optimistic hedge over N actions has regret at most
+    alpha + beta sum_t |u_t - u_(t-1)|_inf^2 - gamma sum_t |w_t - w_(t-1)|_1^2
+    with alpha = ln(N)/eta, beta = eta and gamma = 1/(4 eta).  With 0/1
+    payoffs, a player's payoff vector moves by at most the L1 move of the
+    other's strategy, so in the sum of the two regrets each beta term is
+    cancelled by the other player's gamma term once eta <= 1/(4 eta).  The
+    sum is then at most (ln m + ln n)/eta, and it is T times the duality
+    gap max_i (M q_bar)_i - min_j (p_bar M)_j of the averages after T
+    rounds.  The largest step allowed, eta = 1/2, minimizes that bound:
+    the gap is at most 2 ln(mn)/T, with no horizon to plan.
+
+    The averaged strategies are certified every _MW_CHECK_EVERY rounds by
+    _exploitability, which is at most that gap, and returned as soon as
+    they pass; hitting MW_ITERATION_CAP raises ConvergenceError carrying
+    the best certified exploitability.  A target that is not a finite
+    positive number raises ValueError.
     """
     if not 0 < target_exploitability < math.inf:  # NaN fails both
         raise ValueError(
             f"target exploitability must be a finite positive number, got {target_exploitability}"
         )
-    iteration_cap = MW_ITERATION_CAP
-    m = _bit_matrix(matrix, "payoff matrix")
-    rows, cols = m.shape
-    mf = m.astype(np.float64)
-    log_m = math.log(max(rows, 2))
-    planned = min(iteration_cap, max(64, math.ceil(1.3 * log_m / target_exploitability**2)))
-    eta = math.sqrt(log_m / planned)
-    check_every = max(64, planned // 32)
-
-    cumulative = np.zeros(rows)
-    p_sum = np.zeros(rows)
-    q_counts = np.zeros(cols)
+    mf = _bit_matrix(matrix, "payoff matrix").astype(np.float64)
+    p_sum = np.zeros(mf.shape[0])
+    q_sum = np.zeros(mf.shape[1])
+    p = np.zeros(mf.shape[0])
+    q = np.zeros(mf.shape[1])
     best_exploit = math.inf
-    t = 0
-    while t < iteration_cap:
-        t += 1
-        logits = eta * cumulative
-        logits -= logits.max()
-        p = np.exp(logits)
-        p /= p.sum()
-        payoffs = p @ mf
-        j = int(np.argmin(payoffs))
-        cumulative += mf[:, j]
+    for t in range(1, MW_ITERATION_CAP + 1):
+        p, q = _optimistic_hedge(mf @ (q_sum + q)), _optimistic_hedge(-(p_sum + p) @ mf)
         p_sum += p
-        q_counts[j] += 1
-        if t % check_every == 0 or t == iteration_cap:
+        q_sum += q
+        if t % _MW_CHECK_EVERY == 0 or t == MW_ITERATION_CAP:
             p_bar = p_sum / t
-            q_bar = q_counts / t
+            q_bar = q_sum / t
             value = float(p_bar @ mf @ q_bar)
             exploit = _exploitability(mf, p_bar, q_bar, value)
             best_exploit = min(best_exploit, exploit)
@@ -326,7 +343,7 @@ def solve_mw(matrix, target_exploitability: float = 0.01) -> GameSolution:
                     iterations=t,
                 )
     raise ConvergenceError(
-        f"no certificate at target {target_exploitability} within {iteration_cap} iterations "
+        f"no certificate at target {target_exploitability} within {MW_ITERATION_CAP} iterations "
         f"(best {best_exploit:.3g})",
         last_exploitability=best_exploit,
     )

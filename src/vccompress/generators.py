@@ -255,8 +255,8 @@ _GENERATORS = {
 
 
 def make_concept_class(spec: dict) -> ConceptClass:
-    """Build a class from a {"kind": ..., **params} mapping (the form used in
-    suite configs and on the command line)."""
+    """Build a class from a {"kind": ..., **params} mapping (the JSON form
+    that the command line's ``--class-spec`` takes)."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("a class spec must be a mapping with a 'kind' key")
     params = dict(spec)

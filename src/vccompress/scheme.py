@@ -585,18 +585,20 @@ def scheme_size_bound(vc_dim: int, dual_vc_dim: int, subset_budget: int) -> int:
 
 
 def verify_round_trip(concept_class: ConceptClass, sample: LabeledSample) -> VerificationResult:
-    """Compress, reconstruct, and check everything that should hold: labels
+    """Compress, pass the container through its wire format, reconstruct
+    from the decoded bytes, and check everything that should hold: labels
     reproduce exactly on the sample, the decompressor's hypotheses are the
     very ones the compressor voted, and the size respects its bound at the
     report's ``subset_budget``, the budget the learner certified at.  Each
-    run's subset is learned once, for both the vote and that check.
+    run's subset is learned once, for both the vote and that check.  A
+    codec fault surfaces as the decoder's DecodeError or IntegrityError.
 
     The bound is checked from below first.  It is nondecreasing in d*, so
     a size within the bound at d* = 0 is within the exact one.  Only a
     size above that is checked against the bound at the exact d*, which
     needs the dual VC search; the bound ignores d, so d is not computed."""
     compressed, report = compress(concept_class, sample)
-    votes = _subset_erms(concept_class, compressed)
+    votes = _subset_erms(concept_class, deserialize_compressed(serialize_compressed(compressed)))
     decoded = _majority_vote(concept_class, votes)
     mismatches = tuple(
         point for point, label in sample.label_items if int(decoded[point]) != label

@@ -1,7 +1,7 @@
 """Acceptance checks, one test per criterion.
 
-The whole battery runs off a single seeded suite execution (12 to 23 s on a
-shared 2-core machine); each test prints its own PASS/FAIL line, so run with
+The whole battery runs off a single seeded suite execution (2.7 to 3.1 s on
+a shared 2-core machine); each test prints its own PASS/FAIL line, so run with
 ``-s`` to see them as they land:
 
     pytest tests/test_acceptance.py -v -s

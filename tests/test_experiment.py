@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from vccompress import experiment
 from vccompress.experiment import generalization_experiment, required_sample_size
 from vccompress.generators import intervals
 
@@ -63,3 +64,17 @@ def test_generalization_experiment_validates_counts():
         generalization_experiment(c, trials=0, seed=0)
     with pytest.raises(ValueError):
         generalization_experiment(c, trials=5, seed=0, pilot_runs=0)
+
+
+@pytest.mark.parametrize(
+    "epsilon, delta", [(0.0, 1 / 3), (1.0, 1 / 3), (1 / 3, 0.0), (1 / 3, 1.5), (math.nan, 1 / 3)]
+)
+def test_generalization_experiment_validates_accuracy_before_compressing(
+    monkeypatch, epsilon, delta
+):
+    def must_not_compress(*args, **kwargs):
+        raise AssertionError("compress ran before epsilon and delta were checked")
+
+    monkeypatch.setattr(experiment, "compress", must_not_compress)
+    with pytest.raises(ValueError, match=r"\(0, 1\)"):
+        generalization_experiment(intervals(5), epsilon=epsilon, delta=delta)

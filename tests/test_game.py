@@ -7,6 +7,7 @@ that sandwich with Fractions, independently of the solver's internals.
 """
 
 import logging
+import math
 import random
 from fractions import Fraction
 
@@ -340,10 +341,45 @@ def test_mw_agrees_with_exact_on_random_games():
         assert abs(approx.value_estimate - exact.value_estimate) <= 0.01 + 1e-12
 
 
+MW_GAMES = {
+    "identity": IDENTITY,
+    "cyclic": CYCLIC,
+    "1xn": [[1, 0, 1, 1, 0]],
+    "nx1": [[1], [0], [1]],
+    "all-zero": [[0] * 3] * 4,
+    "all-one": [[1] * 5] * 3,
+}
+
+
+@pytest.mark.parametrize("entries", MW_GAMES.values(), ids=MW_GAMES.keys())
+def test_mw_certifies_small_games_within_their_exploitability(entries):
+    sol = solve_mw(entries, target_exploitability=0.01)
+    assert sol.exploitability <= 0.01
+    exact = solve_exact(entries)
+    assert abs(sol.value_estimate - exact.value_estimate) <= sol.exploitability + 1e-12
+    assert sol.iterations % game._MW_CHECK_EVERY == 0
+
+
+def test_mw_certifies_within_the_rvu_horizon():
+    # the averages' duality gap after T rounds is at most 2 ln(mn)/T, so
+    # the first check at or past 2 ln(mn)/target certifies
+    rng = np.random.default_rng(17)
+    every = game._MW_CHECK_EVERY
+    for _ in range(20):
+        r, c = (int(x) for x in rng.integers(1, 30, size=2))
+        entries = rng.integers(0, 2, size=(r, c))
+        target = float(rng.choice([0.05, 0.02, 0.01]))
+        horizon = 2 * math.log(r * c) / target
+        sol = solve_mw(entries, target_exploitability=target)
+        assert sol.iterations <= every * max(1, math.ceil(horizon / every))
+
+
 def test_mw_raises_when_cap_blocks_certification(monkeypatch):
     monkeypatch.setattr(game, "MW_ITERATION_CAP", 2000)
     with pytest.raises(ConvergenceError) as info:
-        solve_mw(IDENTITY, target_exploitability=1e-9)
+        # uniform play, where both players start, is no equilibrium here,
+        # so the averages approach one only at rate 1/T
+        solve_mw([[1, 0, 0], [0, 1, 1]], target_exploitability=1e-9)
     assert info.value.last_exploitability > 1e-9
 
 

@@ -296,6 +296,35 @@ def test_verify_round_trip_passes_and_checks_hypotheses():
         assert result.mismatches == ()
 
 
+def _flips_a_byte(compressed):
+    """serialize_compressed with one byte flipped after the CRC is taken."""
+    data = serialize_compressed(compressed)
+    return data[:-5] + bytes([data[-5] ^ 1]) + data[-4:]
+
+
+def _spells_the_lone_run(runs, k):
+    """_encode_side_info without its lone-run case."""
+    return b"".join(scheme._pack_bits(mask, k) + scheme._encode_varint(count) for mask, count in runs)
+
+
+@pytest.mark.parametrize(
+    "name, broken, error",
+    [
+        ("serialize_compressed", _flips_a_byte, IntegrityError),
+        ("_encode_side_info", _spells_the_lone_run, DecodeError),
+    ],
+    ids=["flipped-byte", "spelled-lone-run"],
+)
+def test_verify_round_trip_relearns_from_the_wire(monkeypatch, name, broken, error):
+    # a point mass: one run, so its side info is empty on the wire
+    c = intervals_class(10)
+    sample = LabeledSample.from_concept(c, 17, range(10))
+    assert verify_round_trip(c, sample).passed
+    monkeypatch.setattr(scheme, name, broken)
+    with pytest.raises(error):
+        verify_round_trip(c, sample)
+
+
 def test_random_classes_round_trip():
     rng = np.random.default_rng(77)
     for trial in range(8):
@@ -796,14 +825,17 @@ def test_reduced_votes_match_the_counting_loop(multiset):
 
 
 def test_container_decodes_its_side_info_once(monkeypatch):
-    # a point mass and a mixture: compress and verify_round_trip decode
-    # nothing, and a full round trip decodes once, in deserialize_compressed
+    # a point mass and a mixture: compress decodes nothing, and a full
+    # round trip, verify_round_trip's own included, decodes once, in
+    # deserialize_compressed
     decodes = _counting(monkeypatch, "decode_side_info")
     for c, target in ((generators.intervals(10), 17), (generators.k_interval_unions(8, 2), 30)):
         sample = LabeledSample.from_concept(c, target, range(c.domain_size))
         assert verify_round_trip(c, sample).passed
-        assert decodes == []
+        assert len(decodes) == 1
+        del decodes[:]
         compressed, _ = compress(c, sample, seed=1)
+        assert decodes == []
         decoded = deserialize_compressed(serialize_compressed(compressed))
         reconstruct(c, decoded)
         assert decoded.subset_count == compressed.subset_count
