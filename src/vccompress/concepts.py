@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import logging
+import math
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -290,17 +291,41 @@ def vc_dimension(concept_class: ConceptClass, ceiling: int | None = None) -> int
     concepts.  So the candidates of a k-set child are filtered one cell at a
     time, smallest cell first: a column stays while it splits each cell into
     two halves of at least 2^(best - k) concepts.
+
+    Counting comes first.  A class of dimension below s on n points has at
+    most the sum of C(n, i) over i < s concepts (Sauer 1972; Shelah 1972),
+    and that sum grows with s, so a class with more concepts than the sum
+    at s = cap has d >= cap: the answer is the cap, with no column built
+    and no node extended.
     """
     if ceiling is not None and _integer(ceiling, "ceiling") < 0:
         raise ValueError(f"ceiling must be nonnegative, got {ceiling}")
     known = vars(concept_class).get("_vc_dimension")
     if known is not None:
         return known if ceiling is None else min(known, ceiling)
-    m = len(concept_class)
-    full = (1 << m) - 1
-    cap = min(concept_class.domain_size, m.bit_length() - 1)  # d is at most this
+    m, n = len(concept_class), concept_class.domain_size
+    cap = min(n, m.bit_length() - 1)  # d is at most this
     if ceiling is not None:
         cap = min(cap, ceiling)
+    most = sum(math.comb(n, i) for i in range(cap))  # concepts of any class with d < cap
+    if m > most:
+        logger.debug(
+            "vc dimension %d (ceiling %d): %d concepts on %d points, more than the %d "
+            "of any class below it (Sauer-Shelah), 0 nodes extended",
+            cap, cap, m, n, most,
+        )
+        best = cap
+    else:
+        best = _vc_search(concept_class, cap)
+    if ceiling is None or best < ceiling:  # below the ceiling asked for, best is d
+        object.__setattr__(concept_class, "_vc_dimension", best)
+    return best
+
+
+def _vc_search(concept_class: ConceptClass, cap: int) -> int:
+    """min(d, cap) by ``vc_dimension``'s depth-first search, for a cap of
+    at least 1."""
+    full = (1 << len(concept_class)) - 1
     columns = [c for c in concept_class.point_masks if 0 < c < full]
     reduced = list(dict.fromkeys(min(c, full ^ c) for c in columns))
     best = nodes = 0
@@ -336,15 +361,12 @@ def vc_dimension(concept_class: ConceptClass, ceiling: int | None = None) -> int
                 return True
         return False
 
-    if cap:  # at ceiling 0 the empty set answers, with no search
-        extend(0, [full], reduced)
+    extend(0, [full], reduced)
     logger.debug(
         "vc dimension %d (ceiling %d): %d nontrivial columns, %d after pairing "
         "equal and complementary ones, %d nodes extended",
         best, cap, len(columns), len(reduced), nodes,
     )
-    if ceiling is None or best < ceiling:  # below the ceiling asked for, best is d
-        object.__setattr__(concept_class, "_vc_dimension", best)
     return best
 
 

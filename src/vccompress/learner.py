@@ -65,6 +65,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -111,7 +112,7 @@ class HypothesisSet:
             raise ValueError("each hypothesis needs exactly one provenance subset")
         if not self.hypotheses:
             raise ValueError("hypothesis set cannot be empty")
-        if list(self.hypotheses) != sorted(set(self.hypotheses)):
+        if not all(map(operator.lt, self.hypotheses, self.hypotheses[1:])):
             raise ValueError("hypotheses must be strictly increasing")
 
     def __len__(self):
@@ -206,8 +207,8 @@ def build_hypothesis_set(
     subset.  EXACT_ENTRY_CAP is a policy of solve_exact and
     sparse_epsilon_nash only, never of the learner.
     """
-    points = sample.distinct_points
     labels_by_point = dict(sample.label_items)
+    points = tuple(labels_by_point)  # the distinct points, ascending as label_items is
     k = len(points)
     consistent = lowest_consistent_concept(concept_class, sample.label_items)
     walk = _first_subsets(concept_class, points, labels_by_point, consistent, 1 << consistent)
@@ -317,16 +318,21 @@ def _first_subsets(cls, points, labels_by_point, c0, sought):
     suffix_and = [universe] * (k + 1)  # concepts that points[j:] all keep
     for j in range(k - 1, -1, -1):
         suffix_and[j] = suffix_and[j + 1] & cons[j]
+    rooted = 0  # the `sought` that `cap` and `root` were set up for
     for size in range(1, k + 1):
-        cap = _PREFIX_CAP * sought.bit_count()
+        if sought != rooted:  # a size's constants move only with `sought`
+            rooted = sought
+            cap = _PREFIX_CAP * sought.bit_count()
+            t = sought & -sought
+            root = (universe, t, universe & (t - 1))
         nodes = 0
         chosen: list[int] = []
-        t = sought & -sought
-        stack = [(universe, t, universe & (t - 1))]  # (keep, t, bar) per prefix
+        stack = [root]  # (keep, t, bar) per prefix
+        last = size - 1
         j = 0
         while True:
             keep, t, bar = stack[-1]
-            if len(chosen) == size - 1:
+            if len(chosen) == last:
                 # the last point, one node per candidate in a tight loop
                 while j < k and not bar & suffix_and[j]:
                     nodes += 1

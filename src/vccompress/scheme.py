@@ -11,8 +11,10 @@ Pipeline, the same for every sample: certify a weak mixture of subset-ERM
 hypotheses (learner), turn it into a small voting multiset, and check once
 that every sampled point wins that multiset's integer majority strictly
 before anything is encoded.  The learner owns the subset budget max(1, d)
-and asks the VC search only "is d >= s?" for the sizes s it tries, so
-compress runs no dimension search of its own.  A taught point mass (one
+and asks the VC search only "is d >= s?" for the sizes s it tries.
+compress runs one dimension search of its own, d* by
+``vc_dimension(dual_class(...))``, and only when a mixture's rounding
+passes N = 1024 (below); no other.  A taught point mass (one
 hypothesis consistent with the whole sample) votes once; the empty sample
 is one, on concept 0, taught by the empty subset.  A larger mixture's exact rational
 weights p are rounded to N = 1, 2, ... votes: each hypothesis gets the
@@ -118,6 +120,8 @@ def _vote_ceiling(dual_dimension: int) -> int:
 
 def _encode_varint(value: int) -> bytes:
     """Unsigned LEB128."""
+    if 0 <= value < 0x80:  # one byte, the common case
+        return bytes((value,))
     if value < 0:
         raise ValueError("varints are unsigned")
     out = bytearray()
@@ -262,7 +266,7 @@ class CompressedSample:
         # no bit past the kernel and every kernel position named
         if covered != (1 << len(pts)) - 1:
             raise ValueError("the run masks must cover exactly the kernel positions")
-        if len({mask for mask, _ in runs}) != len(runs):
+        if len(runs) > 1 and len({mask for mask, _ in runs}) != len(runs):
             raise ValueError("run masks must be distinct")
         if gcd != 1:
             raise ValueError("run counts must have a gcd of 1")
@@ -360,10 +364,12 @@ def _majority_margin(
         sampled |= bit
         if label:
             positive |= bit
-    wrong = [((rows[concept] ^ positive) & sampled, mult) for concept, mult in votes]
-    total = sum(mult for _, mult in votes)
-    contested = 0
-    for mask, _ in wrong:
+    wrong = []
+    total = contested = 0
+    for concept, mult in votes:
+        mask = (rows[concept] ^ positive) & sampled
+        wrong.append((mask, mult))
+        total += mult
         contested |= mask
     margin = total
     while contested:
@@ -442,8 +448,9 @@ def compress(
     sample length.  Every sampled point's majority is verified as a strict
     integer inequality before encoding.  The seed feeds only the sampler
     fallback: the hypothesis pool, its certificate and the rounding are
-    deterministic.  compress computes no VC dimension of its own (the
-    report's ``details`` does, when read).
+    deterministic.  Its one dimension search of its own is the module
+    docstring's: d*, once a mixture's rounding passes N = 1024 (the
+    report's ``details`` computes d and d* when read).
 
     Only the learner's ERM (``lowest_consistent_concept``) checks the
     sample: ValueError for a point outside the domain, UnrealizableError
@@ -455,9 +462,19 @@ def compress(
         # the taught point mass (a certified game never has a one-row
         # support: one row reaches 2/3 only by agreeing with every label,
         # and then it is c0, whose teaching set the learner tries first)
-        votes = ((hypothesis_set.hypotheses[0], 1),)
+        [concept] = hypothesis_set.hypotheses
+        votes = ((concept, 1),)
         margin = _majority_margin(concept_class, votes, sample.label_items)
         draw_details = {"draw_count": 0}
+        # the kernel is the teaching set, ascending as the learner found it,
+        # and its one run is the whole kernel voting once; c0 is consistent
+        # with the whole sample, so its row holds the kernel's labels
+        [kernel_points] = hypothesis_set.provenance
+        runs = (((1 << len(kernel_points)) - 1, 1),)
+        row, top = concept_class.rows[concept], concept_class.domain_size - 1
+        kernel_labels = 0
+        for i, x in enumerate(kernel_points):
+            kernel_labels |= (row >> (top - x) & 1) << i
     else:
         p = solution.exact_row_strategy
         rounded = _round_mixture(concept_class, hypothesis_set.hypotheses, p, sample.label_items)
@@ -485,22 +502,20 @@ def compress(
             draw_details["draw_count"],
             draw_details["votes_from"],
         )
+        # the kernel is the union of the voters' subsets; a hypothesis's
+        # provenance is a subset whose ERM it is, so distinct voters have
+        # distinct subsets: one run per (concept, count) vote
+        provenance_of = dict(zip(hypothesis_set.hypotheses, hypothesis_set.provenance))
+        kernel_points = tuple(sorted({x for concept, _ in votes for x in provenance_of[concept]}))
+        position_of = {x: i for i, x in enumerate(kernel_points)}
+        runs = tuple(
+            (sum(1 << position_of[x] for x in provenance_of[concept]), count)
+            for concept, count in votes
+        )
+        labels_by_point = dict(sample.label_items)
+        kernel_labels = sum(labels_by_point[x] << i for i, x in enumerate(kernel_points))
 
-    # a hypothesis's provenance is a subset whose ERM it is, so distinct
-    # voters have distinct subsets: one run per (concept, count) vote
-    provenance_of = dict(zip(hypothesis_set.hypotheses, hypothesis_set.provenance))
-    kernel_points = sorted({x for concept, _ in votes for x in provenance_of[concept]})
-    position_of = {x: i for i, x in enumerate(kernel_points)}
-    labels_by_point = dict(sample.label_items)
-    kernel_labels = sum(labels_by_point[x] << i for i, x in enumerate(kernel_points))
-    runs = tuple(
-        (sum(1 << position_of[x] for x in provenance_of[concept]), count)
-        for concept, count in votes
-    )
-
-    compressed = CompressedSample(
-        concept_class.domain_size, tuple(kernel_points), kernel_labels, runs
-    )
+    compressed = CompressedSample(concept_class.domain_size, kernel_points, kernel_labels, runs)
     info_bits = 8 * (len(_encode_side_info(runs, len(kernel_points))) + 4)
     report = SchemeReport(
         kernel_size=len(kernel_points),
@@ -557,12 +572,14 @@ def _subset_erms(
             f"compressed domain size {compressed.domain_size} does not match "
             f"the class domain {concept_class.domain_size}"
         )
-    points, labels = compressed.kernel_points, compressed.kernel_labels
+    labels = compressed.kernel_labels
+    pairs = [(x, labels >> i & 1) for i, x in enumerate(compressed.kernel_points)]
+    full = (1 << len(pairs)) - 1
     votes = []
     for mask, count in compressed.runs:
-        pairs = [(points[i], labels >> i & 1) for i in range(len(points)) if mask >> i & 1]
+        subset = pairs if mask == full else [pair for i, pair in enumerate(pairs) if mask >> i & 1]
         try:
-            votes.append((lowest_consistent_concept(concept_class, pairs), count))
+            votes.append((lowest_consistent_concept(concept_class, subset), count))
         except UnrealizableError as exc:
             raise IntegrityError("a side-info subset is inconsistent with every concept") from exc
     return tuple(votes)
@@ -628,9 +645,9 @@ def serialize_compressed(compressed: CompressedSample) -> bytes:
     out = bytearray(MAGIC)
     out += _encode_varint(compressed.domain_size)
     out += _encode_varint(len(compressed.kernel_points))
-    previous = None
+    previous = 0
     for point in compressed.kernel_points:
-        out += _encode_varint(point if previous is None else point - previous)
+        out += _encode_varint(point - previous)
         previous = point
     out += _pack_bits(compressed.kernel_labels, len(compressed.kernel_points))
     out += _encode_side_info(compressed.runs, len(compressed.kernel_points))
@@ -656,9 +673,15 @@ def deserialize_compressed(data: bytes) -> CompressedSample:
     domain_size, pos = _decode_varint(body, pos)
     kernel_size, pos = _decode_varint(body, pos)
     points = []
+    point = 0
     for _ in range(kernel_size):
-        delta, pos = _decode_varint(body, pos)
-        points.append(points[-1] + delta if points else delta)
+        if pos < len(body) and body[pos] < 0x80:  # a lone byte is always minimal
+            point += body[pos]
+            pos += 1
+        else:
+            delta, pos = _decode_varint(body, pos)
+            point += delta
+        points.append(point)
     labels, pos = _unpack_bits(body, pos, kernel_size, "label bits")
     runs = decode_side_info(body[pos:], kernel_size)
     try:

@@ -2,6 +2,7 @@
 
 import itertools
 import logging
+import math
 import random
 import re
 
@@ -562,6 +563,71 @@ def test_capped_search_below_its_ceiling_keeps_d(caplog):
         assert [line.partition(":")[0] for line in lines] == [
             f"vc dimension 3 (ceiling {min(ceiling, 5)})"
         ]
+
+
+def _counted_queries(cls):
+    """The ceilings (None for the uncapped query) whose answer counting
+    decides: more concepts than any class of dimension below the cap has on
+    n points, the sum of C(n, i) over i < cap (Sauer-Shelah)."""
+    m, n = len(cls), cls.domain_size
+    for ceiling in [*range(n + 2), None]:
+        cap = min(n, m.bit_length() - 1, n if ceiling is None else ceiling)
+        if m > sum(math.comb(n, i) for i in range(cap)):
+            yield ceiling
+
+
+def _counted_answers(cls, d, caplog):
+    """Each counted query on a fresh copy of `cls` reads min(d, ceiling) and
+    logs that it extended no node; returns how many there were."""
+    counted = list(_counted_queries(cls))
+    for ceiling in counted:
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="vccompress.concepts"):
+            answer = vc_dimension.__wrapped__(ConceptClass(cls.domain_size, cls.rows), ceiling)
+        assert answer == (d if ceiling is None else min(d, ceiling)), ceiling
+        [line] = [r.getMessage() for r in caplog.records if r.name == "vccompress.concepts"]
+        assert line.startswith(f"vc dimension {answer} (ceiling ") and "Sauer-Shelah" in line
+        assert line.endswith(", 0 nodes extended")
+    return len(counted)
+
+
+def test_counted_dimension_agrees_with_the_oracle_and_the_pinned_values(caplog):
+    # every query that counting decides, on the classes checked above against
+    # the oracle (by the oracle) and beyond its reach (by the pinned d)
+    oracle_cases = [
+        intervals_fixture(5),
+        intervals_fixture(8),
+        intervals_fixture(10),
+        ConceptClass.from_row_ints(3, range(8)),
+        ConceptClass.from_row_ints(4, range(16)),
+        ConceptClass.from_row_ints(4, [0]),
+        random_class(9, 80, 7),
+        *(random_class(7, 12, seed) for seed in range(10)),
+        *(random_class(10, 25, 100 + seed) for seed in range(4)),
+        *(widened_class(seed) for seed in range(12)),
+    ]
+    counted = sum(_counted_answers(cls, oracle_vc(cls), caplog) for cls in oracle_cases)
+    for make, args, d, d_star in PINNED_DIMENSIONS:
+        cls = make(*args)
+        counted += _counted_answers(cls, d, caplog)
+        counted += _counted_answers(dual_class(cls), d_star, caplog)
+    assert counted == 166
+
+
+def test_counted_query_extends_no_node(caplog):
+    # 39,203 concepts on 16 points, more than the 26,333 of any class of
+    # dimension below 8, so "d >= 8?" is answered by counting alone; the
+    # search would extend nodes even to find its witness
+    cls = k_interval_unions(16, 4)
+    with caplog.at_level(logging.DEBUG, logger="vccompress.concepts"):
+        assert vc_dimension.__wrapped__(cls, 8) == 8
+    [line] = [r.getMessage() for r in caplog.records if r.name == "vccompress.concepts"]
+    assert line == (
+        "vc dimension 8 (ceiling 8): 39203 concepts on 16 points, more than the 26333 "
+        "of any class below it (Sauer-Shelah), 0 nodes extended"
+    )
+    # at the ceiling the answer is no proof of d, so none is kept
+    assert "_vc_dimension" not in vars(cls)
 
 
 @pytest.mark.parametrize(

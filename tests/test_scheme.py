@@ -540,6 +540,108 @@ def test_any_valid_container_encodes_its_subsets_and_round_trips(raw, counts, rn
     assert deserialize_compressed(data) == c
 
 
+def _spelled_longer(value):
+    """``value``'s varint one byte longer: its last byte continued into a
+    zero byte, so 0 is spelled 0x80 0x00."""
+    encoded = _encode_varint(value)
+    return encoded[:-1] + bytes((encoded[-1] | 0x80, 0))
+
+
+def _spell(fields, longer=None):
+    """Body bytes from ``fields``: bytes as they are, ints as varints, the
+    one at index ``longer`` spelled one byte longer."""
+    spelled = []
+    for i, field in enumerate(fields):
+        if isinstance(field, int):
+            field = (_spelled_longer if i == longer else _encode_varint)(field)
+        spelled.append(field)
+    return b"".join(spelled)
+
+
+def _decoded_or_refused(body):
+    """The container that ``body`` under a valid CRC decodes to, after
+    checking that it serializes back to the same bytes; None when the
+    decoder refuses it with DecodeError or IntegrityError.  Anything else
+    escapes."""
+    data = _seal(body)
+    try:
+        decoded = deserialize_compressed(data)
+    except (DecodeError, IntegrityError):
+        return None
+    assert serialize_compressed(decoded) == data
+    return decoded
+
+
+def _random_body(rng):
+    """Container bytes after the magic, field by field: varints of one byte
+    or several, values on both sides of the constructor's rules, and in a
+    third of the bodies one varint spelled one byte longer; a fifth of the
+    bodies then get one random byte changed, cut or added."""
+
+    def bits(k):  # k bits, now and then with padding set
+        width = (k + 7) // 8
+        return (rng.getrandbits(k) if rng.random() < 0.9 else rng.getrandbits(8 * width)).to_bytes(
+            width, "little"
+        )
+
+    k = rng.choice((0, 1, 2, 3, 4, 9, 130))
+    gaps = (0, 1, 2, 5, 127, 128, 200, 16384)[rng.random() < 0.7 :]  # a zero gap repeats a point
+    fields = [
+        rng.choice((1, 2, 5, 127, 128, 300, 20000, 1 << 21)),
+        k,
+        *(rng.choice(gaps) for _ in range(k)),
+        bits(k),
+    ]
+    for _ in range(rng.choice((0, 0, 0, 2, 2, 3))):
+        fields += (bits(k), rng.choice((1, 2, 3, 127, 128, 300, 1 << 32)))
+    varints = [i for i, field in enumerate(fields) if isinstance(field, int)]
+    body = bytearray(_spell(fields, rng.choice(varints) if rng.random() < 0.3 else None))
+    if rng.random() < 0.2:
+        index = rng.randrange(len(body) + 1)
+        edit = rng.randrange(3)
+        if edit == 0 and index < len(body):
+            body[index] = rng.randrange(256)
+        elif edit == 1:
+            del body[index:]
+        else:
+            body.insert(index, rng.randrange(256))
+    return bytes(body)
+
+
+def test_every_body_under_a_valid_crc_decodes_to_its_own_bytes_or_is_refused():
+    # the decoder's side of the bijection: whatever it accepts serializes
+    # back to the very bytes it read, and it refuses the rest with its own
+    # two errors and nothing else
+    rng = random.Random(55)
+    accepted = [c for c in (_decoded_or_refused(_random_body(rng)) for _ in range(4000)) if c]
+    # accepted containers hold varints of one byte and of several at every
+    # position: domain size, kernel size, kernel gaps and run counts
+    assert 400 < len(accepted) < 4000
+    gaps = [b - a for c in accepted for a, b in zip((0,) + c.kernel_points, c.kernel_points)]
+    counts = [count for c in accepted for _, count in c.runs]
+    domain_sizes = [c.domain_size for c in accepted]
+    kernel_sizes = [c.kernel_size for c in accepted]
+    for values in (domain_sizes, kernel_sizes, gaps, counts):
+        assert min(values) < 0x80 <= max(values)
+    # and random bytes
+    for _ in range(2000):
+        _decoded_or_refused(rng.randbytes(rng.randrange(12)))
+
+
+def test_a_varint_spelled_one_byte_longer_is_refused_at_every_position():
+    # domain size 300 (two bytes), kernel size 3, gaps 0, 5 and 200 (two
+    # bytes), the labels, then two runs with counts 1 and 130 (two bytes):
+    # each varint, spelled one byte longer under a valid CRC, is refused,
+    # the zero gap as 0x80 0x00
+    c = CompressedSample(300, (0, 5, 205), 0b101, ((0b011, 1), (0b110, 130)))
+    fields = [300, 3, 0, 5, 200, bytes((0b101, 0b011)), 1, bytes((0b110,)), 130]
+    assert _seal(_spell(fields)) == serialize_compressed(c)
+    assert _spell(fields, 2)[3:5] == b"\x80\x00"
+    for longer in (0, 1, 2, 3, 4, 6, 8):  # domain, kernel, three gaps, two counts
+        with pytest.raises(DecodeError, match="not minimally encoded"):
+            deserialize_compressed(_seal(_spell(fields, longer)))
+
+
 @settings(max_examples=60)
 @given(st.integers(min_value=0, max_value=2**32), st.data())
 def test_deserialize_survives_single_byte_corruption(seed, data):
@@ -1122,21 +1224,45 @@ def test_the_sparsifier_keeps_the_weak_margin_strict():
     assert Fraction(scheme.SPARSIFY_EPSILON) < learner.WEAK_AGREEMENT - Fraction(1, 2)
 
 
+def _reference_container(concept_class, sample, hypothesis_set, votes):
+    """The container by the union rule alone, for any number of voters: the
+    kernel is the sorted union of the voters' provenance subsets, each run's
+    mask has bit i for kernel position i, and the labels are the sample's."""
+    provenance_of = dict(zip(hypothesis_set.hypotheses, hypothesis_set.provenance))
+    kernel = sorted(set().union(*(provenance_of[concept] for concept, _ in votes)))
+    labels = dict(sample.label_items)
+    return CompressedSample(
+        concept_class.domain_size,
+        tuple(kernel),
+        sum(labels[x] << i for i, x in enumerate(kernel)),
+        tuple(
+            (sum(1 << i for i, x in enumerate(kernel) if x in provenance_of[concept]), count)
+            for concept, count in votes
+        ),
+    )
+
+
 def _round_trip_every_sample(monkeypatch, n, masks, repeats):
     """verify_round_trip on every concept and every point subset (the empty
     one too) of each class on n points whose rows are the set bits of a
-    mask, the subset's points taken once per entry of `repeats`.  Returns
-    the sha256 over the containers and vote multisets, the run, mixture and
-    escalation counts, and how many classes' largest kernel exceeds d by
-    0, 1, ...."""
-    containers = []
-    original_compress = scheme.compress
+    mask, the subset's points taken once per entry of `repeats`.  Each
+    container must be ``_reference_container``'s for the learner's pool and
+    the reduced votes.  Returns the sha256 over the containers and vote
+    multisets, the run, mixture and escalation counts, and how many classes'
+    largest kernel exceeds d by 0, 1, ...."""
+    containers, pools = [], []
+    original_compress, original_build = scheme.compress, scheme.build_hypothesis_set
 
     def keep_container(*args):
         containers.append(original_compress(*args))
         return containers[-1]
 
+    def keep_pool(*args):
+        pools.append(original_build(*args))
+        return pools[-1]
+
     monkeypatch.setattr(scheme, "compress", keep_container)
+    monkeypatch.setattr(scheme, "build_hypothesis_set", keep_pool)
     digest = hashlib.sha256()
     runs = mixtures = escalated = 0
     kernel_excess = collections.Counter()
@@ -1152,9 +1278,13 @@ def _round_trip_every_sample(monkeypatch, n, masks, repeats):
                     sample = LabeledSample.from_concept(c, concept, points * repeat)
                     result = verify_round_trip(c, sample)
                     [(compressed, report)] = containers
-                    del containers[:]
+                    [(hypothesis_set, _)] = pools
+                    del containers[:], pools[:]
                     assert report is result.report
                     details = report.known_details
+                    assert compressed == _reference_container(
+                        c, sample, hypothesis_set, details["vote_concepts"]
+                    )
                     assert result.passed, (c.rows, concept, points)
                     assert report.subset_count <= ceiling
                     assert max(m.bit_count() for m, _ in compressed.runs) <= report.subset_budget
