@@ -19,7 +19,9 @@ hypothesis consistent with the whole sample) votes once; the empty sample
 is one, on concept 0, taught by the empty subset.  A larger mixture's exact rational
 weights p are rounded to N = 1, 2, ... votes: each hypothesis gets the
 floor of N*p and the largest remainders (ties to the lower pool index) one
-vote more.  The first N whose votes win every point is kept.
+vote more.  The first N whose votes win every point is kept.  Each of
+these three branches (point mass, rounding, sampler) writes its own
+details, and compress constructs the report once.
 
 One margin carries every vote count.  p gives every sampled point's label
 mass at least a = ``WEAK_AGREEMENT`` = 2/3.  Rounding moves each of p's s
@@ -42,8 +44,9 @@ of the learner's point bitsets: each vote's wrong points are one bitset
 over the sample, and only points that some vote gets wrong are counted, so
 a point mass costs one XOR.  Reconstruction reads each distinct voter's
 row once, weighted by its count, so its memory is bounded by the class and
-not by the vote count; a single distinct voter returns a copy of that
-concept's row, which is its own majority.
+not by the vote count.  A single vote's row is its own majority, so a
+lone run's reconstruction is a fresh copy of its concept's row, returned
+before any tally is built.
 
 A container holds its votes as runs: one (mask, count) pair per distinct
 voter, in vote order, exactly the reduced votes; bit i of a mask is kernel
@@ -54,7 +57,11 @@ its count, and no run count, since the CRC marks where the runs end.  A
 lone run is implied (the whole kernel, voting once), so it spells no side
 info at all, and a point mass's info bits are the CRC's 32 alone.  One
 trailing CRC-32 covers every byte after the magic, so every single-byte
-corruption is detected before anything is parsed.  Decoders reject
+corruption is detected before anything is parsed.  A one-byte varint
+(a lone byte below 0x80) is always minimal, so the decoder reads the
+domain size, the kernel size and each gap inline when it is one such byte,
+and a kernel of 1 to 7 points' label byte when no padding bit is set; it
+calls the strict decoders otherwise.  Decoders reject
 truncation, nonzero padding, a spelled lone run and every non-canonical
 form, so bytes and containers are in bijection.  A container is exactly
 its four wire fields: the domain size, the kernel points, the kernel
@@ -452,20 +459,34 @@ def compress(
     docstring's: d*, once a mixture's rounding passes N = 1024 (the
     report's ``details`` computes d and d* when read).
 
+    Each branch builds ``known_details`` whole, in the key order
+    ``SchemeReport`` documents, and the report is constructed once.  Its
+    ``subset_count`` comes from the votes at hand: 1 for a point mass, the
+    counts' sum for a mixture, which is the runs' sum that the container's
+    ``subset_count`` reads.
+
     Only the learner's ERM (``lowest_consistent_concept``) checks the
     sample: ValueError for a point outside the domain, UnrealizableError
     for an unrealizable sample.
     """
     hypothesis_set, solution = build_hypothesis_set(concept_class, sample)
 
-    if len(hypothesis_set) == 1:
+    if len(hypothesis_set.hypotheses) == 1:
         # the taught point mass (a certified game never has a one-row
         # support: one row reaches 2/3 only by agreeing with every label,
         # and then it is c0, whose teaching set the learner tries first)
         [concept] = hypothesis_set.hypotheses
         votes = ((concept, 1),)
         margin = _majority_margin(concept_class, votes, sample.label_items)
-        draw_details = {"draw_count": 0}
+        known_details = {
+            "epsilon": SPARSIFY_EPSILON,
+            "seed": seed,
+            "vote_concepts": votes,
+            "min_majority_margin": margin,
+            "certified_agreement": solution.value_estimate,
+            "draw_count": 0,
+        }
+        subset_count = 1
         # the kernel is the teaching set, ascending as the learner found it,
         # and its one run is the whole kernel voting once; c0 is consistent
         # with the whole sample, so its row holds the kernel's labels
@@ -480,7 +501,15 @@ def compress(
         rounded = _round_mixture(concept_class, hypothesis_set.hypotheses, p, sample.label_items)
         if rounded is not None:
             draw_count, votes, margin = rounded
-            draw_details = {"votes_from": "rounding", "draw_count": draw_count}
+            known_details = {
+                "epsilon": SPARSIFY_EPSILON,
+                "seed": seed,
+                "vote_concepts": votes,
+                "min_majority_margin": margin,
+                "certified_agreement": solution.value_estimate,
+                "votes_from": "rounding",
+                "draw_count": draw_count,
+            }
         else:
             full_weights = np.zeros(len(concept_class.rows))
             full_weights[list(hypothesis_set.hypotheses)] = solution.row_strategy.weights
@@ -491,16 +520,22 @@ def compress(
             drawn = collections.Counter(certificate.multiset)
             votes = _reduced_votes(drawn, drawn.values())
             margin = _majority_margin(concept_class, votes, sample.label_items)
-            draw_details = {
+            known_details = {
+                "epsilon": SPARSIFY_EPSILON,
+                "seed": seed,
+                "vote_concepts": votes,
+                "min_majority_margin": margin,
+                "certified_agreement": solution.value_estimate,
                 "votes_from": "sampler",
                 "draw_count": len(certificate.multiset),
                 "sparsification_deviation": certificate.max_deviation,
             }
+        subset_count = sum(count for _, count in votes)
         logger.debug(
             "mixture of %d hypotheses: %d votes by %s",
             sum(1 for x in p if x),
-            draw_details["draw_count"],
-            draw_details["votes_from"],
+            known_details["draw_count"],
+            known_details["votes_from"],
         )
         # the kernel is the union of the voters' subsets; a hypothesis's
         # provenance is a subset whose ERM it is, so distinct voters have
@@ -516,22 +551,16 @@ def compress(
         kernel_labels = sum(labels_by_point[x] << i for i, x in enumerate(kernel_points))
 
     compressed = CompressedSample(concept_class.domain_size, kernel_points, kernel_labels, runs)
-    info_bits = 8 * (len(_encode_side_info(runs, len(kernel_points))) + 4)
+    kernel_size = len(kernel_points)
+    info_bits = 8 * (len(_encode_side_info(runs, kernel_size)) + 4)
     report = SchemeReport(
-        kernel_size=len(kernel_points),
-        info_bits=info_bits,
-        subset_count=compressed.subset_count,
-        scheme_size=len(kernel_points) + info_bits,
-        subset_budget=hypothesis_set.budget,
-        known_details={
-            "epsilon": SPARSIFY_EPSILON,
-            "seed": seed,
-            "vote_concepts": votes,
-            "min_majority_margin": margin,
-            "certified_agreement": solution.value_estimate,
-            **draw_details,
-        },
-        concept_class=concept_class,
+        kernel_size,
+        info_bits,
+        subset_count,
+        kernel_size + info_bits,
+        hypothesis_set.budget,
+        known_details,
+        concept_class,
     )
     return compressed, report
 
@@ -547,15 +576,18 @@ def reconstruct(concept_class: ConceptClass, compressed: CompressedSample) -> np
 
 def _majority_vote(concept_class: ConceptClass, votes: Sequence[tuple[int, int]]) -> np.ndarray:
     """Each point's strict majority label over (concept, count) votes (ties
-    to 0).  The counts of a concept that several runs learned are added
-    first, so each distinct voter's row is read once and memory is bounded
-    by the class, however many votes or runs a container names."""
+    to 0), as a fresh uint8 array.  A single vote (a lone run's) is its own
+    majority whatever its count, so its row is copied before any tally is
+    built.  Otherwise the counts of a concept that several runs learned are
+    added first, so each distinct voter's row is read once and memory is
+    bounded by the class, however many votes or runs a container names;
+    when those runs all learned one concept, the weighted sum gives that
+    concept's row too."""
+    if len(votes) == 1:
+        return concept_class.matrix[votes[0][0]].copy()
     tally: dict[int, int] = {}
     for concept, count in votes:
         tally[concept] = tally.get(concept, 0) + count
-    if len(tally) == 1:
-        # every vote is the same row, so the majority is that row
-        return concept_class.matrix[next(iter(tally))].copy()
     counts = np.fromiter(tally.values(), dtype=np.int64, count=len(tally))
     sums = counts @ concept_class.matrix[list(tally)]
     return (2 * sums > counts.sum()).astype(np.uint8)
@@ -566,22 +598,29 @@ def _subset_erms(
 ) -> tuple[tuple[int, int], ...]:
     """(ERM concept, count) for each run, in run order, once the container's
     domain matches the class; run masks are distinct, so each subset is
-    learned once."""
+    learned once.  A lone run is the whole kernel voting once: one ERM over
+    the kernel, with no mask to read."""
     if compressed.domain_size != concept_class.domain_size:
         raise IntegrityError(
             f"compressed domain size {compressed.domain_size} does not match "
             f"the class domain {concept_class.domain_size}"
         )
     labels = compressed.kernel_labels
-    pairs = [(x, labels >> i & 1) for i, x in enumerate(compressed.kernel_points)]
-    full = (1 << len(pairs)) - 1
-    votes = []
-    for mask, count in compressed.runs:
-        subset = pairs if mask == full else [pair for i, pair in enumerate(pairs) if mask >> i & 1]
-        try:
+    pairs = []
+    for x in compressed.kernel_points:
+        pairs.append((x, labels & 1))
+        labels >>= 1
+    runs = compressed.runs
+    try:
+        if len(runs) == 1:
+            return ((lowest_consistent_concept(concept_class, pairs), 1),)
+        full = (1 << len(pairs)) - 1
+        votes = []
+        for mask, count in runs:
+            subset = pairs if mask == full else [pair for i, pair in enumerate(pairs) if mask >> i & 1]
             votes.append((lowest_consistent_concept(concept_class, subset), count))
-        except UnrealizableError as exc:
-            raise IntegrityError("a side-info subset is inconsistent with every concept") from exc
+    except UnrealizableError as exc:
+        raise IntegrityError("a side-info subset is inconsistent with every concept") from exc
     return tuple(votes)
 
 
@@ -658,9 +697,15 @@ def serialize_compressed(compressed: CompressedSample) -> bytes:
 def deserialize_compressed(data: bytes) -> CompressedSample:
     """Strict inverse of serialize_compressed; any deviation is a DecodeError
     (structure) or IntegrityError (checksum).  The CRC is checked before
-    anything is parsed.  The side info is decoded here, once, and the
-    container is built from its runs; what its constructor rejects
-    (repeated kernel points, or a non-canonical run, say) is a
+    anything is parsed.  When the domain size and the kernel size are one
+    byte each below 0x80, both are read inline, as the gaps are: a lone
+    byte below 0x80 is always minimal.  Any other header goes through
+    ``_decode_varint``, so an overlong spelling such as ``0x80 0x00`` is
+    refused at both header positions.  Likewise a label byte of k = 1..7
+    bits is read inline when its padding is zero, and ``_unpack_bits``
+    reads and judges any other.  The side info is decoded here,
+    once, and the container is built from its runs; what its constructor
+    rejects (repeated kernel points, or a non-canonical run, say) is a
     DecodeError."""
     if data[: len(MAGIC)] != MAGIC:
         raise DecodeError("bad magic", 0)
@@ -670,8 +715,12 @@ def deserialize_compressed(data: bytes) -> CompressedSample:
     if struct.pack("<I", zlib.crc32(body[len(MAGIC) :])) != checksum:
         raise IntegrityError("container failed its checksum")
     pos = len(MAGIC)
-    domain_size, pos = _decode_varint(body, pos)
-    kernel_size, pos = _decode_varint(body, pos)
+    if len(body) > pos + 1 and body[pos] < 0x80 and body[pos + 1] < 0x80:
+        domain_size, kernel_size = body[pos], body[pos + 1]
+        pos += 2
+    else:
+        domain_size, pos = _decode_varint(body, pos)
+        kernel_size, pos = _decode_varint(body, pos)
     points = []
     point = 0
     for _ in range(kernel_size):
@@ -682,7 +731,11 @@ def deserialize_compressed(data: bytes) -> CompressedSample:
             delta, pos = _decode_varint(body, pos)
             point += delta
         points.append(point)
-    labels, pos = _unpack_bits(body, pos, kernel_size, "label bits")
+    if 0 < kernel_size < 8 and pos < len(body) and not body[pos] >> kernel_size:
+        labels = body[pos]
+        pos += 1
+    else:
+        labels, pos = _unpack_bits(body, pos, kernel_size, "label bits")
     runs = decode_side_info(body[pos:], kernel_size)
     try:
         return CompressedSample(domain_size, tuple(points), labels, runs)

@@ -464,6 +464,9 @@ def test_deserialize_reports_invalid_containers_as_decode_errors():
     # kernel points 1, 3 with their label byte cut off, under a valid CRC
     with pytest.raises(DecodeError, match="label bits truncated"):
         deserialize_compressed(_seal(bytes([4, 2, 1, 2])))
+    # ... and with a label bit past k = 2 in their label byte
+    with pytest.raises(DecodeError, match="nonzero padding in label bits"):
+        deserialize_compressed(_seal(bytes([4, 2, 1, 2, 0b101])))
     # a container too short to hold its CRC
     with pytest.raises(DecodeError, match="shorter than its checksum"):
         deserialize_compressed(MAGIC + b"\x00\x00\x00")
@@ -632,14 +635,23 @@ def test_a_varint_spelled_one_byte_longer_is_refused_at_every_position():
     # domain size 300 (two bytes), kernel size 3, gaps 0, 5 and 200 (two
     # bytes), the labels, then two runs with counts 1 and 130 (two bytes):
     # each varint, spelled one byte longer under a valid CRC, is refused,
-    # the zero gap as 0x80 0x00
-    c = CompressedSample(300, (0, 5, 205), 0b101, ((0b011, 1), (0b110, 130)))
-    fields = [300, 3, 0, 5, 200, bytes((0b101, 0b011)), 1, bytes((0b110,)), 130]
-    assert _seal(_spell(fields)) == serialize_compressed(c)
-    assert _spell(fields, 2)[3:5] == b"\x80\x00"
-    for longer in (0, 1, 2, 3, 4, 6, 8):  # domain, kernel, three gaps, two counts
-        with pytest.raises(DecodeError, match="not minimally encoded"):
-            deserialize_compressed(_seal(_spell(fields, longer)))
+    # the zero gap as 0x80 0x00.  The second container's domain and kernel
+    # sizes are one byte each, so its header is the one the decoder reads
+    # inline, and a longer spelling at either position must leave that read
+    wide = CompressedSample(300, (0, 5, 205), 0b101, ((0b011, 1), (0b110, 130)))
+    wide_fields = [300, 3, 0, 5, 200, bytes((0b101, 0b011)), 1, bytes((0b110,)), 130]
+    narrow = CompressedSample(9, (0, 2, 7), 0b101, ((0b011, 1), (0b110, 130)))
+    narrow_fields = [9, 3, 0, 2, 5, bytes((0b101, 0b011)), 1, bytes((0b110,)), 130]
+    assert _spell(wide_fields, 2)[3:5] == b"\x80\x00"
+    assert _spell(narrow_fields)[:2] == b"\x09\x03"
+    assert _spell(narrow_fields, 0)[:3] == b"\x89\x00\x03"
+    assert _spell(narrow_fields, 1)[:3] == b"\x09\x83\x00"
+    for c, fields in ((wide, wide_fields), (narrow, narrow_fields)):
+        assert _seal(_spell(fields)) == serialize_compressed(c)
+        assert deserialize_compressed(serialize_compressed(c)) == c
+        for longer in (0, 1, 2, 3, 4, 6, 8):  # domain, kernel, three gaps, two counts
+            with pytest.raises(DecodeError, match="not minimally encoded"):
+                deserialize_compressed(_seal(_spell(fields, longer)))
 
 
 @settings(max_examples=60)
